@@ -11,10 +11,14 @@ of the k-th singular triple.
 
 This module computes the exact Hankel singular values through the
 controllability/observability Gramians of the realization, materializes the
-Schmidt functions in closed form, extracts the negative coefficients of the
-error symbol, and returns the optimal rank-k Hankel sequence together with
-a k-state WFA realizing it.  All claimed guarantees (Hankel structure, rank,
-attained spectral-norm error) are re-checked numerically before returning.
+Schmidt functions in closed form, and realizes the negative part of the
+error symbol exactly with n + k states: the inverse system of the Schmidt
+denominator is split by an ordered Schur form into its parts inside and
+outside the unit circle (the discrete-time form of Glover's all-optimal
+Hankel-norm construction).  It returns the optimal rank-k Hankel sequence
+together with a k-state WFA realizing it.  All claimed guarantees (Hankel
+structure, rank, attained spectral-norm error) are re-checked numerically
+before returning.
 """
 
 from __future__ import annotations
@@ -100,12 +104,10 @@ class GramianPair:
     observability_residual: float
 
 
-def _solve_stein(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve X = a X a^T + rhs by vectorizing through the Kronecker product."""
-    n = a.shape[0]
-    system = np.eye(n * n) - kronecker(a, a)
-    x = np.linalg.solve(system, rhs.flatten(order="F")).reshape((n, n), order="F")
-    return 0.5 * (x + x.T)
+def _solve_stein(left: np.ndarray, right: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve X = left X right^T + rhs by vectorizing through the Kronecker product."""
+    system = np.eye(rhs.size) - kronecker(right, left)
+    return np.linalg.solve(system, rhs.flatten(order="F")).reshape(rhs.shape, order="F")
 
 
 def gramians(wfa: Wfa, tol: float = 1e-9) -> GramianPair:
@@ -118,8 +120,10 @@ def gramians(wfa: Wfa, tol: float = 1e-9) -> GramianPair:
     rho = spectral_radius(a)
     if rho >= 1.0:
         raise StabilityError(f"Gramians diverge: spectral radius {rho} >= 1")
-    ctrl = _solve_stein(a, np.outer(wfa.beta, wfa.beta))
-    obs = _solve_stein(a.T, np.outer(wfa.alpha, wfa.alpha))
+    ctrl = _solve_stein(a, a, np.outer(wfa.beta, wfa.beta))
+    ctrl = 0.5 * (ctrl + ctrl.T)
+    obs = _solve_stein(a.T, a.T, np.outer(wfa.alpha, wfa.alpha))
+    obs = 0.5 * (obs + obs.T)
     ctrl_res = float(np.linalg.norm(ctrl - a @ ctrl @ a.T - np.outer(wfa.beta, wfa.beta)))
     obs_res = float(np.linalg.norm(obs - a.T @ obs @ a - np.outer(wfa.alpha, wfa.alpha)))
     scale = 1.0 + max(np.linalg.norm(ctrl), np.linalg.norm(obs))
@@ -193,15 +197,12 @@ class SchmidtPair:
 
     def w_coefficients(self, count: int) -> np.ndarray:
         """Negative-part coefficients w_m = sigma^{-1} alpha^T A^m P x, m < count."""
-        return self._forced_coefficients(count) / self.sigma
-
-    def _forced_coefficients(self, count: int) -> np.ndarray:
         out = np.empty(count)
         u = self.controllability @ self.direction
         for m in range(count):
             out[m] = self.alpha @ u
             u = self.matrix @ u
-        return out
+        return out / self.sigma
 
     def v_at(self, z) -> np.ndarray:
         """v as a function on the plane, vectorized over z."""
@@ -240,100 +241,79 @@ def schmidt_pair(wfa: Wfa, k: int, tol: float = MINIMALITY_TOL) -> SchmidtPair:
 
 
 class _ErrorSymbolCoefficients:
-    """Negative Fourier coefficients of the rational error symbol.
+    """Negative Fourier coefficients of the error symbol, as an exact realization.
 
-    The error symbol e = sigma_k * w / v satisfies e * v = r with
-    r(z) = alpha^T (z - A)^{-1} P x, whose coefficients are known.  On the
-    annulus containing the unit circle that convolution pins down every
-    Laurent coefficient of e uniquely because v has no zeros on the circle;
-    the finite window of the system is solved in the least-squares sense,
-    which needs neither root finding nor circle quadrature.  The window is
-    grown until the negative Laurent tail has decayed below tolerance and
-    either the positive tail has too or the negative coefficients are
-    reproducible across two window sizes.
+    The error symbol is e = r / v with r(z) = alpha^T (z - A)^{-1} P x (that
+    is sigma_k * w) and v(z) = x^T (1 - z A)^{-1} beta.  Since
+    v(z) = v(0) + z x^T (1 - z A)^{-1} A beta, the power series of 1/v is
+    that of the inverse system with state matrix
+    A_x = A - (A beta) x^T / v(0); an eigenvalue lambda of A_x is a pole of
+    1/v at z = 1 / lambda.  An ordered real Schur form and one Sylvester
+    solve split A_x into T_s, its n - k eigenvalues inside the unit circle,
+    and T_u, the k outside it (the inverse zeros of v inside the disk).  On
+    the circle 1/v = (1/v)_+ + (1/v)_-: the T_s part is a power series, and
+    the T_u part is re-expanded in negative powers of z through
+    M_u = T_u^{-1}.  Then
+
+        e_- = r (1/v)_- + alpha^T (z - A)^{-1} (1/v)_+(A) P x,
+
+    the first term a cascade of two strictly proper systems and the second
+    the projection of r (1/v)_+ onto the poles of A, whose matrix function
+    comes from one Stein equation.  The result is a realization (c, M, b)
+    with n + k states and e_{-m-1} = c^T M^m b.
     """
 
-    #: relative size below which a Laurent tail counts as converged
-    TAIL_RTOL = 1e-12
-    MAX_DEPTH = 2048
+    #: an inverse-system eigenvalue whose modulus lies this close to 1 puts a
+    #: zero of v on the unit circle, where the split is undefined
+    CIRCLE_GUARD = 1e-8
 
-    def __init__(self, pair: SchmidtPair, scale: float, circle_guard_rtol: float = 1e-8):
-        self.pair = pair
-        self.scale = scale
-        self._negative: np.ndarray | None = None
-        angles = np.exp(2j * np.pi * np.arange(4096) / 4096)
-        magnitudes = np.abs(pair.v_at(angles))
-        if magnitudes.min() < circle_guard_rtol * magnitudes.max():
+    def __init__(self, pair: SchmidtPair, order: int):
+        a, beta, x = pair.matrix, pair.beta, pair.direction
+        n = len(x)
+        head = float(x @ beta)  # v(0)
+        if abs(head) <= n * np.finfo(float).eps * np.linalg.norm(x) * np.linalg.norm(beta):
             raise NumericalError(
-                "Schmidt denominator nearly vanishes on the unit circle "
-                f"(min/max ratio {magnitudes.min() / magnitudes.max():.3e}); "
+                "Schmidt denominator vanishes at z = 0; its inverse system is undefined"
+            )
+        a_beta = a @ beta
+        inverse = a - np.outer(a_beta, x) / head
+        distance = float(np.abs(np.abs(np.linalg.eigvals(inverse)) - 1.0).min())
+        if distance <= self.CIRCLE_GUARD:
+            raise NumericalError(
+                "Schmidt denominator nearly vanishes on the unit circle (an "
+                f"inverse-system eigenvalue lies {distance:.3e} from it); "
                 "coefficient extraction would be unreliable"
             )
+        schur, basis, inside = scipy.linalg.schur(inverse, sort="iuc")
+        if n - inside != order:
+            raise NumericalError(
+                f"Schmidt denominator has {n - inside} zeros inside the unit disk, "
+                f"expected {order}"
+            )
+        t_s, t_u = schur[:inside, :inside], schur[inside:, inside:]
+        # A_x = V diag(T_s, T_u) V^{-1} with V = basis [[1, Y], [0, 1]]
+        coupling = scipy.linalg.solve_sylvester(t_s, -t_u, -schur[:inside, inside:])
+        row, col = x @ basis, basis.T @ a_beta
+        row_s, row_u = row[:inside], row[inside:] + row[:inside] @ coupling
+        col_s, col_u = col[:inside] - coupling @ col[inside:], col[inside:]
+        m_u = np.linalg.inv(t_u)
+        # (1/v)_- = row_u M_u (z - M_u)^{-1} M_u col_u / v(0)^2, and
+        # (1/v)_+(z) = constant - z row_s (1 - z T_s)^{-1} col_s / v(0)^2
+        constant = 1.0 / head + float(row_u @ m_u @ col_u) / head**2
+        forced = pair.controllability @ x
+        # X = T_s X A^T + col_s (A P x)^T gives sum_j (row_s T_s^j col_s) A^{j+1} P x
+        stein = _solve_stein(t_s, a, np.outer(col_s, a @ forced))
+        projected = constant * forced - stein.T @ row_s / head**2
+        self.c = np.concatenate([pair.alpha, np.zeros(order)])
+        self.matrix = np.block([
+            [a, np.outer(forced, row_u @ m_u / head**2)],
+            [np.zeros((order, n)), m_u],
+        ])
+        self.b = np.concatenate([projected, m_u @ col_u])
 
     def negative(self, count: int) -> np.ndarray:
         """Coefficients of z^{-1}, ..., z^{-count} of the error symbol."""
-        if self._negative is None or len(self._negative) < count:
-            # 288 covers the usual certification horizon in one solve
-            self._solve(max(288, 2 * count))
-        return self._negative[:count]
-
-    def _solve_window(self, depth: int):
-        """One finite-window solve; returns the negative coefficients plus
-        the diagnostics used to decide whether the window was wide enough."""
-        pair = self.pair
-        v_full = pair.v_coefficients(depth)
-        v_max = np.abs(v_full).max()
-        # keep v up to where it has decayed to eps relative
-        keep = np.nonzero(np.abs(v_full) > 1e-17 * v_max)[0]
-        band = int(keep[-1]) + 1 if keep.size else 1
-        v = v_full[:band]
-        rhs_neg = pair._forced_coefficients(depth)
-        # unknowns c_t, t in [-depth, depth]; rows t' in [-depth, depth + band - 1]
-        num_unknowns = 2 * depth + 1
-        num_rows = num_unknowns + band - 1
-        system = np.zeros((num_rows, num_unknowns))
-        idx = np.arange(num_unknowns)
-        for j in range(band):
-            system[idx + j, idx] = v[j]
-        rhs = np.zeros(num_rows)
-        rhs[:depth] = rhs_neg[::-1]  # row r corresponds to t' = r - depth
-        solution = scipy.linalg.lstsq(system, rhs, lapack_driver="gelsy")[0]
-        residual = float(np.linalg.norm(system @ solution - rhs))
-        negative = solution[:depth][::-1]  # c_{-1}, c_{-2}, ...
-        negative_tail = float(max(np.abs(negative[-8:]).max(), np.abs(rhs_neg[-1])))
-        positive_tail = float(np.abs(solution[-8:]).max())
-        return negative, negative_tail, positive_tail, residual
-
-    def _solve(self, depth: int):
-        tol = self.TAIL_RTOL * self.scale
-        previous: np.ndarray | None = None
-        while depth <= self.MAX_DEPTH:
-            negative, negative_tail, positive_tail, residual = self._solve_window(depth)
-            if negative_tail <= tol:
-                # clean window: every Laurent tail decayed, residual at noise level
-                if positive_tail <= tol and residual <= 1e-9 * self.scale:
-                    self._negative = negative
-                    return
-                # the positive tail can decay far more slowly (zeros of the
-                # Schmidt function just outside the circle) without harming
-                # the negative part; accept once doubling the window moves
-                # the negative coefficients by less than 1e-9 of the scale.
-                # The window-truncation error shrinks at least geometrically
-                # per doubling, so the accepted (deeper) solve is orders of
-                # magnitude closer than the measured difference.
-                if previous is not None and (
-                    np.abs(negative[: len(previous)] - previous).max()
-                    <= 1e-9 * self.scale
-                ):
-                    self._negative = negative
-                    return
-            previous = negative
-            depth *= 2
-        raise NumericalError(
-            "error-symbol coefficients did not stabilize within depth "
-            f"{self.MAX_DEPTH}; zeros of the Schmidt function are too close "
-            "to the unit circle"
-        )
+        return _word_function_table(self.c, (self.matrix,), self.b, count - 1)
 
 
 class AakApproximation:
@@ -429,7 +409,7 @@ def aak_approximate(wfa: Wfa, k: int, *, certify_rtol: float = 1e-6,
             "approximation may not be unique"
         )
     pair = schmidt_pair(wfa, k)
-    extraction = _ErrorSymbolCoefficients(pair, scale=float(sigmas[0]))
+    extraction = _ErrorSymbolCoefficients(pair, k)
     approx = AakApproximation(
         wfa=None,  # filled in below once recovered
         error=sigma_k,

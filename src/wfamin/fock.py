@@ -593,15 +593,36 @@ def nc_rational_series(realization: NcRationalRealization, arguments,
 def series_tail_bound(realization: NcRationalRealization, arguments,
                       max_degree: int) -> float:
     """Geometric bound on the series remainder beyond ``max_degree``."""
+    return series_bounds(realization, arguments, max_degree)[0]
+
+
+def series_bounds(realization: NcRationalRealization, arguments,
+                  max_degree: int) -> tuple[float, float]:
+    """(tail, rounding): how far the closed form and the degree-``max_degree``
+    partial sum can lie apart, in exact arithmetic and through rounding.
+
+    For K the Kronecker sum with g = ||K|| < 1, the degree-j part of the
+    series is at most ||c|| ||b|| g^j.  The tail beyond ``max_degree`` is
+    therefore at most ||c|| ||b|| g^(max_degree+1) / (1 - g), and the
+    results of both computations are at most ||c|| ||b|| / (1 - g).  The
+    rounding term is a first-order estimate: each rounded step errs by at
+    most eps relative to that magnitude, the partial sum adds one term per
+    word of length <= ``max_degree``, and the linear solve has N = order of
+    K unknowns and amplifies its backward error by
+    ||(1 - K)^{-1}|| <= 1 / (1 - g).
+    """
     arguments, _ = _coerce_arguments(realization, arguments)
     resolvent_sum = sum(
         kronecker(m, z) for m, z in zip(realization.matrices, arguments)
     )
     gain = float(np.linalg.norm(resolvent_sum, 2))
     if gain >= 1.0:
-        return np.inf
+        return np.inf, np.inf
     scale = float(np.linalg.norm(realization.c) * np.linalg.norm(realization.b))
-    return scale * gain ** (max_degree + 1) / (1.0 - gain)
+    words = sum(realization.alphabet_size**j for j in range(max_degree + 1))
+    steps = resolvent_sum.shape[0] / (1.0 - gain) + words
+    rounding = float(np.finfo(float).eps) * steps * scale / (1.0 - gain)
+    return scale * gain ** (max_degree + 1) / (1.0 - gain), rounding
 
 
 def right_multiplication_matrix(basis: WordIndex, series) -> np.ndarray:

@@ -29,6 +29,9 @@ class Wfa:
         One transition matrix per symbol, ordered by symbol index.
     beta : array_like, shape (n,)
         Final weight vector.
+
+    Raises :class:`ValueError` on inconsistent shapes or a NaN or infinite
+    weight.
     """
 
     def __init__(self, alpha, transitions, beta):
@@ -47,6 +50,8 @@ class Wfa:
         for i, m in enumerate(mats):
             if m.shape != (n, n):
                 raise ValueError(f"transition {i} has shape {m.shape}, expected ({n}, {n})")
+        if not all(np.isfinite(arr).all() for arr in (alpha, beta, *mats)):
+            raise ValueError("weights must be finite (no NaN or inf)")
         for arr in (alpha, beta, *mats):
             arr.setflags(write=False)
         self.alpha = alpha
@@ -140,9 +145,9 @@ def _word_function_table(alpha, transitions, beta, max_length):
     """Graded-lex table of alpha^T A_w beta built one length level at a time."""
     levels = [np.array([float(alpha @ beta)])]
     states = alpha[None, :]  # rows: alpha^T A_w for every word w of the current length
+    stacked = np.concatenate(transitions, axis=1)  # [A_0 A_1 ... A_{d-1}]
     for _ in range(max_length):
         # row for word w + (a,) sits at position value(w) * d + a
-        nxt = np.stack([states @ m for m in transitions], axis=1).reshape(-1, len(alpha))
-        levels.append(nxt @ beta)
-        states = nxt
+        states = (states @ stacked).reshape(-1, len(alpha))
+        levels.append(states @ beta)
     return np.concatenate(levels)

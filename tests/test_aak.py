@@ -204,6 +204,46 @@ class TestAakApproximate:
         oracle_g = f_values - circle_fourier_oracle(result, count)
         np.testing.assert_allclose(expected_g, oracle_g, atol=1e-12)
 
+    def test_extraction_matches_circle_fourier_oracle_ten_states(self):
+        wfa = random_stable_wfa(1, 10, seed=8, radius_bound=0.8)
+        sigmas = hankel_singular_values(wfa)
+        f_values = np.array([wfa.evaluate((0,) * m) for m in range(60)])
+        for k in (1, 4, 7, 9):
+            result = aak_approximate(wfa, k)
+            oracle_g = f_values - circle_fourier_oracle(result, 60)
+            np.testing.assert_allclose(result.coefficients(60), oracle_g, atol=1e-11 * sigmas[0])
+
+    def test_zeros_near_circle_certified(self):
+        # a six-state document of the aak-one-letter benchmark (seed 1,
+        # document r2-n6) whose Schmidt zeros lie close to the unit circle;
+        # windowed least-squares extraction gave up on it
+        alpha = [0.7175130525725216, -0.3020819717072703, 1.7401210242168366,
+                 -1.0684928577656814, -1.3062961297182314, 0.5680705629324108]
+        matrix = [
+            [4.0757255879755164e-02, -2.9609435714567714e-02, -1.2371853464866401e-02,
+             4.1285263673089552e-02, -2.5748776323449071e-02, -3.1822537051029401e-02],
+            [-3.4975332912890000e-01, -2.4755600068816752e-01, 1.1270386471779228e-01,
+             -1.2992468795025125e-01, 1.0057358300050272e-01, 2.2791006480410214e-01],
+            [-6.5478939455474561e-02, 5.2200360725134946e-02, 3.8305439911152073e-01,
+             1.2819705000774589e-01, 3.3977648750710110e-01, 2.8287261266153341e-01],
+            [1.3897484676406752e-01, -2.0641408002962554e-02, -1.5532529994726466e-01,
+             -2.0507856278870770e-01, 8.9714688617768171e-02, 8.6367318205983770e-02],
+            [-3.2213129637594574e-02, 1.5651936735311942e-01, -1.1152093799791028e-01,
+             2.0480574132070078e-01, 7.3802340429321468e-03, -6.7012822028347900e-03],
+            [-5.0415987337751072e-05, -1.8187455169511198e-02, 4.5901824856961659e-01,
+             -2.9728233169611668e-01, 3.2692822074946060e-02, 2.2950433631332617e-01],
+        ]
+        beta = [-1.454469801233026, -2.3779497529666154, 0.8828866377279997,
+                0.7613503126204363, 0.7322868629434504, -0.4874711446841277]
+        wfa = Wfa(alpha, [matrix], beta)
+        result = aak_approximate(wfa, 1)
+        sigmas = result.singular_values
+        assert result.wfa.num_states == 1
+        assert abs(result.block_norms[-1][1] - sigmas[1]) <= 1e-12 * sigmas[0]
+        h = build_hankel(wfa, 63, 63).entries
+        g = build_hankel(result.wfa, 63, 63).entries
+        assert abs(np.linalg.norm(h - g, 2) - sigmas[1]) <= 1e-12 * sigmas[0]
+
     def test_eckart_young_never_beaten(self, two_state_wfa):
         result = aak_approximate(two_state_wfa, 1)
         h = build_hankel(two_state_wfa, 63, 63).entries
@@ -268,4 +308,22 @@ class TestAakApproximate:
             controllability=np.eye(2),
         )
         with pytest.raises(NumericalError, match="unit circle"):
-            _ErrorSymbolCoefficients(pair, scale=1.0)
+            _ErrorSymbolCoefficients(pair, order=0)
+
+    def test_schmidt_denominator_zero_count_and_origin_checked(self, two_state_wfa):
+        from wfamin.aak import SchmidtPair, _ErrorSymbolCoefficients
+
+        pair = schmidt_pair(two_state_wfa, 1)
+        with pytest.raises(NumericalError, match="1 zeros inside the unit disk, expected 0"):
+            _ErrorSymbolCoefficients(pair, order=0)
+        # v(z) = z: the inverse system needs v(0) != 0
+        pair = SchmidtPair(
+            sigma=1.0,
+            direction=np.array([1.0, 0.0]),
+            alpha=np.array([1.0, 0.0]),
+            matrix=np.array([[0.0, 1.0], [0.0, 0.0]]),
+            beta=np.array([0.0, 1.0]),
+            controllability=np.eye(2),
+        )
+        with pytest.raises(NumericalError, match="z = 0"):
+            _ErrorSymbolCoefficients(pair, order=1)

@@ -38,6 +38,18 @@ class TestEval:
         assert code == 2
 
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_weight_exits_2(self, capsys, tmp_path, bad):
+        path = tmp_path / "bad.wfa"
+        path.write_text(
+            (FIXTURES / "e2.wfa").read_text().replace("beta: 1 1", f"beta: 1 {bad}")
+        )
+        code, out, err = run(capsys, "eval", str(path), "a")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+
 class TestApproximate:
     def test_e1_rank_zero_reports_four_thirds(self, capsys, tmp_path):
         out_file = tmp_path / "out.wfa"
@@ -103,6 +115,17 @@ class TestApproximate:
         assert code == 2
         assert "one-letter" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_weight_exits_2(self, capsys, tmp_path, bad):
+        path = tmp_path / "bad.wfa"
+        path.write_text(
+            (FIXTURES / "e2.wfa").read_text().replace("0.5 0", f"{bad} 0")
+        )
+        code, _, err = run(capsys, "approximate", str(path), "1", "-o", str(tmp_path / "x.wfa"))
+        assert code == 2
+        assert "finite" in err
+        assert not (tmp_path / "x.wfa").exists()
+
     def test_k_out_of_range_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "approximate", str(FIXTURES / "e2.wfa"), "5",
@@ -141,6 +164,34 @@ class TestVerify:
         )
         assert code == 0
         assert "head coefficient exactly: True" in out
+
+    def test_nc_rational_rounding_is_not_a_failure(self, capsys):
+        # seed 28 has trials whose exact tail bound (~1e-21) lies below the
+        # roundoff of the two computations (~1e-16)
+        code, out, _ = run(
+            capsys, "verify", "--suite", "nc-rational", "--seed", "28", "--no-timestamp",
+        )
+        assert code == 0
+        assert out.strip().endswith("result: pass")
+
+    def test_nc_rational_perturbed_closed_form_fails(self, capsys, monkeypatch):
+        from wfamin import fock
+
+        exact = fock.nc_rational_eval
+
+        def perturbed(realization, arguments):
+            value = exact(realization, arguments)
+            if any(np.any(z) for z in arguments):  # keep the zero-substitution check exact
+                value = value + 1e-9 * np.linalg.norm(value, 2)
+            return value
+
+        monkeypatch.setattr(fock, "nc_rational_eval", perturbed)
+        code, out, _ = run(
+            capsys, "verify", "--suite", "nc-rational", "--seed", "28", "--no-timestamp",
+        )
+        assert code == 1
+        assert "head coefficient exactly: True" in out
+        assert out.strip().endswith("result: fail")
 
     def test_all_suites_deterministic_output(self, capsys):
         _, first, _ = run(

@@ -81,6 +81,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             Wfa([1.0], [], [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Wfa([bad], [[[0.5]]], [1.0])
+        with pytest.raises(ValueError, match="finite"):
+            Wfa([1.0], [[[bad]]], [1.0])
+        with pytest.raises(ValueError, match="finite"):
+            Wfa([1.0], [[[0.5]]], [bad])
+
     def test_immutable_arrays(self, geometric_wfa):
         with pytest.raises(ValueError):
             geometric_wfa.alpha[0] = 2.0
