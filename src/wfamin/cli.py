@@ -199,15 +199,19 @@ def _suite_nc_rational(args):
     for trial in range(args.trials):
         size = 1 + trial % 2
         arguments = [0.3 * rng.standard_normal((size, size)) for _ in range(d)]
-        rho, norm_sum = fock.contraction_margins(realization, arguments)
+        # one pencil per trial serves the margins and the bounds; the closed
+        # form under test builds its own
+        pencil = fock._pencil(realization, arguments)
+        rho, norm_sum = fock._contraction_margins(pencil, arguments)
         if rho >= 0.95:
             arguments = [0.5 * z for z in arguments]
-            rho, norm_sum = fock.contraction_margins(realization, arguments)
+            pencil = fock._pencil(realization, arguments)
+            rho, norm_sum = fock._contraction_margins(pencil, arguments)
         closed = fock.nc_rational_eval(realization, arguments)
         partial = fock.nc_rational_series(realization, arguments, 8)
         # the tail bound holds in exact arithmetic; the computed gap also
         # carries the rounding of both sides
-        bound = sum(fock.series_bounds(realization, arguments, 8))
+        bound = sum(fock._series_bounds(realization, pencil, 8))
         gap = float(np.linalg.norm(closed - partial, 2))
         worst_ratio = max(worst_ratio, gap / bound if bound > 0 else float(gap > 0))
         worst_rho = max(worst_rho, rho)
@@ -238,6 +242,16 @@ def cmd_verify(args) -> int:
         print(f"result: {'pass' if passed else 'fail'}")
         all_passed = all_passed and passed
     return 0 if all_passed else 1
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--degree", type=int, default=5,
                           help="Fock-space truncation degree")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--trials", type=int, default=100,
+    p_verify.add_argument("--trials", type=_positive_int, default=100,
                           help="random trials for the shifts / nc-rational suites")
     p_verify.add_argument("--no-timestamp", action="store_true",
                           help="omit the timestamp line for byte-reproducible reports")

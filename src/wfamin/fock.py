@@ -5,6 +5,11 @@ its degree-D truncation is represented here by plain numpy vectors and
 matrices over a :class:`~wfamin.words.WordIndex`, so a coefficient vector is
 simultaneously the sequence and the power-series view of the same object.
 
+The shifts, their adjoints and the bilateral shift act on the last axis, so
+a stack of vectors (leading batch axes) is shifted in one call; shifts and
+the flip are applied as index maps, and their dense matrices serve only as
+reference definitions.
+
 Truncation discipline: every operation that can push support past the
 degree cutoff either raises :class:`TruncationError` (vector form) or zeroes
 the offending columns (matrix form), and the verification routines only
@@ -19,11 +24,15 @@ import numpy as np
 
 from .errors import StabilityError, TruncationError
 from .hankel import build_hankel
-from .wfa import Wfa, evaluation_table, kronecker, spectral_radius
+from .wfa import Wfa, _word_function_table, evaluation_table, kronecker, spectral_radius
 from .words import WordIndex
 
 #: The Fock basis is the shared graded-lexicographic word enumeration.
 FockBasis = WordIndex
+
+#: Largest number of floats drawn at once by :func:`verify_shift_inequalities`
+#: (8 MiB), so its memory does not grow with the trial count.
+_SHIFT_BATCH_ENTRIES = 1 << 20
 
 
 def _interior_size(basis: WordIndex) -> int:
@@ -31,10 +40,16 @@ def _interior_size(basis: WordIndex) -> int:
     return basis.first_index_of_length(basis.max_length)
 
 
+def _check_length(basis: WordIndex, vector: np.ndarray):
+    if vector.shape[-1:] != (len(basis),):
+        raise ValueError(
+            f"vector has shape {vector.shape}, expected a last axis of length {len(basis)}"
+        )
+
+
 def _check_interior_support(basis: WordIndex, vector: np.ndarray, what: str):
-    if vector.shape != (len(basis),):
-        raise ValueError(f"vector has shape {vector.shape}, expected ({len(basis)},)")
-    if np.any(vector[_interior_size(basis):] != 0.0):
+    _check_length(basis, vector)
+    if np.any(vector[..., _interior_size(basis):] != 0.0):
         raise TruncationError(
             f"{what} would push support past degree {basis.max_length}; "
             "the input must vanish on the top degree"
@@ -61,8 +76,8 @@ def left_shift(basis: WordIndex, symbol: int, vector) -> np.ndarray:
     """e_w -> e_{symbol w}; the input must vanish on the top degree."""
     vector = np.asarray(vector, dtype=float)
     _check_interior_support(basis, vector, "left shift")
-    out = np.zeros(len(basis))
-    out[_prepend_indices(basis, symbol)] = vector[: _interior_size(basis)]
+    out = np.zeros(vector.shape)
+    out[..., _prepend_indices(basis, symbol)] = vector[..., : _interior_size(basis)]
     return out
 
 
@@ -70,24 +85,26 @@ def right_shift(basis: WordIndex, symbol: int, vector) -> np.ndarray:
     """e_w -> e_{w symbol}; the input must vanish on the top degree."""
     vector = np.asarray(vector, dtype=float)
     _check_interior_support(basis, vector, "right shift")
-    out = np.zeros(len(basis))
-    out[_append_indices(basis, symbol)] = vector[: _interior_size(basis)]
+    out = np.zeros(vector.shape)
+    out[..., _append_indices(basis, symbol)] = vector[..., : _interior_size(basis)]
     return out
 
 
 def left_shift_adjoint(basis: WordIndex, symbol: int, vector) -> np.ndarray:
     """e_{symbol w} -> e_w and 0 on words not starting with the symbol."""
     vector = np.asarray(vector, dtype=float)
-    out = np.zeros(len(basis))
-    out[: _interior_size(basis)] = vector[_prepend_indices(basis, symbol)]
+    _check_length(basis, vector)
+    out = np.zeros(vector.shape)
+    out[..., : _interior_size(basis)] = vector[..., _prepend_indices(basis, symbol)]
     return out
 
 
 def right_shift_adjoint(basis: WordIndex, symbol: int, vector) -> np.ndarray:
     """e_{w symbol} -> e_w and 0 on words not ending with the symbol."""
     vector = np.asarray(vector, dtype=float)
-    out = np.zeros(len(basis))
-    out[: _interior_size(basis)] = vector[_append_indices(basis, symbol)]
+    _check_length(basis, vector)
+    out = np.zeros(vector.shape)
+    out[..., : _interior_size(basis)] = vector[..., _append_indices(basis, symbol)]
     return out
 
 
@@ -108,10 +125,15 @@ def right_shift_matrix(basis: WordIndex, symbol: int) -> np.ndarray:
 
 
 def _reversal_permutation(basis: WordIndex) -> np.ndarray:
-    perm = np.empty(len(basis), dtype=np.int64)
-    for i, word in enumerate(basis.words()):
-        perm[i] = basis.index_of(word[::-1])
-    return perm
+    """index_of(reversed w) for every word w; an involution."""
+    d = basis.alphabet_size
+    blocks = []
+    for length, offset in enumerate(basis.offsets):
+        # axis k of the reshaped block is the k-th base-d digit of the value;
+        # reversing the axes reverses the digits
+        values = np.arange(d**length, dtype=np.int64).reshape((d,) * length)
+        blocks.append(offset + values.transpose().ravel())
+    return np.concatenate(blocks)
 
 
 def flip(basis: WordIndex, vector) -> np.ndarray:
@@ -284,22 +306,24 @@ class TwoSidedSpace:
     def bilateral_shift(self, symbol: int, vector: TwoSidedVector) -> TwoSidedVector:
         """Case-split shift: right-shift adjoint on the negative component
         (with the single-letter crossing to the empty word), right shift on
-        the positive component."""
+        the positive component.  Both blocks may carry the same leading
+        batch axes; the shift acts on the last one."""
         basis = self.basis
-        if np.any(vector.positive[_interior_size(basis):] != 0.0):
+        cut = _interior_size(basis)
+        if np.any(vector.positive[..., cut:] != 0.0):
             raise TruncationError(
                 "bilateral shift would push positive support past degree "
                 f"{basis.max_length}"
             )
-        out = self.zero()
-        cut = _interior_size(basis)
-        out.positive[_append_indices(basis, symbol)] += vector.positive[:cut]
+        appended = _append_indices(basis, symbol)
+        positive = np.zeros(vector.positive.shape)
+        positive[..., appended] = vector.positive[..., :cut]
         # negative block: strip a trailing `symbol`; e_{symbol} crosses to e_eps
-        stripped = np.zeros(len(basis))
-        stripped[:cut] = vector.negative[_append_indices(basis, symbol) - 1]
-        out.negative[:] += stripped[1:]
-        out.positive[0] += stripped[0]
-        return out
+        stripped = vector.negative[..., appended - 1]
+        negative = np.zeros(vector.negative.shape)
+        negative[..., : cut - 1] = stripped[..., 1:]
+        positive[..., 0] += stripped[..., 0]
+        return TwoSidedVector(negative, positive)
 
 
 @dataclass(frozen=True)
@@ -346,35 +370,31 @@ def verify_shift_inequalities(alphabet_size: int, degree: int, trials: int,
     basis = WordIndex(alphabet_size, degree)
     space = TwoSidedSpace(alphabet_size, degree)
     cut = _interior_size(basis)
+    # trials are drawn and shifted in batches of bounded size; drawing
+    # (batch, 2, d, cut) normals continues the stream one trial at a time,
+    # as y_0..y_{d-1} then h_0..h_{d-1}
+    batch = max(1, _SHIFT_BATCH_ENTRIES // (2 * alphabet_size * len(basis)))
     max_left = 0.0
     max_bilateral = 0.0
-    for _ in range(trials):
-        ys = []
-        for _ in range(alphabet_size):
-            y = np.zeros(len(basis))
-            y[:cut] = rng.standard_normal(cut)
-            ys.append(y)
-        total = np.zeros(len(basis))
-        for i, y in enumerate(ys):
-            total += left_shift(basis, i, y)
-        lhs = float(total @ total)
-        rhs = float(sum(y @ y for y in ys))
-        max_left = max(max_left, abs(lhs - rhs))
+    for start in range(0, trials, batch):
+        count = min(batch, trials - start)
+        draws = np.zeros((count, 2, alphabet_size, len(basis)))
+        draws[..., :cut] = rng.standard_normal((count, 2, alphabet_size, cut))
+        ys, hs = draws[:, 0], draws[:, 1]
 
-        hs = []
-        for _ in range(alphabet_size):
-            coeffs = np.zeros(len(basis))
-            coeffs[:cut] = rng.standard_normal(cut)
-            hs.append(space.from_positive(coeffs))
-        shifted = space.zero()
-        for i, h in enumerate(hs):
-            image = space.bilateral_shift(i, h)
-            shifted = TwoSidedVector(
-                shifted.negative + image.negative, shifted.positive + image.positive
-            )
-        lhs = shifted.norm_squared()
-        rhs = float(sum(h.norm_squared() for h in hs))
-        max_bilateral = max(max_bilateral, abs(lhs - rhs))
+        total = sum(left_shift(basis, i, ys[:, i]) for i in range(alphabet_size))
+        lhs = np.einsum("tn,tn->t", total, total)
+        rhs = np.einsum("tin,tin->t", ys, ys)
+        max_left = max(max_left, float(np.abs(lhs - rhs).max()))
+
+        zero = np.zeros((count, space.negative_size))
+        images = [space.bilateral_shift(i, TwoSidedVector(zero, hs[:, i]))
+                  for i in range(alphabet_size)]
+        negative = sum(image.negative for image in images)
+        positive = sum(image.positive for image in images)
+        lhs = np.einsum("tn,tn->t", negative, negative) + np.einsum("tn,tn->t", positive, positive)
+        rhs = np.einsum("tin,tin->t", hs, hs)
+        max_bilateral = max(max_bilateral, float(np.abs(lhs - rhs).max()))
     return ShiftInequalityReport(
         alphabet_size=alphabet_size,
         degree=degree,
@@ -527,6 +547,23 @@ def _coerce_arguments(realization: NcRationalRealization, arguments):
     return arguments, size
 
 
+def _pencil(realization: NcRationalRealization, arguments) -> np.ndarray:
+    """The substituted pencil K = sum_j A_j (x) z_j, as one einsum over j.
+
+    ``arguments`` must have passed :func:`_coerce_arguments`.
+    """
+    n, size = len(realization.c), arguments[0].shape[0]
+    return np.einsum("jab,jcd->acbd", realization.matrices, arguments).reshape(
+        n * size, n * size
+    )
+
+
+def _contraction_margins(pencil: np.ndarray, arguments) -> tuple[float, float]:
+    rho = spectral_radius(pencil)
+    norm_sum = float(sum(np.linalg.norm(z @ z.T, 2) for z in arguments))
+    return rho, norm_sum
+
+
 def contraction_margins(realization: NcRationalRealization, arguments) -> tuple[float, float]:
     """(spectral radius of sum A_j (x) z_j, sum_j ||z_j z_j^T||).
 
@@ -535,12 +572,7 @@ def contraction_margins(realization: NcRationalRealization, arguments) -> tuple[
     under the substitution.
     """
     arguments, _ = _coerce_arguments(realization, arguments)
-    resolvent_sum = sum(
-        kronecker(m, z) for m, z in zip(realization.matrices, arguments)
-    )
-    rho = spectral_radius(resolvent_sum)
-    norm_sum = float(sum(np.linalg.norm(z @ z.T, 2) for z in arguments))
-    return rho, norm_sum
+    return _contraction_margins(_pencil(realization, arguments), arguments)
 
 
 def nc_rational_eval(realization: NcRationalRealization, arguments) -> np.ndarray:
@@ -551,18 +583,16 @@ def nc_rational_eval(realization: NcRationalRealization, arguments) -> np.ndarra
     the corresponding argument products.
     """
     arguments, size = _coerce_arguments(realization, arguments)
-    resolvent_sum = sum(
-        kronecker(m, z) for m, z in zip(realization.matrices, arguments)
-    )
-    rho = spectral_radius(resolvent_sum)
+    pencil = _pencil(realization, arguments)
+    rho = spectral_radius(pencil)
     if rho >= 1.0:
-        _, norm_sum = contraction_margins(realization, arguments)
+        _, norm_sum = _contraction_margins(pencil, arguments)
         raise StabilityError(
             f"substitution is not contractive: spectral radius {rho} >= 1 "
             f"(sum of ||z_j z_j^T|| is {norm_sum})"
         )
-    eye = np.eye(resolvent_sum.shape[0])
-    solved = np.linalg.solve(eye - resolvent_sum, kronecker(realization.b[:, None], np.eye(size)))
+    eye = np.eye(pencil.shape[0])
+    solved = np.linalg.solve(eye - pencil, kronecker(realization.b[:, None], np.eye(size)))
     return kronecker(realization.c[None, :], np.eye(size)) @ solved
 
 
@@ -571,22 +601,29 @@ def nc_rational_series(realization: NcRationalRealization, arguments,
     """Partial sum of the series up to words of length ``max_degree``.
 
     Independent of :func:`nc_rational_eval`: the word coefficients c^T A_w b
-    and the argument products z_w are accumulated level by level.  The tail
-    beyond ``max_degree`` is bounded by
-    ||c|| ||b|| ||K||^(max_degree+1) / (1 - ||K||) for K the Kronecker sum,
-    when ||K|| < 1 (see :func:`series_tail_bound`).
+    come from the automaton's word table and the argument products z_w are
+    built level by level; no power of the Kronecker sum K is formed.  The
+    tail beyond ``max_degree`` is bounded by
+    ||c|| ||b|| ||K||^(max_degree+1) / (1 - ||K||) when ||K|| < 1 (see
+    :func:`series_tail_bound`).
     """
     arguments, size = _coerce_arguments(realization, arguments)
     d = realization.alphabet_size
-    total = float(realization.c @ realization.b) * np.eye(size)
-    weights = realization.c[None, :]  # rows: c^T A_w over words w of current length
-    products = np.eye(size)[None, :, :]  # matching argument products z_w
+    coefficients = _word_function_table(
+        realization.c, realization.matrices, realization.b, max_degree
+    )
+    stacked = np.concatenate(arguments, axis=1)  # [z_0 z_1 ... z_{d-1}]
+    total = coefficients[0] * np.eye(size)
+    products = np.eye(size)[None, :, :]  # z_w for the words w of the current length
+    start = 1
     for _ in range(max_degree):
-        weights = np.stack([weights @ m for m in realization.matrices], axis=1)
-        weights = weights.reshape(-1, len(realization.c))
-        products = np.stack([products @ z for z in arguments], axis=1)
-        products = products.reshape(-1, size, size)
-        total = total + np.tensordot(weights @ realization.b, products, axes=(0, 0))
+        count = products.shape[0]
+        # block (w, a) of the product is z_w z_a, the word w a at value(w) * d + a
+        products = (products.reshape(-1, size) @ stacked).reshape(count, size, d, size)
+        products = products.transpose(0, 2, 1, 3).reshape(count * d, size, size)
+        level = coefficients[start : start + count * d]
+        total = total + (level @ products.reshape(count * d, size * size)).reshape(size, size)
+        start += count * d
     return total
 
 
@@ -612,17 +649,35 @@ def series_bounds(realization: NcRationalRealization, arguments,
     ||(1 - K)^{-1}|| <= 1 / (1 - g).
     """
     arguments, _ = _coerce_arguments(realization, arguments)
-    resolvent_sum = sum(
-        kronecker(m, z) for m, z in zip(realization.matrices, arguments)
-    )
-    gain = float(np.linalg.norm(resolvent_sum, 2))
+    return _series_bounds(realization, _pencil(realization, arguments), max_degree)
+
+
+def _series_bounds(realization: NcRationalRealization, pencil: np.ndarray,
+                   max_degree: int) -> tuple[float, float]:
+    gain = float(np.linalg.norm(pencil, 2))
     if gain >= 1.0:
         return np.inf, np.inf
     scale = float(np.linalg.norm(realization.c) * np.linalg.norm(realization.b))
     words = sum(realization.alphabet_size**j for j in range(max_degree + 1))
-    steps = resolvent_sum.shape[0] / (1.0 - gain) + words
+    steps = pencil.shape[0] / (1.0 - gain) + words
     rounding = float(np.finfo(float).eps) * steps * scale / (1.0 - gain)
     return scale * gain ** (max_degree + 1) / (1.0 - gain), rounding
+
+
+def _multiplier_matrix(basis: WordIndex, series: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Right multiplication by a series, each row w u moved to rows[index of w u]."""
+    d = basis.alphabet_size
+    offsets = basis.offsets
+    out = np.zeros((len(basis), len(basis)))
+    for length in range(basis.max_length + 1):  # |u|: the suffix length
+        # left factors w with |w| + |u| <= max_length, one per column
+        cut = basis.first_index_of_length(basis.max_length - length + 1) if length else len(basis)
+        lengths, values = basis.lengths[:cut], basis.values[:cut]
+        first = offsets[lengths + length] + values * d**length  # index of w + 0^|u|
+        suffixes = np.arange(d**length)
+        targets = rows[first[:, None] + suffixes[None, :]]
+        out[targets, np.arange(cut)[:, None]] += series[offsets[length] + suffixes][None, :]
+    return out
 
 
 def right_multiplication_matrix(basis: WordIndex, series) -> np.ndarray:
@@ -634,21 +689,7 @@ def right_multiplication_matrix(basis: WordIndex, series) -> np.ndarray:
     series = np.asarray(series, dtype=float)
     if series.shape != (len(basis),):
         raise ValueError(f"series has shape {series.shape}, expected ({len(basis)},)")
-    d = basis.alphabet_size
-    offsets = basis.offsets
-    out = np.zeros((len(basis), len(basis)))
-    for u_index, u in enumerate(basis.words()):
-        weight = series[u_index]
-        if weight == 0.0:
-            continue
-        room = basis.max_length - len(u)  # longest left factor that still fits
-        cut = len(basis) if room >= basis.max_length else basis.first_index_of_length(room + 1)
-        lengths = basis.lengths[:cut]
-        values = basis.values[:cut]
-        u_value = basis.values[u_index]
-        targets = offsets[lengths + len(u)] + values * d ** len(u) + u_value
-        out[targets, np.arange(cut)] += weight
-    return out
+    return _multiplier_matrix(basis, series, np.arange(len(basis)))
 
 
 def flipped_multiplier_matrix(wfa: Wfa, basis: WordIndex) -> np.ndarray:
@@ -657,12 +698,14 @@ def flipped_multiplier_matrix(wfa: Wfa, basis: WordIndex) -> np.ndarray:
     Composing it with the flipping operator gives right multiplication by
     the first Hankel column, which commutes with every left shift; that is
     the intertwining property checked by
-    :func:`verify_multiplier_intertwining`.
+    :func:`verify_multiplier_intertwining`.  The result equals
+    ``flip_matrix(basis) @ right_multiplication_matrix(basis, series)``; each
+    row is written straight to its flipped position.
     """
     if basis.alphabet_size != wfa.alphabet_size:
         raise ValueError("basis and automaton alphabet sizes differ")
     series = flipped_symbol_coefficients(wfa, basis.max_length)
-    return flip_matrix(basis) @ right_multiplication_matrix(basis, series)
+    return _multiplier_matrix(basis, series, _reversal_permutation(basis))
 
 
 @dataclass(frozen=True)
@@ -692,13 +735,22 @@ def verify_multiplier_intertwining(op: np.ndarray, basis: WordIndex) -> Multipli
     op = np.asarray(op, dtype=float)
     if op.shape != (len(basis), len(basis)):
         raise ValueError(f"operator has shape {op.shape}, expected square over the basis")
-    u = flip_matrix(basis)
+    if basis.max_length < 1:
+        raise ValueError(f"basis degree must be >= 1, got {basis.max_length}")
     cut = _interior_size(basis)
+    # interior rows of U op: the flip is an involution, so row r of U op is
+    # row reversal[r] of op
+    flipped = op[_reversal_permutation(basis)[:cut]]
+    inner = basis.first_index_of_length(basis.max_length - 1)  # words s.t. i w is interior
     per_symbol = []
     for symbol in range(basis.alphabet_size):
-        s = left_shift_matrix(basis, symbol)
-        difference = u @ op @ s - s @ u @ op
-        per_symbol.append(float(np.abs(difference[:cut, :cut]).max()))
+        prepended = _prepend_indices(basis, symbol)
+        # (U op S_i)[r, c] = (U op)[r, index of i c]
+        shifted_after = flipped[:, prepended]
+        # (S_i U op)[i w, c] = (U op)[w, c]; rows not starting with i are zero
+        shifted_before = np.zeros((cut, cut))
+        shifted_before[prepended[:inner]] = flipped[:inner, :cut]
+        per_symbol.append(float(np.abs(shifted_after - shifted_before).max()))
     return MultiplierReport(
         degree=basis.max_length,
         per_symbol=tuple(per_symbol),

@@ -204,6 +204,16 @@ class TestVerify:
         )
         assert first == second
 
+    @pytest.mark.parametrize("suite", ["nc-rational", "shifts", "all"])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_exits_2(self, capsys, suite, trials):
+        code, out, err = run(
+            capsys, "verify", "--suite", suite, f"--trials={trials}", "--no-timestamp",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--trials" in err
+
     def test_timestamp_line_present_by_default(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "free-group")
         assert code == 0

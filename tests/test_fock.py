@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wfamin import fock
 from wfamin.aak import RationalSymbol, symbol_coefficients
 from wfamin.errors import StabilityError, TruncationError
 from wfamin.hankel import build_hankel, hankel_rank, HankelBlock
-from wfamin.wfa import Wfa, random_stable_wfa
+from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa
 from wfamin.words import WordIndex
 
 
@@ -66,6 +67,31 @@ class TestShifts:
             r = fock.right_shift_matrix(basis, i)
             np.testing.assert_array_equal(r.T @ v, fock.right_shift_adjoint(basis, i, v))
 
+    def test_adjoints_check_length(self):
+        basis = WordIndex(2, 3)
+        for adjoint in (fock.left_shift_adjoint, fock.right_shift_adjoint):
+            for length in (len(basis) + 4, len(basis) - 1):
+                with pytest.raises(ValueError, match="last axis"):
+                    adjoint(basis, 0, np.ones(length))
+            with pytest.raises(ValueError, match="last axis"):
+                adjoint(basis, 0, 1.0)
+
+    def test_batched_shifts_equal_rows(self):
+        basis = WordIndex(3, 3)
+        rng = np.random.default_rng(9)
+        cut = basis.first_index_of_length(basis.max_length)
+        interior = np.zeros((4, 2, len(basis)))
+        interior[..., :cut] = rng.standard_normal((4, 2, cut))
+        full = rng.standard_normal((4, 2, len(basis)))
+        for i in range(3):
+            for shift, batch in ((fock.left_shift, interior), (fock.right_shift, interior),
+                                 (fock.left_shift_adjoint, full),
+                                 (fock.right_shift_adjoint, full)):
+                out = shift(basis, i, batch)
+                assert out.shape == batch.shape
+                for row in np.ndindex(batch.shape[:-1]):
+                    np.testing.assert_array_equal(out[row], shift(basis, i, batch[row]))
+
     def test_shifts_are_isometric_with_orthogonal_ranges(self):
         # S*_i S_j = delta_ij on the interior, exhaustively over basis vectors
         for d in (1, 2, 3):
@@ -102,6 +128,59 @@ class TestFlip:
             right = fock.right_shift_matrix(basis, i)
             conjugated = u.T @ left @ u
             np.testing.assert_array_equal(right[:, :cut], conjugated[:, :cut])
+
+
+class TestIndexMaps:
+    """The index maps against the dense reference definitions."""
+
+    @pytest.mark.parametrize("d, degrees", [(1, (0, 1, 5)), (2, (0, 1, 2, 5)), (3, (0, 1, 3, 4))])
+    def test_reversal_matches_index_of(self, d, degrees):
+        for degree in degrees:
+            basis = WordIndex(d, degree)
+            expected = [basis.index_of(word[::-1]) for word in basis.words()]
+            np.testing.assert_array_equal(fock._reversal_permutation(basis), expected)
+
+    @given(d=st.integers(1, 4), degree=st.integers(0, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_reversal_is_an_involution(self, d, degree):
+        perm = fock._reversal_permutation(WordIndex(d, degree))
+        np.testing.assert_array_equal(perm[perm], np.arange(len(perm)))
+
+    def test_right_multiplication_matches_word_loop(self):
+        rng = np.random.default_rng(10)
+        for d, degree in ((1, 4), (2, 3), (3, 2)):
+            basis = WordIndex(d, degree)
+            series = rng.standard_normal(len(basis))
+            expected = np.zeros((len(basis), len(basis)))
+            for j, w in enumerate(basis.words()):
+                for k, u in enumerate(basis.words()):
+                    if len(w) + len(u) <= degree:
+                        expected[basis.index_of(w + u), j] = series[k]
+            np.testing.assert_array_equal(fock.right_multiplication_matrix(basis, series), expected)
+
+    def test_flipped_multiplier_equals_dense_product(self):
+        for d, degree in ((1, 5), (2, 4), (3, 3)):
+            wfa = random_stable_wfa(d, 3, seed=d, radius_bound=0.9)
+            basis = WordIndex(d, degree)
+            dense = fock.flip_matrix(basis) @ fock.right_multiplication_matrix(
+                basis, evaluation_table(wfa, degree)
+            )
+            np.testing.assert_array_equal(fock.flipped_multiplier_matrix(wfa, basis), dense)
+
+    def test_intertwining_equals_dense_formula(self):
+        rng = np.random.default_rng(11)
+        for d, degree in ((1, 4), (2, 3), (3, 3)):
+            basis = WordIndex(d, degree)
+            op = rng.standard_normal((len(basis), len(basis)))
+            u = fock.flip_matrix(basis)
+            cut = basis.first_index_of_length(degree)
+            expected = []
+            for i in range(d):
+                s = fock.left_shift_matrix(basis, i)
+                expected.append(float(np.abs((u @ op @ s - s @ u @ op)[:cut, :cut]).max()))
+            report = fock.verify_multiplier_intertwining(op, basis)
+            assert report.per_symbol == tuple(expected)
+            assert report.max_discrepancy > 0.0
 
 
 class TestNcHankelMatrix:
@@ -212,6 +291,22 @@ class TestTwoSidedSpace:
         with pytest.raises(TruncationError):
             space.bilateral_shift(0, space.basis_positive((0, 1)))
 
+    def test_batched_bilateral_shift_equals_rows(self):
+        space = fock.TwoSidedSpace(3, 3)
+        rng = np.random.default_rng(12)
+        cut = space.basis.first_index_of_length(space.degree)
+        negative = rng.standard_normal((5, space.negative_size))
+        positive = np.zeros((5, space.positive_size))
+        positive[:, :cut] = rng.standard_normal((5, cut))
+        for i in range(3):
+            out = space.bilateral_shift(i, fock.TwoSidedVector(negative, positive))
+            for row in range(5):
+                single = space.bilateral_shift(
+                    i, fock.TwoSidedVector(negative[row], positive[row])
+                )
+                np.testing.assert_array_equal(out.negative[row], single.negative)
+                np.testing.assert_array_equal(out.positive[row], single.positive)
+
 
 class TestShiftInequalities:
     def test_orthogonal_basis_example(self):
@@ -236,6 +331,18 @@ class TestShiftInequalities:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             fock.verify_shift_inequalities(2, 3, trials=0)
+
+    def test_batched_draws_continue_the_per_trial_stream(self):
+        trials, d, cut = 7, 3, 13
+        rng = np.random.default_rng(4)
+        sequential = [rng.standard_normal(cut) for _ in range(trials * 2 * d)]
+        batched = np.random.default_rng(4).standard_normal((trials, 2, d, cut))
+        np.testing.assert_array_equal(batched.reshape(-1, cut), sequential)
+
+    def test_report_does_not_depend_on_batch_size(self, monkeypatch):
+        whole = fock.verify_shift_inequalities(3, 3, trials=10, seed=2)
+        monkeypatch.setattr(fock, "_SHIFT_BATCH_ENTRIES", 1)  # one trial per batch
+        assert fock.verify_shift_inequalities(3, 3, trials=10, seed=2) == whole
 
 
 class TestFreeGroup:
@@ -283,6 +390,29 @@ class TestNcRational:
             bound = fock.series_tail_bound(r, zs, 8)
             assert np.isfinite(bound)
             assert np.linalg.norm(closed - partial, 2) <= bound
+
+    def test_series_matches_word_loop(self):
+        rng = np.random.default_rng(13)
+        for d, m in ((1, 2), (2, 1), (3, 2)):
+            wfa = random_stable_wfa(d, 3, seed=d + 20, radius_bound=0.9)
+            r = fock.NcRationalRealization.from_wfa(wfa)
+            zs = [rng.standard_normal((m, m)) * 0.25 for _ in range(d)]
+            expected = np.zeros((m, m))
+            for word in WordIndex(d, 4).words():
+                product = np.eye(m)
+                for symbol in word:
+                    product = product @ zs[symbol]
+                expected += wfa.evaluate(word) * product
+            np.testing.assert_allclose(fock.nc_rational_series(r, zs, 4), expected,
+                                       rtol=1e-13, atol=1e-13)
+
+    def test_pencil_equals_kronecker_sum(self):
+        rng = np.random.default_rng(14)
+        wfa = random_stable_wfa(3, 3, seed=5, radius_bound=0.9)
+        r = fock.NcRationalRealization.from_wfa(wfa)
+        zs = [rng.standard_normal((2, 2)) for _ in range(3)]
+        expected = sum(np.kron(a, z) for a, z in zip(r.matrices, zs))
+        np.testing.assert_allclose(fock._pencil(r, zs), expected, rtol=1e-15, atol=1e-15)
 
     def test_non_contractive_substitution_rejected(self):
         r = fock.NcRationalRealization([1.0], [np.eye(1)], [1.0])
@@ -332,6 +462,11 @@ class TestMultiplier:
         basis = WordIndex(2, 3)
         report = fock.verify_multiplier_intertwining(np.eye(len(basis)), basis)
         assert report.max_discrepancy > 0.0
+
+    def test_degree_zero_basis_rejected(self):
+        basis = WordIndex(2, 0)
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            fock.verify_multiplier_intertwining(np.eye(1), basis)
 
     def test_zero_series_multiplier(self):
         basis = WordIndex(2, 3)
