@@ -6,119 +6,51 @@ checks and spectral reconstruction (:mod:`wfamin.hankel`), the optimal
 one-letter Hankel approximation pipeline (:mod:`wfamin.aak`), and a
 truncated Fock-space laboratory for the noncommutative Hankel framework
 (:mod:`wfamin.fock`).  :mod:`wfamin.cli` exposes the ``wfamin`` command.
+
+The names below are the entry points; everything else stays reachable as
+``wfamin.<module>.<name>``.
 """
 
-from .aak import (
-    AakApproximation,
-    GramianPair,
-    RationalSymbol,
-    SchmidtPair,
-    aak_approximate,
-    gramians,
-    hankel_singular_values,
-    schmidt_pair,
-    symbol_coefficients,
-)
+from .aak import AakApproximation, aak_approximate, hankel_singular_values
 from .errors import NumericalError, RankDeficiencyError, StabilityError, TruncationError
 from .fock import (
-    FockBasis,
-    FreeGroupReport,
-    HankelEquationReport,
-    MultiplierReport,
-    NcRationalRealization,
-    ShiftInequalityReport,
-    TwoSidedSpace,
-    TwoSidedVector,
-    flip,
-    flip_matrix,
     flipped_multiplier_matrix,
-    flipped_symbol_coefficients,
     free_group_counterexample,
-    left_shift,
-    left_shift_adjoint,
-    left_shift_matrix,
-    nc_hankel_matrix,
-    nc_rational_eval,
-    nc_rational_series,
-    right_multiplication_matrix,
-    right_shift,
-    right_shift_adjoint,
-    right_shift_matrix,
     verify_hankel_equation,
     verify_multiplier_intertwining,
+    verify_nc_rational,
     verify_shift_inequalities,
 )
-from .hankel import (
-    HankelBlock,
-    build_hankel,
-    check_hankel_property,
-    hankel_rank,
-    is_minimal,
-    spectral_recover,
-    svd_truncate,
-)
-from .io import WfaDocument, load_document, parse_document, save_document, serialize_document
-from .wfa import Wfa, evaluation_table, kronecker, random_stable_wfa, spectral_radius
+from .hankel import HankelBlock, build_hankel, hankel_rank, is_minimal, spectral_recover
+from .io import WfaDocument, load_document, save_document
+from .wfa import Wfa, evaluation_table
 from .words import WordIndex
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AakApproximation",
-    "FockBasis",
-    "FreeGroupReport",
-    "GramianPair",
     "HankelBlock",
-    "HankelEquationReport",
-    "MultiplierReport",
-    "NcRationalRealization",
     "NumericalError",
     "RankDeficiencyError",
-    "RationalSymbol",
-    "SchmidtPair",
-    "ShiftInequalityReport",
     "StabilityError",
     "TruncationError",
-    "TwoSidedSpace",
-    "TwoSidedVector",
     "Wfa",
     "WfaDocument",
     "WordIndex",
     "aak_approximate",
     "build_hankel",
-    "check_hankel_property",
     "evaluation_table",
-    "flip",
-    "flip_matrix",
     "flipped_multiplier_matrix",
-    "flipped_symbol_coefficients",
     "free_group_counterexample",
-    "gramians",
     "hankel_rank",
     "hankel_singular_values",
     "is_minimal",
-    "kronecker",
-    "left_shift",
-    "left_shift_adjoint",
-    "left_shift_matrix",
     "load_document",
-    "nc_hankel_matrix",
-    "nc_rational_eval",
-    "nc_rational_series",
-    "parse_document",
-    "random_stable_wfa",
-    "right_multiplication_matrix",
-    "right_shift",
-    "right_shift_adjoint",
-    "right_shift_matrix",
     "save_document",
-    "schmidt_pair",
-    "serialize_document",
-    "spectral_radius",
     "spectral_recover",
-    "svd_truncate",
-    "symbol_coefficients",
     "verify_hankel_equation",
     "verify_multiplier_intertwining",
+    "verify_nc_rational",
     "verify_shift_inequalities",
 ]

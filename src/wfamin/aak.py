@@ -30,12 +30,24 @@ import scipy.linalg
 
 from .errors import NumericalError, RankDeficiencyError, StabilityError
 from .hankel import DEFAULT_RANK_TOL, HankelBlock, build_hankel, spectral_recover
-from .wfa import Wfa, _word_function_table, kronecker, spectral_radius
+from .wfa import Wfa, _word_function_table, spectral_radius
 from .words import WordIndex
 
 #: Relative eigenvalue cutoff below which the Gramian product is treated as
 #: rank deficient (the input automaton is then not minimal).
 MINIMALITY_TOL = 1e-7
+
+#: Largest Gramian fixed-point residual accepted, relative to 1 + the
+#: larger Gramian norm.
+GRAMIAN_RTOL = 1e-9
+
+#: Largest side of the truncated blocks on which the attained error is
+#: certified.
+MAX_CERT_BLOCK = 512
+
+#: Singular values closer than this share of sigma_0 count as tied: the
+#: optimal approximation may then not be unique, and a warning says so.
+TIE_RTOL = 1e-8
 
 
 def _require_one_letter(wfa: Wfa) -> np.ndarray:
@@ -44,50 +56,6 @@ def _require_one_letter(wfa: Wfa) -> np.ndarray:
             f"operation needs a one-letter alphabet, got {wfa.alphabet_size} symbols"
         )
     return wfa.transitions[0]
-
-
-class RationalSymbol:
-    """Rational symbol of a one-letter Hankel operator, as a realization.
-
-    Holds (alpha, A, beta) with spectral radius of A below one; the implied
-    function has negative Fourier coefficients alpha^T A^m beta and closed
-    form alpha^T (z - A)^{-1} beta outside the spectrum of A.
-    """
-
-    def __init__(self, alpha, matrix, beta):
-        alpha = np.array(alpha, dtype=float)
-        matrix = np.atleast_2d(np.array(matrix, dtype=float))
-        beta = np.array(beta, dtype=float)
-        n = alpha.shape[0]
-        if matrix.shape != (n, n) or beta.shape != (n,):
-            raise ValueError("inconsistent realization shapes")
-        rho = spectral_radius(matrix)
-        if rho >= 1.0:
-            raise StabilityError(f"symbol realization needs spectral radius < 1, got {rho}")
-        for arr in (alpha, matrix, beta):
-            arr.setflags(write=False)
-        self.alpha = alpha
-        self.matrix = matrix
-        self.beta = beta
-
-    @classmethod
-    def from_wfa(cls, wfa: Wfa) -> "RationalSymbol":
-        return cls(wfa.alpha, _require_one_letter(wfa), wfa.beta)
-
-    def negative_part_at(self, z) -> np.ndarray:
-        """Closed form alpha^T (z - A)^{-1} beta, vectorized over z."""
-        z = np.atleast_1d(np.asarray(z))
-        systems = z[:, None, None] * np.eye(len(self.alpha)) - self.matrix
-        solved = np.linalg.solve(systems, np.broadcast_to(
-            self.beta.astype(complex), (z.size, len(self.beta)))[..., None])
-        return (self.alpha @ solved)[..., 0]
-
-
-def symbol_coefficients(symbol: RationalSymbol, count: int) -> np.ndarray:
-    """First ``count`` negative Fourier coefficients alpha^T A^m beta, m < count."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    return _word_function_table(symbol.alpha, (symbol.matrix,), symbol.beta, count - 1)
 
 
 @dataclass(frozen=True)
@@ -106,11 +74,11 @@ class GramianPair:
 
 def _solve_stein(left: np.ndarray, right: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve X = left X right^T + rhs by vectorizing through the Kronecker product."""
-    system = np.eye(rhs.size) - kronecker(right, left)
+    system = np.eye(rhs.size) - np.kron(right, left)
     return np.linalg.solve(system, rhs.flatten(order="F")).reshape(rhs.shape, order="F")
 
 
-def gramians(wfa: Wfa, tol: float = 1e-9) -> GramianPair:
+def gramians(wfa: Wfa) -> GramianPair:
     """Exact Gramians of a one-letter WFA via a dense linear solve.
 
     Requires the transition matrix to have spectral radius below one, which
@@ -127,7 +95,7 @@ def gramians(wfa: Wfa, tol: float = 1e-9) -> GramianPair:
     ctrl_res = float(np.linalg.norm(ctrl - a @ ctrl @ a.T - np.outer(wfa.beta, wfa.beta)))
     obs_res = float(np.linalg.norm(obs - a.T @ obs @ a - np.outer(wfa.alpha, wfa.alpha)))
     scale = 1.0 + max(np.linalg.norm(ctrl), np.linalg.norm(obs))
-    if max(ctrl_res, obs_res) > tol * scale:
+    if max(ctrl_res, obs_res) > GRAMIAN_RTOL * scale:
         raise NumericalError(
             f"Gramian residuals {ctrl_res:.3e}, {obs_res:.3e} exceed tolerance"
         )
@@ -139,7 +107,7 @@ def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     return (vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))) @ vectors.T
 
 
-def _singular_data(wfa: Wfa, tol: float):
+def _singular_data(wfa: Wfa):
     """Sorted Hankel singular values plus the data needed for Schmidt vectors."""
     pair = gramians(wfa)
     sqrt_ctrl = _psd_sqrt(pair.controllability)
@@ -149,7 +117,7 @@ def _singular_data(wfa: Wfa, tol: float):
     eigenvalues = np.clip(eigenvalues[order], 0.0, None)
     vectors = vectors[:, order]
     sigmas = np.sqrt(eigenvalues)
-    if sigmas[0] == 0.0 or sigmas[-1] <= tol * sigmas[0]:
+    if sigmas[0] == 0.0 or sigmas[-1] <= MINIMALITY_TOL * sigmas[0]:
         raise RankDeficiencyError(
             "Gramian product is numerically rank deficient; the automaton is "
             f"not minimal (singular values {sigmas})"
@@ -157,14 +125,14 @@ def _singular_data(wfa: Wfa, tol: float):
     return sigmas, vectors, sqrt_ctrl, pair
 
 
-def hankel_singular_values(wfa: Wfa, tol: float = MINIMALITY_TOL) -> np.ndarray:
+def hankel_singular_values(wfa: Wfa) -> np.ndarray:
     """Singular values of the infinite Hankel operator of a one-letter WFA.
 
     Computed as the square roots of the eigenvalues of the Gramian product,
     which is exact at the size of the realization; no truncation enters.
     Raises :class:`RankDeficiencyError` when the automaton is not minimal.
     """
-    sigmas, _, _, _ = _singular_data(wfa, tol)
+    sigmas, _, _, _ = _singular_data(wfa)
     sigmas.setflags(write=False)
     return sigmas
 
@@ -188,21 +156,12 @@ class SchmidtPair:
 
     def v_coefficients(self, count: int) -> np.ndarray:
         """Power-series coefficients v_j = x^T A^j beta, j < count."""
-        out = np.empty(count)
-        y = self.direction
-        for j in range(count):
-            out[j] = y @ self.beta
-            y = self.matrix.T @ y
-        return out
+        return _word_function_table(self.direction, (self.matrix,), self.beta, count - 1)[:count]
 
     def w_coefficients(self, count: int) -> np.ndarray:
         """Negative-part coefficients w_m = sigma^{-1} alpha^T A^m P x, m < count."""
-        out = np.empty(count)
-        u = self.controllability @ self.direction
-        for m in range(count):
-            out[m] = self.alpha @ u
-            u = self.matrix @ u
-        return out / self.sigma
+        forced = self.controllability @ self.direction
+        return _word_function_table(self.alpha, (self.matrix,), forced, count - 1)[:count] / self.sigma
 
     def v_at(self, z) -> np.ndarray:
         """v as a function on the plane, vectorized over z."""
@@ -224,9 +183,9 @@ class SchmidtPair:
         return (self.alpha @ solved)[..., 0] / self.sigma
 
 
-def schmidt_pair(wfa: Wfa, k: int, tol: float = MINIMALITY_TOL) -> SchmidtPair:
+def schmidt_pair(wfa: Wfa, k: int) -> SchmidtPair:
     """Schmidt pair for the k-th largest Hankel singular value (0-indexed)."""
-    sigmas, vectors, sqrt_ctrl, pair = _singular_data(wfa, tol)
+    sigmas, vectors, sqrt_ctrl, pair = _singular_data(wfa)
     if not 0 <= k < len(sigmas):
         raise ValueError(f"k must lie in [0, {len(sigmas)}), got {k}")
     direction = np.linalg.solve(sqrt_ctrl, vectors[:, k])
@@ -323,6 +282,8 @@ class AakApproximation:
     Hankel singular value.  ``wfa`` is a k-state automaton realizing the
     approximating sequence; ``coefficients`` and ``hankel_block`` expose that
     sequence and its (exactly Hankel) finite blocks directly.
+    ``block_norms`` is the certificate's history: (block side, spectral-norm
+    distance between the input's and ``wfa``'s blocks) per truncation.
     """
 
     def __init__(self, wfa, error, singular_values, schmidt, order, warnings,
@@ -368,12 +329,12 @@ class AakApproximation:
         return np.abs(self.schmidt.sigma * self.schmidt.w_at(z) / self.schmidt.v_at(z))
 
 
-def aak_approximate(wfa: Wfa, k: int, *, certify_rtol: float = 1e-6,
-                    max_block_size: int = 512, tie_rtol: float = 1e-8) -> AakApproximation:
+def aak_approximate(wfa: Wfa, k: int, *, certify_rtol: float = 1e-6) -> AakApproximation:
     """Best rank-k Hankel approximation of a minimal, stable one-letter WFA.
 
     The attained spectral-norm error equals the k-th Hankel singular value;
-    this is certified on adaptively grown truncations before returning (the
+    this is certified for the returned automaton on adaptively grown
+    truncations, to ``certify_rtol`` relative to sigma_0, before returning (the
     same Eckart-Young bound makes the certificate meaningful: no rank-k
     matrix, Hankel or not, can do better than that singular value).
 
@@ -388,26 +349,18 @@ def aak_approximate(wfa: Wfa, k: int, *, certify_rtol: float = 1e-6,
     NumericalError
         If coefficient extraction fails or a certified check does not hold.
     """
-    matrix = _require_one_letter(wfa)
+    _require_one_letter(wfa)
     n = wfa.num_states
     if not 0 <= k < n:
         raise ValueError(f"k must lie in [0, {n}), got {k}")
-    rho = spectral_radius(matrix)
-    if rho >= 1.0:
-        raise StabilityError(f"approximation needs spectral radius < 1, got {rho}")
-    sigmas = hankel_singular_values(wfa)
+    sigmas = hankel_singular_values(wfa)  # StabilityError unless spectral radius < 1
     sigma_k = float(sigmas[k])
-    warnings: list[str] = []
-    if k > 0 and sigmas[k - 1] - sigma_k <= tie_rtol * sigmas[0]:
-        warnings.append(
-            f"singular values {k - 1} and {k} are nearly equal; the optimal "
-            "approximation may not be unique"
-        )
-    if k + 1 < n and sigma_k - sigmas[k + 1] <= tie_rtol * sigmas[0]:
-        warnings.append(
-            f"singular values {k} and {k + 1} are nearly equal; the optimal "
-            "approximation may not be unique"
-        )
+    warnings = tuple(
+        f"singular values {i} and {i + 1} are nearly equal; the optimal "
+        "approximation may not be unique"
+        for i in (k - 1, k)
+        if 0 <= i and i + 1 < n and sigmas[i] - sigmas[i + 1] <= TIE_RTOL * sigmas[0]
+    )
     pair = schmidt_pair(wfa, k)
     extraction = _ErrorSymbolCoefficients(pair, k)
     approx = AakApproximation(
@@ -416,7 +369,7 @@ def aak_approximate(wfa: Wfa, k: int, *, certify_rtol: float = 1e-6,
         singular_values=sigmas,
         schmidt=pair,
         order=k,
-        warnings=tuple(warnings),
+        warnings=warnings,
         block_norms=(),
         extraction=extraction,
         original=wfa,
@@ -430,19 +383,20 @@ def aak_approximate(wfa: Wfa, k: int, *, certify_rtol: float = 1e-6,
         block = approx.hankel_block(k, k)
         approx.wfa = spectral_recover(block, k, lambda word: float(sequence[len(word)]))
 
-    # certify the attained spectral-norm error on growing truncations
-    size = min(max(4 * n, 16), max_block_size)
+    # certify the attained spectral-norm error of the returned automaton on
+    # growing truncations
+    size = min(max(4 * n, 16), MAX_CERT_BLOCK)
     history: list[tuple[int, float]] = []
     while True:
         h_block = build_hankel(wfa, size - 1, size - 1).entries
-        g_block = approx.hankel_block(size - 1, size - 1).entries
-        delta = float(np.linalg.norm(h_block - g_block, 2))
+        wfa_block = build_hankel(approx.wfa, size - 1, size - 1).entries
+        delta = float(np.linalg.norm(h_block - wfa_block, 2))
         history.append((size, delta))
         if len(history) > 1 and abs(delta - history[-2][1]) <= 1e-9 * max(sigmas[0], delta):
             break
-        if size >= max_block_size:
+        if size >= MAX_CERT_BLOCK:
             break
-        size = min(2 * size, max_block_size)
+        size = min(2 * size, MAX_CERT_BLOCK)
     approx.block_norms = tuple(history)
 
     final_size, final_delta = history[-1]
@@ -463,7 +417,6 @@ def aak_approximate(wfa: Wfa, k: int, *, certify_rtol: float = 1e-6,
         raise NumericalError(
             f"approximating block has numerical rank {achieved_rank}, expected {k}"
         )
-    wfa_block = build_hankel(approx.wfa, final_size - 1, final_size - 1).entries
     mismatch = float(np.abs(wfa_block - g_entries).max())
     if mismatch > 1e-8 * sigmas[0]:
         raise NumericalError(

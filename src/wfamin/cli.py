@@ -8,6 +8,7 @@ invalid-input errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 from . import fock
 from .aak import aak_approximate
 from .errors import NumericalError
-from .hankel import build_hankel, hankel_rank, is_minimal, spectral_recover
+from .hankel import build_hankel, is_minimal, spectral_recover
 from .io import WfaDocument, load_document, parse_word, save_document
 from .wfa import random_stable_wfa, spectral_radius
 
@@ -57,40 +58,34 @@ def _approximate_aak(args, doc: WfaDocument):
             "state count); minimize it before approximating"
         )
     result = aak_approximate(wfa, args.k, certify_rtol=args.tol)
-    length = args.length if args.length is not None else 63
-    h_block = build_hankel(wfa, length, length).entries
-    approx_block = build_hankel(result.wfa, length, length).entries
-    achieved = float(np.linalg.norm(h_block - approx_block, 2))
+    # the certificate's last block: the approximation is refused above
+    # unless this error attains sigma_k within the tolerance
+    size, achieved = result.block_norms[-1]
     sigmas = result.singular_values
+    deviation = float(abs(achieved - result.error) / sigmas[0])
     lines = [
         "mode: aak",
         f"input: {args.file} ({wfa.num_states} states, alphabet {' '.join(doc.labels)})",
         f"target states: {args.k}",
         "singular values: " + " ".join(repr(float(s)) for s in sigmas),
         f"error: {result.error!r}",
-        f"evaluation block: {length + 1} x {length + 1}",
+        f"evaluation block: {size} x {size}",
         f"achieved spectral-norm error: {achieved!r}",
-    ]
-    deviation = float(abs(achieved - result.error) / sigmas[0])
-    lines.append(
         f"certificate: attained sigma_{args.k} within {deviation!r} relative "
-        f"(tolerance {args.tol!r})"
-    )
-    for warning in result.warnings:
-        lines.append(f"warning: {warning}")
-    return result.wfa, lines, deviation <= args.tol
+        f"(tolerance {args.tol!r})",
+    ]
+    lines.extend(f"warning: {warning}" for warning in result.warnings)
+    return result.wfa, lines
 
 
 def _approximate_svd(args, doc: WfaDocument):
     wfa = doc.wfa
     length = args.length if args.length is not None else (63 if wfa.alphabet_size == 1 else 5)
     block = build_hankel(wfa, length, length)
-    rank = hankel_rank(block)
-    if args.k > rank:
-        raise ValueError(f"k={args.k} exceeds the numerical rank {rank} of the block")
+    # refuses k above the block's numerical rank (RankDeficiencyError, exit 2)
+    recovered = spectral_recover(block, args.k, wfa)
     singular = np.linalg.svd(block.entries, compute_uv=False)
     error = float(singular[args.k]) if args.k < singular.size else 0.0
-    recovered = spectral_recover(block, args.k, wfa)
     approx_block = build_hankel(recovered, length, length).entries
     achieved = float(np.linalg.norm(block.entries - approx_block, 2))
     lines = [
@@ -102,10 +97,13 @@ def _approximate_svd(args, doc: WfaDocument):
         f"evaluation block: {len(block.prefixes)} x {len(block.suffixes)}",
         f"achieved spectral-norm error: {achieved!r}",
     ]
-    return recovered, lines, True
+    return recovered, lines
 
 
 def cmd_approximate(args) -> int:
+    if args.mode == "aak" and args.length is not None:
+        raise ValueError("--length sets the svd evaluation block; aak mode "
+                         "certifies on its own blocks (use --mode svd)")
     doc = load_document(args.file)
     if args.k < 0 or args.k >= doc.wfa.num_states:
         raise ValueError(
@@ -113,9 +111,9 @@ def cmd_approximate(args) -> int:
             f"{doc.wfa.num_states}-state input, got {args.k}"
         )
     if args.mode == "aak":
-        approx_wfa, lines, passed = _approximate_aak(args, doc)
+        approx_wfa, lines = _approximate_aak(args, doc)
     else:
-        approx_wfa, lines, passed = _approximate_svd(args, doc)
+        approx_wfa, lines = _approximate_svd(args, doc)
     out_path = Path(args.output) if args.output else _default_output(Path(args.file), args.mode, args.k)
     out_doc = WfaDocument(
         labels=doc.labels,
@@ -129,7 +127,7 @@ def cmd_approximate(args) -> int:
     for line in lines:
         print(line)
     print(f"output: {out_path}")
-    return 0 if passed else 1
+    return 0
 
 
 def _suite_hankel_eq(args):
@@ -179,49 +177,15 @@ def _suite_free_group(args):
 
 
 def _suite_nc_rational(args):
-    lines = ["suite: nc-rational"]
     if args.file:
-        doc = load_document(args.file)
-        realization = fock.NcRationalRealization.from_wfa(doc.wfa)
-        lines.append(f"realization: file {args.file}")
+        wfa = load_document(args.file).wfa
+        label = f"file {args.file}"
     else:
         wfa = random_stable_wfa(2, 3, seed=args.seed, radius_bound=0.9)
-        realization = fock.NcRationalRealization.from_wfa(wfa)
-        lines.append(f"realization: random (d=2, n=3, seed={args.seed})")
-    rng = np.random.default_rng(args.seed)
-    d = realization.alphabet_size
-    head = fock.nc_rational_eval(realization, [np.zeros((1, 1))] * d)[0, 0]
-    exact = head == float(realization.c @ realization.b)
-    lines.append(f"zero substitution returns head coefficient exactly: {exact}")
-    worst_ratio = 0.0
-    worst_rho = 0.0
-    worst_norm_sum = 0.0
-    for trial in range(args.trials):
-        size = 1 + trial % 2
-        arguments = [0.3 * rng.standard_normal((size, size)) for _ in range(d)]
-        # one pencil per trial serves the margins and the bounds; the closed
-        # form under test builds its own
-        pencil = fock._pencil(realization, arguments)
-        rho, norm_sum = fock._contraction_margins(pencil, arguments)
-        if rho >= 0.95:
-            arguments = [0.5 * z for z in arguments]
-            pencil = fock._pencil(realization, arguments)
-            rho, norm_sum = fock._contraction_margins(pencil, arguments)
-        closed = fock.nc_rational_eval(realization, arguments)
-        partial = fock.nc_rational_series(realization, arguments, 8)
-        # the tail bound holds in exact arithmetic; the computed gap also
-        # carries the rounding of both sides
-        bound = sum(fock._series_bounds(realization, pencil, 8))
-        gap = float(np.linalg.norm(closed - partial, 2))
-        worst_ratio = max(worst_ratio, gap / bound if bound > 0 else float(gap > 0))
-        worst_rho = max(worst_rho, rho)
-        worst_norm_sum = max(worst_norm_sum, norm_sum)
-    lines.append(f"trials: {args.trials} (matrix sizes 1 and 2, degree-8 series)")
-    lines.append(f"max |closed - series| / (tail bound + rounding bound): {worst_ratio!r}")
-    lines.append(f"max spectral radius of the substituted pencil: {worst_rho!r}")
-    lines.append(f"max sum of ||z_j z_j^T||: {worst_norm_sum!r}")
-    passed = exact and worst_ratio <= 1.0
-    return lines, passed
+        label = f"random (d=2, n=3, seed={args.seed})"
+    realization = fock.NcRationalRealization.from_wfa(wfa)
+    report = fock.verify_nc_rational(realization, args.trials, args.seed)
+    return ["suite: nc-rational", f"realization: {label}", *report.lines()], report.passed
 
 
 def cmd_verify(args) -> int:
@@ -244,14 +208,19 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _positive(kind):
+    """Argument type: a finite ``kind`` (int or float) above zero."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="aak: optimal Hankel approximation (one-letter only); "
                           "svd: truncated-SVD baseline (any alphabet)")
     p_approx.add_argument("--length", type=int, default=None,
-                          help="prefix/suffix length of the evaluation block")
-    p_approx.add_argument("--tol", type=float, default=1e-6,
+                          help="prefix/suffix length of the evaluation block (svd mode)")
+    p_approx.add_argument("--tol", type=_positive(float), default=1e-6,
                           help="relative certification tolerance (aak mode)")
     p_approx.add_argument("--output", "-o", default=None, help="output document path")
     p_approx.add_argument("--no-timestamp", action="store_true",
@@ -289,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--degree", type=int, default=5,
                           help="Fock-space truncation degree")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--trials", type=_positive_int, default=100,
+    p_verify.add_argument("--trials", type=_positive(int), default=100,
                           help="random trials for the shifts / nc-rational suites")
     p_verify.add_argument("--no-timestamp", action="store_true",
                           help="omit the timestamp line for byte-reproducible reports")

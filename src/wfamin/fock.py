@@ -24,15 +24,19 @@ import numpy as np
 
 from .errors import StabilityError, TruncationError
 from .hankel import build_hankel
-from .wfa import Wfa, _word_function_table, evaluation_table, kronecker, spectral_radius
+from .wfa import Wfa, _word_function_table, evaluation_table, spectral_radius
 from .words import WordIndex
-
-#: The Fock basis is the shared graded-lexicographic word enumeration.
-FockBasis = WordIndex
 
 #: Largest number of floats drawn at once by :func:`verify_shift_inequalities`
 #: (8 MiB), so its memory does not grow with the trial count.
 _SHIFT_BATCH_ENTRIES = 1 << 20
+
+#: Largest deviation from equality accepted in the shift norm identities.
+SHIFT_TOLERANCE = 1e-12
+
+#: Degree of the partial sum that :func:`verify_nc_rational` compares with
+#: the closed form.
+NC_SERIES_DEGREE = 8
 
 
 def _interior_size(basis: WordIndex) -> int:
@@ -152,26 +156,6 @@ def flip_matrix(basis: WordIndex) -> np.ndarray:
     return out
 
 
-def nc_hankel_matrix(wfa: Wfa, row_degree: int, col_degree: int) -> np.ndarray:
-    """Hankel matrix over Fock bases: entry (row w, col u) = f(w u).
-
-    Rows and columns follow the shared graded-lexicographic order, so the
-    numbers coincide with :func:`wfamin.hankel.build_hankel` entry by entry.
-    """
-    return build_hankel(wfa, row_degree, col_degree).entries
-
-
-def flipped_symbol_coefficients(wfa: Wfa, degree: int) -> np.ndarray:
-    """Coefficient at word w of the automaton's flipped-symbol series: f(w).
-
-    This is exactly the first column of the Hankel matrix, i.e. the part of
-    the flipped symbol that the projection onto the negative component pins
-    down.  The complementary component living in the positive space is not
-    determined by the automaton and is deliberately not modeled here.
-    """
-    return evaluation_table(wfa, degree)
-
-
 @dataclass(frozen=True)
 class HankelEquationReport:
     """Interior comparison of (H S_i) against (R_i^* H) for every symbol."""
@@ -209,7 +193,7 @@ def verify_hankel_equation(wfa: Wfa, degree: int) -> HankelEquationReport:
     if degree < 2:
         raise ValueError(f"degree must be >= 2, got {degree}")
     basis = WordIndex(wfa.alphabet_size, degree)
-    h = nc_hankel_matrix(wfa, degree, degree)
+    h = build_hankel(wfa, degree, degree).entries
     cut = _interior_size(basis)
     interior = np.arange(cut)
     per_symbol = []
@@ -263,27 +247,11 @@ class TwoSidedSpace:
         self.positive_size = len(self.basis)
 
     @property
-    def alphabet_size(self) -> int:
-        return self.basis.alphabet_size
-
-    @property
     def degree(self) -> int:
         return self.basis.max_length
 
     def zero(self) -> TwoSidedVector:
         return TwoSidedVector(np.zeros(self.negative_size), np.zeros(self.positive_size))
-
-    def from_positive(self, coefficients) -> TwoSidedVector:
-        coefficients = np.asarray(coefficients, dtype=float)
-        if coefficients.shape != (self.positive_size,):
-            raise ValueError("positive block has the wrong size")
-        return TwoSidedVector(np.zeros(self.negative_size), coefficients.copy())
-
-    def from_negative(self, coefficients) -> TwoSidedVector:
-        coefficients = np.asarray(coefficients, dtype=float)
-        if coefficients.shape != (self.negative_size,):
-            raise ValueError("negative block has the wrong size")
-        return TwoSidedVector(coefficients.copy(), np.zeros(self.positive_size))
 
     def basis_negative(self, word) -> TwoSidedVector:
         """Negative-component basis vector for a nonempty word."""
@@ -335,13 +303,12 @@ class ShiftInequalityReport:
     trials: int
     max_left_shift_deviation: float
     max_bilateral_deviation: float
-    tolerance: float
 
     @property
     def passed(self) -> bool:
         return (
             max(self.max_left_shift_deviation, self.max_bilateral_deviation)
-            <= self.tolerance
+            <= SHIFT_TOLERANCE
         )
 
     def lines(self):
@@ -350,11 +317,11 @@ class ShiftInequalityReport:
         yield f"trials: {self.trials}"
         yield f"max |deviation|, left shifts: {self.max_left_shift_deviation!r}"
         yield f"max |deviation|, bilateral shifts: {self.max_bilateral_deviation!r}"
-        yield f"tolerance: {self.tolerance!r}"
+        yield f"tolerance: {SHIFT_TOLERANCE!r}"
 
 
 def verify_shift_inequalities(alphabet_size: int, degree: int, trials: int,
-                              seed=0, tolerance: float = 1e-12) -> ShiftInequalityReport:
+                              seed=0) -> ShiftInequalityReport:
     """Check the two norm identities behind the operator-tuple hypotheses.
 
     (a) The left shifts are isometries with pairwise orthogonal ranges, so
@@ -367,8 +334,8 @@ def verify_shift_inequalities(alphabet_size: int, degree: int, trials: int,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    basis = WordIndex(alphabet_size, degree)
     space = TwoSidedSpace(alphabet_size, degree)
+    basis = space.basis
     cut = _interior_size(basis)
     # trials are drawn and shifted in batches of bounded size; drawing
     # (batch, 2, d, cut) normals continues the stream one trial at a time,
@@ -401,7 +368,6 @@ def verify_shift_inequalities(alphabet_size: int, degree: int, trials: int,
         trials=trials,
         max_left_shift_deviation=max_left,
         max_bilateral_deviation=max_bilateral,
-        tolerance=tolerance,
     )
 
 
@@ -592,8 +558,8 @@ def nc_rational_eval(realization: NcRationalRealization, arguments) -> np.ndarra
             f"(sum of ||z_j z_j^T|| is {norm_sum})"
         )
     eye = np.eye(pencil.shape[0])
-    solved = np.linalg.solve(eye - pencil, kronecker(realization.b[:, None], np.eye(size)))
-    return kronecker(realization.c[None, :], np.eye(size)) @ solved
+    solved = np.linalg.solve(eye - pencil, np.kron(realization.b[:, None], np.eye(size)))
+    return np.kron(realization.c[None, :], np.eye(size)) @ solved
 
 
 def nc_rational_series(realization: NcRationalRealization, arguments,
@@ -604,8 +570,8 @@ def nc_rational_series(realization: NcRationalRealization, arguments,
     come from the automaton's word table and the argument products z_w are
     built level by level; no power of the Kronecker sum K is formed.  The
     tail beyond ``max_degree`` is bounded by
-    ||c|| ||b|| ||K||^(max_degree+1) / (1 - ||K||) when ||K|| < 1 (see
-    :func:`series_tail_bound`).
+    ||c|| ||b|| ||K||^(max_degree+1) / (1 - ||K||) when ||K|| < 1 (the
+    first number of :func:`series_bounds`).
     """
     arguments, size = _coerce_arguments(realization, arguments)
     d = realization.alphabet_size
@@ -625,12 +591,6 @@ def nc_rational_series(realization: NcRationalRealization, arguments,
         total = total + (level @ products.reshape(count * d, size * size)).reshape(size, size)
         start += count * d
     return total
-
-
-def series_tail_bound(realization: NcRationalRealization, arguments,
-                      max_degree: int) -> float:
-    """Geometric bound on the series remainder beyond ``max_degree``."""
-    return series_bounds(realization, arguments, max_degree)[0]
 
 
 def series_bounds(realization: NcRationalRealization, arguments,
@@ -664,6 +624,77 @@ def _series_bounds(realization: NcRationalRealization, pencil: np.ndarray,
     return scale * gain ** (max_degree + 1) / (1.0 - gain), rounding
 
 
+@dataclass(frozen=True)
+class NcRationalReport:
+    """Closed form against partial sums of a rational series, over random trials."""
+
+    trials: int
+    head_exact: bool
+    max_ratio: float
+    max_spectral_radius: float
+    max_norm_sum: float
+
+    @property
+    def passed(self) -> bool:
+        return self.head_exact and self.max_ratio <= 1.0
+
+    def lines(self):
+        yield f"zero substitution returns head coefficient exactly: {self.head_exact}"
+        yield f"trials: {self.trials} (matrix sizes 1 and 2, degree-{NC_SERIES_DEGREE} series)"
+        yield f"max |closed - series| / (tail bound + rounding bound): {self.max_ratio!r}"
+        yield f"max spectral radius of the substituted pencil: {self.max_spectral_radius!r}"
+        yield f"max sum of ||z_j z_j^T||: {self.max_norm_sum!r}"
+
+
+def verify_nc_rational(realization: NcRationalRealization, trials: int,
+                       seed=0) -> NcRationalReport:
+    """Check :func:`nc_rational_eval` against :func:`nc_rational_series`.
+
+    The zero substitution must return the head coefficient c^T b exactly.
+    Each trial then draws one argument per letter, 0.3 times a standard
+    normal matrix of size 1 or 2 (alternating), halved once when the
+    substituted pencil's spectral radius reaches 0.95.  The gap between the
+    closed form and the degree-``NC_SERIES_DEGREE`` partial sum must not
+    exceed the tail bound plus the rounding bound of :func:`series_bounds`.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    rng = np.random.default_rng(seed)
+    d = realization.alphabet_size
+    head = nc_rational_eval(realization, [np.zeros((1, 1))] * d)[0, 0]
+    head_exact = bool(head == float(realization.c @ realization.b))
+    worst_ratio = 0.0
+    worst_rho = 0.0
+    worst_norm_sum = 0.0
+    for trial in range(trials):
+        size = 1 + trial % 2
+        arguments = [0.3 * rng.standard_normal((size, size)) for _ in range(d)]
+        # one pencil per trial serves the margins and the bounds; the closed
+        # form under test builds its own
+        pencil = _pencil(realization, arguments)
+        rho, norm_sum = _contraction_margins(pencil, arguments)
+        if rho >= 0.95:
+            arguments = [0.5 * z for z in arguments]
+            pencil = _pencil(realization, arguments)
+            rho, norm_sum = _contraction_margins(pencil, arguments)
+        closed = nc_rational_eval(realization, arguments)
+        partial = nc_rational_series(realization, arguments, NC_SERIES_DEGREE)
+        # the tail bound holds in exact arithmetic; the computed gap also
+        # carries the rounding of both sides
+        bound = sum(_series_bounds(realization, pencil, NC_SERIES_DEGREE))
+        gap = float(np.linalg.norm(closed - partial, 2))
+        worst_ratio = max(worst_ratio, gap / bound if bound > 0 else float(gap > 0))
+        worst_rho = max(worst_rho, rho)
+        worst_norm_sum = max(worst_norm_sum, norm_sum)
+    return NcRationalReport(
+        trials=trials,
+        head_exact=head_exact,
+        max_ratio=worst_ratio,
+        max_spectral_radius=worst_rho,
+        max_norm_sum=worst_norm_sum,
+    )
+
+
 def _multiplier_matrix(basis: WordIndex, series: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Right multiplication by a series, each row w u moved to rows[index of w u]."""
     d = basis.alphabet_size
@@ -695,8 +726,11 @@ def right_multiplication_matrix(basis: WordIndex, series) -> np.ndarray:
 def flipped_multiplier_matrix(wfa: Wfa, basis: WordIndex) -> np.ndarray:
     """The multiplier associated with the automaton's flipped symbol.
 
-    Composing it with the flipping operator gives right multiplication by
-    the first Hankel column, which commutes with every left shift; that is
+    The flipped symbol's coefficient at a word w is f(w), the first Hankel
+    column (:func:`~wfamin.wfa.evaluation_table`); its component in the
+    positive space is not determined by the automaton and is not modeled.
+    Composing the multiplier with the flipping operator gives right
+    multiplication by that column, which commutes with every left shift; that is
     the intertwining property checked by
     :func:`verify_multiplier_intertwining`.  The result equals
     ``flip_matrix(basis) @ right_multiplication_matrix(basis, series)``; each
@@ -704,7 +738,7 @@ def flipped_multiplier_matrix(wfa: Wfa, basis: WordIndex) -> np.ndarray:
     """
     if basis.alphabet_size != wfa.alphabet_size:
         raise ValueError("basis and automaton alphabet sizes differ")
-    series = flipped_symbol_coefficients(wfa, basis.max_length)
+    series = evaluation_table(wfa, basis.max_length)
     return _multiplier_matrix(basis, series, _reversal_permutation(basis))
 
 

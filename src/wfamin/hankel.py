@@ -55,10 +55,6 @@ class HankelBlock:
     def alphabet_size(self) -> int:
         return self.prefixes.alphabet_size
 
-    def entry(self, prefix, suffix) -> float:
-        """Entry for an explicit (prefix, suffix) pair of words."""
-        return float(self.entries[self.prefixes.index_of(prefix), self.suffixes.index_of(suffix)])
-
 
 def _check_block_size(num_rows: int, num_cols: int):
     if num_rows * num_cols > MAX_BLOCK_ENTRIES:
@@ -84,11 +80,15 @@ def build_hankel(wfa: Wfa, prefix_length: int, suffix_length: int) -> HankelBloc
     return HankelBlock(prefixes, suffixes, entries)
 
 
-def _numerical_rank(matrix: np.ndarray, tol: float) -> int:
+def _svd(matrix: np.ndarray, compute_uv: bool):
     try:
-        singular_values = np.linalg.svd(matrix, compute_uv=False)
+        return np.linalg.svd(matrix, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from exc
+
+
+def _rank(singular_values: np.ndarray, tol: float) -> int:
+    """Number of singular values above ``tol`` times the largest."""
     if singular_values.size == 0 or singular_values[0] == 0.0:
         return 0
     return int(np.count_nonzero(singular_values > tol * singular_values[0]))
@@ -98,7 +98,7 @@ def hankel_rank(block: HankelBlock, tol: float = DEFAULT_RANK_TOL) -> int:
     """Numerical rank: number of singular values above ``tol`` times the largest."""
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    return _numerical_rank(block.entries, tol)
+    return _rank(_svd(block.entries, compute_uv=False), tol)
 
 
 def svd_truncate(block: HankelBlock, k: int) -> tuple[np.ndarray, float]:
@@ -110,10 +110,7 @@ def svd_truncate(block: HankelBlock, k: int) -> tuple[np.ndarray, float]:
     """
     if not 0 <= k <= min(block.shape):
         raise ValueError(f"k must lie in [0, {min(block.shape)}], got {k}")
-    try:
-        u, s, vt = np.linalg.svd(block.entries, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed: {exc}") from exc
+    u, s, vt = _svd(block.entries, compute_uv=True)
     truncated = (u[:, :k] * s[:k]) @ vt[:k, :]
     error = float(s[k]) if k < s.size else 0.0
     return truncated, error
@@ -122,9 +119,9 @@ def svd_truncate(block: HankelBlock, k: int) -> tuple[np.ndarray, float]:
 def _split_index_arrays(block: HankelBlock):
     """For every word w of length <= L_p + L_s, the (row, col) pairs of its splits.
 
-    Returns (rows, cols, word_lengths, word_values) where rows/cols have one
-    row per word and one column per split position, padded with -1 where a
-    split is out of range for the block's index bounds.
+    Returns (combined, rows, cols): the word index of all those words, and
+    arrays with one row per word and one column per split position, padded
+    with -1 where a split is out of range for the block's index bounds.
     """
     d = block.alphabet_size
     lp, ls = block.prefixes.max_length, block.suffixes.max_length
@@ -201,8 +198,7 @@ def _shifted_block(generator: Generator, prefixes: WordIndex, suffixes: WordInde
     return out
 
 
-def spectral_recover(block: HankelBlock, k: int, generator: Generator,
-                     tol: float = DEFAULT_RANK_TOL) -> Wfa:
+def spectral_recover(block: HankelBlock, k: int, generator: Generator) -> Wfa:
     """Recover a k-state WFA from a Hankel block via the spectral method.
 
     The block is factored through its rank-k truncated SVD H = U_k D_k V_k^T;
@@ -220,11 +216,8 @@ def spectral_recover(block: HankelBlock, k: int, generator: Generator,
         return Wfa(np.zeros(1), [zero] * d, np.zeros(1))
     if k > min(block.shape):
         raise ValueError(f"k={k} exceeds block dimensions {block.shape}")
-    try:
-        u, s, vt = np.linalg.svd(block.entries, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed: {exc}") from exc
-    rank = 0 if s.size == 0 or s[0] == 0.0 else int(np.count_nonzero(s > tol * s[0]))
+    u, s, vt = _svd(block.entries, compute_uv=True)
+    rank = _rank(s, DEFAULT_RANK_TOL)
     if k > rank:
         raise RankDeficiencyError(
             f"requested {k} states but the block has numerical rank {rank}"
@@ -240,7 +233,7 @@ def spectral_recover(block: HankelBlock, k: int, generator: Generator,
     return Wfa(alpha, transitions, beta)
 
 
-def is_minimal(wfa: Wfa, tol: float = DEFAULT_RANK_TOL) -> bool:
+def is_minimal(wfa: Wfa) -> bool:
     """Whether the (n, n) Hankel block has full rank n (Fliess criterion)."""
     n = wfa.num_states
-    return hankel_rank(build_hankel(wfa, n, n), tol) == n
+    return hankel_rank(build_hankel(wfa, n, n)) == n

@@ -93,13 +93,6 @@ def spectral_radius(matrix) -> float:
     return float(np.max(np.abs(eigenvalues)))
 
 
-def kronecker(a, b) -> np.ndarray:
-    """Kronecker product with entries M(i,j)N(i',j') at ((i-1)d1'+i', (j-1)d2'+j')."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    return np.kron(a, b)
-
-
 def random_stable_wfa(alphabet_size: int, num_states: int, seed, radius_bound: float) -> Wfa:
     """Draw a random WFA whose transition weights are contracted for convergence.
 

@@ -1,49 +1,32 @@
 import numpy as np
 import pytest
 
-from wfamin.aak import (
-    RationalSymbol,
-    aak_approximate,
-    gramians,
-    hankel_singular_values,
-    schmidt_pair,
-    symbol_coefficients,
-)
+from wfamin.aak import aak_approximate, gramians, hankel_singular_values, schmidt_pair
 from wfamin.errors import NumericalError, RankDeficiencyError, StabilityError
 from wfamin.hankel import build_hankel, check_hankel_property
-from wfamin.wfa import Wfa, random_stable_wfa
+from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa
 
 
 class TestSymbolCoefficients:
+    """The negative Fourier coefficients alpha^T A^m beta of a one-letter
+    symbol are the automaton's values on a^m."""
+
     def test_geometric(self, geometric_wfa):
-        sym = RationalSymbol.from_wfa(geometric_wfa)
-        np.testing.assert_allclose(symbol_coefficients(sym, 4), [1, 0.5, 0.25, 0.125])
+        np.testing.assert_allclose(evaluation_table(geometric_wfa, 3), [1, 0.5, 0.25, 0.125])
 
     def test_scalar_pole(self):
         # phi(z) = 1/(z - a) has negative coefficients a**m
         a = 0.7
-        sym = RationalSymbol([1.0], [[a]], [1.0])
-        np.testing.assert_allclose(symbol_coefficients(sym, 6), a ** np.arange(6), rtol=1e-15)
+        wfa = Wfa([1.0], [[[a]]], [1.0])
+        np.testing.assert_allclose(evaluation_table(wfa, 5), a ** np.arange(6), rtol=1e-15)
 
     def test_zero_final_vector(self):
-        sym = RationalSymbol([1.0, 2.0], 0.5 * np.eye(2), [0.0, 0.0])
-        np.testing.assert_array_equal(symbol_coefficients(sym, 5), np.zeros(5))
+        wfa = Wfa([1.0, 2.0], [0.5 * np.eye(2)], [0.0, 0.0])
+        np.testing.assert_array_equal(evaluation_table(wfa, 4), np.zeros(5))
 
     def test_count_must_be_positive(self, geometric_wfa):
-        sym = RationalSymbol.from_wfa(geometric_wfa)
         with pytest.raises(ValueError):
-            symbol_coefficients(sym, 0)
-
-    def test_unstable_realization_rejected(self):
-        with pytest.raises(StabilityError):
-            RationalSymbol([1.0], [[1.0]], [1.0])
-
-    def test_closed_form_matches_series(self, two_state_wfa):
-        sym = RationalSymbol.from_wfa(two_state_wfa)
-        coeffs = symbol_coefficients(sym, 80)
-        z = np.exp(2j * np.pi * np.array([0.1, 0.3, 0.7]))
-        series = sum(coeffs[m] * z ** (-m - 1.0) for m in range(80))
-        np.testing.assert_allclose(sym.negative_part_at(z), series, atol=1e-14)
+            evaluation_table(geometric_wfa, -1)
 
 
 class TestGramians:
@@ -256,21 +239,22 @@ class TestAakApproximate:
         assert achieved >= sigma_k_trunc - 1e-10
 
     def test_entrywise_duality_with_hankel_block(self, two_state_wfa):
-        sym = RationalSymbol.from_wfa(two_state_wfa)
-        coeffs = symbol_coefficients(sym, 13)
+        coeffs = evaluation_table(two_state_wfa, 12)
         block = build_hankel(two_state_wfa, 6, 6).entries
         for i in range(7):
             for j in range(7):
                 assert block[i, j] == coeffs[i + j]
 
-    def test_runs_with_different_truncation_budgets_agree(self, two_state_wfa):
-        a = aak_approximate(two_state_wfa, 1, max_block_size=64)
-        b = aak_approximate(two_state_wfa, 1, max_block_size=256)
-        np.testing.assert_allclose(a.coefficients(120), b.coefficients(120), atol=1e-11)
-
-    def test_tie_warning_path(self, two_state_wfa):
-        result = aak_approximate(two_state_wfa, 1, tie_rtol=1.0)
-        assert result.warnings
+    def test_tie_warning_path(self):
+        # f(a) = 1 and 0 elsewhere: H is the exchange matrix on its first two
+        # rows and columns, so sigma_0 = sigma_1 = 1
+        wfa = Wfa([1.0, 0.0], [[[0.0, 1.0], [0.0, 0.0]]], [0.0, 1.0])
+        result = aak_approximate(wfa, 0)
+        np.testing.assert_allclose(result.singular_values, [1.0, 1.0], rtol=1e-12)
+        assert result.warnings == (
+            "singular values 0 and 1 are nearly equal; the optimal approximation "
+            "may not be unique",
+        )
 
     def test_input_validation(self, two_state_wfa, nilpotent_wfa):
         with pytest.raises(ValueError):

@@ -9,15 +9,15 @@ import time
 import numpy as np
 import pytest
 
-from wfamin.aak import RationalSymbol, aak_approximate, hankel_singular_values, symbol_coefficients
+from wfamin.aak import aak_approximate, hankel_singular_values
 from wfamin.fock import (
     contraction_margins,
-    flipped_symbol_coefficients,
+    flip,
+    flipped_multiplier_matrix,
     free_group_counterexample,
-    nc_hankel_matrix,
     nc_rational_eval,
     nc_rational_series,
-    series_tail_bound,
+    series_bounds,
     verify_hankel_equation,
     verify_shift_inequalities,
     NcRationalRealization,
@@ -172,7 +172,7 @@ def test_criterion_5_nc_hankel_equation(nilpotent_wfa):
         rep = verify_hankel_equation(wfa, 5)
         worst = max(worst, rep.max_discrepancy)
     basis = WordIndex(2, 4)
-    h = nc_hankel_matrix(nilpotent_wfa, 4, 4)
+    h = build_hankel(nilpotent_wfa, 4, 4).entries
     cut = basis.first_index_of_length(4)
     lhs = h[:cut, basis.index_of((0, 1, 0))]
     rhs = h[[basis.index_of(w + (0,)) for w in WordIndex(2, 3).words()], basis.index_of((1, 0))]
@@ -221,7 +221,7 @@ def test_criterion_8_nc_rational_evaluation():
             arguments = [0.5 * z for z in arguments]
         closed = nc_rational_eval(realization, arguments)
         partial = nc_rational_series(realization, arguments, 8)
-        bound = series_tail_bound(realization, arguments, 8)
+        bound = series_bounds(realization, arguments, 8)[0]
         if not np.linalg.norm(closed - partial, 2) <= bound:
             all_within_bound = False
         zeros = [np.zeros((size, size))] * d
@@ -246,12 +246,17 @@ def test_criterion_9_flipped_symbol(nilpotent_wfa, two_state_wfa, geometric_wfa)
     one_letter_exact = True
     for wfa in fixtures:
         degree = 4 if wfa.alphabet_size > 1 else 8
-        series = flipped_symbol_coefficients(wfa, degree)
-        column = nc_hankel_matrix(wfa, degree, 0)[:, 0]
+        basis = WordIndex(wfa.alphabet_size, degree)
+        # the multiplier's column at the empty word is the flipped symbol
+        multiplier_column = flipped_multiplier_matrix(wfa, basis)[:, 0]
+        series = flip(basis, multiplier_column)
+        column = build_hankel(wfa, degree, 0).entries[:, 0]
         column_exact = column_exact and np.array_equal(series, column)
         if wfa.alphabet_size == 1:
-            coeffs = symbol_coefficients(RationalSymbol.from_wfa(wfa), degree + 1)
-            one_letter_exact = one_letter_exact and np.array_equal(series, coeffs)
+            # one letter: the flip is the identity, and the symbol's negative
+            # coefficients are alpha^T A^m beta
+            coeffs = evaluation_table(wfa, degree)
+            one_letter_exact = one_letter_exact and np.array_equal(multiplier_column, coeffs)
     report(
         9,
         column_exact and one_letter_exact,

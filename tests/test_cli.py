@@ -91,6 +91,77 @@ class TestApproximate:
         g = build_hankel(reloaded, 63, 63).entries
         assert abs(np.linalg.norm(h - g, 2) - reported) <= 1e-12
 
+    def test_aak_reports_the_certificate_block(self, capsys, tmp_path):
+        # the report's block and error are the certificate's own: the written
+        # document reproduces them exactly
+        out_file = tmp_path / "out.wfa"
+        code, out, _ = run(
+            capsys, "approximate", str(FIXTURES / "e2.wfa"), "1",
+            "--no-timestamp", "-o", str(out_file),
+        )
+        assert code == 0
+        size = int(re.search(r"^evaluation block: (\d+) x \1$", out, re.MULTILINE).group(1))
+        reported = float(re.search(r"^achieved spectral-norm error: (\S+)$", out, re.MULTILINE).group(1))
+        original = load_document(FIXTURES / "e2.wfa").wfa
+        h = build_hankel(original, size - 1, size - 1).entries
+        g = build_hankel(load_document(out_file).wfa, size - 1, size - 1).entries
+        assert np.linalg.norm(h - g, 2) == reported
+        sigmas = [float(v) for v in re.search(r"^singular values: (.*)$", out, re.MULTILINE)
+                  .group(1).split()]
+        assert abs(reported - sigmas[1]) <= 1e-6 * sigmas[0]
+
+    @pytest.mark.parametrize("mode", [[], ["--mode", "aak"]])
+    def test_length_in_aak_mode_exits_2(self, capsys, tmp_path, mode):
+        out_file = tmp_path / "out.wfa"
+        code, out, err = run(
+            capsys, "approximate", str(FIXTURES / "e2.wfa"), "1", *mode,
+            "--length", "2", "--no-timestamp", "-o", str(out_file),
+        )
+        assert code == 2
+        assert out == ""
+        assert "--length" in err
+        assert not out_file.exists()
+
+    def test_failed_certificate_writes_nothing(self, capsys, tmp_path):
+        # e2 attains sigma_1 to ~8e-17 relative, which 1e-20 refuses
+        out_file = tmp_path / "out.wfa"
+        code, out, err = run(
+            capsys, "approximate", str(FIXTURES / "e2.wfa"), "1", "--tol", "1e-20",
+            "--no-timestamp", "-o", str(out_file),
+        )
+        assert code == 1
+        assert out == ""
+        assert "does not match the singular value" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "-inf", "x"])
+    def test_tol_must_be_finite_and_positive(self, capsys, tmp_path, tol):
+        out_file = tmp_path / "out.wfa"
+        code, out, err = run(
+            capsys, "approximate", str(FIXTURES / "e2.wfa"), "1", f"--tol={tol}",
+            "--no-timestamp", "-o", str(out_file),
+        )
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
+        assert not out_file.exists()
+
+    def test_svd_k_above_block_rank_exits_2(self, capsys, tmp_path):
+        # a zero final vector makes every block zero, of rank 0 < k = 1
+        path = tmp_path / "zero.wfa"
+        path.write_text(
+            (FIXTURES / "e2.wfa").read_text().replace("beta: 1 1", "beta: 0 0")
+        )
+        out_file = tmp_path / "out.wfa"
+        code, out, err = run(
+            capsys, "approximate", str(path), "1", "--mode", "svd",
+            "--no-timestamp", "-o", str(out_file),
+        )
+        assert code == 2
+        assert out == ""
+        assert "numerical rank 0" in err
+        assert not out_file.exists()
+
     def test_nilpotent_svd_reports_block_sigma(self, capsys, tmp_path):
         out_file = tmp_path / "out.wfa"
         code, out, _ = run(

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wfamin import fock
-from wfamin.aak import RationalSymbol, symbol_coefficients
 from wfamin.errors import StabilityError, TruncationError
-from wfamin.hankel import build_hankel, hankel_rank, HankelBlock
+from wfamin.hankel import build_hankel, hankel_rank
 from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa
 from wfamin.words import WordIndex
 
@@ -184,18 +183,24 @@ class TestIndexMaps:
 
 
 class TestNcHankelMatrix:
+    """The Hankel matrix over Fock bases is ``build_hankel(...).entries``."""
+
     def test_matches_hankel_block_exactly(self):
+        # entry (row w, col u) is the word table's value at w u
         wfa = random_stable_wfa(2, 3, seed=6, radius_bound=0.9)
-        matrix = fock.nc_hankel_matrix(wfa, 3, 2)
-        block = build_hankel(wfa, 3, 2)
-        np.testing.assert_array_equal(matrix, block.entries)
+        matrix = build_hankel(wfa, 3, 2).entries
+        table = evaluation_table(wfa, 5)
+        index = WordIndex(2, 5)
+        for i, p in enumerate(WordIndex(2, 3).words()):
+            for j, s in enumerate(WordIndex(2, 2).words()):
+                assert matrix[i, j] == table[index.index_of(p + s)]
 
     def test_zero_automaton(self):
         wfa = Wfa([1.0], [np.zeros((1, 1)), np.zeros((1, 1))], [0.0])
-        np.testing.assert_array_equal(fock.nc_hankel_matrix(wfa, 2, 2), np.zeros((7, 7)))
+        np.testing.assert_array_equal(build_hankel(wfa, 2, 2).entries, np.zeros((7, 7)))
 
     def test_nilpotent_integer_exact(self, nilpotent_wfa):
-        matrix = fock.nc_hankel_matrix(nilpotent_wfa, 2, 2)
+        matrix = build_hankel(nilpotent_wfa, 2, 2).entries
         for i, p in enumerate(WordIndex(2, 2).words()):
             for j, s in enumerate(WordIndex(2, 2).words()):
                 assert matrix[i, j] == float(nilpotent_wfa.evaluate(p + s))
@@ -203,12 +208,9 @@ class TestNcHankelMatrix:
     def test_rank_agrees_with_fliess_rank(self):
         for seed in (0, 1, 2):
             wfa = random_stable_wfa(2, 3, seed=seed, radius_bound=0.9)
-            matrix = fock.nc_hankel_matrix(wfa, 3, 3)
             block = build_hankel(wfa, 3, 3)
-            index = WordIndex(2, 3)
-            s = np.linalg.svd(matrix, compute_uv=False)
+            s = np.linalg.svd(block.entries, compute_uv=False)
             rank = int(np.count_nonzero(s > 1e-9 * s[0]))
-            assert rank == hankel_rank(HankelBlock(index, index, matrix))
             assert rank == hankel_rank(block)
 
 
@@ -225,7 +227,7 @@ class TestHankelEquation:
         # H S_a e_{ba} and R*_a H e_{ba} both list f(., aba) over the rows
         degree = 4
         basis = WordIndex(2, degree)
-        h = fock.nc_hankel_matrix(nilpotent_wfa, degree, degree)
+        h = build_hankel(nilpotent_wfa, degree, degree).entries
         cut = basis.first_index_of_length(degree)
         col_shift = h[:cut, basis.index_of((0, 1, 0))]
         rows_appended = [basis.index_of(w + (0,)) for w in WordIndex(2, degree - 1).words()]
@@ -372,8 +374,7 @@ class TestNcRational:
 
     def test_one_letter_scalar_matches_resolvent_series(self, two_state_wfa):
         r = fock.NcRationalRealization.from_wfa(two_state_wfa)
-        sym = RationalSymbol.from_wfa(two_state_wfa)
-        coeffs = symbol_coefficients(sym, 60)
+        coeffs = evaluation_table(two_state_wfa, 59)
         z = 0.7
         value = fock.nc_rational_eval(r, [np.array([[z]])])[0, 0]
         series = float(sum(coeffs[m] * z**m for m in range(60)))
@@ -387,7 +388,7 @@ class TestNcRational:
             zs = [rng.standard_normal((m, m)) * 0.25 for _ in range(d)]
             closed = fock.nc_rational_eval(r, zs)
             partial = fock.nc_rational_series(r, zs, 8)
-            bound = fock.series_tail_bound(r, zs, 8)
+            bound = fock.series_bounds(r, zs, 8)[0]
             assert np.isfinite(bound)
             assert np.linalg.norm(closed - partial, 2) <= bound
 
@@ -414,6 +415,20 @@ class TestNcRational:
         expected = sum(np.kron(a, z) for a, z in zip(r.matrices, zs))
         np.testing.assert_allclose(fock._pencil(r, zs), expected, rtol=1e-15, atol=1e-15)
 
+    def test_verify_nc_rational_report(self):
+        wfa = random_stable_wfa(2, 3, seed=3, radius_bound=0.9)
+        r = fock.NcRationalRealization.from_wfa(wfa)
+        report = fock.verify_nc_rational(r, trials=10, seed=3)
+        assert report.head_exact and report.passed
+        assert 0.0 < report.max_ratio <= 1.0
+        assert report.max_spectral_radius < 0.95
+        lines = list(report.lines())
+        assert lines[0] == "zero substitution returns head coefficient exactly: True"
+        assert lines[1] == "trials: 10 (matrix sizes 1 and 2, degree-8 series)"
+        assert fock.verify_nc_rational(r, trials=10, seed=3) == report
+        with pytest.raises(ValueError, match="trials"):
+            fock.verify_nc_rational(r, trials=0)
+
     def test_non_contractive_substitution_rejected(self):
         r = fock.NcRationalRealization([1.0], [np.eye(1)], [1.0])
         with pytest.raises(StabilityError, match="spectral radius"):
@@ -427,21 +442,25 @@ class TestNcRational:
 
 
 class TestFlippedSymbol:
+    """The flipped symbol's coefficients are ``evaluation_table``."""
+
     def test_equals_first_hankel_column_exactly(self):
         for seed in (0, 1):
             wfa = random_stable_wfa(2, 3, seed=seed, radius_bound=0.9)
-            series = fock.flipped_symbol_coefficients(wfa, 4)
-            column = fock.nc_hankel_matrix(wfa, 4, 0)[:, 0]
+            series = evaluation_table(wfa, 4)
+            column = build_hankel(wfa, 4, 0).entries[:, 0]
             np.testing.assert_array_equal(series, column)
 
     def test_nilpotent_pattern(self, nilpotent_wfa):
-        series = fock.flipped_symbol_coefficients(nilpotent_wfa, 2)
+        series = evaluation_table(nilpotent_wfa, 2)
         np.testing.assert_array_equal(series, [0, 1, 0, 0, 1, 0, 0])
 
     def test_one_letter_equals_symbol_coefficients(self, two_state_wfa):
-        series = fock.flipped_symbol_coefficients(two_state_wfa, 6)
-        sym = RationalSymbol.from_wfa(two_state_wfa)
-        np.testing.assert_array_equal(series, symbol_coefficients(sym, 7))
+        # one letter: the flip is the identity, so the flipped multiplier's
+        # column at the empty word is the symbol's coefficient sequence
+        series = evaluation_table(two_state_wfa, 6)
+        multiplier = fock.flipped_multiplier_matrix(two_state_wfa, WordIndex(1, 6))
+        np.testing.assert_array_equal(multiplier[:, 0], series)
 
 
 class TestMultiplier:

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from wfamin.wfa import (
-    Wfa,
-    evaluation_table,
-    kronecker,
-    random_stable_wfa,
-    spectral_radius,
-)
+from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa, spectral_radius
 from wfamin.words import WordIndex
 
 
@@ -111,15 +105,18 @@ class TestSpectralRadius:
 
 
 class TestKronecker:
+    """The block layout of ``np.kron`` that the vectorized Stein solve and the
+    nc-rational resolvent rely on: M(i,j)N(i',j') at (i d' + i', j e' + j')."""
+
     def test_scalar_identity(self):
         n = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(kronecker([[1.0]], n), n)
+        np.testing.assert_array_equal(np.kron([[1.0]], n), n)
 
     def test_identity_product(self):
-        np.testing.assert_array_equal(kronecker(np.eye(2), np.eye(3)), np.eye(6))
+        np.testing.assert_array_equal(np.kron(np.eye(2), np.eye(3)), np.eye(6))
 
     def test_hand_expansion(self):
-        got = kronecker([[1.0, 2.0]], [[3.0], [4.0]])
+        got = np.kron([[1.0, 2.0]], [[3.0], [4.0]])
         np.testing.assert_array_equal(got, [[3.0, 6.0], [4.0, 8.0]])
 
 
