@@ -15,10 +15,11 @@ Schmidt functions in closed form, and realizes the negative part of the
 error symbol exactly with n + k states: the inverse system of the Schmidt
 denominator is split by an ordered Schur form into its parts inside and
 outside the unit circle (the discrete-time form of Glover's all-optimal
-Hankel-norm construction).  It returns the optimal rank-k Hankel sequence
-together with a k-state WFA realizing it.  All claimed guarantees (Hankel
-structure, rank, attained spectral-norm error) are re-checked numerically
-before returning.
+Hankel-norm construction).  The optimal rank-k Hankel sequence is the
+input minus that negative part, itself an (n + k)-state WFA; it is returned
+together with a k-state WFA recovered from it.  All claimed guarantees
+(Hankel structure, rank, attained spectral-norm error) are re-checked
+numerically before returning.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ import scipy.linalg
 
 from .errors import NumericalError, RankDeficiencyError, StabilityError
 from .hankel import DEFAULT_RANK_TOL, HankelBlock, build_hankel, spectral_recover
-from .wfa import Wfa, _word_function_table, spectral_radius
-from .words import WordIndex
+from .wfa import Wfa, evaluation_table, spectral_radius
 
 #: Relative eigenvalue cutoff below which the Gramian product is treated as
 #: rank deficient (the input automaton is then not minimal).
@@ -48,6 +48,11 @@ MAX_CERT_BLOCK = 512
 #: Singular values closer than this share of sigma_0 count as tied: the
 #: optimal approximation may then not be unique, and a warning says so.
 TIE_RTOL = 1e-8
+
+#: An inverse-system eigenvalue whose modulus lies this close to 1 puts a
+#: zero of the Schmidt denominator on the unit circle, where the split of
+#: :func:`_optimal_sequence` is undefined.
+CIRCLE_GUARD = 1e-8
 
 
 def _require_one_letter(wfa: Wfa) -> np.ndarray:
@@ -117,6 +122,7 @@ def _singular_data(wfa: Wfa):
     eigenvalues = np.clip(eigenvalues[order], 0.0, None)
     vectors = vectors[:, order]
     sigmas = np.sqrt(eigenvalues)
+    sigmas.setflags(write=False)
     if sigmas[0] == 0.0 or sigmas[-1] <= MINIMALITY_TOL * sigmas[0]:
         raise RankDeficiencyError(
             "Gramian product is numerically rank deficient; the automaton is "
@@ -132,9 +138,7 @@ def hankel_singular_values(wfa: Wfa) -> np.ndarray:
     which is exact at the size of the realization; no truncation enters.
     Raises :class:`RankDeficiencyError` when the automaton is not minimal.
     """
-    sigmas, _, _, _ = _singular_data(wfa)
-    sigmas.setflags(write=False)
-    return sigmas
+    return _singular_data(wfa)[0]
 
 
 @dataclass(frozen=True)
@@ -142,65 +146,61 @@ class SchmidtPair:
     """Schmidt functions of one Hankel singular triple, in closed form.
 
     ``direction`` is the eigenvector x of the Gramian-product pencil for
-    sigma**2; the right Schmidt function is v(z) = beta^T (1 - z A^T)^{-1} x
-    (a power series) and the left one is w(z) = sigma^{-1} alpha^T
-    (z - A)^{-1} P x (negative powers only).  H v = sigma w holds exactly.
+    sigma**2 of the one-letter automaton ``wfa`` = (alpha, A, beta); the
+    right Schmidt function is v(z) = beta^T (1 - z A^T)^{-1} x (a power
+    series) and the left one is w(z) = sigma^{-1} alpha^T (z - A)^{-1} P x
+    (negative powers only).  H v = sigma w holds exactly.
     """
 
     sigma: float
     direction: np.ndarray
-    alpha: np.ndarray = field(repr=False)
-    matrix: np.ndarray = field(repr=False)
-    beta: np.ndarray = field(repr=False)
+    wfa: Wfa = field(repr=False)
     controllability: np.ndarray = field(repr=False)
 
     def v_coefficients(self, count: int) -> np.ndarray:
         """Power-series coefficients v_j = x^T A^j beta, j < count."""
-        return _word_function_table(self.direction, (self.matrix,), self.beta, count - 1)[:count]
+        return evaluation_table(Wfa(self.direction, self.wfa.transitions, self.wfa.beta), count - 1)
 
     def w_coefficients(self, count: int) -> np.ndarray:
         """Negative-part coefficients w_m = sigma^{-1} alpha^T A^m P x, m < count."""
-        forced = self.controllability @ self.direction
-        return _word_function_table(self.alpha, (self.matrix,), forced, count - 1)[:count] / self.sigma
+        forced = self.controllability @ self.direction / self.sigma
+        return evaluation_table(Wfa(self.wfa.alpha, self.wfa.transitions, forced), count - 1)
 
     def v_at(self, z) -> np.ndarray:
         """v as a function on the plane, vectorized over z."""
         z = np.atleast_1d(np.asarray(z))
         eye = np.eye(len(self.direction))
-        systems = eye - z[:, None, None] * self.matrix.T
+        systems = eye - z[:, None, None] * self.wfa.transitions[0].T
         rhs = np.broadcast_to(self.direction.astype(complex), (z.size, len(self.direction)))
         solved = np.linalg.solve(systems, rhs[..., None])
-        return (self.beta @ solved)[..., 0]
+        return (self.wfa.beta @ solved)[..., 0]
 
     def w_at(self, z) -> np.ndarray:
         """w as a function outside the spectrum, vectorized over z."""
         z = np.atleast_1d(np.asarray(z))
         eye = np.eye(len(self.direction))
         forced = self.controllability @ self.direction
-        systems = z[:, None, None] * eye - self.matrix
+        systems = z[:, None, None] * eye - self.wfa.transitions[0]
         rhs = np.broadcast_to(forced.astype(complex), (z.size, len(forced)))
         solved = np.linalg.solve(systems, rhs[..., None])
-        return (self.alpha @ solved)[..., 0] / self.sigma
+        return (self.wfa.alpha @ solved)[..., 0] / self.sigma
+
+
+def _schmidt_pair(wfa: Wfa, k: int, singular_data) -> SchmidtPair:
+    sigmas, vectors, sqrt_ctrl, pair = singular_data
+    if not 0 <= k < len(sigmas):
+        raise ValueError(f"k must lie in [0, {len(sigmas)}), got {k}")
+    direction = np.linalg.solve(sqrt_ctrl, vectors[:, k])
+    return SchmidtPair(float(sigmas[k]), direction, wfa, pair.controllability)
 
 
 def schmidt_pair(wfa: Wfa, k: int) -> SchmidtPair:
     """Schmidt pair for the k-th largest Hankel singular value (0-indexed)."""
-    sigmas, vectors, sqrt_ctrl, pair = _singular_data(wfa)
-    if not 0 <= k < len(sigmas):
-        raise ValueError(f"k must lie in [0, {len(sigmas)}), got {k}")
-    direction = np.linalg.solve(sqrt_ctrl, vectors[:, k])
-    return SchmidtPair(
-        sigma=float(sigmas[k]),
-        direction=direction,
-        alpha=wfa.alpha,
-        matrix=wfa.transitions[0],
-        beta=wfa.beta,
-        controllability=pair.controllability,
-    )
+    return _schmidt_pair(wfa, k, _singular_data(wfa))
 
 
-class _ErrorSymbolCoefficients:
-    """Negative Fourier coefficients of the error symbol, as an exact realization.
+def _optimal_sequence(pair: SchmidtPair, order: int) -> Wfa:
+    """The optimal rank-``order`` Hankel sequence g, as an (n + k)-state WFA.
 
     The error symbol is e = r / v with r(z) = alpha^T (z - A)^{-1} P x (that
     is sigma_k * w) and v(z) = x^T (1 - z A)^{-1} beta.  Since
@@ -218,76 +218,72 @@ class _ErrorSymbolCoefficients:
 
     the first term a cascade of two strictly proper systems and the second
     the projection of r (1/v)_+ onto the poles of A, whose matrix function
-    comes from one Stein equation.  The result is a realization (c, M, b)
-    with n + k states and e_{-m-1} = c^T M^m b.
+    comes from one Stein equation.  This gives a realization (c, M, b) with
+    n + k states, e_{-m-1} = c^T M^m b, c = [alpha; 0] and M block upper
+    triangular with A in its top-left block.  So f(m) = c^T M^m [beta; 0],
+    and g = f - e_- is the automaton (c, M, [beta; 0] - b).
     """
-
-    #: an inverse-system eigenvalue whose modulus lies this close to 1 puts a
-    #: zero of v on the unit circle, where the split is undefined
-    CIRCLE_GUARD = 1e-8
-
-    def __init__(self, pair: SchmidtPair, order: int):
-        a, beta, x = pair.matrix, pair.beta, pair.direction
-        n = len(x)
-        head = float(x @ beta)  # v(0)
-        if abs(head) <= n * np.finfo(float).eps * np.linalg.norm(x) * np.linalg.norm(beta):
-            raise NumericalError(
-                "Schmidt denominator vanishes at z = 0; its inverse system is undefined"
-            )
-        a_beta = a @ beta
-        inverse = a - np.outer(a_beta, x) / head
-        distance = float(np.abs(np.abs(np.linalg.eigvals(inverse)) - 1.0).min())
-        if distance <= self.CIRCLE_GUARD:
-            raise NumericalError(
-                "Schmidt denominator nearly vanishes on the unit circle (an "
-                f"inverse-system eigenvalue lies {distance:.3e} from it); "
-                "coefficient extraction would be unreliable"
-            )
-        schur, basis, inside = scipy.linalg.schur(inverse, sort="iuc")
-        if n - inside != order:
-            raise NumericalError(
-                f"Schmidt denominator has {n - inside} zeros inside the unit disk, "
-                f"expected {order}"
-            )
-        t_s, t_u = schur[:inside, :inside], schur[inside:, inside:]
-        # A_x = V diag(T_s, T_u) V^{-1} with V = basis [[1, Y], [0, 1]]
-        coupling = scipy.linalg.solve_sylvester(t_s, -t_u, -schur[:inside, inside:])
-        row, col = x @ basis, basis.T @ a_beta
-        row_s, row_u = row[:inside], row[inside:] + row[:inside] @ coupling
-        col_s, col_u = col[:inside] - coupling @ col[inside:], col[inside:]
-        m_u = np.linalg.inv(t_u)
-        # (1/v)_- = row_u M_u (z - M_u)^{-1} M_u col_u / v(0)^2, and
-        # (1/v)_+(z) = constant - z row_s (1 - z T_s)^{-1} col_s / v(0)^2
-        constant = 1.0 / head + float(row_u @ m_u @ col_u) / head**2
-        forced = pair.controllability @ x
-        # X = T_s X A^T + col_s (A P x)^T gives sum_j (row_s T_s^j col_s) A^{j+1} P x
-        stein = _solve_stein(t_s, a, np.outer(col_s, a @ forced))
-        projected = constant * forced - stein.T @ row_s / head**2
-        self.c = np.concatenate([pair.alpha, np.zeros(order)])
-        self.matrix = np.block([
-            [a, np.outer(forced, row_u @ m_u / head**2)],
-            [np.zeros((order, n)), m_u],
-        ])
-        self.b = np.concatenate([projected, m_u @ col_u])
-
-    def negative(self, count: int) -> np.ndarray:
-        """Coefficients of z^{-1}, ..., z^{-count} of the error symbol."""
-        return _word_function_table(self.c, (self.matrix,), self.b, count - 1)
+    a, beta, x = pair.wfa.transitions[0], pair.wfa.beta, pair.direction
+    n = len(x)
+    head = float(x @ beta)  # v(0)
+    if abs(head) <= n * np.finfo(float).eps * np.linalg.norm(x) * np.linalg.norm(beta):
+        raise NumericalError(
+            "Schmidt denominator vanishes at z = 0; its inverse system is undefined"
+        )
+    a_beta = a @ beta
+    inverse = a - np.outer(a_beta, x) / head
+    distance = float(np.abs(np.abs(np.linalg.eigvals(inverse)) - 1.0).min())
+    if distance <= CIRCLE_GUARD:
+        raise NumericalError(
+            "Schmidt denominator nearly vanishes on the unit circle (an "
+            f"inverse-system eigenvalue lies {distance:.3e} from it); "
+            "coefficient extraction would be unreliable"
+        )
+    schur, basis, inside = scipy.linalg.schur(inverse, sort="iuc")
+    if n - inside != order:
+        raise NumericalError(
+            f"Schmidt denominator has {n - inside} zeros inside the unit disk, "
+            f"expected {order}"
+        )
+    t_s, t_u = schur[:inside, :inside], schur[inside:, inside:]
+    # A_x = V diag(T_s, T_u) V^{-1} with V = basis [[1, Y], [0, 1]]
+    coupling = scipy.linalg.solve_sylvester(t_s, -t_u, -schur[:inside, inside:])
+    row, col = x @ basis, basis.T @ a_beta
+    row_s, row_u = row[:inside], row[inside:] + row[:inside] @ coupling
+    col_s, col_u = col[:inside] - coupling @ col[inside:], col[inside:]
+    m_u = np.linalg.inv(t_u)
+    # (1/v)_- = row_u M_u (z - M_u)^{-1} M_u col_u / v(0)^2, and
+    # (1/v)_+(z) = constant - z row_s (1 - z T_s)^{-1} col_s / v(0)^2
+    constant = 1.0 / head + float(row_u @ m_u @ col_u) / head**2
+    forced = pair.controllability @ x
+    # X = T_s X A^T + col_s (A P x)^T gives sum_j (row_s T_s^j col_s) A^{j+1} P x
+    stein = _solve_stein(t_s, a, np.outer(col_s, a @ forced))
+    projected = constant * forced - stein.T @ row_s / head**2
+    matrix = np.block([
+        [a, np.outer(forced, row_u @ m_u / head**2)],
+        [np.zeros((order, n)), m_u],
+    ])
+    return Wfa(
+        np.concatenate([pair.wfa.alpha, np.zeros(order)]),
+        [matrix],
+        np.concatenate([beta - projected, -(m_u @ col_u)]),
+    )
 
 
 class AakApproximation:
     """Result of the optimal rank-k Hankel approximation of a one-letter WFA.
 
     ``error`` is the attained spectral-norm distance, equal to the k-th
-    Hankel singular value.  ``wfa`` is a k-state automaton realizing the
-    approximating sequence; ``coefficients`` and ``hankel_block`` expose that
-    sequence and its (exactly Hankel) finite blocks directly.
+    Hankel singular value.  ``sequence`` is the approximating sequence as an
+    (n + k)-state automaton, exact by construction; ``wfa`` is a k-state
+    automaton recovered from it.  ``coefficients`` and ``hankel_block``
+    expose the sequence and its (exactly Hankel) finite blocks.
     ``block_norms`` is the certificate's history: (block side, spectral-norm
     distance between the input's and ``wfa``'s blocks) per truncation.
     """
 
     def __init__(self, wfa, error, singular_values, schmidt, order, warnings,
-                 block_norms, extraction, original):
+                 block_norms, sequence):
         self.wfa = wfa
         self.error = error
         self.singular_values = singular_values
@@ -295,8 +291,7 @@ class AakApproximation:
         self.order = order
         self.warnings = warnings
         self.block_norms = block_norms
-        self._extraction = extraction
-        self._original = original
+        self.sequence = sequence
 
     def __repr__(self) -> str:
         return f"AakApproximation(order={self.order}, error={self.error!r})"
@@ -305,18 +300,11 @@ class AakApproximation:
         """First ``count`` coefficients g(0), g(1), ... of the approximation."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        original = _word_function_table(
-            self._original.alpha, self._original.transitions, self._original.beta, count - 1
-        )
-        return original - self._extraction.negative(count)
+        return evaluation_table(self.sequence, count - 1)
 
     def hankel_block(self, prefix_length: int, suffix_length: int) -> HankelBlock:
         """Finite Hankel block of the approximating sequence (Hankel by construction)."""
-        seq = self.coefficients(prefix_length + suffix_length + 1)
-        index_p = WordIndex(1, prefix_length)
-        index_s = WordIndex(1, suffix_length)
-        entries = seq[np.arange(prefix_length + 1)[:, None] + np.arange(suffix_length + 1)[None, :]]
-        return HankelBlock(index_p, index_s, entries)
+        return build_hankel(self.sequence, prefix_length, suffix_length)
 
     def error_circle_samples(self, num_points: int = 4096) -> np.ndarray:
         """|error symbol| on uniformly spaced unit-circle points.
@@ -353,7 +341,10 @@ def aak_approximate(wfa: Wfa, k: int, *, certify_rtol: float = 1e-6) -> AakAppro
     n = wfa.num_states
     if not 0 <= k < n:
         raise ValueError(f"k must lie in [0, {n}), got {k}")
-    sigmas = hankel_singular_values(wfa)  # StabilityError unless spectral radius < 1
+    # one Gramian solve serves the singular values and the Schmidt pair;
+    # StabilityError unless spectral radius < 1
+    singular_data = _singular_data(wfa)
+    sigmas = singular_data[0]
     sigma_k = float(sigmas[k])
     warnings = tuple(
         f"singular values {i} and {i + 1} are nearly equal; the optimal "
@@ -361,27 +352,13 @@ def aak_approximate(wfa: Wfa, k: int, *, certify_rtol: float = 1e-6) -> AakAppro
         for i in (k - 1, k)
         if 0 <= i and i + 1 < n and sigmas[i] - sigmas[i + 1] <= TIE_RTOL * sigmas[0]
     )
-    pair = schmidt_pair(wfa, k)
-    extraction = _ErrorSymbolCoefficients(pair, k)
-    approx = AakApproximation(
-        wfa=None,  # filled in below once recovered
-        error=sigma_k,
-        singular_values=sigmas,
-        schmidt=pair,
-        order=k,
-        warnings=warnings,
-        block_norms=(),
-        extraction=extraction,
-        original=wfa,
-    )
-
+    pair = _schmidt_pair(wfa, k, singular_data)
+    sequence = _optimal_sequence(pair, k)
     # recover the k-state realization of the approximating sequence
     if k == 0:
-        approx.wfa = Wfa(np.zeros(1), [np.zeros((1, 1))], np.zeros(1))
+        recovered = Wfa(np.zeros(1), [np.zeros((1, 1))], np.zeros(1))
     else:
-        sequence = approx.coefficients(2 * k + 2)
-        block = approx.hankel_block(k, k)
-        approx.wfa = spectral_recover(block, k, lambda word: float(sequence[len(word)]))
+        recovered = spectral_recover(build_hankel(sequence, k, k), k, sequence)
 
     # certify the attained spectral-norm error of the returned automaton on
     # growing truncations
@@ -389,7 +366,7 @@ def aak_approximate(wfa: Wfa, k: int, *, certify_rtol: float = 1e-6) -> AakAppro
     history: list[tuple[int, float]] = []
     while True:
         h_block = build_hankel(wfa, size - 1, size - 1).entries
-        wfa_block = build_hankel(approx.wfa, size - 1, size - 1).entries
+        wfa_block = build_hankel(recovered, size - 1, size - 1).entries
         delta = float(np.linalg.norm(h_block - wfa_block, 2))
         history.append((size, delta))
         if len(history) > 1 and abs(delta - history[-2][1]) <= 1e-9 * max(sigmas[0], delta):
@@ -397,7 +374,6 @@ def aak_approximate(wfa: Wfa, k: int, *, certify_rtol: float = 1e-6) -> AakAppro
         if size >= MAX_CERT_BLOCK:
             break
         size = min(2 * size, MAX_CERT_BLOCK)
-    approx.block_norms = tuple(history)
 
     final_size, final_delta = history[-1]
     if abs(final_delta - sigma_k) > certify_rtol * sigmas[0]:
@@ -408,7 +384,7 @@ def aak_approximate(wfa: Wfa, k: int, *, certify_rtol: float = 1e-6) -> AakAppro
     # rank is measured against the problem scale so that the k = 0 case,
     # where the optimal block is the zero matrix up to roundoff, is not
     # mistaken for a matrix of junk rank
-    g_entries = approx.hankel_block(final_size - 1, final_size - 1).entries
+    g_entries = build_hankel(sequence, final_size - 1, final_size - 1).entries
     g_singular = np.linalg.svd(g_entries, compute_uv=False)
     achieved_rank = int(np.count_nonzero(
         g_singular > DEFAULT_RANK_TOL * max(g_singular[0], sigmas[0])
@@ -422,4 +398,13 @@ def aak_approximate(wfa: Wfa, k: int, *, certify_rtol: float = 1e-6) -> AakAppro
         raise NumericalError(
             f"recovered automaton deviates from the approximating sequence by {mismatch!r}"
         )
-    return approx
+    return AakApproximation(
+        wfa=recovered,
+        error=sigma_k,
+        singular_values=sigmas,
+        schmidt=pair,
+        order=k,
+        warnings=warnings,
+        block_norms=tuple(history),
+        sequence=sequence,
+    )

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import StabilityError, TruncationError
 from .hankel import build_hankel
-from .wfa import Wfa, _word_function_table, evaluation_table, spectral_radius
+from .wfa import Wfa, evaluation_table, spectral_radius
 from .words import WordIndex
 
 #: Largest number of floats drawn at once by :func:`verify_shift_inequalities`
@@ -171,14 +171,6 @@ class HankelEquationReport:
         # both sides are assembled from identical word evaluations, so any
         # discrepancy at all means the identity is violated
         return self.max_discrepancy == 0.0
-
-    def lines(self):
-        yield f"alphabet size: {self.alphabet_size}"
-        yield f"degree: {self.degree}"
-        yield f"interior comparisons: {self.comparisons}"
-        for i, value in enumerate(self.per_symbol):
-            yield f"max discrepancy, symbol {i}: {value!r}"
-        yield f"max discrepancy: {self.max_discrepancy!r}"
 
 
 def verify_hankel_equation(wfa: Wfa, degree: int) -> HankelEquationReport:
@@ -465,46 +457,11 @@ def free_group_counterexample() -> FreeGroupReport:
     )
 
 
-@dataclass(frozen=True)
-class NcRationalRealization:
-    """Linear realization (c, {A_j}, b) of a noncommutative rational series.
-
-    The word-w coefficient of the series is c^T A_w b; evaluation on a tuple
-    of square-matrix arguments is defined through the Kronecker-product
-    resolvent form.
-    """
-
-    c: np.ndarray
-    matrices: tuple[np.ndarray, ...]
-    b: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.c, dtype=float)
-        b = np.array(self.b, dtype=float)
-        mats = tuple(np.array(m, dtype=float) for m in self.matrices)
-        n = c.shape[0]
-        if b.shape != (n,) or any(m.shape != (n, n) for m in mats) or not mats:
-            raise ValueError("inconsistent realization shapes")
-        for arr in (c, b, *mats):
-            arr.setflags(write=False)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "matrices", mats)
-
-    @classmethod
-    def from_wfa(cls, wfa: Wfa) -> "NcRationalRealization":
-        return cls(wfa.alpha, wfa.transitions, wfa.beta)
-
-    @property
-    def alphabet_size(self) -> int:
-        return len(self.matrices)
-
-
-def _coerce_arguments(realization: NcRationalRealization, arguments):
+def _coerce_arguments(wfa: Wfa, arguments):
     arguments = [np.atleast_2d(np.asarray(z, dtype=float)) for z in arguments]
-    if len(arguments) != realization.alphabet_size:
+    if len(arguments) != wfa.alphabet_size:
         raise ValueError(
-            f"expected {realization.alphabet_size} arguments, got {len(arguments)}"
+            f"expected {wfa.alphabet_size} arguments, got {len(arguments)}"
         )
     size = arguments[0].shape[0]
     for z in arguments:
@@ -513,13 +470,13 @@ def _coerce_arguments(realization: NcRationalRealization, arguments):
     return arguments, size
 
 
-def _pencil(realization: NcRationalRealization, arguments) -> np.ndarray:
+def _pencil(wfa: Wfa, arguments) -> np.ndarray:
     """The substituted pencil K = sum_j A_j (x) z_j, as one einsum over j.
 
     ``arguments`` must have passed :func:`_coerce_arguments`.
     """
-    n, size = len(realization.c), arguments[0].shape[0]
-    return np.einsum("jab,jcd->acbd", realization.matrices, arguments).reshape(
+    n, size = wfa.num_states, arguments[0].shape[0]
+    return np.einsum("jab,jcd->acbd", wfa.transitions, arguments).reshape(
         n * size, n * size
     )
 
@@ -530,26 +487,26 @@ def _contraction_margins(pencil: np.ndarray, arguments) -> tuple[float, float]:
     return rho, norm_sum
 
 
-def contraction_margins(realization: NcRationalRealization, arguments) -> tuple[float, float]:
+def contraction_margins(wfa: Wfa, arguments) -> tuple[float, float]:
     """(spectral radius of sum A_j (x) z_j, sum_j ||z_j z_j^T||).
 
     The first number below one is what evaluation needs; the second below
     one is the classical sufficient condition for convergence of the series
     under the substitution.
     """
-    arguments, _ = _coerce_arguments(realization, arguments)
-    return _contraction_margins(_pencil(realization, arguments), arguments)
+    arguments, _ = _coerce_arguments(wfa, arguments)
+    return _contraction_margins(_pencil(wfa, arguments), arguments)
 
 
-def nc_rational_eval(realization: NcRationalRealization, arguments) -> np.ndarray:
-    """Evaluate the rational series on square-matrix arguments.
+def nc_rational_eval(wfa: Wfa, arguments) -> np.ndarray:
+    """Evaluate the automaton's rational series on square-matrix arguments.
 
-    Computes (c^T (x) 1_m)(1_{nm} - sum_j A_j (x) z_j)^{-1}(b (x) 1_m), an
-    m-by-m matrix equal to the sum of the series coefficients weighted by
+    Computes (alpha^T (x) 1_m)(1_{nm} - sum_j A_j (x) z_j)^{-1}(beta (x) 1_m),
+    an m-by-m matrix equal to the sum of the series coefficients weighted by
     the corresponding argument products.
     """
-    arguments, size = _coerce_arguments(realization, arguments)
-    pencil = _pencil(realization, arguments)
+    arguments, size = _coerce_arguments(wfa, arguments)
+    pencil = _pencil(wfa, arguments)
     rho = spectral_radius(pencil)
     if rho >= 1.0:
         _, norm_sum = _contraction_margins(pencil, arguments)
@@ -558,26 +515,23 @@ def nc_rational_eval(realization: NcRationalRealization, arguments) -> np.ndarra
             f"(sum of ||z_j z_j^T|| is {norm_sum})"
         )
     eye = np.eye(pencil.shape[0])
-    solved = np.linalg.solve(eye - pencil, np.kron(realization.b[:, None], np.eye(size)))
-    return np.kron(realization.c[None, :], np.eye(size)) @ solved
+    solved = np.linalg.solve(eye - pencil, np.kron(wfa.beta[:, None], np.eye(size)))
+    return np.kron(wfa.alpha[None, :], np.eye(size)) @ solved
 
 
-def nc_rational_series(realization: NcRationalRealization, arguments,
-                       max_degree: int) -> np.ndarray:
+def nc_rational_series(wfa: Wfa, arguments, max_degree: int) -> np.ndarray:
     """Partial sum of the series up to words of length ``max_degree``.
 
-    Independent of :func:`nc_rational_eval`: the word coefficients c^T A_w b
-    come from the automaton's word table and the argument products z_w are
-    built level by level; no power of the Kronecker sum K is formed.  The
-    tail beyond ``max_degree`` is bounded by
-    ||c|| ||b|| ||K||^(max_degree+1) / (1 - ||K||) when ||K|| < 1 (the
-    first number of :func:`series_bounds`).
+    Independent of :func:`nc_rational_eval`: the word coefficients
+    alpha^T A_w beta come from :func:`~wfamin.wfa.evaluation_table` and the
+    argument products z_w are built level by level; no power of the
+    Kronecker sum K is formed.  The tail beyond ``max_degree`` is bounded by
+    ||alpha|| ||beta|| ||K||^(max_degree+1) / (1 - ||K||) when ||K|| < 1
+    (the first number of :func:`series_bounds`).
     """
-    arguments, size = _coerce_arguments(realization, arguments)
-    d = realization.alphabet_size
-    coefficients = _word_function_table(
-        realization.c, realization.matrices, realization.b, max_degree
-    )
+    arguments, size = _coerce_arguments(wfa, arguments)
+    d = wfa.alphabet_size
+    coefficients = evaluation_table(wfa, max_degree)
     stacked = np.concatenate(arguments, axis=1)  # [z_0 z_1 ... z_{d-1}]
     total = coefficients[0] * np.eye(size)
     products = np.eye(size)[None, :, :]  # z_w for the words w of the current length
@@ -593,32 +547,31 @@ def nc_rational_series(realization: NcRationalRealization, arguments,
     return total
 
 
-def series_bounds(realization: NcRationalRealization, arguments,
-                  max_degree: int) -> tuple[float, float]:
+def series_bounds(wfa: Wfa, arguments, max_degree: int) -> tuple[float, float]:
     """(tail, rounding): how far the closed form and the degree-``max_degree``
     partial sum can lie apart, in exact arithmetic and through rounding.
 
     For K the Kronecker sum with g = ||K|| < 1, the degree-j part of the
-    series is at most ||c|| ||b|| g^j.  The tail beyond ``max_degree`` is
-    therefore at most ||c|| ||b|| g^(max_degree+1) / (1 - g), and the
-    results of both computations are at most ||c|| ||b|| / (1 - g).  The
+    series is at most ||alpha|| ||beta|| g^j.  The tail beyond
+    ``max_degree`` is therefore at most
+    ||alpha|| ||beta|| g^(max_degree+1) / (1 - g), and the results of both
+    computations are at most ||alpha|| ||beta|| / (1 - g).  The
     rounding term is a first-order estimate: each rounded step errs by at
     most eps relative to that magnitude, the partial sum adds one term per
     word of length <= ``max_degree``, and the linear solve has N = order of
     K unknowns and amplifies its backward error by
     ||(1 - K)^{-1}|| <= 1 / (1 - g).
     """
-    arguments, _ = _coerce_arguments(realization, arguments)
-    return _series_bounds(realization, _pencil(realization, arguments), max_degree)
+    arguments, _ = _coerce_arguments(wfa, arguments)
+    return _series_bounds(wfa, _pencil(wfa, arguments), max_degree)
 
 
-def _series_bounds(realization: NcRationalRealization, pencil: np.ndarray,
-                   max_degree: int) -> tuple[float, float]:
+def _series_bounds(wfa: Wfa, pencil: np.ndarray, max_degree: int) -> tuple[float, float]:
     gain = float(np.linalg.norm(pencil, 2))
     if gain >= 1.0:
         return np.inf, np.inf
-    scale = float(np.linalg.norm(realization.c) * np.linalg.norm(realization.b))
-    words = sum(realization.alphabet_size**j for j in range(max_degree + 1))
+    scale = float(np.linalg.norm(wfa.alpha) * np.linalg.norm(wfa.beta))
+    words = sum(wfa.alphabet_size**j for j in range(max_degree + 1))
     steps = pencil.shape[0] / (1.0 - gain) + words
     rounding = float(np.finfo(float).eps) * steps * scale / (1.0 - gain)
     return scale * gain ** (max_degree + 1) / (1.0 - gain), rounding
@@ -646,11 +599,11 @@ class NcRationalReport:
         yield f"max sum of ||z_j z_j^T||: {self.max_norm_sum!r}"
 
 
-def verify_nc_rational(realization: NcRationalRealization, trials: int,
-                       seed=0) -> NcRationalReport:
+def verify_nc_rational(wfa: Wfa, trials: int, seed=0) -> NcRationalReport:
     """Check :func:`nc_rational_eval` against :func:`nc_rational_series`.
 
-    The zero substitution must return the head coefficient c^T b exactly.
+    The zero substitution must return the head coefficient alpha^T beta
+    exactly.
     Each trial then draws one argument per letter, 0.3 times a standard
     normal matrix of size 1 or 2 (alternating), halved once when the
     substituted pencil's spectral radius reaches 0.95.  The gap between the
@@ -660,9 +613,9 @@ def verify_nc_rational(realization: NcRationalRealization, trials: int,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    d = realization.alphabet_size
-    head = nc_rational_eval(realization, [np.zeros((1, 1))] * d)[0, 0]
-    head_exact = bool(head == float(realization.c @ realization.b))
+    d = wfa.alphabet_size
+    head = nc_rational_eval(wfa, [np.zeros((1, 1))] * d)[0, 0]
+    head_exact = bool(head == float(wfa.alpha @ wfa.beta))
     worst_ratio = 0.0
     worst_rho = 0.0
     worst_norm_sum = 0.0
@@ -671,17 +624,17 @@ def verify_nc_rational(realization: NcRationalRealization, trials: int,
         arguments = [0.3 * rng.standard_normal((size, size)) for _ in range(d)]
         # one pencil per trial serves the margins and the bounds; the closed
         # form under test builds its own
-        pencil = _pencil(realization, arguments)
+        pencil = _pencil(wfa, arguments)
         rho, norm_sum = _contraction_margins(pencil, arguments)
         if rho >= 0.95:
             arguments = [0.5 * z for z in arguments]
-            pencil = _pencil(realization, arguments)
+            pencil = _pencil(wfa, arguments)
             rho, norm_sum = _contraction_margins(pencil, arguments)
-        closed = nc_rational_eval(realization, arguments)
-        partial = nc_rational_series(realization, arguments, NC_SERIES_DEGREE)
+        closed = nc_rational_eval(wfa, arguments)
+        partial = nc_rational_series(wfa, arguments, NC_SERIES_DEGREE)
         # the tail bound holds in exact arithmetic; the computed gap also
         # carries the rounding of both sides
-        bound = sum(_series_bounds(realization, pencil, NC_SERIES_DEGREE))
+        bound = sum(_series_bounds(wfa, pencil, NC_SERIES_DEGREE))
         gap = float(np.linalg.norm(closed - partial, 2))
         worst_ratio = max(worst_ratio, gap / bound if bound > 0 else float(gap > 0))
         worst_rho = max(worst_rho, rho)
@@ -749,12 +702,6 @@ class MultiplierReport:
     degree: int
     per_symbol: tuple[float, ...]
     max_discrepancy: float
-
-    def lines(self):
-        yield f"degree: {self.degree}"
-        for i, value in enumerate(self.per_symbol):
-            yield f"max interior discrepancy, symbol {i}: {value!r}"
-        yield f"max interior discrepancy: {self.max_discrepancy!r}"
 
 
 def verify_multiplier_intertwining(op: np.ndarray, basis: WordIndex) -> MultiplierReport:

@@ -12,21 +12,18 @@ WFA of a given size from a block via the spectral method.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
 from .errors import NumericalError, RankDeficiencyError
 from .wfa import Wfa, evaluation_table
-from .words import Word, WordIndex
+from .words import WordIndex
 
 #: Refuse to materialize blocks with more entries than this.
 MAX_BLOCK_ENTRIES = 10_000_000
 
 #: Relative singular-value cutoff used for numerical rank decisions.
 DEFAULT_RANK_TOL = 1e-9
-
-Generator = Union[Wfa, Callable[[Word], float]]
 
 
 @dataclass(frozen=True)
@@ -180,37 +177,22 @@ def check_hankel_property(block: HankelBlock, tol: float) -> tuple[bool, tuple |
     raise NumericalError("inconsistent spread computation")  # pragma: no cover
 
 
-def _shifted_block(generator: Generator, prefixes: WordIndex, suffixes: WordIndex,
-                   symbol: int) -> np.ndarray:
-    """Matrix with entries f(p a s) for the given symbol a."""
-    if isinstance(generator, Wfa):
-        d = generator.alphabet_size
-        combined = WordIndex(d, prefixes.max_length + 1 + suffixes.max_length)
-        table = evaluation_table(generator, combined.max_length)
-        offsets = combined.offsets
-        total_len = prefixes.lengths[:, None] + 1 + suffixes.lengths[None, :]
-        head = (prefixes.values[:, None] * d + symbol) * d ** suffixes.lengths[None, :]
-        return table[offsets[total_len] + head + suffixes.values[None, :]]
-    out = np.empty((len(prefixes), len(suffixes)))
-    for i, p in enumerate(prefixes.words()):
-        for j, s in enumerate(suffixes.words()):
-            out[i, j] = generator(p + (symbol,) + s)
-    return out
-
-
-def spectral_recover(block: HankelBlock, k: int, generator: Generator) -> Wfa:
+def spectral_recover(block: HankelBlock, k: int, wfa: Wfa) -> Wfa:
     """Recover a k-state WFA from a Hankel block via the spectral method.
 
     The block is factored through its rank-k truncated SVD H = U_k D_k V_k^T;
     the transition matrices are D_k^{-1/2} U_k^T H_a V_k D_k^{-1/2} with the
-    one-symbol-shifted blocks H_a(p, s) = f(p a s) filled from ``generator``
-    (the generating WFA or a word -> value oracle), and the initial/final
-    vectors come from the empty-word row and column.  At k equal to the full
-    rank the result interpolates f on every word covered by the block.
+    one-symbol-shifted blocks H_a(p, s) = f(p a s) taken from the evaluation
+    table of ``wfa``, the automaton whose series f the block holds, and the
+    initial/final vectors come from the empty-word row and column.  At k
+    equal to the full rank the result interpolates f on every word covered
+    by the block.
     """
     if block.prefixes.max_length < 1:
         raise ValueError("spectral recovery needs prefixes of length >= 1")
     d = block.alphabet_size
+    if wfa.alphabet_size != d:
+        raise ValueError("block and automaton alphabet sizes differ")
     if k == 0:
         zero = np.zeros((1, 1))
         return Wfa(np.zeros(1), [zero] * d, np.zeros(1))
@@ -224,9 +206,16 @@ def spectral_recover(block: HankelBlock, k: int, generator: Generator) -> Wfa:
         )
     u_k, s_k, v_k = u[:, :k], s[:k], vt[:k, :].T
     scale = 1.0 / np.sqrt(s_k)
+    prefixes, suffixes = block.prefixes, block.suffixes
+    combined = WordIndex(d, prefixes.max_length + 1 + suffixes.max_length)
+    table = evaluation_table(wfa, combined.max_length)
+    # index of p a s: offset of its length, then p, a and s as base-d digits
+    lengths = prefixes.lengths[:, None] + 1 + suffixes.lengths[None, :]
+    tails = d ** suffixes.lengths[None, :]
     transitions = []
     for symbol in range(d):
-        shifted = _shifted_block(generator, block.prefixes, block.suffixes, symbol)
+        heads = (prefixes.values[:, None] * d + symbol) * tails
+        shifted = table[combined.offsets[lengths] + heads + suffixes.values[None, :]]
         transitions.append((scale[:, None] * (u_k.T @ shifted @ v_k)) * scale[None, :])
     alpha = np.sqrt(s_k) * u_k[0, :]
     beta = np.sqrt(s_k) * v_k[0, :]

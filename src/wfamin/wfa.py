@@ -125,22 +125,18 @@ def evaluation_table(wfa: Wfa, max_length: int) -> np.ndarray:
     """Values of the automaton on every word of length <= max_length.
 
     The result is ordered like ``WordIndex(wfa.alphabet_size, max_length)``:
-    graded lexicographically, empty word first.  Shared by the Hankel-block
-    and Fock-space constructions so that any two entries indexed by the same
-    word are the same float.
+    graded lexicographically, empty word first.  Hankel blocks, the Fock
+    lab and the AAK sequence all take their values from here, so any two
+    entries indexed by the same word are the same float.  The table is
+    built one length level at a time, one matrix product per level.
     """
     if max_length < 0:
         raise ValueError(f"max_length must be >= 0, got {max_length}")
-    return _word_function_table(wfa.alpha, wfa.transitions, wfa.beta, max_length)
-
-
-def _word_function_table(alpha, transitions, beta, max_length):
-    """Graded-lex table of alpha^T A_w beta built one length level at a time."""
-    levels = [np.array([float(alpha @ beta)])]
-    states = alpha[None, :]  # rows: alpha^T A_w for every word w of the current length
-    stacked = np.concatenate(transitions, axis=1)  # [A_0 A_1 ... A_{d-1}]
+    levels = [np.array([float(wfa.alpha @ wfa.beta)])]
+    states = wfa.alpha[None, :]  # rows: alpha^T A_w for every word w of the current length
+    stacked = np.concatenate(wfa.transitions, axis=1)  # [A_0 A_1 ... A_{d-1}]
     for _ in range(max_length):
         # row for word w + (a,) sits at position value(w) * d + a
-        states = (states @ stacked).reshape(-1, len(alpha))
-        levels.append(states @ beta)
+        states = (states @ stacked).reshape(-1, wfa.num_states)
+        levels.append(states @ wfa.beta)
     return np.concatenate(levels)

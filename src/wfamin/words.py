@@ -101,9 +101,8 @@ class WordIndex:
     def lengths(self) -> np.ndarray:
         """Array mapping index -> word length."""
         if self._lengths is None:
-            out = np.empty(len(self), dtype=np.int64)
-            for k in range(self.max_length + 1):
-                out[self._offsets[k] : self._offsets[k + 1]] = k
+            counts = np.diff(self._offsets)  # words per length
+            out = np.repeat(np.arange(self.max_length + 1, dtype=np.int64), counts)
             out.setflags(write=False)
             self._lengths = out
         return self._lengths
@@ -112,10 +111,7 @@ class WordIndex:
     def values(self) -> np.ndarray:
         """Array mapping index -> base-d value of the word within its length block."""
         if self._values is None:
-            out = np.empty(len(self), dtype=np.int64)
-            for k in range(self.max_length + 1):
-                lo, hi = self._offsets[k], self._offsets[k + 1]
-                out[lo:hi] = np.arange(hi - lo, dtype=np.int64)
+            out = np.arange(len(self), dtype=np.int64) - self.offsets[self.lengths]
             out.setflags(write=False)
             self._values = out
         return self._values

@@ -281,33 +281,29 @@ class TestAakApproximate:
 
     def test_schmidt_denominator_zero_on_circle_rejected(self):
         # hand-built direction data with v(z) = 1 - z, vanishing at z = 1
-        from wfamin.aak import SchmidtPair, _ErrorSymbolCoefficients
+        from wfamin.aak import SchmidtPair, _optimal_sequence
 
         pair = SchmidtPair(
             sigma=1.0,
             direction=np.array([1.0, 0.0]),
-            alpha=np.array([1.0, 0.0]),
-            matrix=np.array([[0.0, 1.0], [0.0, 0.0]]),
-            beta=np.array([1.0, -1.0]),
+            wfa=Wfa([1.0, 0.0], [[[0.0, 1.0], [0.0, 0.0]]], [1.0, -1.0]),
             controllability=np.eye(2),
         )
         with pytest.raises(NumericalError, match="unit circle"):
-            _ErrorSymbolCoefficients(pair, order=0)
+            _optimal_sequence(pair, order=0)
 
     def test_schmidt_denominator_zero_count_and_origin_checked(self, two_state_wfa):
-        from wfamin.aak import SchmidtPair, _ErrorSymbolCoefficients
+        from wfamin.aak import SchmidtPair, _optimal_sequence
 
         pair = schmidt_pair(two_state_wfa, 1)
         with pytest.raises(NumericalError, match="1 zeros inside the unit disk, expected 0"):
-            _ErrorSymbolCoefficients(pair, order=0)
+            _optimal_sequence(pair, order=0)
         # v(z) = z: the inverse system needs v(0) != 0
         pair = SchmidtPair(
             sigma=1.0,
             direction=np.array([1.0, 0.0]),
-            alpha=np.array([1.0, 0.0]),
-            matrix=np.array([[0.0, 1.0], [0.0, 0.0]]),
-            beta=np.array([0.0, 1.0]),
+            wfa=Wfa([1.0, 0.0], [[[0.0, 1.0], [0.0, 0.0]]], [0.0, 1.0]),
             controllability=np.eye(2),
         )
         with pytest.raises(NumericalError, match="z = 0"):
-            _ErrorSymbolCoefficients(pair, order=1)
+            _optimal_sequence(pair, order=1)

@@ -20,7 +20,6 @@ from wfamin.fock import (
     series_bounds,
     verify_hankel_equation,
     verify_shift_inequalities,
-    NcRationalRealization,
 )
 from wfamin.hankel import build_hankel, check_hankel_property, hankel_rank, spectral_recover
 from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa
@@ -214,19 +213,18 @@ def test_criterion_8_nc_rational_evaluation():
         d = 2 + trial % 2
         size = 1 + trial % 2
         wfa = random_stable_wfa(d, 3, seed=9600 + trial, radius_bound=0.8)
-        realization = NcRationalRealization.from_wfa(wfa)
         arguments = [0.3 * rng.standard_normal((size, size)) for _ in range(d)]
-        rho, _ = contraction_margins(realization, arguments)
+        rho, _ = contraction_margins(wfa, arguments)
         if rho >= 0.9:
             arguments = [0.5 * z for z in arguments]
-        closed = nc_rational_eval(realization, arguments)
-        partial = nc_rational_series(realization, arguments, 8)
-        bound = series_bounds(realization, arguments, 8)[0]
+        closed = nc_rational_eval(wfa, arguments)
+        partial = nc_rational_series(wfa, arguments, 8)
+        bound = series_bounds(wfa, arguments, 8)[0]
         if not np.linalg.norm(closed - partial, 2) <= bound:
             all_within_bound = False
         zeros = [np.zeros((size, size))] * d
-        head = nc_rational_eval(realization, zeros)
-        expected = float(realization.c @ realization.b) * np.eye(size)
+        head = nc_rational_eval(wfa, zeros)
+        expected = float(wfa.alpha @ wfa.beta) * np.eye(size)
         if not np.array_equal(head, expected):
             zero_exact = False
     report(

@@ -367,16 +367,14 @@ class TestFreeGroup:
 class TestNcRational:
     def test_zero_arguments_give_head_coefficient(self):
         wfa = random_stable_wfa(2, 3, seed=8, radius_bound=0.9)
-        r = fock.NcRationalRealization.from_wfa(wfa)
-        value = fock.nc_rational_eval(r, [np.zeros((1, 1)), np.zeros((1, 1))])
+        value = fock.nc_rational_eval(wfa, [np.zeros((1, 1)), np.zeros((1, 1))])
         assert value.shape == (1, 1)
-        assert value[0, 0] == float(r.c @ r.b)
+        assert value[0, 0] == float(wfa.alpha @ wfa.beta)
 
     def test_one_letter_scalar_matches_resolvent_series(self, two_state_wfa):
-        r = fock.NcRationalRealization.from_wfa(two_state_wfa)
         coeffs = evaluation_table(two_state_wfa, 59)
         z = 0.7
-        value = fock.nc_rational_eval(r, [np.array([[z]])])[0, 0]
+        value = fock.nc_rational_eval(two_state_wfa, [np.array([[z]])])[0, 0]
         series = float(sum(coeffs[m] * z**m for m in range(60)))
         assert value == pytest.approx(series, rel=1e-12)
 
@@ -384,11 +382,10 @@ class TestNcRational:
         rng = np.random.default_rng(5)
         for d, m in ((2, 2), (3, 2), (2, 1)):
             wfa = random_stable_wfa(d, 3, seed=int(rng.integers(1000)), radius_bound=0.9)
-            r = fock.NcRationalRealization.from_wfa(wfa)
             zs = [rng.standard_normal((m, m)) * 0.25 for _ in range(d)]
-            closed = fock.nc_rational_eval(r, zs)
-            partial = fock.nc_rational_series(r, zs, 8)
-            bound = fock.series_bounds(r, zs, 8)[0]
+            closed = fock.nc_rational_eval(wfa, zs)
+            partial = fock.nc_rational_series(wfa, zs, 8)
+            bound = fock.series_bounds(wfa, zs, 8)[0]
             assert np.isfinite(bound)
             assert np.linalg.norm(closed - partial, 2) <= bound
 
@@ -396,7 +393,6 @@ class TestNcRational:
         rng = np.random.default_rng(13)
         for d, m in ((1, 2), (2, 1), (3, 2)):
             wfa = random_stable_wfa(d, 3, seed=d + 20, radius_bound=0.9)
-            r = fock.NcRationalRealization.from_wfa(wfa)
             zs = [rng.standard_normal((m, m)) * 0.25 for _ in range(d)]
             expected = np.zeros((m, m))
             for word in WordIndex(d, 4).words():
@@ -404,39 +400,36 @@ class TestNcRational:
                 for symbol in word:
                     product = product @ zs[symbol]
                 expected += wfa.evaluate(word) * product
-            np.testing.assert_allclose(fock.nc_rational_series(r, zs, 4), expected,
+            np.testing.assert_allclose(fock.nc_rational_series(wfa, zs, 4), expected,
                                        rtol=1e-13, atol=1e-13)
 
     def test_pencil_equals_kronecker_sum(self):
         rng = np.random.default_rng(14)
         wfa = random_stable_wfa(3, 3, seed=5, radius_bound=0.9)
-        r = fock.NcRationalRealization.from_wfa(wfa)
         zs = [rng.standard_normal((2, 2)) for _ in range(3)]
-        expected = sum(np.kron(a, z) for a, z in zip(r.matrices, zs))
-        np.testing.assert_allclose(fock._pencil(r, zs), expected, rtol=1e-15, atol=1e-15)
+        expected = sum(np.kron(a, z) for a, z in zip(wfa.transitions, zs))
+        np.testing.assert_allclose(fock._pencil(wfa, zs), expected, rtol=1e-15, atol=1e-15)
 
     def test_verify_nc_rational_report(self):
         wfa = random_stable_wfa(2, 3, seed=3, radius_bound=0.9)
-        r = fock.NcRationalRealization.from_wfa(wfa)
-        report = fock.verify_nc_rational(r, trials=10, seed=3)
+        report = fock.verify_nc_rational(wfa, trials=10, seed=3)
         assert report.head_exact and report.passed
         assert 0.0 < report.max_ratio <= 1.0
         assert report.max_spectral_radius < 0.95
         lines = list(report.lines())
         assert lines[0] == "zero substitution returns head coefficient exactly: True"
         assert lines[1] == "trials: 10 (matrix sizes 1 and 2, degree-8 series)"
-        assert fock.verify_nc_rational(r, trials=10, seed=3) == report
+        assert fock.verify_nc_rational(wfa, trials=10, seed=3) == report
         with pytest.raises(ValueError, match="trials"):
-            fock.verify_nc_rational(r, trials=0)
+            fock.verify_nc_rational(wfa, trials=0)
 
     def test_non_contractive_substitution_rejected(self):
-        r = fock.NcRationalRealization([1.0], [np.eye(1)], [1.0])
+        wfa = Wfa([1.0], [np.eye(1)], [1.0])
         with pytest.raises(StabilityError, match="spectral radius"):
-            fock.nc_rational_eval(r, [np.array([[1.5]])])
+            fock.nc_rational_eval(wfa, [np.array([[1.5]])])
 
     def test_contraction_margins(self, two_state_wfa):
-        r = fock.NcRationalRealization.from_wfa(two_state_wfa)
-        rho, norm_sum = fock.contraction_margins(r, [np.array([[0.5]])])
+        rho, norm_sum = fock.contraction_margins(two_state_wfa, [np.array([[0.5]])])
         assert rho < 1.0
         assert norm_sum == pytest.approx(0.25)
 

@@ -167,15 +167,20 @@ class TestSpectralRecover:
                 nilpotent_wfa.evaluate(word), abs=1e-10
             )
 
-    def test_oracle_callable(self, geometric_wfa):
+    def test_rank_one_geometric(self, geometric_wfa):
         block = build_hankel(geometric_wfa, 2, 2)
-        recovered = spectral_recover(block, 1, lambda w: 0.5 ** len(w))
+        recovered = spectral_recover(block, 1, geometric_wfa)
         assert recovered.evaluate((0,) * 5) == pytest.approx(0.5**5, rel=1e-10)
 
     def test_rank_deficient_request(self, geometric_wfa):
         block = build_hankel(geometric_wfa, 2, 2)
         with pytest.raises(RankDeficiencyError):
             spectral_recover(block, 2, geometric_wfa)
+
+    def test_alphabet_mismatch_rejected(self, geometric_wfa, nilpotent_wfa):
+        block = build_hankel(nilpotent_wfa, 2, 2)
+        with pytest.raises(ValueError, match="alphabet"):
+            spectral_recover(block, 1, geometric_wfa)
 
     def test_k_too_large(self, geometric_wfa):
         block = build_hankel(geometric_wfa, 2, 2)

@@ -1,5 +1,7 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wfamin.io import (
     WfaDocument,
@@ -34,6 +36,21 @@ class TestRoundTrip:
         parsed = parse_document(serialize_document(doc))
         assert parsed.wfa.alpha[0] == value
         assert parsed.wfa.transitions[0][0, 0] == value * 0.5
+
+
+    @given(data=st.data(), d=st.integers(1, 3), n=st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_every_weight_survives_bit_for_bit(self, data, d, n):
+        # any finite double, including -0.0, subnormals and the extremes
+        weights = st.floats(allow_nan=False, allow_infinity=False)
+        alpha = data.draw(hnp.arrays(float, n, elements=weights))
+        mats = data.draw(hnp.arrays(float, (d, n, n), elements=weights))
+        beta = data.draw(hnp.arrays(float, n, elements=weights))
+        doc = WfaDocument(tuple("abc"[:d]), Wfa(alpha, mats, beta))
+        parsed = parse_document(serialize_document(doc)).wfa
+        assert parsed.alpha.tobytes() == alpha.tobytes()
+        assert parsed.beta.tobytes() == beta.tobytes()
+        assert np.stack(parsed.transitions).tobytes() == mats.tobytes()
 
 
 class TestParsing:

@@ -1,5 +1,7 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa, spectral_radius
 from wfamin.words import WordIndex
@@ -154,3 +156,19 @@ class TestEvaluationTable:
         assert table.shape == (len(index),)
         for i, word in enumerate(index.words()):
             assert table[i] == pytest.approx(wfa.evaluate(word), rel=1e-12, abs=1e-14)
+
+    @given(data=st.data(), d=st.integers(1, 3), n=st.integers(1, 4), length=st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_every_entry_is_the_word_value(self, data, d, n, length):
+        weights = st.floats(-1.0, 1.0, allow_nan=False)
+        alpha = data.draw(hnp.arrays(float, n, elements=weights))
+        mats = data.draw(hnp.arrays(float, (d, n, n), elements=weights))
+        beta = data.draw(hnp.arrays(float, n, elements=weights))
+        wfa = Wfa(alpha, mats, beta)
+        table = evaluation_table(wfa, length)
+        index = WordIndex(d, length)
+        assert table.shape == (len(index),)
+        # every weight lies in [-1, 1], so no partial product exceeds n**(|w| + 1)
+        atol = 1e-13 * n ** (length + 1)
+        for i in range(len(index)):
+            assert table[i] == pytest.approx(wfa.evaluate(index.word_at(i)), rel=1e-12, abs=atol)
