@@ -21,7 +21,7 @@ from .fock import (
     verify_nc_rational,
     verify_shift_inequalities,
 )
-from .hankel import HankelBlock, build_hankel, hankel_rank, is_minimal, spectral_recover
+from .hankel import HankelBlock, build_hankel, hankel_rank, is_minimal, minimize, spectral_recover
 from .io import WfaDocument, load_document, save_document
 from .wfa import Wfa, evaluation_table
 from .words import WordIndex
@@ -47,6 +47,7 @@ __all__ = [
     "hankel_singular_values",
     "is_minimal",
     "load_document",
+    "minimize",
     "save_document",
     "spectral_recover",
     "verify_hankel_equation",

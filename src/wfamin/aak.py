@@ -17,9 +17,9 @@ denominator is split by an ordered Schur form into its parts inside and
 outside the unit circle (the discrete-time form of Glover's all-optimal
 Hankel-norm construction).  The optimal rank-k Hankel sequence is the
 input minus that negative part, itself an (n + k)-state WFA; it is returned
-together with a k-state WFA recovered from it.  All claimed guarantees
-(Hankel structure, rank, attained spectral-norm error) are re-checked
-numerically before returning.
+together with a k-state WFA recovered from it, whose attained error is
+certified exactly, as the Hankel norm of the difference automaton read
+from its Gramians (:func:`hankel_norm`), before returning.
 """
 
 from __future__ import annotations
@@ -30,20 +30,12 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError, RankDeficiencyError, StabilityError
-from .hankel import DEFAULT_RANK_TOL, HankelBlock, build_hankel, spectral_recover
+from .hankel import HankelBlock, build_hankel, is_minimal, spectral_recover
 from .wfa import Wfa, evaluation_table, spectral_radius
-
-#: Relative eigenvalue cutoff below which the Gramian product is treated as
-#: rank deficient (the input automaton is then not minimal).
-MINIMALITY_TOL = 1e-7
 
 #: Largest Gramian fixed-point residual accepted, relative to 1 + the
 #: larger Gramian norm.
 GRAMIAN_RTOL = 1e-9
-
-#: Largest side of the truncated blocks on which the attained error is
-#: certified.
-MAX_CERT_BLOCK = 512
 
 #: Singular values closer than this share of sigma_0 count as tied: the
 #: optimal approximation may then not be unique, and a warning says so.
@@ -84,7 +76,7 @@ def _solve_stein(left: np.ndarray, right: np.ndarray, rhs: np.ndarray) -> np.nda
 
 
 def gramians(wfa: Wfa) -> GramianPair:
-    """Exact Gramians of a one-letter WFA via a dense linear solve.
+    """Exact Gramians of a one-letter WFA, one Stein equation each.
 
     Requires the transition matrix to have spectral radius below one, which
     makes both fixed-point equations uniquely solvable.
@@ -93,9 +85,9 @@ def gramians(wfa: Wfa) -> GramianPair:
     rho = spectral_radius(a)
     if rho >= 1.0:
         raise StabilityError(f"Gramians diverge: spectral radius {rho} >= 1")
-    ctrl = _solve_stein(a, a, np.outer(wfa.beta, wfa.beta))
+    ctrl = scipy.linalg.solve_discrete_lyapunov(a, np.outer(wfa.beta, wfa.beta))
     ctrl = 0.5 * (ctrl + ctrl.T)
-    obs = _solve_stein(a.T, a.T, np.outer(wfa.alpha, wfa.alpha))
+    obs = scipy.linalg.solve_discrete_lyapunov(a.T, np.outer(wfa.alpha, wfa.alpha))
     obs = 0.5 * (obs + obs.T)
     ctrl_res = float(np.linalg.norm(ctrl - a @ ctrl @ a.T - np.outer(wfa.beta, wfa.beta)))
     obs_res = float(np.linalg.norm(obs - a.T @ obs @ a - np.outer(wfa.alpha, wfa.alpha)))
@@ -112,33 +104,61 @@ def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     return (vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))) @ vectors.T
 
 
+def _root_product(pair: GramianPair) -> tuple[np.ndarray, np.ndarray]:
+    """(Q^{1/2}, Q^{1/2} P^{1/2}), whose singular values are the Hankel ones.
+
+    Unlike square roots of the eigenvalues of P^{1/2} Q P^{1/2}, which are
+    noise below ~1e-8 sigma_0, these keep small values accurate.
+    """
+    sqrt_obs = _psd_sqrt(pair.observability)
+    return sqrt_obs, sqrt_obs @ _psd_sqrt(pair.controllability)
+
+
 def _singular_data(wfa: Wfa):
     """Sorted Hankel singular values plus the data needed for Schmidt vectors."""
     pair = gramians(wfa)
-    sqrt_ctrl = _psd_sqrt(pair.controllability)
-    core = sqrt_ctrl @ pair.observability @ sqrt_ctrl
-    eigenvalues, vectors = np.linalg.eigh(0.5 * (core + core.T))
-    order = np.argsort(eigenvalues)[::-1]
-    eigenvalues = np.clip(eigenvalues[order], 0.0, None)
-    vectors = vectors[:, order]
-    sigmas = np.sqrt(eigenvalues)
-    sigmas.setflags(write=False)
-    if sigmas[0] == 0.0 or sigmas[-1] <= MINIMALITY_TOL * sigmas[0]:
+    if not is_minimal(wfa):
         raise RankDeficiencyError(
-            "Gramian product is numerically rank deficient; the automaton is "
-            f"not minimal (singular values {sigmas})"
+            "input automaton is not minimal (fewer states realize the same "
+            "series); reduce it with wfamin.minimize before approximating"
         )
-    return sigmas, vectors, sqrt_ctrl, pair
+    sqrt_obs, product = _root_product(pair)
+    left, sigmas, _ = np.linalg.svd(product)
+    sigmas.setflags(write=False)
+    if sigmas[-1] <= np.finfo(float).eps * sigmas[0]:
+        raise NumericalError(
+            "the smallest Hankel singular value is 0 at working precision "
+            f"(singular values {sigmas}); its Schmidt pair is undefined"
+        )
+    return sigmas, left, sqrt_obs, pair
 
 
 def hankel_singular_values(wfa: Wfa) -> np.ndarray:
     """Singular values of the infinite Hankel operator of a one-letter WFA.
 
-    Computed as the square roots of the eigenvalues of the Gramian product,
+    Computed as the singular values of a product of Gramian square roots,
     which is exact at the size of the realization; no truncation enters.
-    Raises :class:`RankDeficiencyError` when the automaton is not minimal.
+    Raises :class:`RankDeficiencyError` when the automaton is not minimal
+    and :class:`NumericalError` when the smallest value is 0 at working
+    precision.
     """
     return _singular_data(wfa)[0]
+
+
+def hankel_norm(f: Wfa, g: Wfa) -> float:
+    """Exact ||H_f - H_g|| for one-letter WFAs: the largest Hankel singular
+    value of the difference automaton (alpha_f (+) alpha_g, A_f (+) A_g,
+    beta_f (+) -beta_g).  An unstable f or g raises :class:`NumericalError`:
+    for an approximant that is a failed computation, not bad input.
+    """
+    a_f, a_g = _require_one_letter(f), _require_one_letter(g)
+    difference = Wfa(np.concatenate([f.alpha, g.alpha]), [scipy.linalg.block_diag(a_f, a_g)],
+                     np.concatenate([f.beta, -g.beta]))
+    try:
+        pair = gramians(difference)
+    except StabilityError as exc:
+        raise NumericalError(f"Hankel norm of the difference is undefined: {exc}") from exc
+    return float(np.linalg.norm(_root_product(pair)[1], 2))
 
 
 @dataclass(frozen=True)
@@ -187,10 +207,15 @@ class SchmidtPair:
 
 
 def _schmidt_pair(wfa: Wfa, k: int, singular_data) -> SchmidtPair:
-    sigmas, vectors, sqrt_ctrl, pair = singular_data
+    sigmas, left, sqrt_obs, pair = singular_data
     if not 0 <= k < len(sigmas):
         raise ValueError(f"k must lie in [0, {len(sigmas)}), got {k}")
-    direction = np.linalg.solve(sqrt_ctrl, vectors[:, k])
+    # x = P^{-1/2} v = Q^{1/2} u / sigma for the singular vectors v, u of
+    # Q^{1/2} P^{1/2}.  Among tied values take the one with the largest
+    # v(0) = x^T beta, which the extraction divides by.
+    tied = np.flatnonzero(np.abs(sigmas - sigmas[k]) <= TIE_RTOL * sigmas[0])
+    u = left[:, tied[np.argmax(np.abs(left[:, tied].T @ (sqrt_obs @ wfa.beta)))]]
+    direction = sqrt_obs @ u / sigmas[k]
     return SchmidtPair(float(sigmas[k]), direction, wfa, pair.controllability)
 
 
@@ -273,24 +298,25 @@ def _optimal_sequence(pair: SchmidtPair, order: int) -> Wfa:
 class AakApproximation:
     """Result of the optimal rank-k Hankel approximation of a one-letter WFA.
 
-    ``error`` is the attained spectral-norm distance, equal to the k-th
-    Hankel singular value.  ``sequence`` is the approximating sequence as an
+    ``error`` is the optimal spectral-norm distance, the k-th Hankel
+    singular value.  ``sequence`` is the approximating sequence as an
     (n + k)-state automaton, exact by construction; ``wfa`` is a k-state
-    automaton recovered from it.  ``coefficients`` and ``hankel_block``
-    expose the sequence and its (exactly Hankel) finite blocks.
-    ``block_norms`` is the certificate's history: (block side, spectral-norm
-    distance between the input's and ``wfa``'s blocks) per truncation.
+    automaton recovered from it.  ``attained`` is the certificate: the exact
+    Hankel norm ||H_f - H_wfa|| (:func:`hankel_norm`), which matched
+    ``error`` within the certification tolerance.  ``coefficients`` and
+    ``hankel_block`` expose the sequence and its (exactly Hankel) finite
+    blocks.
     """
 
     def __init__(self, wfa, error, singular_values, schmidt, order, warnings,
-                 block_norms, sequence):
+                 attained, sequence):
         self.wfa = wfa
         self.error = error
         self.singular_values = singular_values
         self.schmidt = schmidt
         self.order = order
         self.warnings = warnings
-        self.block_norms = block_norms
+        self.attained = attained
         self.sequence = sequence
 
     def __repr__(self) -> str:
@@ -320,11 +346,12 @@ class AakApproximation:
 def aak_approximate(wfa: Wfa, k: int, *, certify_rtol: float = 1e-6) -> AakApproximation:
     """Best rank-k Hankel approximation of a minimal, stable one-letter WFA.
 
-    The attained spectral-norm error equals the k-th Hankel singular value;
-    this is certified for the returned automaton on adaptively grown
-    truncations, to ``certify_rtol`` relative to sigma_0, before returning (the
-    same Eckart-Young bound makes the certificate meaningful: no rank-k
-    matrix, Hankel or not, can do better than that singular value).
+    The attained spectral-norm error equals the k-th Hankel singular value.
+    Before returning, this is certified for the returned k-state automaton
+    g once, exactly: |hankel_norm(wfa, g) - sigma_k| must be at most
+    ``certify_rtol`` times sigma_0.  By Eckart-Young no rank-k matrix,
+    Hankel or not, is closer than sigma_k, and g has Hankel rank at most k,
+    so the certificate proves optimality.
 
     Raises
     ------
@@ -335,14 +362,17 @@ def aak_approximate(wfa: Wfa, k: int, *, certify_rtol: float = 1e-6) -> AakAppro
     RankDeficiencyError
         If the automaton is not minimal.
     NumericalError
-        If coefficient extraction fails or a certified check does not hold.
+        If the smallest Hankel singular value is 0 at working precision,
+        coefficient extraction fails, the recovered automaton is unstable or
+        the certificate does not hold.
     """
     _require_one_letter(wfa)
     n = wfa.num_states
     if not 0 <= k < n:
         raise ValueError(f"k must lie in [0, {n}), got {k}")
     # one Gramian solve serves the singular values and the Schmidt pair;
-    # StabilityError unless spectral radius < 1
+    # StabilityError unless spectral radius < 1, then RankDeficiencyError
+    # unless minimal
     singular_data = _singular_data(wfa)
     sigmas = singular_data[0]
     sigma_k = float(sigmas[k])
@@ -354,49 +384,15 @@ def aak_approximate(wfa: Wfa, k: int, *, certify_rtol: float = 1e-6) -> AakAppro
     )
     pair = _schmidt_pair(wfa, k, singular_data)
     sequence = _optimal_sequence(pair, k)
-    # recover the k-state realization of the approximating sequence
-    if k == 0:
-        recovered = Wfa(np.zeros(1), [np.zeros((1, 1))], np.zeros(1))
-    else:
-        recovered = spectral_recover(build_hankel(sequence, k, k), k, sequence)
-
-    # certify the attained spectral-norm error of the returned automaton on
-    # growing truncations
-    size = min(max(4 * n, 16), MAX_CERT_BLOCK)
-    history: list[tuple[int, float]] = []
-    while True:
-        h_block = build_hankel(wfa, size - 1, size - 1).entries
-        wfa_block = build_hankel(recovered, size - 1, size - 1).entries
-        delta = float(np.linalg.norm(h_block - wfa_block, 2))
-        history.append((size, delta))
-        if len(history) > 1 and abs(delta - history[-2][1]) <= 1e-9 * max(sigmas[0], delta):
-            break
-        if size >= MAX_CERT_BLOCK:
-            break
-        size = min(2 * size, MAX_CERT_BLOCK)
-
-    final_size, final_delta = history[-1]
-    if abs(final_delta - sigma_k) > certify_rtol * sigmas[0]:
+    # recover the k-state realization of the approximating sequence (the
+    # one-state zero automaton at k = 0, from a block of side 2)
+    side = max(k, 1)
+    recovered = spectral_recover(build_hankel(sequence, side, side), k, sequence)
+    attained = hankel_norm(wfa, recovered)
+    if abs(attained - sigma_k) > certify_rtol * sigmas[0]:
         raise NumericalError(
-            f"attained error {final_delta!r} does not match the singular value "
-            f"{sigma_k!r} within {certify_rtol} relative on a {final_size} block"
-        )
-    # rank is measured against the problem scale so that the k = 0 case,
-    # where the optimal block is the zero matrix up to roundoff, is not
-    # mistaken for a matrix of junk rank
-    g_entries = build_hankel(sequence, final_size - 1, final_size - 1).entries
-    g_singular = np.linalg.svd(g_entries, compute_uv=False)
-    achieved_rank = int(np.count_nonzero(
-        g_singular > DEFAULT_RANK_TOL * max(g_singular[0], sigmas[0])
-    ))
-    if achieved_rank != k:
-        raise NumericalError(
-            f"approximating block has numerical rank {achieved_rank}, expected {k}"
-        )
-    mismatch = float(np.abs(wfa_block - g_entries).max())
-    if mismatch > 1e-8 * sigmas[0]:
-        raise NumericalError(
-            f"recovered automaton deviates from the approximating sequence by {mismatch!r}"
+            f"attained error {attained!r} does not match the singular value "
+            f"{sigma_k!r} within {certify_rtol} relative"
         )
     return AakApproximation(
         wfa=recovered,
@@ -405,6 +401,6 @@ def aak_approximate(wfa: Wfa, k: int, *, certify_rtol: float = 1e-6) -> AakAppro
         schmidt=pair,
         order=k,
         warnings=warnings,
-        block_norms=tuple(history),
+        attained=attained,
         sequence=sequence,
     )

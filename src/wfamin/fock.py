@@ -483,7 +483,7 @@ def _pencil(wfa: Wfa, arguments) -> np.ndarray:
 
 def _contraction_margins(pencil: np.ndarray, arguments) -> tuple[float, float]:
     rho = spectral_radius(pencil)
-    norm_sum = float(sum(np.linalg.norm(z @ z.T, 2) for z in arguments))
+    norm_sum = float(sum(np.linalg.norm(z, 2) ** 2 for z in arguments))
     return rho, norm_sum
 
 

@@ -1,10 +1,22 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from wfamin.aak import aak_approximate, gramians, hankel_singular_values, schmidt_pair
+from wfamin.aak import (
+    aak_approximate,
+    gramians,
+    hankel_norm,
+    hankel_singular_values,
+    schmidt_pair,
+)
 from wfamin.errors import NumericalError, RankDeficiencyError, StabilityError
-from wfamin.hankel import build_hankel, check_hankel_property
+from wfamin.hankel import build_hankel, check_hankel_property, is_minimal
+from wfamin.io import load_document
 from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestSymbolCoefficients:
@@ -222,7 +234,9 @@ class TestAakApproximate:
         result = aak_approximate(wfa, 1)
         sigmas = result.singular_values
         assert result.wfa.num_states == 1
-        assert abs(result.block_norms[-1][1] - sigmas[1]) <= 1e-12 * sigmas[0]
+        h200 = build_hankel(wfa, 199, 199).entries
+        g200 = build_hankel(result.wfa, 199, 199).entries
+        assert abs(np.linalg.norm(h200 - g200, 2) - sigmas[1]) <= 1e-12 * sigmas[0]
         h = build_hankel(wfa, 63, 63).entries
         g = build_hankel(result.wfa, 63, 63).entries
         assert abs(np.linalg.norm(h - g, 2) - sigmas[1]) <= 1e-12 * sigmas[0]
@@ -279,6 +293,33 @@ class TestAakApproximate:
                 g = result.hankel_block(63, 63).entries
                 assert abs(np.linalg.norm(h - g, 2) - sigmas[k]) <= 1e-6 * sigmas[0]
 
+    def test_small_gramian_gap_certified(self):
+        # minimal, with sigma_6 / sigma_0 = 3.4e-8: a Gramian eigenvalue
+        # cutoff at 1e-7 refused it as not minimal
+        wfa = load_document(FIXTURES / "small-gramian-gap.wfa").wfa
+        h = build_hankel(wfa, 199, 199).entries
+        for k in range(wfa.num_states):
+            result = aak_approximate(wfa, k)
+            sigmas = result.singular_values
+            g = build_hankel(result.wfa, 199, 199).entries
+            assert abs(np.linalg.norm(h - g, 2) - sigmas[k]) <= 1e-6 * sigmas[0]
+
+    @given(
+        n=st.integers(2, 6), rho=st.floats(0.3, 0.9), data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_attained_is_sigma_k_and_the_block_norm(self, n, rho, data, seed):
+        wfa = random_stable_wfa(1, n, seed=seed, radius_bound=rho)
+        assume(is_minimal(wfa))
+        k = data.draw(st.integers(0, n - 1))
+        result = aak_approximate(wfa, k)
+        sigmas = result.singular_values
+        assert abs(result.attained - sigmas[k]) <= 1e-6 * sigmas[0]
+        h = build_hankel(wfa, 199, 199).entries
+        g = build_hankel(result.wfa, 199, 199).entries
+        assert abs(np.linalg.norm(h - g, 2) - result.attained) <= 1e-6 * sigmas[0]
+
     def test_schmidt_denominator_zero_on_circle_rejected(self):
         # hand-built direction data with v(z) = 1 - z, vanishing at z = 1
         from wfamin.aak import SchmidtPair, _optimal_sequence
@@ -307,3 +348,21 @@ class TestAakApproximate:
         )
         with pytest.raises(NumericalError, match="z = 0"):
             _optimal_sequence(pair, order=1)
+
+
+class TestHankelNorm:
+    def test_geometric_against_zero(self, geometric_wfa):
+        zero = Wfa([0.0], [[[0.0]]], [0.0])
+        assert hankel_norm(geometric_wfa, zero) == pytest.approx(4.0 / 3.0, rel=1e-14)
+        assert hankel_norm(geometric_wfa, geometric_wfa) <= 1e-15
+
+    def test_matches_truncated_block(self, two_state_wfa, geometric_wfa):
+        h = build_hankel(two_state_wfa, 127, 127).entries
+        g = build_hankel(geometric_wfa, 127, 127).entries
+        assert hankel_norm(two_state_wfa, geometric_wfa) == pytest.approx(
+            np.linalg.norm(h - g, 2), rel=1e-12
+        )
+
+    def test_unstable_approximant_is_a_numerical_failure(self, geometric_wfa):
+        with pytest.raises(NumericalError, match="spectral radius"):
+            hankel_norm(geometric_wfa, Wfa([1.0], [[[1.5]]], [1.0]))

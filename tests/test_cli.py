@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wfamin.aak import hankel_norm, hankel_singular_values
 from wfamin.cli import main
 from wfamin.hankel import build_hankel
 from wfamin.io import load_document
@@ -92,23 +93,50 @@ class TestApproximate:
         assert abs(np.linalg.norm(h - g, 2) - reported) <= 1e-12
 
     def test_aak_reports_the_certificate_block(self, capsys, tmp_path):
-        # the report's block and error are the certificate's own: the written
-        # document reproduces them exactly
+        # the reported error is the certificate's own: the exact Hankel norm
+        # of the input minus the written document, reproduced bit for bit
         out_file = tmp_path / "out.wfa"
         code, out, _ = run(
             capsys, "approximate", str(FIXTURES / "e2.wfa"), "1",
             "--no-timestamp", "-o", str(out_file),
         )
         assert code == 0
-        size = int(re.search(r"^evaluation block: (\d+) x \1$", out, re.MULTILINE).group(1))
+        assert "evaluation block" not in out
         reported = float(re.search(r"^achieved spectral-norm error: (\S+)$", out, re.MULTILINE).group(1))
         original = load_document(FIXTURES / "e2.wfa").wfa
-        h = build_hankel(original, size - 1, size - 1).entries
-        g = build_hankel(load_document(out_file).wfa, size - 1, size - 1).entries
-        assert np.linalg.norm(h - g, 2) == reported
+        assert hankel_norm(original, load_document(out_file).wfa) == reported
         sigmas = [float(v) for v in re.search(r"^singular values: (.*)$", out, re.MULTILINE)
                   .group(1).split()]
         assert abs(reported - sigmas[1]) <= 1e-6 * sigmas[0]
+
+    def test_minimal_input_of_low_block_rank_is_certified(self, capsys, tmp_path):
+        # minimal, though its (8 x 8) Hankel block has numerical rank 6: a
+        # block-rank minimality test refused it with exit 2
+        out_file = tmp_path / "out.wfa"
+        code, out, err = run(
+            capsys, "approximate", str(FIXTURES / "near-rank-deficient.wfa"), "3",
+            "--no-timestamp", "-o", str(out_file),
+        )
+        assert code == 0, err
+        assert "certificate: attained sigma_3" in out
+        original = load_document(FIXTURES / "near-rank-deficient.wfa").wfa
+        written = load_document(out_file).wfa
+        assert written.num_states == 3
+        sigmas = hankel_singular_values(original)
+        h = build_hankel(original, 199, 199).entries
+        g = build_hankel(written, 199, 199).entries
+        assert abs(np.linalg.norm(h - g, 2) - sigmas[3]) <= 1e-6 * sigmas[0]
+
+    def test_non_minimal_input_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "redundant.wfa"
+        path.write_text(
+            "alphabet: a\nstates: 2\nalpha: 0.5 0.5\nbeta: 1 1\ntransition a:\n0.5 0\n0 0.5\n"
+        )
+        code, out, err = run(capsys, "approximate", str(path), "1", "-o", str(tmp_path / "x.wfa"))
+        assert code == 2
+        assert out == ""
+        assert "wfamin.minimize" in err
+        assert not (tmp_path / "x.wfa").exists()
 
     @pytest.mark.parametrize("mode", [[], ["--mode", "aak"]])
     def test_length_in_aak_mode_exits_2(self, capsys, tmp_path, mode):

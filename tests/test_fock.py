@@ -223,6 +223,16 @@ class TestHankelEquation:
             assert report.max_discrepancy == 0.0
             assert report.passed
 
+    @given(
+        d=st.integers(1, 3), n=st.integers(1, 4), degree=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1), radius=st.floats(0.1, 0.95),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_exactly_zero_property(self, d, n, degree, seed, radius):
+        wfa = random_stable_wfa(d, n, seed=seed, radius_bound=radius)
+        report = fock.verify_hankel_equation(wfa, degree if d < 3 else min(degree, 4))
+        assert report.max_discrepancy == 0.0
+
     def test_two_letter_fixture_columns(self, nilpotent_wfa):
         # H S_a e_{ba} and R*_a H e_{ba} both list f(., aba) over the rows
         degree = 4

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wfamin.errors import RankDeficiencyError
 from wfamin.hankel import (
@@ -8,6 +9,7 @@ from wfamin.hankel import (
     check_hankel_property,
     hankel_rank,
     is_minimal,
+    minimize,
     spectral_recover,
     svd_truncate,
 )
@@ -203,3 +205,73 @@ class TestFliessBound:
         # duplicated state: same function as geometric_wfa but 2 states
         redundant = Wfa([0.5, 0.5], [np.diag([0.5, 0.5])], [1.0, 1.0])
         assert not is_minimal(redundant)
+
+
+def hidden_redundancy(core: Wfa, extra: int, seed: int, unreachable: bool) -> Wfa:
+    """``core`` plus ``extra`` states the series never uses, behind a rotation.
+
+    Unreachable: A = [[A1, 0], [X, A2]] and alpha = [alpha1, 0], so
+    alpha^T A_w never leaves the core.  Otherwise the transposed
+    construction: the extra states never reach beta.
+    """
+    rng = np.random.default_rng(seed)
+    n = core.num_states + extra
+    mats = []
+    for m in core.transitions:
+        big = np.zeros((n, n))
+        big[: core.num_states, : core.num_states] = m
+        big[core.num_states:, :] = 0.3 * rng.standard_normal((extra, n)) / np.sqrt(n)
+        mats.append(big)
+    alpha = np.concatenate([core.alpha, np.zeros(extra)])
+    beta = np.concatenate([core.beta, rng.standard_normal(extra)])
+    if not unreachable:
+        alpha, beta, mats = beta, alpha, [m.T for m in mats]
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return Wfa(alpha @ q, [q.T @ m @ q for m in mats], q.T @ beta)
+
+
+class TestMinimize:
+    def test_duplicated_state_reduces_to_one(self, geometric_wfa):
+        redundant = Wfa([0.5, 0.5], [np.diag([0.5, 0.5])], [1.0, 1.0])
+        reduced = minimize(redundant)
+        assert reduced.num_states == 1
+        np.testing.assert_allclose(
+            evaluation_table(reduced, 10), evaluation_table(geometric_wfa, 10), rtol=1e-14
+        )
+
+    def test_zero_series_has_dimension_zero(self):
+        zero = Wfa([1.0, 2.0], [0.5 * np.eye(2), np.eye(2)], [0.0, 0.0])
+        reduced = minimize(zero)
+        assert reduced.num_states == 1 and reduced.alphabet_size == 2
+        assert not reduced.alpha.any() and not reduced.beta.any()
+        assert not is_minimal(zero)
+        assert not is_minimal(reduced)
+
+    def test_minimal_beyond_the_block_guard(self):
+        # the (16, 16) Hankel block at d = 2 would have 131071 rows
+        wfa = random_stable_wfa(2, 16, seed=5, radius_bound=0.9)
+        assert is_minimal(wfa)
+
+    @pytest.mark.parametrize("d, n, extra", [(1, 6, 2), (2, 9, 3), (3, 6, 2)])
+    @pytest.mark.parametrize("unreachable", [True, False])
+    def test_hidden_redundancy_detected(self, d, n, extra, unreachable):
+        core = random_stable_wfa(d, n, seed=40 + d, radius_bound=0.8)
+        wfa = hidden_redundancy(core, extra, seed=d, unreachable=unreachable)
+        assert is_minimal(core)
+        assert not is_minimal(wfa)
+        assert minimize(wfa).num_states == n
+
+    @given(
+        d=st.integers(1, 3), n=st.integers(1, 5), extra=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1), unreachable=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_keeps_the_series_and_is_minimal(self, d, n, extra, seed, unreachable):
+        core = random_stable_wfa(d, n, seed=seed, radius_bound=0.9)
+        wfa = hidden_redundancy(core, extra, seed=seed, unreachable=unreachable)
+        reduced = minimize(wfa)
+        assert is_minimal(reduced)
+        assert reduced.num_states == n
+        length = 6 if d == 1 else 4
+        original, kept = evaluation_table(wfa, length), evaluation_table(reduced, length)
+        assert np.abs(original - kept).max() <= 1e-10 * np.abs(original).max()
