@@ -125,12 +125,12 @@ def _singular_data(wfa: Wfa):
     sqrt_obs, product = _root_product(pair)
     left, sigmas, _ = np.linalg.svd(product)
     sigmas.setflags(write=False)
-    if sigmas[-1] <= np.finfo(float).eps * sigmas[0]:
-        raise NumericalError(
-            "the smallest Hankel singular value is 0 at working precision "
-            f"(singular values {sigmas}); its Schmidt pair is undefined"
-        )
     return sigmas, left, sqrt_obs, pair
+
+
+def _vanishes(sigmas: np.ndarray, k: int) -> bool:
+    """Whether sigma_k is 0 at working precision (at most eps * sigma_0)."""
+    return sigmas[k] <= np.finfo(float).eps * sigmas[0]
 
 
 def hankel_singular_values(wfa: Wfa) -> np.ndarray:
@@ -142,7 +142,13 @@ def hankel_singular_values(wfa: Wfa) -> np.ndarray:
     and :class:`NumericalError` when the smallest value is 0 at working
     precision.
     """
-    return _singular_data(wfa)[0]
+    sigmas = _singular_data(wfa)[0]
+    if _vanishes(sigmas, -1):
+        raise NumericalError(
+            "the smallest Hankel singular value is 0 at working precision "
+            f"(singular values {sigmas})"
+        )
+    return sigmas
 
 
 def hankel_norm(f: Wfa, g: Wfa) -> float:
@@ -210,6 +216,11 @@ def _schmidt_pair(wfa: Wfa, k: int, singular_data) -> SchmidtPair:
     sigmas, left, sqrt_obs, pair = singular_data
     if not 0 <= k < len(sigmas):
         raise ValueError(f"k must lie in [0, {len(sigmas)}), got {k}")
+    if _vanishes(sigmas, k):
+        raise NumericalError(
+            f"the Hankel singular value sigma_{k} is 0 at working precision "
+            f"(singular values {sigmas}); its Schmidt pair is undefined"
+        )
     # x = P^{-1/2} v = Q^{1/2} u / sigma for the singular vectors v, u of
     # Q^{1/2} P^{1/2}.  Among tied values take the one with the largest
     # v(0) = x^T beta, which the extraction divides by.
@@ -362,9 +373,9 @@ def aak_approximate(wfa: Wfa, k: int, *, certify_rtol: float = 1e-6) -> AakAppro
     RankDeficiencyError
         If the automaton is not minimal.
     NumericalError
-        If the smallest Hankel singular value is 0 at working precision,
-        coefficient extraction fails, the recovered automaton is unstable or
-        the certificate does not hold.
+        If sigma_k is 0 at working precision, coefficient extraction fails,
+        the recovered automaton is unstable or the certificate does not
+        hold.  Smaller singular values, even vanishing ones, do not enter.
     """
     _require_one_letter(wfa)
     n = wfa.num_states

@@ -8,17 +8,16 @@ invalid-input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import fock
 from .aak import aak_approximate
 from .errors import NumericalError
-from .hankel import build_hankel, spectral_recover
+from .hankel import _svd_baseline
 from .io import WfaDocument, load_document, parse_word, save_document
 from .wfa import random_stable_wfa
 
@@ -70,20 +69,16 @@ def _approximate_aak(args, doc: WfaDocument):
 def _approximate_svd(args, doc: WfaDocument):
     wfa = doc.wfa
     length = args.length if args.length is not None else (63 if wfa.alphabet_size == 1 else 5)
-    block = build_hankel(wfa, length, length)
     # refuses k above the block's numerical rank (RankDeficiencyError, exit 2)
-    recovered = spectral_recover(block, args.k, wfa)
-    singular = np.linalg.svd(block.entries, compute_uv=False)
+    recovered, singular, achieved, size = _svd_baseline(wfa, length, args.k)
     error = float(singular[args.k]) if args.k < singular.size else 0.0
-    approx_block = build_hankel(recovered, length, length).entries
-    achieved = float(np.linalg.norm(block.entries - approx_block, 2))
     lines = [
         "mode: svd",
         f"input: {args.file} ({wfa.num_states} states, alphabet {' '.join(doc.labels)})",
         f"target states: {args.k}",
         "singular values: " + " ".join(repr(float(s)) for s in singular[: min(10, singular.size)]),
         f"truncated-block error (optimal, generally non-Hankel): {error!r}",
-        f"evaluation block: {len(block.prefixes)} x {len(block.suffixes)}",
+        f"evaluation block: {size} x {size}",
         f"achieved spectral-norm error: {achieved!r}",
     ]
     return recovered, lines
@@ -212,7 +207,9 @@ def _positive(kind):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="wfamin",
         description="Approximate minimization of weighted finite automata "

@@ -8,6 +8,15 @@ builds such blocks from automata, measures their numerical rank, computes
 the (generally non-Hankel) truncated-SVD approximation, and reconstructs a
 WFA of a given size from a block via the spectral method.  Minimality is
 decided without blocks, by an orthogonal reduction of the realization.
+
+The block of an n-state automaton factors exactly as H = P S^T, with the
+prefix states alpha^T A_p as the rows of P and the suffix states
+(A_s beta)^T as the rows of S (the forward-backward factorization of
+spectral learning).  Spectral recovery and the svd baseline work on these
+N x n factors: two thin QRs and the SVD of an r x r core (r <= n) cost
+O(N n^2) instead of the O(N^3) of a dense N x N SVD, and the block itself
+supplies only the prefix and suffix sets.  ``hankel_rank`` and
+``svd_truncate`` take arbitrary blocks and stay dense.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, RankDeficiencyError
-from .wfa import Wfa, evaluation_table
+from .wfa import Wfa, _prefix_levels, evaluation_table
 from .words import WordIndex
 
 #: Refuse to materialize blocks with more entries than this.
@@ -178,49 +187,102 @@ def check_hankel_property(block: HankelBlock, tol: float) -> tuple[bool, tuple |
     raise NumericalError("inconsistent spread computation")  # pragma: no cover
 
 
-def spectral_recover(block: HankelBlock, k: int, wfa: Wfa) -> Wfa:
-    """Recover a k-state WFA from a Hankel block via the spectral method.
+def _prefix_states(wfa: Wfa, max_length: int) -> np.ndarray:
+    """Rows alpha^T A_p for the prefixes p of length <= max_length, in
+    ``WordIndex`` order: the left factor P of every block H = P S^T."""
+    return np.concatenate([wfa.alpha[None, :], *_prefix_levels(wfa, max_length)])
 
-    The block is factored through its rank-k truncated SVD H = U_k D_k V_k^T;
-    the transition matrices are D_k^{-1/2} U_k^T H_a V_k D_k^{-1/2} with the
-    one-symbol-shifted blocks H_a(p, s) = f(p a s) taken from the evaluation
-    table of ``wfa``, the automaton whose series f the block holds, and the
-    initial/final vectors come from the empty-word row and column.  At k
-    equal to the full rank the result interpolates f on every word covered
-    by the block.
+
+def _suffix_states(wfa: Wfa, max_length: int) -> np.ndarray:
+    """Rows (A_s beta)^T for the suffixes s of length <= max_length, in
+    ``WordIndex`` order: the right factor S of every block H = P S^T."""
+    level = wfa.beta[None, :]
+    levels = [level]
+    for _ in range(max_length):
+        # row for word (a,) + w sits at position a * d**len(w) + value(w)
+        level = np.concatenate([level @ m.T for m in wfa.transitions])
+        levels.append(level)
+    return np.concatenate(levels)
+
+
+def _factored_svd(left: np.ndarray, right: np.ndarray):
+    """Thin SVD (U, s, V) of ``left @ right.T``, which is never formed.
+
+    With thin QRs left = Q_l R_l and right = Q_r R_r the product is
+    Q_l (R_l R_r^T) Q_r^T, so the SVD of the small core R_l R_r^T gives
+    U = Q_l U_c and V = Q_r V_c.  For N x n factors that is O(N n^2), and
+    s has at most n values.
     """
-    if block.prefixes.max_length < 1:
+    q_left, r_left = np.linalg.qr(left)
+    q_right, r_right = np.linalg.qr(right)
+    u, s, vt = _svd(r_left @ r_right.T, compute_uv=True)
+    return q_left @ u, s, q_right @ vt.T
+
+
+def _factored_recover(prefixes: WordIndex, suffixes: WordIndex, k: int, wfa: Wfa):
+    """:func:`spectral_recover` on the block of ``wfa`` over these index sets.
+
+    Returns (recovered, P, S, s): the k-state automaton, the state factors
+    of the block H = P S^T and its singular values.
+    """
+    if prefixes.max_length < 1:
         raise ValueError("spectral recovery needs prefixes of length >= 1")
-    d = block.alphabet_size
+    d = prefixes.alphabet_size
     if wfa.alphabet_size != d:
         raise ValueError("block and automaton alphabet sizes differ")
+    shape = (len(prefixes), len(suffixes))
+    if k > min(shape):
+        raise ValueError(f"k={k} exceeds block dimensions {shape}")
+    prefix = _prefix_states(wfa, prefixes.max_length)
+    suffix = _suffix_states(wfa, suffixes.max_length)
+    u, s, v = _factored_svd(prefix, suffix)
     if k == 0:
         zero = np.zeros((1, 1))
-        return Wfa(np.zeros(1), [zero] * d, np.zeros(1))
-    if k > min(block.shape):
-        raise ValueError(f"k={k} exceeds block dimensions {block.shape}")
-    u, s, vt = _svd(block.entries, compute_uv=True)
+        return Wfa(np.zeros(1), [zero] * d, np.zeros(1)), prefix, suffix, s
     rank = _rank(s, DEFAULT_RANK_TOL)
     if k > rank:
         raise RankDeficiencyError(
             f"requested {k} states but the block has numerical rank {rank}"
         )
-    u_k, s_k, v_k = u[:, :k], s[:k], vt[:k, :].T
-    scale = 1.0 / np.sqrt(s_k)
-    prefixes, suffixes = block.prefixes, block.suffixes
-    combined = WordIndex(d, prefixes.max_length + 1 + suffixes.max_length)
-    table = evaluation_table(wfa, combined.max_length)
-    # index of p a s: offset of its length, then p, a and s as base-d digits
-    lengths = prefixes.lengths[:, None] + 1 + suffixes.lengths[None, :]
-    tails = d ** suffixes.lengths[None, :]
-    transitions = []
-    for symbol in range(d):
-        heads = (prefixes.values[:, None] * d + symbol) * tails
-        shifted = table[combined.offsets[lengths] + heads + suffixes.values[None, :]]
-        transitions.append((scale[:, None] * (u_k.T @ shifted @ v_k)) * scale[None, :])
-    alpha = np.sqrt(s_k) * u_k[0, :]
-    beta = np.sqrt(s_k) * v_k[0, :]
-    return Wfa(alpha, transitions, beta)
+    root = np.sqrt(s[:k])
+    left = (u[:, :k] / root).T @ prefix  # D_k^{-1/2} U_k^T P
+    right = suffix.T @ (v[:, :k] / root)  # S^T V_k D_k^{-1/2}
+    recovered = Wfa(root * u[0, :k], [left @ m @ right for m in wfa.transitions], root * v[0, :k])
+    return recovered, prefix, suffix, s
+
+
+def spectral_recover(block: HankelBlock, k: int, wfa: Wfa) -> Wfa:
+    """Recover a k-state WFA from a Hankel block via the spectral method.
+
+    The block holds the series f of ``wfa`` and supplies only its prefix and
+    suffix sets: its values are H = P S^T for the prefix and suffix state
+    factors of ``wfa``.  With the rank-k truncated SVD H = U_k D_k V_k^T,
+    taken from those factors in O(N n^2), the transition matrices are
+    D_k^{-1/2} U_k^T H_a V_k D_k^{-1/2}, where the shifted block
+    H_a(p, s) = f(p a s) is P A_a S^T, and the initial/final vectors come
+    from the empty-word row and column.  At k equal to the full rank the
+    result interpolates f on every word covered by the block.
+    """
+    return _factored_recover(block.prefixes, block.suffixes, k, wfa)[0]
+
+
+def _svd_baseline(wfa: Wfa, length: int, k: int):
+    """The truncated-SVD baseline on the (length, length) block of ``wfa``.
+
+    Returns (g, s, achieved, N): the k-state automaton g of
+    :func:`spectral_recover`, the singular values of the N x N block H, and
+    ||H - G||_2 for the block G of g.  One factored SVD serves all three:
+    H - G = [P_f | P_g] [S_f | -S_g]^T has rank at most n + k, so its norm
+    is the top singular value of that factored product.
+    """
+    words = WordIndex(wfa.alphabet_size, length)
+    _check_block_size(len(words), len(words))
+    recovered, prefix, suffix, singular = _factored_recover(words, words, k, wfa)
+    _, difference, _ = _factored_svd(
+        np.hstack([prefix, _prefix_states(recovered, length)]),
+        np.hstack([suffix, -_suffix_states(recovered, length)]),
+    )
+    return recovered, singular, float(difference[0]), len(words)
 
 
 def _orthonormal_span(start: np.ndarray, matrices, tol: float) -> np.ndarray:

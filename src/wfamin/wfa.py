@@ -128,15 +128,25 @@ def evaluation_table(wfa: Wfa, max_length: int) -> np.ndarray:
     graded lexicographically, empty word first.  Hankel blocks, the Fock
     lab and the AAK sequence all take their values from here, so any two
     entries indexed by the same word are the same float.  The table is
-    built one length level at a time, one matrix product per level.
+    built one length level at a time, one matrix product per level, from
+    the prefix states that Hankel factors share (:func:`_prefix_levels`).
     """
     if max_length < 0:
         raise ValueError(f"max_length must be >= 0, got {max_length}")
     levels = [np.array([float(wfa.alpha @ wfa.beta)])]
-    states = wfa.alpha[None, :]  # rows: alpha^T A_w for every word w of the current length
+    levels.extend(states @ wfa.beta for states in _prefix_levels(wfa, max_length))
+    return np.concatenate(levels)
+
+
+def _prefix_levels(wfa: Wfa, max_length: int):
+    """Rows alpha^T A_w for the words w of length 1, ..., max_length.
+
+    Yields one array per length, its rows in ``WordIndex`` order, from one
+    matrix product per level.
+    """
+    states = wfa.alpha[None, :]
     stacked = np.concatenate(wfa.transitions, axis=1)  # [A_0 A_1 ... A_{d-1}]
     for _ in range(max_length):
         # row for word w + (a,) sits at position value(w) * d + a
         states = (states @ stacked).reshape(-1, wfa.num_states)
-        levels.append(states @ wfa.beta)
-    return np.concatenate(levels)
+        yield states

@@ -283,6 +283,17 @@ class TestAakApproximate:
         with pytest.raises(RankDeficiencyError):
             aak_approximate(redundant, 1)
 
+    def test_vanishing_trailing_singular_values_do_not_refuse(self):
+        # at n = 32 the smallest Hankel singular values are 0 at working
+        # precision for most seeds; only sigma_k enters the Schmidt pair
+        for seed in range(10):
+            wfa = random_stable_wfa(1, 32, seed=seed, radius_bound=0.9)
+            result = aak_approximate(wfa, 16)
+            sigmas = result.singular_values
+            assert abs(result.attained - sigmas[16]) <= 1e-6 * sigmas[0]
+        with pytest.raises(NumericalError, match="smallest"):
+            hankel_singular_values(random_stable_wfa(1, 32, seed=0, radius_bound=0.9))
+
     def test_random_fixtures_attain_sigma_k(self):
         for seed, n in ((21, 3), (22, 4), (23, 5)):
             wfa = random_stable_wfa(1, n, seed=seed, radius_bound=0.8)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from wfamin.aak import hankel_norm, hankel_singular_values
-from wfamin.cli import main
+from wfamin.cli import build_parser, main
 from wfamin.hankel import build_hankel
-from wfamin.io import load_document
+from wfamin.io import WfaDocument, load_document, save_document
+from wfamin.wfa import random_stable_wfa
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -206,6 +207,31 @@ class TestApproximate:
         assert reported == pytest.approx(sigma_1, rel=1e-12)
         assert load_document(out_file).wfa.num_states == 1
 
+    def test_svd_decomposes_no_block_sized_matrix(self, capsys, tmp_path, monkeypatch):
+        # d = 3, --length 5: the block is 364 x 364, its state factors 364 x n
+        n, k = 6, 2
+        path = tmp_path / "d3n6.wfa"
+        wfa = random_stable_wfa(3, n, seed=3, radius_bound=0.9)
+        save_document(WfaDocument(labels=("a", "b", "c"), wfa=wfa), path)
+        shapes = []
+
+        def recording(function):
+            def wrapper(matrix, *args, **kwargs):
+                shapes.append(np.shape(matrix))
+                return function(matrix, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "svd", recording(np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "norm", recording(np.linalg.norm))
+        code, out, _ = run(
+            capsys, "approximate", str(path), str(k), "--mode", "svd", "--length", "5",
+            "--no-timestamp", "-o", str(tmp_path / "out.wfa"),
+        )
+        assert code == 0
+        assert "evaluation block: 364 x 364" in out
+        assert shapes
+        assert max(shape[0] for shape in shapes) <= n + k
+
     def test_aak_on_multi_letter_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "approximate", str(FIXTURES / "nilpotent.wfa"), "1",
@@ -325,3 +351,12 @@ class TestUsage:
 
     def test_unknown_suite_exits_2(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2
+
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys, tmp_path):
+        argv = ("approximate", str(FIXTURES / "e2.wfa"), "1", "--no-timestamp",
+                "-o", str(tmp_path / "out.wfa"))
+        first = run(capsys, *argv)
+        assert first[0] == 0
+        assert build_parser() is build_parser()
+        assert run(capsys, "approximate", str(FIXTURES / "e2.wfa"), "1", "--mode", "bogus")[0] == 2
+        assert run(capsys, *argv) == first

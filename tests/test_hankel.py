@@ -4,7 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from wfamin.errors import RankDeficiencyError
 from wfamin.hankel import (
+    DEFAULT_RANK_TOL,
     HankelBlock,
+    _factored_svd,
+    _prefix_states,
+    _suffix_states,
+    _svd_baseline,
     build_hankel,
     check_hankel_property,
     hankel_rank,
@@ -275,3 +280,32 @@ class TestMinimize:
         length = 6 if d == 1 else 4
         original, kept = evaluation_table(wfa, length), evaluation_table(reduced, length)
         assert np.abs(original - kept).max() <= 1e-10 * np.abs(original).max()
+
+
+class TestFactoredSvd:
+    """The svd baseline works on the state factors H = P S^T of the block;
+    the dense SVD of the block is the reference."""
+
+    @given(d=st.integers(1, 3), n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+           unreachable=st.booleans(), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_matches_the_dense_block(self, d, n, seed, unreachable, data):
+        # N < n at short lengths; extra > 0 gives a non-minimal input
+        extra = data.draw(st.integers(0, n - 1))
+        length = data.draw(st.integers(1, {1: 24, 2: 6, 3: 4}[d]))
+        core = random_stable_wfa(d, n - extra, seed=seed, radius_bound=0.9)
+        wfa = hidden_redundancy(core, extra, seed=seed, unreachable=unreachable)
+        block = build_hankel(wfa, length, length).entries
+        dense = np.linalg.svd(block, compute_uv=False)
+        factored = _factored_svd(_prefix_states(wfa, length), _suffix_states(wfa, length))[1]
+        scale = dense[0]
+        assert factored.size <= min(n, block.shape[0])
+        assert np.abs(factored - dense[: factored.size]).max() <= 1e-12 * scale
+        assert dense[factored.size:].max(initial=0.0) <= 1e-12 * scale
+        rank = int(np.count_nonzero(factored > DEFAULT_RANK_TOL * factored[0]))
+        k = data.draw(st.integers(0, min(rank, n - 1)))
+        recovered, singular, achieved, size = _svd_baseline(wfa, length, k)
+        np.testing.assert_array_equal(singular, factored)
+        assert size == block.shape[0]
+        approx = build_hankel(recovered, length, length).entries
+        assert abs(achieved - np.linalg.norm(block - approx, 2)) <= 1e-12 * scale
