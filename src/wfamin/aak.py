@@ -30,8 +30,9 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError, RankDeficiencyError, StabilityError
-from .hankel import HankelBlock, build_hankel, is_minimal, spectral_recover
+from .hankel import HankelBlock, _factored_recover, build_hankel, is_minimal
 from .wfa import Wfa, evaluation_table, spectral_radius
+from .words import WordIndex
 
 #: Largest Gramian fixed-point residual accepted, relative to 1 + the
 #: larger Gramian norm.
@@ -395,10 +396,10 @@ def aak_approximate(wfa: Wfa, k: int, *, certify_rtol: float = 1e-6) -> AakAppro
     )
     pair = _schmidt_pair(wfa, k, singular_data)
     sequence = _optimal_sequence(pair, k)
-    # recover the k-state realization of the approximating sequence (the
-    # one-state zero automaton at k = 0, from a block of side 2)
-    side = max(k, 1)
-    recovered = spectral_recover(build_hankel(sequence, side, side), k, sequence)
+    # the k-state realization of the sequence from its state factors, no
+    # block (the one-state zero automaton at k = 0)
+    words = WordIndex(1, max(k, 1))
+    recovered = _factored_recover(words, words, k, sequence)[0]
     attained = hankel_norm(wfa, recovered)
     if abs(attained - sigma_k) > certify_rtol * sigmas[0]:
         raise NumericalError(

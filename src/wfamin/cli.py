@@ -14,6 +14,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import fock
 from .aak import aak_approximate
 from .errors import NumericalError
@@ -32,7 +34,11 @@ def _timestamp_lines(args):
 def cmd_eval(args) -> int:
     doc = load_document(args.file)
     word = parse_word(args.word, doc)
-    print(repr(doc.wfa.evaluate(word)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = doc.wfa.evaluate(word)
+    if not math.isfinite(value):
+        raise NumericalError(f"the value on {args.word!r} is {value!r}: the evaluation overflowed")
+    print(repr(value))
     return 0
 
 
@@ -135,7 +141,7 @@ def _suite_hankel_eq(args):
     for label, wfa in fixtures:
         degree = args.degree if wfa.alphabet_size > 1 else max(args.degree, 2)
         report = fock.verify_hankel_equation(wfa, degree)
-        worst = max(worst, report.max_discrepancy)
+        worst = float(np.maximum(worst, report.max_discrepancy))  # NaN propagates
         passed = passed and report.passed
         lines.append(f"fixture: {label}")
         lines.append(f"  degree: {report.degree}, comparisons: {report.comparisons}")

@@ -202,7 +202,7 @@ def verify_hankel_equation(wfa: Wfa, degree: int) -> HankelEquationReport:
         degree=degree,
         comparisons=comparisons,
         per_symbol=tuple(per_symbol),
-        max_discrepancy=max(per_symbol),
+        max_discrepancy=float(np.max(per_symbol)),  # NaN propagates
     )
 
 
@@ -299,8 +299,8 @@ class ShiftInequalityReport:
     @property
     def passed(self) -> bool:
         return (
-            max(self.max_left_shift_deviation, self.max_bilateral_deviation)
-            <= SHIFT_TOLERANCE
+            self.max_left_shift_deviation <= SHIFT_TOLERANCE
+            and self.max_bilateral_deviation <= SHIFT_TOLERANCE
         )
 
     def lines(self):
@@ -344,7 +344,7 @@ def verify_shift_inequalities(alphabet_size: int, degree: int, trials: int,
         total = sum(left_shift(basis, i, ys[:, i]) for i in range(alphabet_size))
         lhs = np.einsum("tn,tn->t", total, total)
         rhs = np.einsum("tin,tin->t", ys, ys)
-        max_left = max(max_left, float(np.abs(lhs - rhs).max()))
+        max_left = float(np.maximum(max_left, np.abs(lhs - rhs).max()))
 
         zero = np.zeros((count, space.negative_size))
         images = [space.bilateral_shift(i, TwoSidedVector(zero, hs[:, i]))
@@ -353,7 +353,7 @@ def verify_shift_inequalities(alphabet_size: int, degree: int, trials: int,
         positive = sum(image.positive for image in images)
         lhs = np.einsum("tn,tn->t", negative, negative) + np.einsum("tn,tn->t", positive, positive)
         rhs = np.einsum("tin,tin->t", hs, hs)
-        max_bilateral = max(max_bilateral, float(np.abs(lhs - rhs).max()))
+        max_bilateral = float(np.maximum(max_bilateral, np.abs(lhs - rhs).max()))
     return ShiftInequalityReport(
         alphabet_size=alphabet_size,
         degree=degree,
@@ -636,9 +636,11 @@ def verify_nc_rational(wfa: Wfa, trials: int, seed=0) -> NcRationalReport:
         # carries the rounding of both sides
         bound = sum(_series_bounds(wfa, pencil, NC_SERIES_DEGREE))
         gap = float(np.linalg.norm(closed - partial, 2))
-        worst_ratio = max(worst_ratio, gap / bound if bound > 0 else float(gap > 0))
-        worst_rho = max(worst_rho, rho)
-        worst_norm_sum = max(worst_norm_sum, norm_sum)
+        # np.maximum keeps a NaN; a NaN bound gives a NaN ratio
+        ratio = gap / bound if not bound <= 0 else float(gap > 0)
+        worst_ratio = float(np.maximum(worst_ratio, ratio))
+        worst_rho = float(np.maximum(worst_rho, rho))
+        worst_norm_sum = float(np.maximum(worst_norm_sum, norm_sum))
     return NcRationalReport(
         trials=trials,
         head_exact=head_exact,
@@ -735,5 +737,5 @@ def verify_multiplier_intertwining(op: np.ndarray, basis: WordIndex) -> Multipli
     return MultiplierReport(
         degree=basis.max_length,
         per_symbol=tuple(per_symbol),
-        max_discrepancy=max(per_symbol),
+        max_discrepancy=float(np.max(per_symbol)),  # NaN propagates
     )

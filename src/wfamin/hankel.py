@@ -15,8 +15,13 @@ prefix states alpha^T A_p as the rows of P and the suffix states
 spectral learning).  Spectral recovery and the svd baseline work on these
 N x n factors: two thin QRs and the SVD of an r x r core (r <= n) cost
 O(N n^2) instead of the O(N^3) of a dense N x N SVD, and the block itself
-supplies only the prefix and suffix sets.  ``hankel_rank`` and
-``svd_truncate`` take arbitrary blocks and stay dense.
+supplies only the prefix and suffix sets.  S holds the prefix states of
+the reversed automaton, so its rows follow the reversed words and P S^T is
+H with its columns permuted, which changes no singular value.
+``hankel_rank`` and ``svd_truncate`` take arbitrary blocks and stay dense.
+The word order lives in ``WordIndex`` alone: :func:`check_hankel_property`
+groups cells by the concatenation index map of :func:`build_hankel`, and a
+NaN cell is a violation.
 """
 
 from __future__ import annotations
@@ -63,10 +68,10 @@ class HankelBlock:
         return self.prefixes.alphabet_size
 
 
-def _check_block_size(num_rows: int, num_cols: int):
+def _check_block_size(num_rows: int, num_cols: int, what: str):
     if num_rows * num_cols > MAX_BLOCK_ENTRIES:
         raise ValueError(
-            f"refusing to build a {num_rows} x {num_cols} block "
+            f"refusing to build a {num_rows} x {num_cols} {what} "
             f"({num_rows * num_cols} entries > {MAX_BLOCK_ENTRIES})"
         )
 
@@ -80,7 +85,7 @@ def build_hankel(wfa: Wfa, prefix_length: int, suffix_length: int) -> HankelBloc
     d = wfa.alphabet_size
     prefixes = WordIndex(d, prefix_length)
     suffixes = WordIndex(d, suffix_length)
-    _check_block_size(len(prefixes), len(suffixes))
+    _check_block_size(len(prefixes), len(suffixes), "block")
     combined = WordIndex(d, prefix_length + suffix_length)
     table = evaluation_table(wfa, combined.max_length)
     entries = table[prefixes.concatenation_indices(suffixes, combined)]
@@ -123,68 +128,35 @@ def svd_truncate(block: HankelBlock, k: int) -> tuple[np.ndarray, float]:
     return truncated, error
 
 
-def _split_index_arrays(block: HankelBlock):
-    """For every word w of length <= L_p + L_s, the (row, col) pairs of its splits.
-
-    Returns (combined, rows, cols): the word index of all those words, and
-    arrays with one row per word and one column per split position, padded
-    with -1 where a split is out of range for the block's index bounds.
-    """
-    d = block.alphabet_size
-    lp, ls = block.prefixes.max_length, block.suffixes.max_length
-    combined = WordIndex(d, lp + ls)
-    lengths = combined.lengths
-    values = combined.values
-    num_words = len(combined)
-    max_splits = lp + ls + 1
-    rows = np.full((num_words, max_splits), -1, dtype=np.int64)
-    cols = np.full((num_words, max_splits), -1, dtype=np.int64)
-    p_offsets = block.prefixes.offsets
-    s_offsets = block.suffixes.offsets
-    for i in range(max_splits):
-        # split position i: prefix = first i symbols, suffix = rest
-        mask = (lengths >= i) & (lengths - i <= ls) & (i <= lp)
-        if not np.any(mask):
-            continue
-        rest = lengths[mask] - i
-        tail = values[mask] % d**rest
-        head = values[mask] // d**rest
-        rows[mask, i] = p_offsets[i] + head
-        cols[mask, i] = s_offsets[rest] + tail
-    return combined, rows, cols
-
-
 def check_hankel_property(block: HankelBlock, tol: float) -> tuple[bool, tuple | None]:
     """Whether all factorizations of each word agree within ``tol`` (absolute).
 
-    Returns ``(True, None)`` if the block is Hankel, otherwise ``(False,
-    witness)`` with the first violating quadruple of words (p, s, p', s')
-    such that ps = p's' but the entries differ by more than ``tol``.
+    A word violates when max - min over its cells is not at most ``tol``, so
+    a NaN cell is a violation.  Returns ``(True, None)`` if the block is
+    Hankel, otherwise ``(False, (p, s, p', s'))`` for the first violating
+    word: its first pair of cells, by prefix length, whose entries differ
+    by more than ``tol`` or are NaN ((p, s, p, s) if it has only one cell).
     """
-    combined, rows, cols = _split_index_arrays(block)
-    valid = rows >= 0
-    values = np.where(valid, block.entries[np.clip(rows, 0, None), np.clip(cols, 0, None)], np.nan)
+    combined = WordIndex(block.alphabet_size, block.prefixes.max_length + block.suffixes.max_length)
+    words = block.prefixes.concatenation_indices(block.suffixes, combined)
+    # every word up to the combined length has at least one cell
+    low = np.full(len(combined), np.inf)
+    high = np.full(len(combined), -np.inf)
     with np.errstate(invalid="ignore"):
-        spread = np.nanmax(values, axis=1) - np.nanmin(values, axis=1)
-    spread = np.nan_to_num(spread)
-    bad_words = np.nonzero(spread > tol)[0]
+        np.minimum.at(low, words.ravel(), block.entries.ravel())
+        np.maximum.at(high, words.ravel(), block.entries.ravel())
+        bad_words = np.flatnonzero(~(high - low <= tol))
     if bad_words.size == 0:
         return True, None
-    word_idx = int(bad_words[0])
-    word = combined.word_at(word_idx)
-    splits = [i for i in range(rows.shape[1]) if valid[word_idx, i]]
-    for a in range(len(splits)):
-        for b in range(a + 1, len(splits)):
-            va = values[word_idx, splits[a]]
-            vb = values[word_idx, splits[b]]
-            if abs(va - vb) > tol:
-                return False, (
-                    word[: splits[a]],
-                    word[splits[a] :],
-                    word[: splits[b]],
-                    word[splits[b] :],
-                )
-    raise NumericalError("inconsistent spread computation")  # pragma: no cover
+    rows, cols = np.nonzero(words == bad_words[0])  # one cell per prefix length
+    values = block.entries[rows, cols].tolist()
+    cells = [(block.prefixes.word_at(r), block.suffixes.word_at(c))
+             for r, c in zip(rows.tolist(), cols.tolist())]
+    for a in range(len(cells)):
+        for b in range(a + 1, len(cells)):
+            if not abs(values[a] - values[b]) <= tol:
+                return False, (*cells[a], *cells[b])
+    return False, (*cells[0], *cells[0])
 
 
 def _prefix_states(wfa: Wfa, max_length: int) -> np.ndarray:
@@ -194,15 +166,15 @@ def _prefix_states(wfa: Wfa, max_length: int) -> np.ndarray:
 
 
 def _suffix_states(wfa: Wfa, max_length: int) -> np.ndarray:
-    """Rows (A_s beta)^T for the suffixes s of length <= max_length, in
-    ``WordIndex`` order: the right factor S of every block H = P S^T."""
-    level = wfa.beta[None, :]
-    levels = [level]
-    for _ in range(max_length):
-        # row for word (a,) + w sits at position a * d**len(w) + value(w)
-        level = np.concatenate([level @ m.T for m in wfa.transitions])
-        levels.append(level)
-    return np.concatenate(levels)
+    """Rows (A_s beta)^T for the suffixes s of length <= max_length: the right
+    factor S of every block H = P S^T, up to row order.
+
+    They are the prefix states of the reversed automaton, so the row of w
+    holds the state of w reversed and P S^T is H with its columns permuted
+    by word reversal (the identity for one letter).  Only row 0, the empty
+    word, is read by position.
+    """
+    return _prefix_states(Wfa(wfa.beta, [m.T for m in wfa.transitions], wfa.alpha), max_length)
 
 
 def _factored_svd(left: np.ndarray, right: np.ndarray):
@@ -223,7 +195,8 @@ def _factored_recover(prefixes: WordIndex, suffixes: WordIndex, k: int, wfa: Wfa
     """:func:`spectral_recover` on the block of ``wfa`` over these index sets.
 
     Returns (recovered, P, S, s): the k-state automaton, the state factors
-    of the block H = P S^T and its singular values.
+    of the block and its singular values.  S lists its rows by reversed word
+    (:func:`_suffix_states`) and is read by position only at row 0.
     """
     if prefixes.max_length < 1:
         raise ValueError("spectral recovery needs prefixes of length >= 1")
@@ -273,10 +246,12 @@ def _svd_baseline(wfa: Wfa, length: int, k: int):
     :func:`spectral_recover`, the singular values of the N x N block H, and
     ||H - G||_2 for the block G of g.  One factored SVD serves all three:
     H - G = [P_f | P_g] [S_f | -S_g]^T has rank at most n + k, so its norm
-    is the top singular value of that factored product.
+    is the top singular value of that factored product; the reversed-word
+    row order of both S permutes its columns only.  The entry guard counts
+    the N x (n + k) factors, which is all that is built.
     """
     words = WordIndex(wfa.alphabet_size, length)
-    _check_block_size(len(words), len(words))
+    _check_block_size(len(words), wfa.num_states + k, "state factor")
     recovered, prefix, suffix, singular = _factored_recover(words, words, k, wfa)
     _, difference, _ = _factored_svd(
         np.hstack([prefix, _prefix_states(recovered, length)]),

@@ -294,6 +294,20 @@ class TestAakApproximate:
         with pytest.raises(NumericalError, match="smallest"):
             hankel_singular_values(random_stable_wfa(1, 32, seed=0, radius_bound=0.9))
 
+    def test_recovery_builds_no_block(self, monkeypatch):
+        # the k-state automaton comes from the state factors of the sequence
+        def refuse(*args):
+            raise AssertionError("build_hankel called")
+
+        monkeypatch.setattr("wfamin.aak.build_hankel", refuse)
+        monkeypatch.setattr("wfamin.hankel.build_hankel", refuse)
+        wfa = random_stable_wfa(1, 5, seed=24, radius_bound=0.8)
+        for k in range(5):
+            result = aak_approximate(wfa, k)
+            sigmas = result.singular_values
+            assert result.wfa.num_states == max(k, 1)
+            assert abs(result.attained - sigmas[k]) <= 1e-6 * sigmas[0]
+
     def test_random_fixtures_attain_sigma_k(self):
         for seed, n in ((21, 3), (22, 4), (23, 5)):
             wfa = random_stable_wfa(1, n, seed=seed, radius_bound=0.8)

@@ -51,6 +51,20 @@ class TestEval:
         assert out == ""
         assert "finite" in err
 
+    def test_overflowing_value_exits_1(self, capsys, tmp_path):
+        # alpha^T A_a A_a beta = 1e400 - 1e400: inf - inf, NaN
+        path = tmp_path / "overflow.wfa"
+        path.write_text(
+            (FIXTURES / "e2.wfa").read_text()
+            .replace("alpha: 1 1", "alpha: 1 -1")
+            .replace("0.5 0\n0 -0.3", "1e200 0\n0 1e200")
+        )
+        assert run(capsys, "eval", str(path), "a")[:2] == (0, "0.0\n")
+        code, out, err = run(capsys, "eval", str(path), "aa")
+        assert code == 1
+        assert out == ""
+        assert "nan" in err and "overflow" in err
+
 
 class TestApproximate:
     def test_e1_rank_zero_reports_four_thirds(self, capsys, tmp_path):
@@ -232,6 +246,35 @@ class TestApproximate:
         assert shapes
         assert max(shape[0] for shape in shapes) <= n + k
 
+    def test_svd_guard_counts_the_state_factors(self, capsys, tmp_path, monkeypatch):
+        # d = 2, n = 4: at --length 12 the block would be 8191 x 8191
+        # (6.7e7 entries), the factors are 8191 x (n + k)
+        path = tmp_path / "d2n4.wfa"
+        wfa = random_stable_wfa(2, 4, seed=5, radius_bound=0.9)
+        save_document(WfaDocument(labels=("a", "b"), wfa=wfa), path)
+        code, out, _ = run(
+            capsys, "approximate", str(path), "2", "--mode", "svd", "--length", "12",
+            "--no-timestamp", "-o", str(tmp_path / "out.wfa"),
+        )
+        assert code == 0
+        assert "evaluation block: 8191 x 8191" in out
+        assert load_document(tmp_path / "out.wfa").wfa.num_states == 2
+
+        # at --length 20 the factors have 2097151 x 5 > 10^7 entries: the
+        # refusal comes before any state is computed
+        def unreachable(*args):
+            raise AssertionError("state factors built past the guard")
+
+        monkeypatch.setattr("wfamin.hankel._prefix_states", unreachable)
+        code, out, err = run(
+            capsys, "approximate", str(path), "1", "--mode", "svd", "--length", "20",
+            "--no-timestamp", "-o", str(tmp_path / "big.wfa"),
+        )
+        assert code == 2
+        assert out == ""
+        assert "2097151 x 5 state factor" in err
+        assert not (tmp_path / "big.wfa").exists()
+
     def test_aak_on_multi_letter_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "approximate", str(FIXTURES / "nilpotent.wfa"), "1",
@@ -268,6 +311,19 @@ class TestVerify:
         assert code == 0
         assert "max discrepancy over fixtures: 0.0" in out
         assert out.strip().endswith("result: pass")
+
+    def test_nan_discrepancy_fails(self, capsys):
+        # f(bb) overflows to NaN, so the discrepancy of H S_b = R_b^* H is NaN
+        # (and the one for a is 0.0); the evaluation's warnings are expected
+        with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+            code, out, _ = run(
+                capsys, "verify", str(FIXTURES / "nan-discrepancy.wfa"),
+                "--suite", "hankel-eq", "--degree", "2", "--no-timestamp",
+            )
+        assert code == 1
+        assert "  max discrepancy: nan" in out
+        assert "max discrepancy over fixtures: nan" in out
+        assert out.strip().endswith("result: fail")
 
     def test_free_group_reports_violation(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "free-group", "--no-timestamp")

@@ -148,6 +148,53 @@ class TestCheckHankelProperty:
         p, s, p2, s2 = witness
         assert p + s == p2 + s2 == (0,)
 
+    def test_nan_cell_is_a_violation(self, nilpotent_wfa):
+        block = build_hankel(nilpotent_wfa, 2, 2)
+        a, b = (0,), (1,)
+        # the word ab has the cells (eps, ab), (a, b), (ab, eps); abbb only (ab, bb)
+        for (p, s), witness in (
+            ((a, b), ((), a + b, a, b)),
+            (((), a + b), ((), a + b, a, b)),
+            ((a + b, b + b), (a + b, b + b, a + b, b + b)),
+        ):
+            entries = block.entries.copy()
+            entries[block.prefixes.index_of(p), block.suffixes.index_of(s)] = np.nan
+            for tol in (0.0, 1.0, np.inf):
+                assert check_hankel_property(
+                    HankelBlock(block.prefixes, block.suffixes, entries), tol=tol
+                ) == (False, witness)
+
+    @given(d=st.integers(1, 3), lp=st.integers(0, 3), ls=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1), tol=st.sampled_from([0.0, 1e-10, 1e-7]),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_split_by_split_definition(self, d, lp, ls, seed, tol, data):
+        wfa = random_stable_wfa(d, 3, seed=seed, radius_bound=0.9)
+        block = build_hankel(wfa, lp, ls)
+        entries = block.entries.copy()
+        rng = np.random.default_rng(seed)
+        for _ in range(data.draw(st.integers(0, 3))):
+            cell = rng.integers(block.shape[0]), rng.integers(block.shape[1])
+            entries[cell] += data.draw(st.sampled_from([1e-11, 1e-9, 1e-6, 1.0, np.nan]))
+        # reference: the cells of each word, listed by prefix length
+        cells = {}
+        for i, p in enumerate(block.prefixes.words()):
+            for j, s in enumerate(block.suffixes.words()):
+                cells.setdefault(p + s, []).append((p, s, entries[i, j]))
+        combined = WordIndex(d, lp + ls)
+        expected = (True, None)
+        for word in sorted(cells, key=combined.index_of):
+            splits = cells[word]
+            pairs = [(x, y) for i, x in enumerate(splits) for y in splits[i + 1:]]
+            pairs += [(x, x) for x in splits if np.isnan(x[2])]
+            bad = [(x, y) for x, y in pairs if not abs(x[2] - y[2]) <= tol]
+            if bad:
+                (p, s, _), (p2, s2, _) = bad[0]
+                expected = (False, (p, s, p2, s2))
+                break
+        perturbed = HankelBlock(block.prefixes, block.suffixes, entries)
+        assert check_hankel_property(perturbed, tol) == expected
+
 
 class TestSpectralRecover:
     @pytest.mark.parametrize("d,n,seed", [(1, 4, 10), (2, 3, 11), (3, 3, 12)])
@@ -280,6 +327,24 @@ class TestMinimize:
         length = 6 if d == 1 else 4
         original, kept = evaluation_table(wfa, length), evaluation_table(reduced, length)
         assert np.abs(original - kept).max() <= 1e-10 * np.abs(original).max()
+
+
+class TestStateFactors:
+    @pytest.mark.parametrize("d,length", [(1, 6), (2, 4), (3, 3)])
+    def test_suffix_rows_follow_the_reversed_words(self, d, length):
+        wfa = random_stable_wfa(d, 4, seed=d, radius_bound=0.9)
+        words = WordIndex(d, length)
+        suffix = _suffix_states(wfa, length)
+        for i, w in enumerate(words.words()):
+            state = wfa.beta
+            for symbol in w:  # A_{w reversed} beta
+                state = wfa.transitions[symbol] @ state
+            np.testing.assert_allclose(suffix[i], state, rtol=1e-13, atol=1e-15)
+        # so P S^T is the block with its columns permuted by word reversal
+        reversal = [words.index_of(w[::-1]) for w in words.words()]
+        block = build_hankel(wfa, length, length).entries
+        product = _prefix_states(wfa, length) @ suffix.T
+        np.testing.assert_allclose(product[:, reversal], block, rtol=1e-12, atol=1e-15)
 
 
 class TestFactoredSvd:
