@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fock
 from .aak import aak_approximate
-from .errors import NumericalError
+from .errors import NumericalError, StabilityError
 from .hankel import _svd_baseline
 from .io import WfaDocument, load_document, parse_word, save_document
 from .wfa import random_stable_wfa
@@ -174,8 +174,14 @@ def _suite_nc_rational(args):
     else:
         wfa = random_stable_wfa(2, 3, seed=args.seed, radius_bound=0.9)
         label = f"random (d=2, n=3, seed={args.seed})"
-    report = fock.verify_nc_rational(wfa, args.trials, args.seed)
-    return ["suite: nc-rational", f"realization: {label}", *report.lines()], report.passed
+    lines = ["suite: nc-rational", f"realization: {label}"]
+    try:
+        report = fock.verify_nc_rational(wfa, args.trials, args.seed)
+    except StabilityError as exc:
+        # a trial substitution the series cannot be evaluated at fails the
+        # suite; it is not bad input
+        return [*lines, f"error: {exc}"], False
+    return [*lines, *report.lines()], report.passed
 
 
 def cmd_verify(args) -> int:

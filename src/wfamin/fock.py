@@ -8,7 +8,9 @@ simultaneously the sequence and the power-series view of the same object.
 The shifts, their adjoints and the bilateral shift act on the last axis, so
 a stack of vectors (leading batch axes) is shifted in one call; shifts and
 the flip are applied as index maps, and their dense matrices serve only as
-reference definitions.
+reference definitions.  The multiplier intertwining check applies neither:
+it reads the operator through slices and reshaped views, using the index
+identities of :mod:`wfamin.words`.
 
 Truncation discipline: every operation that can push support past the
 degree cutoff either raises :class:`TruncationError` (vector form) or zeroes
@@ -714,26 +716,39 @@ def verify_multiplier_intertwining(op: np.ndarray, basis: WordIndex) -> Multipli
     the interior discrepancy vanishes; for a generic operator it does not.
     Only rows and columns of degree < max_length are compared, where the
     truncation cannot corrupt either side.
+
+    ``op`` is read only through slices and reshaped views: neither U op nor
+    a shifted matrix is built, and ``_reversal_permutation`` is not read.
+    Row x of ``op`` is row reversed(x) of U op, so the interior entries of
+    U op S_i - S_i U op at column c are op[0, i c] on the empty word's row,
+    op[x a, i c] for a != i, and op[x i, i c] - op[x, c].  The interior rows
+    x a of ``op`` form one (inner, d, N) view, and for every length m the
+    columns i c with |c| = m form one slice, so the largest temporary is one
+    length block of that view.
     """
     op = np.asarray(op, dtype=float)
     if op.shape != (len(basis), len(basis)):
         raise ValueError(f"operator has shape {op.shape}, expected square over the basis")
     if basis.max_length < 1:
         raise ValueError(f"basis degree must be >= 1, got {basis.max_length}")
-    cut = _interior_size(basis)
-    # interior rows of U op: the flip is an involution, so row r of U op is
-    # row reversal[r] of op
-    flipped = op[_reversal_permutation(basis)[:cut]]
-    inner = basis.first_index_of_length(basis.max_length - 1)  # words s.t. i w is interior
+    d, offsets = basis.alphabet_size, basis.offsets
+    inner = basis.first_index_of_length(basis.max_length - 1)  # words x with x a interior
+    # index_of(x + (a,)) = d * index_of(x) + 1 + a: row 1 + d x + a is x a
+    tails = op[1 : 1 + d * inner].reshape(inner, d, len(basis))
     per_symbol = []
-    for symbol in range(basis.alphabet_size):
-        prepended = _prepend_indices(basis, symbol)
-        # (U op S_i)[r, c] = (U op)[r, index of i c]
-        shifted_after = flipped[:, prepended]
-        # (S_i U op)[i w, c] = (U op)[w, c]; rows not starting with i are zero
-        shifted_before = np.zeros((cut, cut))
-        shifted_before[prepended[:inner]] = flipped[:inner, :cut]
-        per_symbol.append(float(np.abs(shifted_after - shifted_before).max()))
+    for symbol in range(d):
+        parts = []
+        for length in range(basis.max_length):  # |c|
+            size = d**length
+            start = offsets[length + 1] + symbol * size
+            columns = slice(start, start + size)  # the words i c
+            rows = tails[:, :, columns]
+            parts.append(np.abs(op[0, columns]).max())
+            parts.append(np.abs(rows[:, :symbol]).max(initial=0.0))
+            parts.append(np.abs(rows[:, symbol + 1 :]).max(initial=0.0))
+            plain = op[:inner, offsets[length] : offsets[length] + size]  # the words c
+            parts.append(np.abs(rows[:, symbol] - plain).max(initial=0.0))
+        per_symbol.append(float(np.max(parts)))  # NaN propagates
     return MultiplierReport(
         degree=basis.max_length,
         per_symbol=tuple(per_symbol),

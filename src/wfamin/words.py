@@ -5,6 +5,19 @@ lexicographic order lists shorter words first and breaks ties by comparing
 symbol sequences; the empty word always has index 0.  Every module that
 indexes matrices or coefficient vectors by words goes through
 :class:`WordIndex`, so there is a single canonical ordering.
+
+Two identities of this order let callers work on index arithmetic, slices
+and reshaped views instead of per-word lookups.  For words w and u over d
+letters,
+
+    index_of(w + u) = d**len(u) * index_of(w) + index_of(u),
+
+and in particular, for one letter a, index_of(w + (a,)) = d * index_of(w)
++ 1 + a: the rows w a of a word-indexed matrix, for w up to some length,
+are one contiguous (words, d) block.  The index does not depend on
+``max_length``, so the identities hold across indices of one alphabet.
+:meth:`WordIndex.concatenation_indices` and
+:func:`wfamin.fock.verify_multiplier_intertwining` rely on them.
 """
 
 from __future__ import annotations
@@ -127,7 +140,7 @@ class WordIndex:
             raise ValueError("alphabet sizes must match")
         if combined.max_length < self.max_length + other.max_length:
             raise ValueError("combined index too short for all concatenations")
-        offsets = combined.offsets
-        total_len = self.lengths[:, None] + other.lengths[None, :]
-        left_shifted = self.values[:, None] * d ** other.lengths[None, :]
-        return offsets[total_len] + left_shifted + other.values[None, :]
+        # index_of(w + u) = d**len(u) * index_of(w) + index_of(u), built in place
+        out = np.multiply.outer(np.arange(len(self), dtype=np.int64), d**other.lengths)
+        out += np.arange(len(other), dtype=np.int64)
+        return out

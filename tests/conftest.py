@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from wfamin.wfa import Wfa
+
+# property tests draw the same examples on every run and keep no example
+# database, so a tier-1 result does not depend on an earlier run
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

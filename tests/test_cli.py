@@ -325,6 +325,28 @@ class TestVerify:
         assert "max discrepancy over fixtures: nan" in out
         assert out.strip().endswith("result: fail")
 
+    def test_nan_discrepancy_all_suites_fail_with_exit_1(self, capsys):
+        # the nc-rational trials cannot be evaluated (the spectral radius of
+        # the substituted pencil is ~2e198): that fails the suite, it is not
+        # bad input, so every suite prints its result and the command exits 1
+        with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+            code, out, _ = run(
+                capsys, "verify", str(FIXTURES / "nan-discrepancy.wfa"),
+                "--degree", "2", "--no-timestamp",
+            )
+        assert code == 1
+        results = [line for line in out.splitlines() if line.startswith("result: ")]
+        assert results == ["result: fail", "result: pass", "result: pass", "result: fail"]
+        assert "error: substitution is not contractive" in out
+
+    @pytest.mark.parametrize("suite", ["nc-rational", "all"])
+    def test_unparsable_file_exits_2(self, capsys, tmp_path, suite):
+        path = tmp_path / "bad.wfa"
+        path.write_text("alphabet: a\nstates: 1\n")
+        code, _, err = run(capsys, "verify", str(path), "--suite", suite, "--no-timestamp")
+        assert code == 2
+        assert err.startswith("error: ")
+
     def test_free_group_reports_violation(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "free-group", "--no-timestamp")
         assert code == 0

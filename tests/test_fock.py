@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,6 +182,47 @@ class TestIndexMaps:
             report = fock.verify_multiplier_intertwining(op, basis)
             assert report.per_symbol == tuple(expected)
             assert report.max_discrepancy > 0.0
+
+    @given(
+        d=st.integers(1, 3),
+        degree=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        gaussian=st.booleans(),
+        change=st.sampled_from([None, 1e-9, np.nan, np.inf, -np.inf]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_intertwining_equals_dense_formula_with_non_finite_cells(
+        self, d, degree, seed, gaussian, change, data
+    ):
+        basis = WordIndex(d, degree)
+        size = len(basis)
+        if gaussian:
+            op = np.random.default_rng(seed).standard_normal((size, size))
+        else:
+            wfa = random_stable_wfa(d, 3, seed=seed, radius_bound=0.9)
+            op = fock.flipped_multiplier_matrix(wfa, basis)
+        row = data.draw(st.integers(0, size - 1), label="row")
+        column = data.draw(st.integers(0, size - 1), label="column")
+        if change == 1e-9:
+            op[row, column] += change
+        elif change is not None:
+            op[row, column] = change
+        # U op S_i and S_i U op in full through the index maps: a matrix
+        # product would turn inf * 0 into NaN
+        cut = basis.first_index_of_length(degree)
+        flipped = np.stack([fock.flip(basis, col) for col in op.T], axis=1)
+        interior = flipped.copy()
+        interior[cut:] = 0.0  # the left shift's matrix drops the top degree
+        expected = []
+        for i in range(d):
+            after = fock.left_shift_adjoint(basis, i, flipped)
+            before = fock.left_shift(basis, i, interior.T).T
+            expected.append(float(np.abs(after - before)[:cut, :cut].max()))
+        report = fock.verify_multiplier_intertwining(op, basis)
+        assert len(report.per_symbol) == d
+        for got, want in zip(report.per_symbol, expected):
+            assert got == want or (np.isnan(got) and np.isnan(want))
 
 
 class TestNcHankelMatrix:
@@ -484,6 +527,21 @@ class TestMultiplier:
         basis = WordIndex(2, 3)
         report = fock.verify_multiplier_intertwining(np.eye(len(basis)), basis)
         assert report.max_discrepancy > 0.0
+
+    def test_peak_memory_below_one_interior_square(self):
+        # the check reads op through views: its temporaries stay below one
+        # cut x cut float matrix (2.09 MB at d = 2, degree 9, N = 1023)
+        basis = WordIndex(2, 9)
+        op = fock.flipped_multiplier_matrix(random_stable_wfa(2, 3, seed=5, radius_bound=0.9), basis)
+        cut = basis.first_index_of_length(9)
+        tracemalloc.start()
+        try:
+            report = fock.verify_multiplier_intertwining(op, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.max_discrepancy < 1e-14
+        assert peak < cut * cut * 8
 
     def test_degree_zero_basis_rejected(self):
         basis = WordIndex(2, 0)

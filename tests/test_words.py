@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wfamin.words import WordIndex
 
@@ -51,14 +52,30 @@ def test_rejects_out_of_range():
 
 
 def test_concatenation_indices():
-    d = 2
-    prefixes = WordIndex(d, 2)
-    suffixes = WordIndex(d, 3)
-    combined = WordIndex(d, 5)
-    table = prefixes.concatenation_indices(suffixes, combined)
-    for i, p in enumerate(prefixes.words()):
-        for j, s in enumerate(suffixes.words()):
-            assert table[i, j] == combined.index_of(p + s)
+    for d, left, right, extra in ((2, 2, 3, 0), (1, 4, 2, 0), (3, 2, 1, 2), (4, 1, 2, 1)):
+        prefixes = WordIndex(d, left)
+        suffixes = WordIndex(d, right)
+        combined = WordIndex(d, left + right + extra)
+        table = prefixes.concatenation_indices(suffixes, combined)
+        assert table.dtype == np.int64
+        for i, p in enumerate(prefixes.words()):
+            for j, s in enumerate(suffixes.words()):
+                assert table[i, j] == combined.index_of(p + s)
+
+
+words = st.lists(st.integers(0, 3), max_size=5)
+
+
+@given(d=st.integers(1, 4), w=words, u=words)
+@settings(max_examples=200, deadline=None)
+def test_concatenation_index_identity(d, w, u):
+    w = tuple(symbol % d for symbol in w)
+    u = tuple(symbol % d for symbol in u)
+    index = WordIndex(d, len(w) + len(u) + 1)
+    assert index.index_of(w + u) == d ** len(u) * index.index_of(w) + index.index_of(u)
+    # u of one letter a: the rows w a follow w at d * index_of(w) + 1 + a
+    for a in range(d):
+        assert index.index_of(w + (a,)) == d * index.index_of(w) + 1 + a
 
 
 def test_lengths_and_values_arrays():
