@@ -15,11 +15,13 @@ Schmidt functions in closed form, and realizes the negative part of the
 error symbol exactly with n + k states: the inverse system of the Schmidt
 denominator is split by an ordered Schur form into its parts inside and
 outside the unit circle (the discrete-time form of Glover's all-optimal
-Hankel-norm construction).  The optimal rank-k Hankel sequence is the
-input minus that negative part, itself an (n + k)-state WFA; it is returned
-together with a k-state WFA recovered from it, whose attained error is
-certified exactly, as the Hankel norm of the difference automaton read
-from its Gramians (:func:`hankel_norm`), before returning.
+Hankel-norm construction).  Every Stein equation here, the Gramians' and
+the extraction's, is one :func:`scipy.linalg.solve_discrete_lyapunov`
+solve.  The optimal rank-k Hankel sequence is the input minus that
+negative part, itself an (n + k)-state WFA; it is returned together with a
+k-state WFA recovered from it, whose attained error is certified exactly,
+as the Hankel norm of the difference automaton read from its Gramians
+(:func:`hankel_norm`), before returning.
 """
 
 from __future__ import annotations
@@ -68,12 +70,6 @@ class GramianPair:
     observability: np.ndarray
     controllability_residual: float
     observability_residual: float
-
-
-def _solve_stein(left: np.ndarray, right: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve X = left X right^T + rhs by vectorizing through the Kronecker product."""
-    system = np.eye(rhs.size) - np.kron(right, left)
-    return np.linalg.solve(system, rhs.flatten(order="F")).reshape(rhs.shape, order="F")
 
 
 def gramians(wfa: Wfa) -> GramianPair:
@@ -255,10 +251,13 @@ def _optimal_sequence(pair: SchmidtPair, order: int) -> Wfa:
 
     the first term a cascade of two strictly proper systems and the second
     the projection of r (1/v)_+ onto the poles of A, whose matrix function
-    comes from one Stein equation.  This gives a realization (c, M, b) with
-    n + k states, e_{-m-1} = c^T M^m b, c = [alpha; 0] and M block upper
-    triangular with A in its top-left block.  So f(m) = c^T M^m [beta; 0],
-    and g = f - e_- is the automaton (c, M, [beta; 0] - b).
+    comes from one Stein equation, X = T_s X A^T + C.  X is the off-diagonal
+    block of the Lyapunov solution for diag(T_s, A), whose blocks decouple
+    and whose spectrum lies inside the unit disk, so X is unique.  This
+    gives a realization (c, M, b) with n + k states, e_{-m-1} = c^T M^m b,
+    c = [alpha; 0] and M block upper triangular with A in its top-left
+    block.  So f(m) = c^T M^m [beta; 0], and g = f - e_- is the automaton
+    (c, M, [beta; 0] - b).
     """
     a, beta, x = pair.wfa.transitions[0], pair.wfa.beta, pair.direction
     n = len(x)
@@ -294,8 +293,12 @@ def _optimal_sequence(pair: SchmidtPair, order: int) -> Wfa:
     constant = 1.0 / head + float(row_u @ m_u @ col_u) / head**2
     forced = pair.controllability @ x
     # X = T_s X A^T + col_s (A P x)^T gives sum_j (row_s T_s^j col_s) A^{j+1} P x
-    stein = _solve_stein(t_s, a, np.outer(col_s, a @ forced))
-    projected = constant * forced - stein.T @ row_s / head**2
+    rhs, zeros = np.outer(col_s, a @ forced), np.zeros((inside, n))
+    lyapunov = scipy.linalg.solve_discrete_lyapunov(
+        np.block([[t_s, zeros], [zeros.T, a]]),
+        np.block([[np.zeros((inside, inside)), rhs], [rhs.T, np.zeros((n, n))]]),
+    )
+    projected = constant * forced - lyapunov[:inside, inside:].T @ row_s / head**2
     matrix = np.block([
         [a, np.outer(forced, row_u @ m_u / head**2)],
         [np.zeros((order, n)), m_u],
@@ -307,6 +310,7 @@ def _optimal_sequence(pair: SchmidtPair, order: int) -> Wfa:
     )
 
 
+@dataclass(frozen=True)
 class AakApproximation:
     """Result of the optimal rank-k Hankel approximation of a one-letter WFA.
 
@@ -320,16 +324,14 @@ class AakApproximation:
     blocks.
     """
 
-    def __init__(self, wfa, error, singular_values, schmidt, order, warnings,
-                 attained, sequence):
-        self.wfa = wfa
-        self.error = error
-        self.singular_values = singular_values
-        self.schmidt = schmidt
-        self.order = order
-        self.warnings = warnings
-        self.attained = attained
-        self.sequence = sequence
+    wfa: Wfa
+    error: float
+    singular_values: np.ndarray
+    schmidt: SchmidtPair
+    order: int
+    warnings: tuple[str, ...]
+    attained: float
+    sequence: Wfa
 
     def __repr__(self) -> str:
         return f"AakApproximation(order={self.order}, error={self.error!r})"

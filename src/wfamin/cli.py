@@ -196,7 +196,8 @@ def cmd_verify(args) -> int:
         print(line)
     all_passed = True
     for name in selected:
-        lines, passed = suites[name](args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lines, passed = suites[name](args)
         for line in lines:
             print(line)
         print(f"result: {'pass' if passed else 'fail'}")

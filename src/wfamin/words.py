@@ -16,7 +16,8 @@ and in particular, for one letter a, index_of(w + (a,)) = d * index_of(w)
 + 1 + a: the rows w a of a word-indexed matrix, for w up to some length,
 are one contiguous (words, d) block.  The index does not depend on
 ``max_length``, so the identities hold across indices of one alphabet.
-:meth:`WordIndex.concatenation_indices` and
+:meth:`WordIndex.concatenation_indices`, the shift and multiplier index
+maps of :mod:`wfamin.fock` and
 :func:`wfamin.fock.verify_multiplier_intertwining` rely on them.
 """
 
@@ -55,7 +56,6 @@ class WordIndex:
             offsets.append(offsets[-1] + alphabet_size**k)
         self._offsets = offsets
         self._lengths: np.ndarray | None = None
-        self._values: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self._offsets[-1]
@@ -119,15 +119,6 @@ class WordIndex:
             out.setflags(write=False)
             self._lengths = out
         return self._lengths
-
-    @property
-    def values(self) -> np.ndarray:
-        """Array mapping index -> base-d value of the word within its length block."""
-        if self._values is None:
-            out = np.arange(len(self), dtype=np.int64) - self.offsets[self.lengths]
-            out.setflags(write=False)
-            self._values = out
-        return self._values
 
     def concatenation_indices(self, other: "WordIndex", combined: "WordIndex") -> np.ndarray:
         """Index matrix C with C[i, j] = combined.index_of(word_i + word_j).

@@ -1,3 +1,6 @@
+import dataclasses
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +296,34 @@ class TestAakApproximate:
             assert abs(result.attained - sigmas[16]) <= 1e-6 * sigmas[0]
         with pytest.raises(NumericalError, match="smallest"):
             hankel_singular_values(random_stable_wfa(1, 32, seed=0, radius_bound=0.9))
+
+    def test_extraction_memory_is_quadratic_in_n(self):
+        # every Stein equation is a Lyapunov solve in O(n^2) memory; a
+        # Kronecker system on the n(n - k) unknowns of the extraction peaks
+        # at 372 MiB here
+        wfa = random_stable_wfa(1, 64, seed=3, radius_bound=0.9)
+        tracemalloc.start()
+        try:
+            result = aak_approximate(wfa, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(result.attained - result.error) <= 1e-6 * result.singular_values[0]
+        assert peak < 8 * 2**20
+
+    def test_hundred_states_certified_within_budget(self):
+        for seed in range(5):
+            wfa = random_stable_wfa(1, 100, seed=seed, radius_bound=0.9)
+            start = time.perf_counter()
+            result = aak_approximate(wfa, 1)
+            assert time.perf_counter() - start < 5.0
+            assert abs(result.attained - result.error) <= 1e-6 * result.singular_values[0]
+
+    def test_result_is_frozen(self, two_state_wfa):
+        result = aak_approximate(two_state_wfa, 1)
+        assert repr(result) == f"AakApproximation(order=1, error={result.error!r})"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.error = 0.0
 
     def test_recovery_builds_no_block(self, monkeypatch):
         # the k-state automaton comes from the state factors of the sequence

@@ -383,6 +383,29 @@ class TestShiftInequalities:
         assert report.max_bilateral_deviation <= 1e-12
         assert report.passed
 
+    @pytest.mark.parametrize("degree", [9, 10])
+    def test_exact_at_high_degree(self, degree):
+        # both sides sum the same ~2,000 squares in different orders; summed
+        # in floating point they differed by 1.4e-12 at degree 9
+        report = fock.verify_shift_inequalities(2, degree, trials=100, seed=0)
+        assert report.max_left_shift_deviation == 0.0
+        assert report.max_bilateral_deviation == 0.0
+        assert report.passed
+
+    def test_colliding_shift_fails(self, monkeypatch):
+        # two interior words sent to one slot lose one squared entry
+        correct = fock._prepend_indices
+
+        def colliding(basis, symbol):
+            indices = correct(basis, symbol).copy()
+            indices[2] = indices[1]
+            return indices
+
+        monkeypatch.setattr(fock, "_prepend_indices", colliding)
+        report = fock.verify_shift_inequalities(2, 9, trials=5, seed=0)
+        assert report.max_left_shift_deviation > 1e-6
+        assert not report.passed
+
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             fock.verify_shift_inequalities(2, 3, trials=0)

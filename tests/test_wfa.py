@@ -107,8 +107,8 @@ class TestSpectralRadius:
 
 
 class TestKronecker:
-    """The block layout of ``np.kron`` that the vectorized Stein solve and the
-    nc-rational resolvent rely on: M(i,j)N(i',j') at (i d' + i', j e' + j')."""
+    """The block layout of ``np.kron`` that the nc-rational resolvent relies
+    on: M(i,j)N(i',j') at (i d' + i', j e' + j')."""
 
     def test_scalar_identity(self):
         n = np.arange(6.0).reshape(2, 3)

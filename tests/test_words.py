@@ -81,4 +81,3 @@ def test_concatenation_index_identity(d, w, u):
 def test_lengths_and_values_arrays():
     index = WordIndex(2, 3)
     np.testing.assert_array_equal(index.lengths[:4], [0, 1, 1, 2])
-    np.testing.assert_array_equal(index.values[1:3], [0, 1])
