@@ -180,34 +180,6 @@ class SchmidtPair:
     wfa: Wfa = field(repr=False)
     controllability: np.ndarray = field(repr=False)
 
-    def v_coefficients(self, count: int) -> np.ndarray:
-        """Power-series coefficients v_j = x^T A^j beta, j < count."""
-        return evaluation_table(Wfa(self.direction, self.wfa.transitions, self.wfa.beta), count - 1)
-
-    def w_coefficients(self, count: int) -> np.ndarray:
-        """Negative-part coefficients w_m = sigma^{-1} alpha^T A^m P x, m < count."""
-        forced = self.controllability @ self.direction / self.sigma
-        return evaluation_table(Wfa(self.wfa.alpha, self.wfa.transitions, forced), count - 1)
-
-    def v_at(self, z) -> np.ndarray:
-        """v as a function on the plane, vectorized over z."""
-        z = np.atleast_1d(np.asarray(z))
-        eye = np.eye(len(self.direction))
-        systems = eye - z[:, None, None] * self.wfa.transitions[0].T
-        rhs = np.broadcast_to(self.direction.astype(complex), (z.size, len(self.direction)))
-        solved = np.linalg.solve(systems, rhs[..., None])
-        return (self.wfa.beta @ solved)[..., 0]
-
-    def w_at(self, z) -> np.ndarray:
-        """w as a function outside the spectrum, vectorized over z."""
-        z = np.atleast_1d(np.asarray(z))
-        eye = np.eye(len(self.direction))
-        forced = self.controllability @ self.direction
-        systems = z[:, None, None] * eye - self.wfa.transitions[0]
-        rhs = np.broadcast_to(forced.astype(complex), (z.size, len(forced)))
-        solved = np.linalg.solve(systems, rhs[..., None])
-        return (self.wfa.alpha @ solved)[..., 0] / self.sigma
-
 
 def _schmidt_pair(wfa: Wfa, k: int, singular_data) -> SchmidtPair:
     sigmas, left, sqrt_obs, pair = singular_data
@@ -345,16 +317,6 @@ class AakApproximation:
     def hankel_block(self, prefix_length: int, suffix_length: int) -> HankelBlock:
         """Finite Hankel block of the approximating sequence (Hankel by construction)."""
         return build_hankel(self.sequence, prefix_length, suffix_length)
-
-    def error_circle_samples(self, num_points: int = 4096) -> np.ndarray:
-        """|error symbol| on uniformly spaced unit-circle points.
-
-        The error symbol of the optimal approximation has constant modulus
-        equal to ``error`` almost everywhere on the circle; these samples let
-        callers check that instead of assuming it.
-        """
-        z = np.exp(2j * np.pi * np.arange(num_points) / num_points)
-        return np.abs(self.schmidt.sigma * self.schmidt.w_at(z) / self.schmidt.v_at(z))
 
 
 def aak_approximate(wfa: Wfa, k: int, *, certify_rtol: float = 1e-6) -> AakApproximation:

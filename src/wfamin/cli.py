@@ -75,8 +75,10 @@ def _approximate_aak(args, doc: WfaDocument):
 def _approximate_svd(args, doc: WfaDocument):
     wfa = doc.wfa
     length = args.length if args.length is not None else (63 if wfa.alphabet_size == 1 else 5)
-    # refuses k above the block's numerical rank (RankDeficiencyError, exit 2)
-    recovered, singular, achieved, size = _svd_baseline(wfa, length, args.k)
+    # refuses k above the block's numerical rank (RankDeficiencyError, exit 2);
+    # overflowing states reach the SVD, which fails with NumericalError (exit 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        recovered, singular, achieved, size = _svd_baseline(wfa, length, args.k)
     error = float(singular[args.k]) if args.k < singular.size else 0.0
     lines = [
         "mode: svd",

@@ -5,17 +5,21 @@ its degree-D truncation is represented here by plain numpy vectors and
 matrices over a :class:`~wfamin.words.WordIndex`, so a coefficient vector is
 simultaneously the sequence and the power-series view of the same object.
 
-The shifts, their adjoints and the bilateral shift act on the last axis, so
-a stack of vectors (leading batch axes) is shifted in one call; shifts and
-the flip are applied as index maps, and their dense matrices serve only as
-reference definitions.  The multiplier intertwining check applies neither:
-it reads the operator through slices and reshaped views, using the index
-identities of :mod:`wfamin.words`.
+The shifts and their adjoints act on the last axis, so a stack of vectors
+(leading batch axes) is shifted in one call; shifts and the flip are
+applied as index maps, and no dense shift or flip matrix is built (the
+tests keep those as reference definitions in ``tests/reference.py``).  The
+bilateral shift of the two-sided space is not modeled apart: both checks
+that use it draw from the positive component, where it is the right shift.
+The multiplier intertwining check applies no shift at all: it reads the
+operator through slices and reshaped views, using the index identities of
+:mod:`wfamin.words`.
 
-Truncation discipline: every operation that can push support past the
-degree cutoff either raises :class:`TruncationError` (vector form) or zeroes
-the offending columns (matrix form), and the verification routines only
-compare on the *interior* (degrees where no truncation loss can occur).
+Truncation discipline: a shift that would push support past the degree
+cutoff raises :class:`TruncationError`, the flipped multiplier drops the
+coefficients past it (the compression of the infinite operator), and the
+verification routines only compare on the *interior* (degrees where no
+truncation loss can occur).
 """
 
 from __future__ import annotations
@@ -110,22 +114,6 @@ def right_shift_adjoint(basis: WordIndex, symbol: int, vector) -> np.ndarray:
     return out
 
 
-def left_shift_matrix(basis: WordIndex, symbol: int) -> np.ndarray:
-    """Matrix of the left shift; columns at the top degree are zero."""
-    out = np.zeros((len(basis), len(basis)))
-    cut = _interior_size(basis)
-    out[_prepend_indices(basis, symbol), np.arange(cut)] = 1.0
-    return out
-
-
-def right_shift_matrix(basis: WordIndex, symbol: int) -> np.ndarray:
-    """Matrix of the right shift; columns at the top degree are zero."""
-    out = np.zeros((len(basis), len(basis)))
-    cut = _interior_size(basis)
-    out[_append_indices(basis, symbol), np.arange(cut)] = 1.0
-    return out
-
-
 def _reversal_permutation(basis: WordIndex) -> np.ndarray:
     """index_of(reversed w) for every word w; an involution."""
     d = basis.alphabet_size
@@ -145,12 +133,6 @@ def flip(basis: WordIndex, vector) -> np.ndarray:
         raise ValueError(f"vector has shape {vector.shape}, expected ({len(basis)},)")
     out = np.empty_like(vector)
     out[_reversal_permutation(basis)] = vector
-    return out
-
-
-def flip_matrix(basis: WordIndex) -> np.ndarray:
-    out = np.zeros((len(basis), len(basis)))
-    out[_reversal_permutation(basis), np.arange(len(basis))] = 1.0
     return out
 
 
@@ -205,88 +187,13 @@ def verify_hankel_equation(wfa: Wfa, degree: int) -> HankelEquationReport:
 
 
 @dataclass(frozen=True)
-class TwoSidedVector:
-    """Element of the two-sided space: negative block (words of length >= 1)
-    plus positive block (all words), both truncated at the same degree."""
-
-    negative: np.ndarray
-    positive: np.ndarray
-
-    def norm_squared(self) -> float:
-        return float(self.negative @ self.negative + self.positive @ self.positive)
-
-    def inner(self, other: "TwoSidedVector") -> float:
-        return float(self.negative @ other.negative + self.positive @ other.positive)
-
-
-class TwoSidedSpace:
-    """Direct sum of a negative and a positive truncated Fock component.
-
-    The negative component is indexed by words of length 1..D, the positive
-    one by words of length 0..D.  The bilateral shift acts as the right
-    shift on the positive component and as its adjoint on the negative one;
-    a negative single-letter word crosses over to the empty word of the
-    positive component, mirroring the bilateral shift on two-sided sequences.
-    """
-
-    def __init__(self, alphabet_size: int, degree: int):
-        if degree < 1:
-            raise ValueError(f"degree must be >= 1, got {degree}")
-        self.basis = WordIndex(alphabet_size, degree)
-        self.negative_size = len(self.basis) - 1
-        self.positive_size = len(self.basis)
-
-    @property
-    def degree(self) -> int:
-        return self.basis.max_length
-
-    def zero(self) -> TwoSidedVector:
-        return TwoSidedVector(np.zeros(self.negative_size), np.zeros(self.positive_size))
-
-    def basis_negative(self, word) -> TwoSidedVector:
-        """Negative-component basis vector for a nonempty word."""
-        index = self.basis.index_of(word)
-        if index == 0:
-            raise ValueError("the empty word lives in the positive component")
-        vec = self.zero()
-        vec.negative[index - 1] = 1.0
-        return vec
-
-    def basis_positive(self, word) -> TwoSidedVector:
-        vec = self.zero()
-        vec.positive[self.basis.index_of(word)] = 1.0
-        return vec
-
-    def project_negative(self, vector: TwoSidedVector) -> TwoSidedVector:
-        """Orthogonal projection onto the negative component."""
-        return TwoSidedVector(vector.negative.copy(), np.zeros(self.positive_size))
-
-    def bilateral_shift(self, symbol: int, vector: TwoSidedVector) -> TwoSidedVector:
-        """Case-split shift: right-shift adjoint on the negative component
-        (with the single-letter crossing to the empty word), right shift on
-        the positive component.  Both blocks may carry the same leading
-        batch axes; the shift acts on the last one."""
-        basis = self.basis
-        cut = _interior_size(basis)
-        if np.any(vector.positive[..., cut:] != 0.0):
-            raise TruncationError(
-                "bilateral shift would push positive support past degree "
-                f"{basis.max_length}"
-            )
-        appended = _append_indices(basis, symbol)
-        positive = np.zeros(vector.positive.shape)
-        positive[..., appended] = vector.positive[..., :cut]
-        # negative block: strip a trailing `symbol`; e_{symbol} crosses to e_eps
-        stripped = vector.negative[..., appended - 1]
-        negative = np.zeros(vector.negative.shape)
-        negative[..., : cut - 1] = stripped[..., 1:]
-        positive[..., 0] += stripped[..., 0]
-        return TwoSidedVector(negative, positive)
-
-
-@dataclass(frozen=True)
 class ShiftInequalityReport:
-    """Deviations from equality in the shift norm identities, over random trials."""
+    """Deviations from equality in the shift norm identities, over random trials.
+
+    ``max_bilateral_deviation`` is identity (b)'s: the trials draw from the
+    positive component of the two-sided space, where the bilateral shift
+    is the right shift R_i.
+    """
 
     alphabet_size: int
     degree: int
@@ -325,7 +232,8 @@ def verify_shift_inequalities(alphabet_size: int, degree: int, trials: int,
     y_i.  (b) The bilateral shifts restricted to their invariant positive
     component are again orthogonal-range isometries, so the same identity
     holds there; the trials draw the h_i from that component, which is where
-    the contraction hypothesis is actually exercised by the framework.
+    the contraction hypothesis is actually exercised by the framework.  On
+    it the bilateral shift is the right shift, so (b) sums R_i h_i.
 
     Both sides sum the same squares in different orders; summed exactly,
     they deviate only if a shift maps two words to one.
@@ -333,8 +241,7 @@ def verify_shift_inequalities(alphabet_size: int, degree: int, trials: int,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    space = TwoSidedSpace(alphabet_size, degree)
-    basis = space.basis
+    basis = WordIndex(alphabet_size, degree)
     cut = _interior_size(basis)
     # trials are drawn and shifted in batches of bounded size; drawing
     # (batch, 2, d, cut) normals continues the stream one trial at a time,
@@ -352,13 +259,8 @@ def verify_shift_inequalities(alphabet_size: int, degree: int, trials: int,
         deviation = _exact_squared_norms(total) - _exact_squared_norms(ys)
         max_left = float(np.maximum(max_left, np.abs(deviation).max()))
 
-        zero = np.zeros((count, space.negative_size))
-        images = [space.bilateral_shift(i, TwoSidedVector(zero, hs[:, i]))
-                  for i in range(alphabet_size)]
-        negative = sum(image.negative for image in images)
-        positive = sum(image.positive for image in images)
-        both = np.concatenate([negative, positive], axis=-1)
-        deviation = _exact_squared_norms(both) - _exact_squared_norms(hs)
+        total = sum(right_shift(basis, i, hs[:, i]) for i in range(alphabet_size))
+        deviation = _exact_squared_norms(total) - _exact_squared_norms(hs)
         max_bilateral = float(np.maximum(max_bilateral, np.abs(deviation).max()))
     return ShiftInequalityReport(
         alphabet_size=alphabet_size,
@@ -371,7 +273,11 @@ def verify_shift_inequalities(alphabet_size: int, degree: int, trials: int,
 
 @dataclass(frozen=True)
 class FreeGroupReport:
-    """Contrast of the bilateral-shift contraction on group- vs monoid-indexed spaces."""
+    """Contrast of the bilateral-shift contraction on group- vs monoid-indexed spaces.
+
+    The monoid probe lies in the positive component, where the bilateral
+    shift is the right shift R_i.
+    """
 
     group_lhs: float
     group_rhs: float
@@ -441,16 +347,13 @@ def free_group_counterexample() -> FreeGroupReport:
     group_lhs = float(combined @ combined)
     group_rhs = float(h1 @ h1 + h2 @ h2)
 
-    # same probe on the monoid-indexed two-sided space: h_i = e_{g_i} in the
-    # positive component, where the bilateral shift appends on the right
-    space = TwoSidedSpace(2, 2)
-    m1 = space.basis_positive((0,))
-    m2 = space.basis_positive((1,))
-    s1 = space.bilateral_shift(0, m1)
-    s2 = space.bilateral_shift(1, m2)
-    summed = TwoSidedVector(s1.negative + s2.negative, s1.positive + s2.positive)
-    monoid_lhs = summed.norm_squared()
-    monoid_rhs = m1.norm_squared() + m2.norm_squared()
+    # same probe on the free monoid: h_i = e_{g_i}, where the bilateral
+    # shift is the right shift and appending never cancels
+    basis = WordIndex(2, 2)
+    m1, m2 = np.eye(len(basis))[[basis.index_of((0,)), basis.index_of((1,))]]
+    summed = right_shift(basis, 0, m1) + right_shift(basis, 1, m2)
+    monoid_lhs = float(summed @ summed)
+    monoid_rhs = float(m1 @ m1 + m2 @ m2)
 
     degenerate = shift_apply(2, h2)
     return FreeGroupReport(
@@ -656,33 +559,6 @@ def verify_nc_rational(wfa: Wfa, trials: int, seed=0) -> NcRationalReport:
     )
 
 
-def _multiplier_matrix(basis: WordIndex, series: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Right multiplication by a series, each row w u moved to rows[index of w u]."""
-    d = basis.alphabet_size
-    offsets = basis.offsets
-    out = np.zeros((len(basis), len(basis)))
-    for length in range(basis.max_length + 1):  # |u|: the suffix length
-        # left factors w with |w| + |u| <= max_length, one per column
-        cut = basis.first_index_of_length(basis.max_length - length + 1) if length else len(basis)
-        first = d**length * np.arange(cut, dtype=np.int64) + offsets[length]  # index of w + 0^|u|
-        suffixes = np.arange(d**length)
-        targets = rows[first[:, None] + suffixes[None, :]]
-        out[targets, np.arange(cut)[:, None]] += series[offsets[length] + suffixes][None, :]
-    return out
-
-
-def right_multiplication_matrix(basis: WordIndex, series) -> np.ndarray:
-    """Matrix of right multiplication by a series: e_w -> sum_u theta_u e_{w u}.
-
-    Coefficients that would exceed the basis degree are dropped (the matrix
-    is the compression of the infinite operator to the truncation).
-    """
-    series = np.asarray(series, dtype=float)
-    if series.shape != (len(basis),):
-        raise ValueError(f"series has shape {series.shape}, expected ({len(basis)},)")
-    return _multiplier_matrix(basis, series, np.arange(len(basis)))
-
-
 def flipped_multiplier_matrix(wfa: Wfa, basis: WordIndex) -> np.ndarray:
     """The multiplier associated with the automaton's flipped symbol.
 
@@ -692,14 +568,25 @@ def flipped_multiplier_matrix(wfa: Wfa, basis: WordIndex) -> np.ndarray:
     Composing the multiplier with the flipping operator gives right
     multiplication by that column, which commutes with every left shift; that is
     the intertwining property checked by
-    :func:`verify_multiplier_intertwining`.  The result equals
-    ``flip_matrix(basis) @ right_multiplication_matrix(basis, series)``; each
-    row is written straight to its flipped position.
+    :func:`verify_multiplier_intertwining`.  The result is the flip times
+    the matrix of right multiplication by the column, e_w -> sum_u f(u) e_{w u}
+    with the coefficients past the degree dropped; each row w u is written
+    straight to its flipped position.
     """
     if basis.alphabet_size != wfa.alphabet_size:
         raise ValueError("basis and automaton alphabet sizes differ")
     series = evaluation_table(wfa, basis.max_length)
-    return _multiplier_matrix(basis, series, _reversal_permutation(basis))
+    reversal = _reversal_permutation(basis)
+    d, offsets = basis.alphabet_size, basis.offsets
+    out = np.zeros((len(basis), len(basis)))
+    for length in range(basis.max_length + 1):  # |u|: the suffix length
+        # left factors w with |w| + |u| <= max_length, one per column
+        cut = basis.first_index_of_length(basis.max_length - length + 1) if length else len(basis)
+        first = d**length * np.arange(cut, dtype=np.int64) + offsets[length]  # index of w + 0^|u|
+        suffixes = np.arange(d**length)
+        targets = reversal[first[:, None] + suffixes[None, :]]  # flipped rows of w u
+        out[targets, np.arange(cut)[:, None]] += series[offsets[length] + suffixes][None, :]
+    return out
 
 
 @dataclass(frozen=True)

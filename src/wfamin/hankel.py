@@ -4,9 +4,9 @@ A Hankel block is a finite sub-matrix of the bi-infinite Hankel matrix of a
 function f on words: rows are indexed by prefixes, columns by suffixes, and
 the entry at (p, s) is f(ps).  The block therefore satisfies the Hankel
 constraint that the entry only depends on the concatenation.  This module
-builds such blocks from automata, measures their numerical rank, computes
-the (generally non-Hankel) truncated-SVD approximation, and reconstructs a
-WFA of a given size from a block via the spectral method.  Minimality is
+builds such blocks from automata, measures their numerical rank, runs the
+truncated-SVD baseline (whose rank-k optimum is generally not Hankel), and
+reconstructs a WFA of a given size from a block via the spectral method.  Minimality is
 decided without blocks, by an orthogonal reduction of the realization.
 
 The block of an n-state automaton factors exactly as H = P S^T, with the
@@ -18,10 +18,9 @@ O(N n^2) instead of the O(N^3) of a dense N x N SVD, and the block itself
 supplies only the prefix and suffix sets.  S holds the prefix states of
 the reversed automaton, so its rows follow the reversed words and P S^T is
 H with its columns permuted, which changes no singular value.
-``hankel_rank`` and ``svd_truncate`` take arbitrary blocks and stay dense.
-The word order lives in ``WordIndex`` alone: :func:`check_hankel_property`
-groups cells by the concatenation index map of :func:`build_hankel`, and a
-NaN cell is a violation.
+``hankel_rank`` takes arbitrary blocks and stays dense.  The word order
+lives in ``WordIndex`` alone: :func:`build_hankel` reads every cell from
+one table of word values through the concatenation index map.
 """
 
 from __future__ import annotations
@@ -111,52 +110,6 @@ def hankel_rank(block: HankelBlock, tol: float = DEFAULT_RANK_TOL) -> int:
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     return _rank(_svd(block.entries, compute_uv=False), tol)
-
-
-def svd_truncate(block: HankelBlock, k: int) -> tuple[np.ndarray, float]:
-    """Best rank-k approximation of the block in the spectral norm.
-
-    Returns the truncated-SVD matrix and the approximation error, which is
-    the (k+1)-th singular value (0 when k is at least the rank).  The result
-    is optimal among all rank-k matrices but is generally *not* Hankel.
-    """
-    if not 0 <= k <= min(block.shape):
-        raise ValueError(f"k must lie in [0, {min(block.shape)}], got {k}")
-    u, s, vt = _svd(block.entries, compute_uv=True)
-    truncated = (u[:, :k] * s[:k]) @ vt[:k, :]
-    error = float(s[k]) if k < s.size else 0.0
-    return truncated, error
-
-
-def check_hankel_property(block: HankelBlock, tol: float) -> tuple[bool, tuple | None]:
-    """Whether all factorizations of each word agree within ``tol`` (absolute).
-
-    A word violates when max - min over its cells is not at most ``tol``, so
-    a NaN cell is a violation.  Returns ``(True, None)`` if the block is
-    Hankel, otherwise ``(False, (p, s, p', s'))`` for the first violating
-    word: its first pair of cells, by prefix length, whose entries differ
-    by more than ``tol`` or are NaN ((p, s, p, s) if it has only one cell).
-    """
-    combined = WordIndex(block.alphabet_size, block.prefixes.max_length + block.suffixes.max_length)
-    words = block.prefixes.concatenation_indices(block.suffixes, combined)
-    # every word up to the combined length has at least one cell
-    low = np.full(len(combined), np.inf)
-    high = np.full(len(combined), -np.inf)
-    with np.errstate(invalid="ignore"):
-        np.minimum.at(low, words.ravel(), block.entries.ravel())
-        np.maximum.at(high, words.ravel(), block.entries.ravel())
-        bad_words = np.flatnonzero(~(high - low <= tol))
-    if bad_words.size == 0:
-        return True, None
-    rows, cols = np.nonzero(words == bad_words[0])  # one cell per prefix length
-    values = block.entries[rows, cols].tolist()
-    cells = [(block.prefixes.word_at(r), block.suffixes.word_at(c))
-             for r, c in zip(rows.tolist(), cols.tolist())]
-    for a in range(len(cells)):
-        for b in range(a + 1, len(cells)):
-            if not abs(values[a] - values[b]) <= tol:
-                return False, (*cells[a], *cells[b])
-    return False, (*cells[0], *cells[0])
 
 
 def _prefix_states(wfa: Wfa, max_length: int) -> np.ndarray:

@@ -15,9 +15,18 @@ from wfamin.aak import (
     schmidt_pair,
 )
 from wfamin.errors import NumericalError, RankDeficiencyError, StabilityError
-from wfamin.hankel import build_hankel, check_hankel_property, is_minimal
+from wfamin.hankel import build_hankel, is_minimal
 from wfamin.io import load_document
 from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa
+
+from reference import (
+    check_hankel_property,
+    error_circle_samples,
+    v_at,
+    v_coefficients,
+    w_at,
+    w_coefficients,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -119,25 +128,25 @@ class TestSchmidtPair:
             pair = schmidt_pair(two_state_wfa, k)
             n = 220
             block = build_hankel(two_state_wfa, n - 1, n - 1).entries
-            v = pair.v_coefficients(n)
-            w = pair.w_coefficients(n)
+            v = v_coefficients(pair, n)
+            w = w_coefficients(pair, n)
             assert np.abs(block @ v - pair.sigma * w).max() < 1e-10
             assert np.abs(block.T @ w - pair.sigma * v).max() < 1e-10
 
     def test_function_values_match_series(self, two_state_wfa):
         pair = schmidt_pair(two_state_wfa, 1)
         z = np.exp(2j * np.pi * np.array([0.12, 0.48, 0.9]))
-        v_series = sum(c * z**j for j, c in enumerate(pair.v_coefficients(120)))
-        w_series = sum(c * z ** (-m - 1.0) for m, c in enumerate(pair.w_coefficients(120)))
-        np.testing.assert_allclose(pair.v_at(z), v_series, atol=1e-13)
-        np.testing.assert_allclose(pair.w_at(z), w_series, atol=1e-13)
+        v_series = sum(c * z**j for j, c in enumerate(v_coefficients(pair, 120)))
+        w_series = sum(c * z ** (-m - 1.0) for m, c in enumerate(w_coefficients(pair, 120)))
+        np.testing.assert_allclose(v_at(pair, z), v_series, atol=1e-13)
+        np.testing.assert_allclose(w_at(pair, z), w_series, atol=1e-13)
 
 
 def circle_fourier_oracle(result, count, num_points=8192):
     """Independent extraction oracle: trapezoid Fourier integrals of the
     error symbol sampled on the unit circle (aliasing decays geometrically)."""
     z = np.exp(2j * np.pi * np.arange(num_points) / num_points)
-    values = result.schmidt.sigma * result.schmidt.w_at(z) / result.schmidt.v_at(z)
+    values = result.schmidt.sigma * w_at(result.schmidt, z) / v_at(result.schmidt, z)
     out = np.empty(count)
     for m in range(count):
         out[m] = np.real(np.mean(values * z ** (m + 1)))
@@ -183,7 +192,7 @@ class TestAakApproximate:
 
     def test_error_symbol_has_constant_modulus(self, two_state_wfa):
         result = aak_approximate(two_state_wfa, 1)
-        samples = result.error_circle_samples(4096)
+        samples = error_circle_samples(result, 4096)
         assert abs(samples.max() / result.error - 1.0) < 1e-4
         assert abs(samples.min() / result.error - 1.0) < 1e-4
 
@@ -191,7 +200,7 @@ class TestAakApproximate:
         result = aak_approximate(two_state_wfa, 1)
         h = build_hankel(two_state_wfa, 63, 63).entries
         g = result.hankel_block(63, 63).entries
-        sup = result.error_circle_samples(4096).max()
+        sup = error_circle_samples(result, 4096).max()
         assert np.linalg.norm(h - g, 2) <= sup + 1e-8
 
     def test_extraction_matches_circle_fourier_oracle(self, two_state_wfa):

@@ -21,9 +21,11 @@ from wfamin.fock import (
     verify_hankel_equation,
     verify_shift_inequalities,
 )
-from wfamin.hankel import build_hankel, check_hankel_property, hankel_rank, spectral_recover
+from wfamin.hankel import build_hankel, hankel_rank, spectral_recover
 from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa
 from wfamin.words import WordIndex
+
+from reference import check_hankel_property, error_circle_samples
 
 RANK_FIXTURES = [
     ((i % 3) + 1, (i % 5) + 1, 7000 + i) for i in range(20)
@@ -272,7 +274,7 @@ def test_criterion_10_error_modulus(aak_cases):
         for k, result in results.items():
             if k == 0:
                 continue
-            samples = result.error_circle_samples(4096)
+            samples = error_circle_samples(result, 4096)
             worst = max(worst, float(abs(samples.max() / sigmas[k] - 1.0)))
             checked += 1
     report(

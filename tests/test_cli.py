@@ -275,6 +275,19 @@ class TestApproximate:
         assert "2097151 x 5 state factor" in err
         assert not (tmp_path / "big.wfa").exists()
 
+    def test_svd_failure_prints_one_error_line(self, capsys, tmp_path):
+        # the fixture's states overflow to inf and NaN before the SVD fails;
+        # numpy's warnings stay off stderr (any warning fails this test)
+        out_file = tmp_path / "out.wfa"
+        code, out, err = run(
+            capsys, "approximate", str(FIXTURES / "nan-discrepancy.wfa"), "0",
+            "--mode", "svd", "--no-timestamp", "-o", str(out_file),
+        )
+        assert code == 1
+        assert out == ""
+        assert re.fullmatch(r"error: SVD failed: [^\n]*\n", err)
+        assert not out_file.exists()
+
     def test_aak_on_multi_letter_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "approximate", str(FIXTURES / "nilpotent.wfa"), "1",

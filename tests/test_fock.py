@@ -10,6 +10,13 @@ from wfamin.hankel import build_hankel, hankel_rank
 from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa
 from wfamin.words import WordIndex
 
+from reference import (
+    flip_matrix,
+    left_shift_matrix,
+    right_multiplication_matrix,
+    right_shift_matrix,
+)
+
 
 def basis_vector(basis, word):
     out = np.zeros(len(basis))
@@ -24,6 +31,9 @@ class TestShifts:
         np.testing.assert_array_equal(out, basis_vector(basis, (0,)))
         out = fock.left_shift(basis, 0, basis_vector(basis, (1, 0)))
         np.testing.assert_array_equal(out, basis_vector(basis, (0, 1, 0)))
+        # the right shift appends: the bilateral shift on the positive component
+        out = fock.right_shift(basis, 0, basis_vector(basis, (1,)))
+        np.testing.assert_array_equal(out, basis_vector(basis, (1, 0)))
 
     def test_left_shift_linear(self):
         basis = WordIndex(2, 3)
@@ -57,7 +67,7 @@ class TestShifts:
         rng = np.random.default_rng(1)
         cut = basis.first_index_of_length(basis.max_length)
         for i in range(3):
-            s = fock.left_shift_matrix(basis, i)
+            s = left_shift_matrix(basis, i)
             u = np.zeros(len(basis))
             u[:cut] = rng.standard_normal(cut)
             v = rng.standard_normal(len(basis))
@@ -65,7 +75,7 @@ class TestShifts:
                 u @ fock.left_shift_adjoint(basis, i, v), rel=1e-12, abs=1e-13
             )
             np.testing.assert_array_equal(s.T @ v, fock.left_shift_adjoint(basis, i, v))
-            r = fock.right_shift_matrix(basis, i)
+            r = right_shift_matrix(basis, i)
             np.testing.assert_array_equal(r.T @ v, fock.right_shift_adjoint(basis, i, v))
 
     def test_adjoints_check_length(self):
@@ -99,7 +109,7 @@ class TestShifts:
             for degree in (2, 3, 4):
                 basis = WordIndex(d, degree)
                 cut = basis.first_index_of_length(degree)
-                mats = [fock.left_shift_matrix(basis, i) for i in range(d)]
+                mats = [left_shift_matrix(basis, i) for i in range(d)]
                 for i in range(d):
                     for j in range(d):
                         product = (mats[i].T @ mats[j])[:cut, :cut]
@@ -122,11 +132,11 @@ class TestFlip:
 
     def test_flip_conjugates_left_to_right_shift(self):
         basis = WordIndex(2, 4)
-        u = fock.flip_matrix(basis)
+        u = flip_matrix(basis)
         cut = basis.first_index_of_length(basis.max_length)
         for i in range(2):
-            left = fock.left_shift_matrix(basis, i)
-            right = fock.right_shift_matrix(basis, i)
+            left = left_shift_matrix(basis, i)
+            right = right_shift_matrix(basis, i)
             conjugated = u.T @ left @ u
             np.testing.assert_array_equal(right[:, :cut], conjugated[:, :cut])
 
@@ -157,13 +167,13 @@ class TestIndexMaps:
                 for k, u in enumerate(basis.words()):
                     if len(w) + len(u) <= degree:
                         expected[basis.index_of(w + u), j] = series[k]
-            np.testing.assert_array_equal(fock.right_multiplication_matrix(basis, series), expected)
+            np.testing.assert_array_equal(right_multiplication_matrix(basis, series), expected)
 
     def test_flipped_multiplier_equals_dense_product(self):
         for d, degree in ((1, 5), (2, 4), (3, 3)):
             wfa = random_stable_wfa(d, 3, seed=d, radius_bound=0.9)
             basis = WordIndex(d, degree)
-            dense = fock.flip_matrix(basis) @ fock.right_multiplication_matrix(
+            dense = flip_matrix(basis) @ right_multiplication_matrix(
                 basis, evaluation_table(wfa, degree)
             )
             np.testing.assert_array_equal(fock.flipped_multiplier_matrix(wfa, basis), dense)
@@ -173,11 +183,11 @@ class TestIndexMaps:
         for d, degree in ((1, 4), (2, 3), (3, 3)):
             basis = WordIndex(d, degree)
             op = rng.standard_normal((len(basis), len(basis)))
-            u = fock.flip_matrix(basis)
+            u = flip_matrix(basis)
             cut = basis.first_index_of_length(degree)
             expected = []
             for i in range(d):
-                s = fock.left_shift_matrix(basis, i)
+                s = left_shift_matrix(basis, i)
                 expected.append(float(np.abs((u @ op @ s - s @ u @ op)[:cut, :cut]).max()))
             report = fock.verify_multiplier_intertwining(op, basis)
             assert report.per_symbol == tuple(expected)
@@ -298,71 +308,6 @@ class TestHankelEquation:
             fock.verify_hankel_equation(nilpotent_wfa, 1)
 
 
-class TestTwoSidedSpace:
-    def test_projection_idempotent_self_adjoint(self):
-        space = fock.TwoSidedSpace(2, 3)
-        rng = np.random.default_rng(3)
-        u = fock.TwoSidedVector(
-            rng.standard_normal(space.negative_size), rng.standard_normal(space.positive_size)
-        )
-        v = fock.TwoSidedVector(
-            rng.standard_normal(space.negative_size), rng.standard_normal(space.positive_size)
-        )
-        pu = space.project_negative(u)
-        np.testing.assert_array_equal(space.project_negative(pu).negative, pu.negative)
-        np.testing.assert_array_equal(pu.positive, np.zeros(space.positive_size))
-        assert pu.inner(v) == pytest.approx(u.inner(space.project_negative(v)), rel=1e-12)
-
-    def test_bilateral_shift_cases(self):
-        space = fock.TwoSidedSpace(2, 3)
-        # positive component: append on the right
-        out = space.bilateral_shift(0, space.basis_positive((1,)))
-        np.testing.assert_array_equal(out.positive, space.basis_positive((1, 0)).positive)
-        # negative component: strip a trailing symbol
-        out = space.bilateral_shift(0, space.basis_negative((1, 0)))
-        np.testing.assert_array_equal(out.negative, space.basis_negative((1,)).negative)
-        # no trailing match: annihilated
-        out = space.bilateral_shift(1, space.basis_negative((1, 0)))
-        assert out.norm_squared() == 0.0
-        # single letter crosses to the empty word of the positive component
-        out = space.bilateral_shift(0, space.basis_negative((0,)))
-        np.testing.assert_array_equal(out.positive, space.basis_positive(()).positive)
-        assert np.all(out.negative == 0.0)
-
-    def test_bilateral_shift_is_unitary_for_one_letter(self):
-        # with a single symbol the space is a truncated two-sided sequence
-        # space and the shift preserves norms away from the boundary
-        space = fock.TwoSidedSpace(1, 5)
-        rng = np.random.default_rng(4)
-        neg = rng.standard_normal(space.negative_size)
-        pos = np.zeros(space.positive_size)
-        pos[:-1] = rng.standard_normal(space.positive_size - 1)
-        vec = fock.TwoSidedVector(neg, pos)
-        out = space.bilateral_shift(0, vec)
-        assert out.norm_squared() == pytest.approx(vec.norm_squared(), rel=1e-12)
-
-    def test_truncation_guard(self):
-        space = fock.TwoSidedSpace(2, 2)
-        with pytest.raises(TruncationError):
-            space.bilateral_shift(0, space.basis_positive((0, 1)))
-
-    def test_batched_bilateral_shift_equals_rows(self):
-        space = fock.TwoSidedSpace(3, 3)
-        rng = np.random.default_rng(12)
-        cut = space.basis.first_index_of_length(space.degree)
-        negative = rng.standard_normal((5, space.negative_size))
-        positive = np.zeros((5, space.positive_size))
-        positive[:, :cut] = rng.standard_normal((5, cut))
-        for i in range(3):
-            out = space.bilateral_shift(i, fock.TwoSidedVector(negative, positive))
-            for row in range(5):
-                single = space.bilateral_shift(
-                    i, fock.TwoSidedVector(negative[row], positive[row])
-                )
-                np.testing.assert_array_equal(out.negative[row], single.negative)
-                np.testing.assert_array_equal(out.positive[row], single.positive)
-
-
 class TestShiftInequalities:
     def test_orthogonal_basis_example(self):
         basis = WordIndex(2, 2)
@@ -393,18 +338,22 @@ class TestShiftInequalities:
         assert report.passed
 
     def test_colliding_shift_fails(self, monkeypatch):
-        # two interior words sent to one slot lose one squared entry
-        correct = fock._prepend_indices
+        # two interior words sent to one slot lose one squared entry, in the
+        # left shifts of identity (a) and in the right shifts of identity (b)
+        for index_map, deviation in (("_prepend_indices", "max_left_shift_deviation"),
+                                     ("_append_indices", "max_bilateral_deviation")):
+            correct = getattr(fock, index_map)
 
-        def colliding(basis, symbol):
-            indices = correct(basis, symbol).copy()
-            indices[2] = indices[1]
-            return indices
+            def colliding(basis, symbol, correct=correct):
+                indices = correct(basis, symbol).copy()
+                indices[2] = indices[1]
+                return indices
 
-        monkeypatch.setattr(fock, "_prepend_indices", colliding)
-        report = fock.verify_shift_inequalities(2, 9, trials=5, seed=0)
-        assert report.max_left_shift_deviation > 1e-6
-        assert not report.passed
+            with monkeypatch.context() as patch:
+                patch.setattr(fock, index_map, colliding)
+                report = fock.verify_shift_inequalities(2, 9, trials=5, seed=0)
+            assert getattr(report, deviation) > 1e-6, index_map
+            assert not report.passed
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
@@ -573,7 +522,7 @@ class TestMultiplier:
 
     def test_zero_series_multiplier(self):
         basis = WordIndex(2, 3)
-        op = fock.flip_matrix(basis) @ fock.right_multiplication_matrix(
+        op = flip_matrix(basis) @ right_multiplication_matrix(
             basis, np.zeros(len(basis))
         )
         report = fock.verify_multiplier_intertwining(op, basis)

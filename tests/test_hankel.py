@@ -11,15 +11,15 @@ from wfamin.hankel import (
     _suffix_states,
     _svd_baseline,
     build_hankel,
-    check_hankel_property,
     hankel_rank,
     is_minimal,
     minimize,
     spectral_recover,
-    svd_truncate,
 )
 from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa
 from wfamin.words import WordIndex
+
+from reference import check_hankel_property, svd_truncate
 
 
 def one_letter_block(first_column_generator, size):
