@@ -15,13 +15,16 @@ Schmidt functions in closed form, and realizes the negative part of the
 error symbol exactly with n + k states: the inverse system of the Schmidt
 denominator is split by an ordered Schur form into its parts inside and
 outside the unit circle (the discrete-time form of Glover's all-optimal
-Hankel-norm construction).  Every Stein equation here, the Gramians' and
-the extraction's, is one :func:`scipy.linalg.solve_discrete_lyapunov`
-solve.  The optimal rank-k Hankel sequence is the input minus that
-negative part, itself an (n + k)-state WFA; it is returned together with a
-k-state WFA recovered from it, whose attained error is certified exactly,
-as the Hankel norm of the difference automaton read from its Gramians
-(:func:`hankel_norm`), before returning.
+Hankel-norm construction).  Every Stein equation here, X = A X B^T + C for
+the Gramians, the certificate and the extraction, is one
+:func:`_solve_stein` in O(n^2) memory: Smith's doubling iteration, three
+n x n products per doubling, whose solution is kept when its residual is
+backward stable, and otherwise the Bartels-Stewart method on the Schur
+forms of A and B.  The optimal rank-k Hankel sequence is the input minus
+that negative part, itself an (n + k)-state WFA; it is returned together
+with a k-state WFA recovered from it, whose attained error is certified
+exactly, as the Hankel norm of the difference automaton read from its
+Gramians (:func:`hankel_norm`), before returning.
 """
 
 from __future__ import annotations
@@ -49,6 +52,11 @@ TIE_RTOL = 1e-8
 #: :func:`_optimal_sequence` is undefined.
 CIRCLE_GUARD = 1e-8
 
+#: Largest residual of a Smith-doubling Stein solution kept, relative to
+#: ||c|| + ||a|| ||X|| ||b||: a backward-stable solve attains a few units
+#: of roundoff (2.2e-16).
+_SMITH_BACKWARD_RTOL = 1e-15
+
 
 def _require_one_letter(wfa: Wfa) -> np.ndarray:
     if wfa.alphabet_size != 1:
@@ -72,6 +80,66 @@ class GramianPair:
     observability_residual: float
 
 
+def _smith_doubling(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray | None:
+    """sum_i a^i c (b^T)^i by X <- X + a X b^T, then a <- a^2, b <- b^2.
+
+    After j doublings X holds the first 2^j terms.  The iteration stops when
+    a doubling leaves X unchanged in floating point; None when that X is
+    not finite or X has not settled after 64 doublings (a NaN never does).
+    """
+    x = c
+    for _ in range(64):
+        update = x + a @ x @ b.T
+        if (update == x).all():
+            return x if np.isfinite(x).all() else None
+        x, a, b = update, a @ a, b @ b
+    return None
+
+
+def _bartels_stewart(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """X = a X b^T + c from the real Schur form of a and the QZ form of (I, b^T).
+
+    With a = U T U^T, I = Q P Z^T and b^T = Q E Z^T, X = U Y Q^T where
+    Y P - T Y E = U^T c Z.  The pencils (T, I) and (P, E) are in generalized
+    Schur form, so LAPACK's dtgsyl solves the pair T R - Y P = -U^T c Z,
+    R - Y E = 0 for Y by back substitution.
+    """
+    m, n = c.shape
+    t, u = scipy.linalg.schur(a)
+    p, e, q, z = scipy.linalg.qz(np.eye(n), b.T)
+    _, y, scale, _, info = scipy.linalg.lapack.dtgsyl(
+        t, p, -(u.T @ c @ z), np.eye(m), e, np.zeros((m, n))
+    )
+    if info != 0:
+        raise NumericalError("Stein equation is singular: rho(a) rho(b) reaches 1")
+    return u @ (y / scale) @ q.T
+
+
+def _solve_stein(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """X = a X b^T + c, for rho(a) rho(b) < 1.
+
+    Smith doubling (:func:`_smith_doubling`) costs three products per
+    doubling.  Its squared powers lose accuracy when the powers of a or b
+    grow before they decay (strongly non-normal matrices), so its X is kept
+    only when its residual is a backward-stable one, within
+    _SMITH_BACKWARD_RTOL of ||c|| + ||a|| ||X|| ||b||; otherwise X comes
+    from the Bartels-Stewart method (:func:`_bartels_stewart`).  An X that
+    is not finite raises :class:`NumericalError`.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = _smith_doubling(a, b, c)
+        if x is not None:
+            residual = np.linalg.norm(x - a @ x @ b.T - c)
+            norm_a, norm_b = np.linalg.norm(a), np.linalg.norm(b)
+            scale = np.linalg.norm(c) + norm_a * np.linalg.norm(x) * norm_b
+            if residual <= _SMITH_BACKWARD_RTOL * scale:
+                return x
+        x = _bartels_stewart(a, b, c)
+        if not np.isfinite(x).all():
+            raise NumericalError("Stein equation solution overflowed")
+    return x
+
+
 def gramians(wfa: Wfa) -> GramianPair:
     """Exact Gramians of a one-letter WFA, one Stein equation each.
 
@@ -82,14 +150,14 @@ def gramians(wfa: Wfa) -> GramianPair:
     rho = spectral_radius(a)
     if rho >= 1.0:
         raise StabilityError(f"Gramians diverge: spectral radius {rho} >= 1")
-    ctrl = scipy.linalg.solve_discrete_lyapunov(a, np.outer(wfa.beta, wfa.beta))
+    ctrl = _solve_stein(a, a, np.outer(wfa.beta, wfa.beta))
     ctrl = 0.5 * (ctrl + ctrl.T)
-    obs = scipy.linalg.solve_discrete_lyapunov(a.T, np.outer(wfa.alpha, wfa.alpha))
+    obs = _solve_stein(a.T, a.T, np.outer(wfa.alpha, wfa.alpha))
     obs = 0.5 * (obs + obs.T)
     ctrl_res = float(np.linalg.norm(ctrl - a @ ctrl @ a.T - np.outer(wfa.beta, wfa.beta)))
     obs_res = float(np.linalg.norm(obs - a.T @ obs @ a - np.outer(wfa.alpha, wfa.alpha)))
     scale = 1.0 + max(np.linalg.norm(ctrl), np.linalg.norm(obs))
-    if max(ctrl_res, obs_res) > GRAMIAN_RTOL * scale:
+    if not (ctrl_res <= GRAMIAN_RTOL * scale and obs_res <= GRAMIAN_RTOL * scale):
         raise NumericalError(
             f"Gramian residuals {ctrl_res:.3e}, {obs_res:.3e} exceed tolerance"
         )
@@ -223,13 +291,13 @@ def _optimal_sequence(pair: SchmidtPair, order: int) -> Wfa:
 
     the first term a cascade of two strictly proper systems and the second
     the projection of r (1/v)_+ onto the poles of A, whose matrix function
-    comes from one Stein equation, X = T_s X A^T + C.  X is the off-diagonal
-    block of the Lyapunov solution for diag(T_s, A), whose blocks decouple
-    and whose spectrum lies inside the unit disk, so X is unique.  This
-    gives a realization (c, M, b) with n + k states, e_{-m-1} = c^T M^m b,
-    c = [alpha; 0] and M block upper triangular with A in its top-left
-    block.  So f(m) = c^T M^m [beta; 0], and g = f - e_- is the automaton
-    (c, M, [beta; 0] - b).
+    comes from one Stein equation, X = T_s X A^T + C, solved directly by
+    :func:`_solve_stein`.  Both T_s and A have their spectra inside the
+    unit disk, so X is unique and the doubling converges at the rate
+    rho(T_s) rho(A).  This gives a realization (c, M, b) with n + k
+    states, e_{-m-1} = c^T M^m b, c = [alpha; 0] and M block upper
+    triangular with A in its top-left block.  So f(m) = c^T M^m [beta; 0],
+    and g = f - e_- is the automaton (c, M, [beta; 0] - b).
     """
     a, beta, x = pair.wfa.transitions[0], pair.wfa.beta, pair.direction
     n = len(x)
@@ -265,12 +333,8 @@ def _optimal_sequence(pair: SchmidtPair, order: int) -> Wfa:
     constant = 1.0 / head + float(row_u @ m_u @ col_u) / head**2
     forced = pair.controllability @ x
     # X = T_s X A^T + col_s (A P x)^T gives sum_j (row_s T_s^j col_s) A^{j+1} P x
-    rhs, zeros = np.outer(col_s, a @ forced), np.zeros((inside, n))
-    lyapunov = scipy.linalg.solve_discrete_lyapunov(
-        np.block([[t_s, zeros], [zeros.T, a]]),
-        np.block([[np.zeros((inside, inside)), rhs], [rhs.T, np.zeros((n, n))]]),
-    )
-    projected = constant * forced - lyapunov[:inside, inside:].T @ row_s / head**2
+    mixed = _solve_stein(t_s, a, np.outer(col_s, a @ forced))
+    projected = constant * forced - mixed.T @ row_s / head**2
     matrix = np.block([
         [a, np.outer(forced, row_u @ m_u / head**2)],
         [np.zeros((order, n)), m_u],

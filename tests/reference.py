@@ -1,10 +1,12 @@
 """Dense reference definitions that the tests compare the package against.
 
 Nothing in the package calls these: the Fock lab applies its shifts and the
-flip as index maps, the Hankel identity is checked on word values, and the
-AAK path realizes the error symbol exactly.  Each definition here is the
-plain (dense or pointwise) form of an object the package computes another
-way, so a test can hold the two against each other.
+flip as index maps, the Hankel identity is checked on word values, the AAK
+path realizes the error symbol exactly, and its Stein equations are solved
+on n x n matrices (doubling, or Bartels-Stewart on Schur forms).  Each
+definition here is the plain (dense or pointwise) form of an object the
+package computes another way, so a test can hold the two against each
+other.
 """
 
 from __future__ import annotations
@@ -113,6 +115,18 @@ def check_hankel_property(block: HankelBlock, tol: float) -> tuple[bool, tuple |
             if not abs(values[a] - values[b]) <= tol:
                 return False, (*cells[a], *cells[b])
     return False, (*cells[0], *cells[0])
+
+
+# --- Stein equations: the Kronecker system
+
+
+def stein_kronecker(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """X = a X b^T + c as one dense solve on the m n unknowns of the m x n X.
+
+    With row-major vectorization, vec(a X b^T) = (a kron b) vec(X).
+    """
+    m, n = c.shape
+    return np.linalg.solve(np.eye(m * n) - np.kron(a, b), c.ravel()).reshape(m, n)
 
 
 # --- AAK: Schmidt functions and the error symbol, pointwise

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from wfamin.aak import (
+    _bartels_stewart,
+    _smith_doubling,
+    _solve_stein,
     aak_approximate,
     gramians,
     hankel_norm,
@@ -17,11 +20,12 @@ from wfamin.aak import (
 from wfamin.errors import NumericalError, RankDeficiencyError, StabilityError
 from wfamin.hankel import build_hankel, is_minimal
 from wfamin.io import load_document
-from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa
+from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa, spectral_radius
 
 from reference import (
     check_hankel_property,
     error_circle_samples,
+    stein_kronecker,
     v_at,
     v_coefficients,
     w_at,
@@ -53,6 +57,82 @@ class TestSymbolCoefficients:
             evaluation_table(geometric_wfa, -1)
 
 
+def _non_normal(n: int, rho: float, rng, strength: float = 0.5) -> np.ndarray:
+    """A random n x n matrix of spectral radius rho, far from normal.
+
+    Its Schur form has a uniform diagonal in (-1, 1) and strength times a
+    Gaussian strictly upper triangle.
+    """
+    schur = np.diag(rng.uniform(-1, 1, n)) + strength * np.triu(rng.standard_normal((n, n)), 1)
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    matrix = basis @ schur @ basis.T
+    return rho * matrix / spectral_radius(matrix)
+
+
+class TestSolveStein:
+    @pytest.mark.parametrize("rho", [0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("rows, cols", [(6, 6), (3, 7), (7, 2)])
+    def test_matches_kronecker_solve(self, rho, rows, cols):
+        rng = np.random.default_rng(0)
+        a, b = _non_normal(rows, rho, rng), _non_normal(cols, rho, rng)
+        c = rng.standard_normal((rows, cols))
+        expected = stein_kronecker(a, b, c)
+        # the series converges more slowly, and loses more to rounding, as
+        # rho(a) rho(b) approaches 1
+        np.testing.assert_allclose(
+            _solve_stein(a, b, c), expected, rtol=0,
+            atol=1e-14 / (1 - rho) ** 2 * np.linalg.norm(expected),
+        )
+
+    @pytest.mark.parametrize("rows, cols", [(8, 8), (3, 7), (7, 2)])
+    def test_bartels_stewart_matches_kronecker_solve(self, rows, cols):
+        # strongly non-normal, where doubling loses accuracy; both solves
+        # are backward stable, so they agree to the condition number of
+        # the Kronecker system times the unit roundoff
+        rng = np.random.default_rng(1)
+        a, b = _non_normal(rows, 0.99, rng, 2.0), _non_normal(cols, 0.99, rng, 2.0)
+        c = rng.standard_normal((rows, cols))
+        solution, expected = _bartels_stewart(a, b, c), stein_kronecker(a, b, c)
+        residual = np.linalg.norm(solution - a @ solution @ b.T - c)
+        assert residual <= 1e-15 * (
+            np.linalg.norm(c) + np.linalg.norm(a) * np.linalg.norm(solution) * np.linalg.norm(b)
+        )
+        condition = np.linalg.cond(np.eye(rows * cols) - np.kron(a, b))
+        np.testing.assert_allclose(
+            solution, expected, rtol=0, atol=1e-16 * condition * np.linalg.norm(expected)
+        )
+
+    def test_inaccurate_doubling_is_not_kept(self):
+        # the input's observability equation: the doubling's residual
+        # exceeds GRAMIAN_RTOL, and the solution kept is backward stable
+        rng = np.random.default_rng(37)
+        a = _non_normal(8, 0.99, rng, 2.0).T
+        c = np.outer(*[rng.standard_normal(8)] * 2)
+
+        def residual(x):
+            return np.linalg.norm(x - a @ x @ a.T - c) / np.linalg.norm(x)
+
+        assert residual(_smith_doubling(a, a, c)) > 1e-9
+        assert residual(_solve_stein(a, a, c)) < 1e-14
+
+    def test_zero_rows(self):
+        solution = _solve_stein(np.zeros((0, 0)), 0.5 * np.eye(3), np.zeros((0, 3)))
+        assert solution.shape == (0, 3)
+
+    def test_overflow_is_a_numerical_failure(self):
+        # stable, but the solution's entries exceed the largest double; no
+        # numpy warning escapes (tier-1 turns warnings into errors)
+        a = np.array([[0.5, 1e200], [0.0, 0.5]])
+        with pytest.raises(NumericalError, match="overflowed"):
+            _solve_stein(a, a, np.ones((2, 2)))
+
+    def test_no_fixed_point_is_a_numerical_failure(self):
+        # X = X + I has no solution: every doubling doubles X, and the
+        # Schur pencils share the eigenvalue 1
+        with pytest.raises(NumericalError, match="singular"):
+            _solve_stein(np.eye(2), np.eye(2), np.eye(2))
+
+
 class TestGramians:
     def test_scalar_fixed_point(self, geometric_wfa):
         pair = gramians(geometric_wfa)
@@ -78,6 +158,31 @@ class TestGramians:
         p, q = pair.controllability, pair.observability
         assert np.linalg.norm(p - a @ p @ a.T - np.outer(two_state_wfa.beta, two_state_wfa.beta)) < 1e-12
         assert np.linalg.norm(q - a.T @ q @ a - np.outer(two_state_wfa.alpha, two_state_wfa.alpha)) < 1e-12
+
+    def test_strongly_non_normal_input(self):
+        # spectral radius 0.99, max_j ||A^j|| about 2300: the Gramians are
+        # backward stable, and k = 0..6 are certified
+        rng = np.random.default_rng(37)
+        a = _non_normal(8, 0.99, rng, 2.0)
+        wfa = Wfa(rng.standard_normal(8), [a], rng.standard_normal(8))
+        pair = gramians(wfa)
+        scale = np.linalg.norm(a) ** 2 * max(
+            np.linalg.norm(pair.controllability), np.linalg.norm(pair.observability)
+        )
+        assert pair.controllability_residual <= 1e-14 * scale
+        assert pair.observability_residual <= 1e-14 * scale
+        for k in range(7):
+            result = aak_approximate(wfa, k)
+            assert abs(result.attained - result.error) <= 1e-6 * result.singular_values[0]
+
+    def test_nan_observability_residual_is_refused(self, monkeypatch, two_state_wfa):
+        # Python's max(x, nan) is x: each residual is tested on its own
+        solutions = iter([_solve_stein, lambda a, b, c: np.full_like(c, np.nan)])
+        monkeypatch.setattr(
+            "wfamin.aak._solve_stein", lambda a, b, c: next(solutions)(a, b, c)
+        )
+        with pytest.raises(NumericalError, match="residuals"):
+            gramians(two_state_wfa)
 
     def test_divergent_radius(self):
         wfa = Wfa([1.0], [[[1.2]]], [1.0])
@@ -307,9 +412,9 @@ class TestAakApproximate:
             hankel_singular_values(random_stable_wfa(1, 32, seed=0, radius_bound=0.9))
 
     def test_extraction_memory_is_quadratic_in_n(self):
-        # every Stein equation is a Lyapunov solve in O(n^2) memory; a
-        # Kronecker system on the n(n - k) unknowns of the extraction peaks
-        # at 372 MiB here
+        # every Stein equation is solved on n x n matrices; a Kronecker
+        # system on the n(n - k) unknowns of the extraction peaks at 372 MiB
+        # here
         wfa = random_stable_wfa(1, 64, seed=3, radius_bound=0.9)
         tracemalloc.start()
         try:
@@ -413,6 +518,34 @@ class TestAakApproximate:
         )
         with pytest.raises(NumericalError, match="z = 0"):
             _optimal_sequence(pair, order=1)
+
+
+    def test_no_second_stein_solver(self, monkeypatch):
+        # every Stein equation, the Gramians', the certificate's and the
+        # extraction's, goes through _solve_stein
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_discrete_lyapunov called")
+
+        monkeypatch.setattr("scipy.linalg.solve_discrete_lyapunov", refuse)
+        for name in ("e2.wfa", "small-gramian-gap.wfa"):
+            wfa = load_document(FIXTURES / name).wfa
+            for k in range(wfa.num_states):
+                result = aak_approximate(wfa, k)
+                assert hankel_norm(wfa, result.wfa) == result.attained
+                assert abs(result.attained - result.error) <= 1e-6 * result.singular_values[0]
+
+
+    def test_typical_inputs_keep_the_doubling(self, monkeypatch):
+        # Gaussian transitions of radius 0.9, as the benchmark draws them:
+        # every doubling solution is backward stable and kept
+        def refuse(*args):
+            raise AssertionError("Bartels-Stewart solve")
+
+        monkeypatch.setattr("wfamin.aak._bartels_stewart", refuse)
+        for n, seed in ((4, 0), (10, 1), (10, 2)):
+            wfa = random_stable_wfa(1, n, seed=seed, radius_bound=0.9)
+            for k in range(n):
+                aak_approximate(wfa, k)
 
 
 class TestHankelNorm:

@@ -288,6 +288,19 @@ class TestApproximate:
         assert re.fullmatch(r"error: SVD failed: [^\n]*\n", err)
         assert not out_file.exists()
 
+    def test_overflowing_gramian_prints_one_error_line(self, capsys, tmp_path):
+        # a stable input whose Gramian overflows is a numerical failure
+        # (exit 1), not bad input; numpy's warnings stay off stderr
+        out_file = tmp_path / "out.wfa"
+        code, out, err = run(
+            capsys, "approximate", str(FIXTURES / "overflowing-gramian.wfa"), "1",
+            "--no-timestamp", "-o", str(out_file),
+        )
+        assert code == 1
+        assert out == ""
+        assert re.fullmatch(r"error: [^\n]*\n", err)
+        assert not out_file.exists()
+
     def test_aak_on_multi_letter_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "approximate", str(FIXTURES / "nilpotent.wfa"), "1",
