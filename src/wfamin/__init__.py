@@ -7,6 +7,10 @@ one-letter Hankel approximation pipeline (:mod:`wfamin.aak`), and a
 truncated Fock-space laboratory for the noncommutative Hankel framework
 (:mod:`wfamin.fock`).  :mod:`wfamin.cli` exposes the ``wfamin`` command.
 
+Everything runs on numpy alone except the one-letter AAK construction,
+whose ordered Schur split and Bartels-Stewart fallback load
+``scipy.linalg`` on first use; importing the package does not.
+
 The names below are the entry points; everything else stays reachable as
 ``wfamin.<module>.<name>``.
 """

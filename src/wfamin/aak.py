@@ -25,6 +25,11 @@ that negative part, itself an (n + k)-state WFA; it is returned together
 with a k-state WFA recovered from it, whose attained error is certified
 exactly, as the Hankel norm of the difference automaton read from its
 Gramians (:func:`hankel_norm`), before returning.
+
+Only two functions here need scipy: the extraction's ordered Schur split
+(:func:`_optimal_sequence`) and the Bartels-Stewart fallback
+(:func:`_bartels_stewart`).  Each imports ``scipy.linalg`` when it first
+runs, so importing this module, and with it ``wfamin``, costs numpy alone.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, RankDeficiencyError, StabilityError
 from .hankel import HankelBlock, _factored_recover, build_hankel, is_minimal
@@ -104,6 +108,8 @@ def _bartels_stewart(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     Schur form, so LAPACK's dtgsyl solves the pair T R - Y P = -U^T c Z,
     R - Y E = 0 for Y by back substitution.
     """
+    import scipy.linalg  # loaded on first use: the rest of wfamin runs on numpy alone
+
     m, n = c.shape
     t, u = scipy.linalg.schur(a)
     p, e, q, z = scipy.linalg.qz(np.eye(n), b.T)
@@ -154,9 +160,17 @@ def gramians(wfa: Wfa) -> GramianPair:
     ctrl = 0.5 * (ctrl + ctrl.T)
     obs = _solve_stein(a.T, a.T, np.outer(wfa.alpha, wfa.alpha))
     obs = 0.5 * (obs + obs.T)
-    ctrl_res = float(np.linalg.norm(ctrl - a @ ctrl @ a.T - np.outer(wfa.beta, wfa.beta)))
-    obs_res = float(np.linalg.norm(obs - a.T @ obs @ a - np.outer(wfa.alpha, wfa.alpha)))
-    scale = 1.0 + max(np.linalg.norm(ctrl), np.linalg.norm(obs))
+    # a finite Gramian can still overflow its residual or norm; an infinite
+    # scale would pass any residual, so both must be finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        ctrl_res = float(np.linalg.norm(ctrl - a @ ctrl @ a.T - np.outer(wfa.beta, wfa.beta)))
+        obs_res = float(np.linalg.norm(obs - a.T @ obs @ a - np.outer(wfa.alpha, wfa.alpha)))
+        scale = 1.0 + max(np.linalg.norm(ctrl), np.linalg.norm(obs))
+    if not np.isfinite([ctrl_res, obs_res, scale]).all():
+        raise NumericalError(
+            f"Gramian residual check overflowed (residuals {ctrl_res:.3e}, "
+            f"{obs_res:.3e}, scale {scale:.3e})"
+        )
     if not (ctrl_res <= GRAMIAN_RTOL * scale and obs_res <= GRAMIAN_RTOL * scale):
         raise NumericalError(
             f"Gramian residuals {ctrl_res:.3e}, {obs_res:.3e} exceed tolerance"
@@ -223,7 +237,9 @@ def hankel_norm(f: Wfa, g: Wfa) -> float:
     for an approximant that is a failed computation, not bad input.
     """
     a_f, a_g = _require_one_letter(f), _require_one_letter(g)
-    difference = Wfa(np.concatenate([f.alpha, g.alpha]), [scipy.linalg.block_diag(a_f, a_g)],
+    block = np.block([[a_f, np.zeros((len(a_f), len(a_g)))],
+                      [np.zeros((len(a_g), len(a_f))), a_g]])
+    difference = Wfa(np.concatenate([f.alpha, g.alpha]), [block],
                      np.concatenate([f.beta, -g.beta]))
     try:
         pair = gramians(difference)
@@ -299,6 +315,8 @@ def _optimal_sequence(pair: SchmidtPair, order: int) -> Wfa:
     triangular with A in its top-left block.  So f(m) = c^T M^m [beta; 0],
     and g = f - e_- is the automaton (c, M, [beta; 0] - b).
     """
+    import scipy.linalg  # loaded on first use: the rest of wfamin runs on numpy alone
+
     a, beta, x = pair.wfa.transitions[0], pair.wfa.beta, pair.direction
     n = len(x)
     head = float(x @ beta)  # v(0)

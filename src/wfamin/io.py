@@ -103,7 +103,6 @@ def parse_document(text: str) -> WfaDocument:
                 raise ValueError(f"line {line_no}: duplicate transition {label!r}")
             if "states" not in fields:
                 raise ValueError(f"line {line_no}: 'states' must precede transitions")
-            size = int(fields["states"])
             rows = []
             for offset in range(size):
                 if cursor + 1 + offset >= len(meaningful):
@@ -127,6 +126,12 @@ def parse_document(text: str) -> WfaDocument:
         if key not in ("name", "comment", "alphabet", "states", "alpha", "beta"):
             raise ValueError(f"line {line_no}: unknown field {key!r}")
         fields[key] = value.strip()
+        if key == "states":
+            size = int(fields[key]) if re.fullmatch(r"\d+", fields[key]) else 0
+            if size < 1:
+                raise ValueError(
+                    f"line {line_no}: states must be a positive integer, got {fields[key]!r}"
+                )
         cursor += 1
 
     for required in ("alphabet", "states", "alpha", "beta"):
@@ -135,10 +140,6 @@ def parse_document(text: str) -> WfaDocument:
     labels = tuple(fields["alphabet"].split())
     if not labels:
         raise ValueError("alphabet must contain at least one label")
-    try:
-        size = int(fields["states"])
-    except ValueError:
-        raise ValueError(f"states must be an integer, got {fields['states']!r}") from None
     alpha = _parse_floats(fields["alpha"], 0)
     beta = _parse_floats(fields["beta"], 0)
     if len(alpha) != size or len(beta) != size:

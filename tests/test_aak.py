@@ -184,6 +184,14 @@ class TestGramians:
         with pytest.raises(NumericalError, match="residuals"):
             gramians(two_state_wfa)
 
+    @pytest.mark.parametrize("weight", [1e200, 1e150])
+    def test_overflow_is_a_numerical_failure(self, weight):
+        # at 1e200 the Gramian itself overflows; at 1e150 it is finite but
+        # its norm overflows, which must not pass the residual test
+        wfa = Wfa([1.0, 1.0], [np.array([[0.5, weight], [0.0, 0.5]])], [1.0, 1.0])
+        with pytest.raises(NumericalError, match="overflowed"):
+            gramians(wfa)
+
     def test_divergent_radius(self):
         wfa = Wfa([1.0], [[[1.2]]], [1.0])
         with pytest.raises(StabilityError, match="1.2"):

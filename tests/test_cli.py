@@ -290,16 +290,20 @@ class TestApproximate:
 
     def test_overflowing_gramian_prints_one_error_line(self, capsys, tmp_path):
         # a stable input whose Gramian overflows is a numerical failure
-        # (exit 1), not bad input; numpy's warnings stay off stderr
-        out_file = tmp_path / "out.wfa"
-        code, out, err = run(
-            capsys, "approximate", str(FIXTURES / "overflowing-gramian.wfa"), "1",
-            "--no-timestamp", "-o", str(out_file),
-        )
-        assert code == 1
-        assert out == ""
-        assert re.fullmatch(r"error: [^\n]*\n", err)
-        assert not out_file.exists()
+        # (exit 1), not bad input; numpy's warnings stay off stderr.  At
+        # 1e150 the Gramian is finite but its norm overflows.
+        fixture = FIXTURES / "overflowing-gramian.wfa"
+        finite = tmp_path / "overflowing-norm.wfa"
+        finite.write_text(fixture.read_text().replace("1e200", "1e150"))
+        for path in (fixture, finite):
+            out_file = tmp_path / "out.wfa"
+            code, out, err = run(
+                capsys, "approximate", str(path), "1", "--no-timestamp", "-o", str(out_file),
+            )
+            assert code == 1
+            assert out == ""
+            assert re.fullmatch(r"error: [^\n]*overflowed[^\n]*\n", err)
+            assert not out_file.exists()
 
     def test_aak_on_multi_letter_exits_2(self, capsys, tmp_path):
         code, _, err = run(

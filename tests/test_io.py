@@ -90,6 +90,14 @@ class TestParsing:
                 "transition a:\n0\ntransition a:\n0\n"
             )
 
+    @pytest.mark.parametrize("states", ["-1", "-2", "abc", "0"])
+    def test_state_count_must_be_positive(self, states):
+        # checked where it is read, before a transition block uses it
+        text = f"alphabet: a\nstates: {states}\nalpha: 1\nbeta: 0.5\ntransition a:\n0.5\n"
+        with pytest.raises(ValueError, match=f"^line 2: states must be a positive integer, "
+                                             f"got '{states}'$"):
+            parse_document(text)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="one weight per state"):
             parse_document("alphabet: a\nstates: 2\nalpha: 1\nbeta: 0 1\ntransition a:\n0 0\n0 0\n")
