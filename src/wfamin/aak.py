@@ -421,8 +421,10 @@ def aak_approximate(wfa: Wfa, k: int, *, certify_rtol: float = 1e-6) -> AakAppro
         If the automaton is not minimal.
     NumericalError
         If sigma_k is 0 at working precision, coefficient extraction fails,
-        the recovered automaton is unstable or the certificate does not
-        hold.  Smaller singular values, even vanishing ones, do not enter.
+        the optimal sequence's block falls below rank k at working precision
+        (so no k-state automaton is recovered), the recovered automaton is
+        unstable or the certificate does not hold.  Smaller singular values,
+        even vanishing ones, do not enter.
     """
     _require_one_letter(wfa)
     n = wfa.num_states
@@ -445,7 +447,12 @@ def aak_approximate(wfa: Wfa, k: int, *, certify_rtol: float = 1e-6) -> AakAppro
     # the k-state realization of the sequence from its state factors, no
     # block (the one-state zero automaton at k = 0)
     words = WordIndex(1, max(k, 1))
-    recovered = _factored_recover(words, words, k, sequence)[0]
+    try:
+        recovered = _factored_recover(words, words, k, sequence)[0]
+    except RankDeficiencyError as exc:
+        # the input is minimal, so a rank-deficient block means the
+        # computed sequence lost its rank at working precision
+        raise NumericalError(f"recovery of the {k}-state approximant failed: {exc}") from exc
     attained = hankel_norm(wfa, recovered)
     if abs(attained - sigma_k) > certify_rtol * sigmas[0]:
         raise NumericalError(

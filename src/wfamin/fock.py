@@ -5,12 +5,14 @@ its degree-D truncation is represented here by plain numpy vectors and
 matrices over a :class:`~wfamin.words.WordIndex`, so a coefficient vector is
 simultaneously the sequence and the power-series view of the same object.
 
-The shifts and their adjoints act on the last axis, so a stack of vectors
-(leading batch axes) is shifted in one call; shifts and the flip are
-applied as index maps, and no dense shift or flip matrix is built (the
-tests keep those as reference definitions in ``tests/reference.py``).  The
-bilateral shift of the two-sided space is not modeled apart: both checks
-that use it draw from the positive component, where it is the right shift.
+The shifts act on the last axis, so a stack of vectors (leading batch
+axes) is shifted in one call; shifts and the flip are applied as index
+maps, and no dense shift or flip matrix is built (the tests keep those as
+reference definitions in ``tests/reference.py``).  Their adjoints enter
+only as the same index maps read the other way, as in
+:func:`verify_hankel_equation`.  The bilateral shift of the two-sided space
+is not modeled apart: both checks that use it draw from the positive
+component, where it is the right shift.
 The multiplier intertwining check applies no shift at all: it reads the
 operator through slices and reshaped views, using the index identities of
 :mod:`wfamin.words`.
@@ -51,15 +53,11 @@ def _interior_size(basis: WordIndex) -> int:
     return basis.first_index_of_length(basis.max_length)
 
 
-def _check_length(basis: WordIndex, vector: np.ndarray):
+def _check_interior_support(basis: WordIndex, vector: np.ndarray, what: str):
     if vector.shape[-1:] != (len(basis),):
         raise ValueError(
             f"vector has shape {vector.shape}, expected a last axis of length {len(basis)}"
         )
-
-
-def _check_interior_support(basis: WordIndex, vector: np.ndarray, what: str):
-    _check_length(basis, vector)
     if np.any(vector[..., _interior_size(basis):] != 0.0):
         raise TruncationError(
             f"{what} would push support past degree {basis.max_length}; "
@@ -93,24 +91,6 @@ def right_shift(basis: WordIndex, symbol: int, vector) -> np.ndarray:
     _check_interior_support(basis, vector, "right shift")
     out = np.zeros(vector.shape)
     out[..., _append_indices(basis, symbol)] = vector[..., : _interior_size(basis)]
-    return out
-
-
-def left_shift_adjoint(basis: WordIndex, symbol: int, vector) -> np.ndarray:
-    """e_{symbol w} -> e_w and 0 on words not starting with the symbol."""
-    vector = np.asarray(vector, dtype=float)
-    _check_length(basis, vector)
-    out = np.zeros(vector.shape)
-    out[..., : _interior_size(basis)] = vector[..., _prepend_indices(basis, symbol)]
-    return out
-
-
-def right_shift_adjoint(basis: WordIndex, symbol: int, vector) -> np.ndarray:
-    """e_{w symbol} -> e_w and 0 on words not ending with the symbol."""
-    vector = np.asarray(vector, dtype=float)
-    _check_length(basis, vector)
-    out = np.zeros(vector.shape)
-    out[..., : _interior_size(basis)] = vector[..., _append_indices(basis, symbol)]
     return out
 
 
@@ -167,14 +147,11 @@ def verify_hankel_equation(wfa: Wfa, degree: int) -> HankelEquationReport:
     basis = WordIndex(wfa.alphabet_size, degree)
     h = build_hankel(wfa, degree, degree).entries
     cut = _interior_size(basis)
-    interior = np.arange(cut)
     per_symbol = []
     comparisons = 0
     for symbol in range(wfa.alphabet_size):
-        prepended = _prepend_indices(basis, symbol)  # columns i u
-        appended = _append_indices(basis, symbol)  # rows w i
-        lhs = h[np.ix_(interior, prepended)]
-        rhs = h[np.ix_(appended, interior)]
+        lhs = h[:cut, _prepend_indices(basis, symbol)]  # columns i u
+        rhs = h[_append_indices(basis, symbol), :cut]  # rows w i
         per_symbol.append(float(np.abs(lhs - rhs).max()))
         comparisons += lhs.size
     return HankelEquationReport(

@@ -16,12 +16,19 @@ The document format is line oriented and human auditable:
     0 0
     0 1
 
+Fields may come in any order, but ``states`` must precede the transition
+blocks, each of which holds ``states`` rows.  The parser reads each line
+once; every error in a line (a malformed number, a wrong count of weights
+in ``alpha``, ``beta`` or a matrix row, an unknown or repeated field) names
+that line.
+
 Numbers are written with 17 significant digits, so parsing a serialized
 document reproduces the automaton exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -77,25 +84,30 @@ def serialize_document(doc: WfaDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_floats(text: str, line_no: int):
+def _parse_row(line: tuple[int, str], size: int) -> list[float]:
+    """The ``size`` numbers on one numbered line: a weight vector or a matrix row."""
+    line_no, text = line
     try:
-        return [float(token) for token in text.split()]
+        row = list(map(float, text.split()))
     except ValueError:
         raise ValueError(f"line {line_no}: expected numbers, got {text!r}") from None
+    if len(row) != size:
+        raise ValueError(
+            f"line {line_no}: expected {size} entries (one weight per state), got {len(row)}"
+        )
+    return row
 
 
 def parse_document(text: str) -> WfaDocument:
     """Parse the text format; raises ValueError with a line reference on failure."""
-    meaningful = [
-        (line_no, line.strip())
-        for line_no, line in enumerate(text.splitlines(), start=1)
-        if line.strip() and not line.strip().startswith("#")
-    ]
-    fields: dict[str, str] = {}
+    lines = (
+        (line_no, line)
+        for line_no, line in enumerate(map(str.strip, text.splitlines()), start=1)
+        if line and not line.startswith("#")
+    )
+    fields: dict[str, tuple[int, str]] = {}
     transitions: dict[str, list[list[float]]] = {}
-    cursor = 0
-    while cursor < len(meaningful):
-        line_no, line = meaningful[cursor]
+    for line_no, line in lines:
         match = re.fullmatch(r"transition\s+(\S+)\s*:", line)
         if match:
             label = match.group(1)
@@ -103,19 +115,11 @@ def parse_document(text: str) -> WfaDocument:
                 raise ValueError(f"line {line_no}: duplicate transition {label!r}")
             if "states" not in fields:
                 raise ValueError(f"line {line_no}: 'states' must precede transitions")
-            rows = []
-            for offset in range(size):
-                if cursor + 1 + offset >= len(meaningful):
-                    raise ValueError(f"line {line_no}: transition {label!r} is truncated")
-                row_no, row_text = meaningful[cursor + 1 + offset]
-                row = _parse_floats(row_text, row_no)
-                if len(row) != size:
-                    raise ValueError(
-                        f"line {row_no}: expected {size} entries, got {len(row)}"
-                    )
-                rows.append(row)
+            # the block's rows are the next lines of the same iterator
+            rows = [_parse_row(row, size) for row in itertools.islice(lines, size)]
+            if len(rows) < size:
+                raise ValueError(f"line {line_no}: transition {label!r} is truncated")
             transitions[label] = rows
-            cursor += 1 + size
             continue
         if ":" not in line:
             raise ValueError(f"line {line_no}: expected 'key: value', got {line!r}")
@@ -125,25 +129,24 @@ def parse_document(text: str) -> WfaDocument:
             raise ValueError(f"line {line_no}: duplicate field {key!r}")
         if key not in ("name", "comment", "alphabet", "states", "alpha", "beta"):
             raise ValueError(f"line {line_no}: unknown field {key!r}")
-        fields[key] = value.strip()
+        value = value.strip()
+        fields[key] = (line_no, value)
         if key == "states":
-            size = int(fields[key]) if re.fullmatch(r"\d+", fields[key]) else 0
+            size = int(value) if re.fullmatch(r"\d+", value) else 0
             if size < 1:
                 raise ValueError(
-                    f"line {line_no}: states must be a positive integer, got {fields[key]!r}"
+                    f"line {line_no}: states must be a positive integer, got {value!r}"
                 )
-        cursor += 1
 
     for required in ("alphabet", "states", "alpha", "beta"):
         if required not in fields:
             raise ValueError(f"missing required field {required!r}")
-    labels = tuple(fields["alphabet"].split())
+    labels = tuple(fields["alphabet"][1].split())
     if not labels:
         raise ValueError("alphabet must contain at least one label")
-    alpha = _parse_floats(fields["alpha"], 0)
-    beta = _parse_floats(fields["beta"], 0)
-    if len(alpha) != size or len(beta) != size:
-        raise ValueError("alpha and beta must list one weight per state")
+    # alpha and beta may precede states, so they are read once its count is known
+    alpha = _parse_row(fields["alpha"], size)
+    beta = _parse_row(fields["beta"], size)
     missing = [label for label in labels if label not in transitions]
     if missing:
         raise ValueError(f"missing transition matrices for: {' '.join(missing)}")
@@ -154,8 +157,8 @@ def parse_document(text: str) -> WfaDocument:
     return WfaDocument(
         labels=labels,
         wfa=wfa,
-        name=fields.get("name"),
-        comment=fields.get("comment"),
+        name=fields["name"][1] if "name" in fields else None,
+        comment=fields["comment"][1] if "comment" in fields else None,
     )
 
 

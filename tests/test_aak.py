@@ -529,18 +529,36 @@ class TestAakApproximate:
 
 
     def test_no_second_stein_solver(self, monkeypatch):
-        # every Stein equation, the Gramians', the certificate's and the
-        # extraction's, goes through _solve_stein
-        def refuse(*args, **kwargs):
-            raise AssertionError("solve_discrete_lyapunov called")
+        # every Stein equation goes through _solve_stein: two for the
+        # Gramians, one for the extraction and two for the certificate's
+        # difference Gramians
+        calls = []
 
-        monkeypatch.setattr("scipy.linalg.solve_discrete_lyapunov", refuse)
+        def counted(*args):
+            calls.append(1)
+            return _solve_stein(*args)
+
+        monkeypatch.setattr("wfamin.aak._solve_stein", counted)
         for name in ("e2.wfa", "small-gramian-gap.wfa"):
             wfa = load_document(FIXTURES / name).wfa
             for k in range(wfa.num_states):
+                calls.clear()
                 result = aak_approximate(wfa, k)
+                assert len(calls) == 5
                 assert hankel_norm(wfa, result.wfa) == result.attained
                 assert abs(result.attained - result.error) <= 1e-6 * result.singular_values[0]
+
+    def test_failed_recovery_is_a_numerical_failure(self, monkeypatch):
+        # the input is minimal, so a rank-deficient recovery block is lost
+        # precision, not bad input (a 14-state input at k = 11 does this:
+        # its recovery block's 11th singular value is 2e-10 of the first)
+        def rank_deficient(*args):
+            raise RankDeficiencyError("requested 1 states but the block has numerical rank 0")
+
+        monkeypatch.setattr("wfamin.aak._factored_recover", rank_deficient)
+        wfa = load_document(FIXTURES / "e2.wfa").wfa
+        with pytest.raises(NumericalError, match="recovery of the 1-state approximant failed"):
+            aak_approximate(wfa, 1)
 
 
     def test_typical_inputs_keep_the_doubling(self, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 
 from wfamin.aak import hankel_norm, hankel_singular_values
 from wfamin.cli import build_parser, main
+from wfamin.errors import RankDeficiencyError
 from wfamin.hankel import build_hankel
 from wfamin.io import WfaDocument, load_document, save_document
 from wfamin.wfa import random_stable_wfa
@@ -304,6 +305,23 @@ class TestApproximate:
             assert out == ""
             assert re.fullmatch(r"error: [^\n]*overflowed[^\n]*\n", err)
             assert not out_file.exists()
+
+    def test_failed_aak_recovery_exits_1(self, capsys, tmp_path, monkeypatch):
+        # a minimal, stable input whose approximant loses rank at working
+        # precision is a numerical failure, not bad input
+        def rank_deficient(*args):
+            raise RankDeficiencyError("requested 1 states but the block has numerical rank 0")
+
+        monkeypatch.setattr("wfamin.aak._factored_recover", rank_deficient)
+        out_file = tmp_path / "out.wfa"
+        code, out, err = run(
+            capsys, "approximate", str(FIXTURES / "e2.wfa"), "1", "--no-timestamp",
+            "-o", str(out_file),
+        )
+        assert code == 1
+        assert out == ""
+        assert re.fullmatch(r"error: recovery of the 1-state approximant failed: [^\n]*\n", err)
+        assert not out_file.exists()
 
     def test_aak_on_multi_letter_exits_2(self, capsys, tmp_path):
         code, _, err = run(

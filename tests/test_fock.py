@@ -55,37 +55,32 @@ class TestShifts:
         with pytest.raises(TruncationError):
             fock.right_shift(basis, 0, top)
 
-    def test_right_shift_adjoint_on_basis_words(self):
-        basis = WordIndex(2, 3)
-        out = fock.right_shift_adjoint(basis, 0, basis_vector(basis, (1, 0)))
-        np.testing.assert_array_equal(out, basis_vector(basis, (1,)))
-        out = fock.right_shift_adjoint(basis, 1, basis_vector(basis, (1, 0)))
-        np.testing.assert_array_equal(out, np.zeros(len(basis)))
-
-    def test_adjoint_matrices_are_transposes(self):
+    def test_shifts_match_reference_matrices(self):
+        # the index maps are the dense matrices' action, and read the other
+        # way round they are the adjoints' (the transposes') on the interior
         basis = WordIndex(3, 3)
         rng = np.random.default_rng(1)
         cut = basis.first_index_of_length(basis.max_length)
         for i in range(3):
-            s = left_shift_matrix(basis, i)
             u = np.zeros(len(basis))
             u[:cut] = rng.standard_normal(cut)
             v = rng.standard_normal(len(basis))
-            assert fock.left_shift(basis, i, u) @ v == pytest.approx(
-                u @ fock.left_shift_adjoint(basis, i, v), rel=1e-12, abs=1e-13
-            )
-            np.testing.assert_array_equal(s.T @ v, fock.left_shift_adjoint(basis, i, v))
-            r = right_shift_matrix(basis, i)
-            np.testing.assert_array_equal(r.T @ v, fock.right_shift_adjoint(basis, i, v))
+            for shift, matrix, indices in (
+                (fock.left_shift, left_shift_matrix(basis, i), fock._prepend_indices),
+                (fock.right_shift, right_shift_matrix(basis, i), fock._append_indices),
+            ):
+                np.testing.assert_array_equal(shift(basis, i, u), matrix @ u)
+                np.testing.assert_array_equal((matrix.T @ v)[:cut], v[indices(basis, i)])
+                np.testing.assert_array_equal((matrix.T @ v)[cut:], 0.0)
 
-    def test_adjoints_check_length(self):
+    def test_shifts_check_length(self):
         basis = WordIndex(2, 3)
-        for adjoint in (fock.left_shift_adjoint, fock.right_shift_adjoint):
+        for shift in (fock.left_shift, fock.right_shift):
             for length in (len(basis) + 4, len(basis) - 1):
                 with pytest.raises(ValueError, match="last axis"):
-                    adjoint(basis, 0, np.ones(length))
+                    shift(basis, 0, np.ones(length))
             with pytest.raises(ValueError, match="last axis"):
-                adjoint(basis, 0, 1.0)
+                shift(basis, 0, 1.0)
 
     def test_batched_shifts_equal_rows(self):
         basis = WordIndex(3, 3)
@@ -93,15 +88,12 @@ class TestShifts:
         cut = basis.first_index_of_length(basis.max_length)
         interior = np.zeros((4, 2, len(basis)))
         interior[..., :cut] = rng.standard_normal((4, 2, cut))
-        full = rng.standard_normal((4, 2, len(basis)))
         for i in range(3):
-            for shift, batch in ((fock.left_shift, interior), (fock.right_shift, interior),
-                                 (fock.left_shift_adjoint, full),
-                                 (fock.right_shift_adjoint, full)):
-                out = shift(basis, i, batch)
-                assert out.shape == batch.shape
-                for row in np.ndindex(batch.shape[:-1]):
-                    np.testing.assert_array_equal(out[row], shift(basis, i, batch[row]))
+            for shift in (fock.left_shift, fock.right_shift):
+                out = shift(basis, i, interior)
+                assert out.shape == interior.shape
+                for row in np.ndindex(interior.shape[:-1]):
+                    np.testing.assert_array_equal(out[row], shift(basis, i, interior[row]))
 
     def test_shifts_are_isometric_with_orthogonal_ranges(self):
         # S*_i S_j = delta_ij on the interior, exhaustively over basis vectors
@@ -226,9 +218,9 @@ class TestIndexMaps:
         interior[cut:] = 0.0  # the left shift's matrix drops the top degree
         expected = []
         for i in range(d):
-            after = fock.left_shift_adjoint(basis, i, flipped)
-            before = fock.left_shift(basis, i, interior.T).T
-            expected.append(float(np.abs(after - before)[:cut, :cut].max()))
+            after = flipped[:cut, fock._prepend_indices(basis, i)]  # U op S_i
+            before = fock.left_shift(basis, i, interior.T).T[:cut, :cut]
+            expected.append(float(np.abs(after - before).max()))
         report = fock.verify_multiplier_intertwining(op, basis)
         assert len(report.per_symbol) == d
         for got, want in zip(report.per_symbol, expected):

@@ -102,6 +102,26 @@ class TestParsing:
         with pytest.raises(ValueError, match="one weight per state"):
             parse_document("alphabet: a\nstates: 2\nalpha: 1\nbeta: 0 1\ntransition a:\n0 0\n0 0\n")
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("alpha", "x", "expected numbers, got 'x'"),
+        ("beta", "1 x", "expected numbers, got '1 x'"),
+        ("alpha", "1", r"expected 2 entries \(one weight per state\), got 1"),
+        ("row", "0 y", "expected numbers, got '0 y'"),
+        ("row", "0 1 2", r"expected 2 entries \(one weight per state\), got 3"),
+    ], ids=["alpha-not-a-number", "beta-not-a-number", "short-alpha", "bad-row", "long-row"])
+    def test_malformed_weights_name_their_line(self, field, value, message):
+        # comments and blank lines count: alpha is on line 4, beta on 6, and
+        # the second matrix row on 10; alpha comes before states
+        lines = {"alpha": "1 0", "beta": "0 1", "row": "1 1"}
+        lines[field] = value
+        text = (
+            "# heading\nalphabet: a\n\nalpha: {alpha}\nstates: 2\nbeta: {beta}\n"
+            "transition a:\n0 1\n# rows go on\n{row}\n"
+        ).format(**lines)
+        line = {"alpha": 4, "beta": 6, "row": 10}[field]
+        with pytest.raises(ValueError, match=f"^line {line}: {message}$"):
+            parse_document(text)
+
 
 class TestParseWord:
     @pytest.fixture
