@@ -15,20 +15,23 @@ Schmidt functions in closed form, and realizes the negative part of the
 error symbol exactly with n + k states: the inverse system of the Schmidt
 denominator is split by an ordered Schur form into its parts inside and
 outside the unit circle (the discrete-time form of Glover's all-optimal
-Hankel-norm construction).  Every Stein equation here, X = A X B^T + C for
-the Gramians, the certificate and the extraction, is one
-:func:`_solve_stein` in O(n^2) memory: Smith's doubling iteration, three
-n x n products per doubling, whose solution is kept when its residual is
-backward stable, and otherwise the Bartels-Stewart method on the Schur
-forms of A and B.  The optimal rank-k Hankel sequence is the input minus
-that negative part, itself an (n + k)-state WFA; it is returned together
-with a k-state WFA recovered from it, whose attained error is certified
-exactly, as the Hankel norm of the difference automaton read from its
-Gramians (:func:`hankel_norm`), before returning.
+Hankel-norm construction).  The Stein equations X = A X B^T + C are solved
+by :func:`_solve_stein` in O(n^2) memory, three per approximation: the two
+Gramians of the input as one paired solve, whose members share the powers
+A^(2^j), the extraction's mixed equation, and the certificate's two
+difference Gramians as a second paired solve.  Each member runs Smith's
+doubling iteration, whose solution is kept when its residual is backward
+stable; a member that fails that test alone comes from the Bartels-Stewart
+method on the Schur forms of A and B.  The optimal rank-k Hankel sequence
+is the input minus that negative part, itself an (n + k)-state WFA; it is
+returned together with a k-state WFA recovered from it, whose attained
+error is certified exactly, as the Hankel norm of the difference automaton
+read from its Gramians (:func:`hankel_norm`), before returning.
 
 Only two functions here need scipy: the extraction's ordered Schur split
-(:func:`_optimal_sequence`) and the Bartels-Stewart fallback
-(:func:`_bartels_stewart`).  Each imports ``scipy.linalg`` when it first
+(:func:`_optimal_sequence`: LAPACK ``dgees`` and ``dtrsyl``) and the
+Bartels-Stewart fallback (:func:`_bartels_stewart`: ``scipy.linalg.schur``,
+``qz`` and LAPACK ``dtgsyl``).  Each imports ``scipy.linalg`` when it first
 runs, so importing this module, and with it ``wfamin``, costs numpy alone.
 """
 
@@ -84,20 +87,33 @@ class GramianPair:
     observability_residual: float
 
 
-def _smith_doubling(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray | None:
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(m, axis=(-2, -1)), the same sum, without its checks."""
+    return np.sqrt(np.add.reduce(m * m, axis=(-2, -1)))
+
+
+def _smith_doubling(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """sum_i a^i c (b^T)^i by X <- X + a X b^T, then a <- a^2, b <- b^2.
 
+    a, b and c may also be stacks (k, m, m), (k, n, n) and (k, m, n) of k
+    equations that share the loop; b is squared only when it is not a.
     After j doublings X holds the first 2^j terms.  The iteration stops when
-    a doubling leaves X unchanged in floating point; None when that X is
-    not finite or X has not settled after 64 doublings (a NaN never does).
+    a doubling leaves every X unchanged in floating point.  A member's X is
+    NaN when it is not finite or has not settled after 64 doublings (a NaN
+    never does).
     """
+    b_is_a = b is a
     x = c
     for _ in range(64):
-        update = x + a @ x @ b.T
-        if (update == x).all():
-            return x if np.isfinite(x).all() else None
-        x, a, b = update, a @ a, b @ b
-    return None
+        update = x + a @ x @ b.mT
+        unchanged = update == x
+        if unchanged.all():
+            break
+        x = update
+        a = a @ a
+        b = a if b_is_a else b @ b
+    kept = unchanged.all(axis=(-2, -1)) & np.isfinite(x).all(axis=(-2, -1))
+    return np.where(kept[..., None, None], x, np.nan)
 
 
 def _bartels_stewart(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -122,50 +138,50 @@ def _bartels_stewart(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _solve_stein(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """X = a X b^T + c, for rho(a) rho(b) < 1.
+    """X = a X b^T + c, for rho(a) rho(b) < 1, or each member of stacks of
+    such equations (see :func:`_smith_doubling`).
 
-    Smith doubling (:func:`_smith_doubling`) costs three products per
-    doubling.  Its squared powers lose accuracy when the powers of a or b
-    grow before they decay (strongly non-normal matrices), so its X is kept
-    only when its residual is a backward-stable one, within
-    _SMITH_BACKWARD_RTOL of ||c|| + ||a|| ||X|| ||b||; otherwise X comes
-    from the Bartels-Stewart method (:func:`_bartels_stewart`).  An X that
-    is not finite raises :class:`NumericalError`.
+    Smith doubling costs three products per doubling, and one fewer when b
+    is a.  Its squared powers lose accuracy when the powers of a or b grow
+    before they decay (strongly non-normal matrices), so a member's X is
+    kept only when its residual is a backward-stable one, within
+    _SMITH_BACKWARD_RTOL of ||c|| + ||a|| ||X|| ||b||; otherwise that
+    member alone comes from the Bartels-Stewart method
+    (:func:`_bartels_stewart`).  An X that is not finite raises
+    :class:`NumericalError`.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = _smith_doubling(a, b, c)
-        if x is not None:
-            residual = np.linalg.norm(x - a @ x @ b.T - c)
-            norm_a, norm_b = np.linalg.norm(a), np.linalg.norm(b)
-            scale = np.linalg.norm(c) + norm_a * np.linalg.norm(x) * norm_b
-            if residual <= _SMITH_BACKWARD_RTOL * scale:
-                return x
-        x = _bartels_stewart(a, b, c)
+        residual = _frobenius(x - a @ x @ b.mT - c)
+        norm_a = _frobenius(a)
+        norm_b = norm_a if b is a else _frobenius(b)
+        scale = _frobenius(c) + norm_a * _frobenius(x) * norm_b
+        # a NaN residual, from a member that did not settle, fails the test
+        failed = ~(residual <= _SMITH_BACKWARD_RTOL * scale)
+        if failed.any():
+            for member in map(tuple, np.argwhere(failed)):
+                x[member] = _bartels_stewart(a[member], b[member], c[member])
         if not np.isfinite(x).all():
             raise NumericalError("Stein equation solution overflowed")
     return x
 
 
-def gramians(wfa: Wfa) -> GramianPair:
-    """Exact Gramians of a one-letter WFA, one Stein equation each.
-
-    Requires the transition matrix to have spectral radius below one, which
-    makes both fixed-point equations uniquely solvable.
-    """
-    a = _require_one_letter(wfa)
+def _gramian_pair(alpha: np.ndarray, a: np.ndarray, beta: np.ndarray) -> GramianPair:
+    """Gramians of (alpha, a, beta), both from one stacked Stein solve."""
     rho = spectral_radius(a)
     if rho >= 1.0:
         raise StabilityError(f"Gramians diverge: spectral radius {rho} >= 1")
-    ctrl = _solve_stein(a, a, np.outer(wfa.beta, wfa.beta))
-    ctrl = 0.5 * (ctrl + ctrl.T)
-    obs = _solve_stein(a.T, a.T, np.outer(wfa.alpha, wfa.alpha))
-    obs = 0.5 * (obs + obs.T)
+    sides = np.stack([a, a.T])
+    weights = np.stack([beta, alpha])
+    forcing = weights[:, :, None] * weights[:, None, :]
+    pair = _solve_stein(sides, sides, forcing)
+    pair = 0.5 * (pair + pair.mT)
     # a finite Gramian can still overflow its residual or norm; an infinite
     # scale would pass any residual, so both must be finite
     with np.errstate(over="ignore", invalid="ignore"):
-        ctrl_res = float(np.linalg.norm(ctrl - a @ ctrl @ a.T - np.outer(wfa.beta, wfa.beta)))
-        obs_res = float(np.linalg.norm(obs - a.T @ obs @ a - np.outer(wfa.alpha, wfa.alpha)))
-        scale = 1.0 + max(np.linalg.norm(ctrl), np.linalg.norm(obs))
+        residuals = _frobenius(pair - sides @ pair @ sides.mT - forcing)
+        scale = 1.0 + _frobenius(pair).max()
+    ctrl_res, obs_res = residuals.tolist()
     if not np.isfinite([ctrl_res, obs_res, scale]).all():
         raise NumericalError(
             f"Gramian residual check overflowed (residuals {ctrl_res:.3e}, "
@@ -175,22 +191,28 @@ def gramians(wfa: Wfa) -> GramianPair:
         raise NumericalError(
             f"Gramian residuals {ctrl_res:.3e}, {obs_res:.3e} exceed tolerance"
         )
-    return GramianPair(ctrl, obs, ctrl_res, obs_res)
+    return GramianPair(pair[0], pair[1], ctrl_res, obs_res)
 
 
-def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    eigenvalues, vectors = np.linalg.eigh(matrix)
-    return (vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))) @ vectors.T
+def gramians(wfa: Wfa) -> GramianPair:
+    """Exact Gramians of a one-letter WFA, from one paired Stein solve.
+
+    Requires the transition matrix to have spectral radius below one, which
+    makes both fixed-point equations uniquely solvable.
+    """
+    return _gramian_pair(wfa.alpha, _require_one_letter(wfa), wfa.beta)
 
 
 def _root_product(pair: GramianPair) -> tuple[np.ndarray, np.ndarray]:
     """(Q^{1/2}, Q^{1/2} P^{1/2}), whose singular values are the Hankel ones.
 
-    Unlike square roots of the eigenvalues of P^{1/2} Q P^{1/2}, which are
-    noise below ~1e-8 sigma_0, these keep small values accurate.
+    Both PSD square roots come from one stacked eigendecomposition.  Unlike
+    square roots of the eigenvalues of P^{1/2} Q P^{1/2}, which are noise
+    below ~1e-8 sigma_0, these keep small values accurate.
     """
-    sqrt_obs = _psd_sqrt(pair.observability)
-    return sqrt_obs, sqrt_obs @ _psd_sqrt(pair.controllability)
+    eigenvalues, vectors = np.linalg.eigh(np.stack([pair.observability, pair.controllability]))
+    roots = (vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))[:, None, :]) @ vectors.mT
+    return roots[0], roots[0] @ roots[1]
 
 
 def _singular_data(wfa: Wfa):
@@ -237,15 +259,15 @@ def hankel_norm(f: Wfa, g: Wfa) -> float:
     for an approximant that is a failed computation, not bad input.
     """
     a_f, a_g = _require_one_letter(f), _require_one_letter(g)
-    block = np.block([[a_f, np.zeros((len(a_f), len(a_g)))],
-                      [np.zeros((len(a_g), len(a_f))), a_g]])
-    difference = Wfa(np.concatenate([f.alpha, g.alpha]), [block],
-                     np.concatenate([f.beta, -g.beta]))
+    n = len(a_f)
+    block = np.zeros((n + len(a_g),) * 2)
+    block[:n, :n], block[n:, n:] = a_f, a_g
     try:
-        pair = gramians(difference)
+        pair = _gramian_pair(np.concatenate([f.alpha, g.alpha]), block,
+                             np.concatenate([f.beta, -g.beta]))
     except StabilityError as exc:
         raise NumericalError(f"Hankel norm of the difference is undefined: {exc}") from exc
-    return float(np.linalg.norm(_root_product(pair)[1], 2))
+    return float(np.linalg.svd(_root_product(pair)[1], compute_uv=False)[0])
 
 
 @dataclass(frozen=True)
@@ -296,9 +318,11 @@ def _optimal_sequence(pair: SchmidtPair, order: int) -> Wfa:
     v(z) = v(0) + z x^T (1 - z A)^{-1} A beta, the power series of 1/v is
     that of the inverse system with state matrix
     A_x = A - (A beta) x^T / v(0); an eigenvalue lambda of A_x is a pole of
-    1/v at z = 1 / lambda.  An ordered real Schur form and one Sylvester
-    solve split A_x into T_s, its n - k eigenvalues inside the unit circle,
-    and T_u, the k outside it (the inverse zeros of v inside the disk).  On
+    1/v at z = 1 / lambda.  One LAPACK dgees call gives the eigenvalues, for
+    the circle guard, and the real Schur form ordered by |lambda| <= 1.  One
+    dtrsyl solve on its quasi-triangular blocks then splits A_x into T_s,
+    its n - k eigenvalues inside the unit circle, and T_u, the k outside it
+    (the inverse zeros of v inside the disk).  On
     the circle 1/v = (1/v)_+ + (1/v)_-: the T_s part is a power series, and
     the T_u part is re-expanded in negative powers of z through
     M_u = T_u^{-1}.  Then
@@ -315,7 +339,7 @@ def _optimal_sequence(pair: SchmidtPair, order: int) -> Wfa:
     triangular with A in its top-left block.  So f(m) = c^T M^m [beta; 0],
     and g = f - e_- is the automaton (c, M, [beta; 0] - b).
     """
-    import scipy.linalg  # loaded on first use: the rest of wfamin runs on numpy alone
+    from scipy.linalg import lapack  # loaded on first use: the rest of wfamin runs on numpy alone
 
     a, beta, x = pair.wfa.transitions[0], pair.wfa.beta, pair.direction
     n = len(x)
@@ -326,22 +350,33 @@ def _optimal_sequence(pair: SchmidtPair, order: int) -> Wfa:
         )
     a_beta = a @ beta
     inverse = a - np.outer(a_beta, x) / head
-    distance = float(np.abs(np.abs(np.linalg.eigvals(inverse)) - 1.0).min())
+    # one ordered real Schur form, eigenvalues of modulus <= 1 first
+    schur, inside, real, imag, basis, _, info = lapack.dgees(
+        lambda re, im: re * re + im * im <= 1.0, inverse, sort_t=1
+    )
+    distance = float(np.abs(np.hypot(real, imag) - 1.0).min())
     if distance <= CIRCLE_GUARD:
         raise NumericalError(
             "Schmidt denominator nearly vanishes on the unit circle (an "
             f"inverse-system eigenvalue lies {distance:.3e} from it); "
             "coefficient extraction would be unreliable"
         )
-    schur, basis, inside = scipy.linalg.schur(inverse, sort="iuc")
+    if info != 0:
+        raise NumericalError(
+            f"ordered Schur form of the inverse system failed (LAPACK info {info})"
+        )
     if n - inside != order:
         raise NumericalError(
             f"Schmidt denominator has {n - inside} zeros inside the unit disk, "
             f"expected {order}"
         )
     t_s, t_u = schur[:inside, :inside], schur[inside:, inside:]
-    # A_x = V diag(T_s, T_u) V^{-1} with V = basis [[1, Y], [0, 1]]
-    coupling = scipy.linalg.solve_sylvester(t_s, -t_u, -schur[:inside, inside:])
+    # A_x = V diag(T_s, T_u) V^{-1} with V = basis [[1, Y], [0, 1]], where
+    # T_s Y - Y T_u = -S_su; dtrsyl takes no empty block (k = 0)
+    coupling = np.zeros((inside, order))
+    if 0 < inside < n:
+        coupling, scale, _ = lapack.dtrsyl(t_s, t_u, -schur[:inside, inside:], isgn=-1)
+        coupling /= scale
     row, col = x @ basis, basis.T @ a_beta
     row_s, row_u = row[:inside], row[inside:] + row[:inside] @ coupling
     col_s, col_u = col[:inside] - coupling @ col[inside:], col[inside:]
@@ -353,10 +388,9 @@ def _optimal_sequence(pair: SchmidtPair, order: int) -> Wfa:
     # X = T_s X A^T + col_s (A P x)^T gives sum_j (row_s T_s^j col_s) A^{j+1} P x
     mixed = _solve_stein(t_s, a, np.outer(col_s, a @ forced))
     projected = constant * forced - mixed.T @ row_s / head**2
-    matrix = np.block([
-        [a, np.outer(forced, row_u @ m_u / head**2)],
-        [np.zeros((order, n)), m_u],
-    ])
+    matrix = np.zeros((n + order, n + order))
+    matrix[:n, :n], matrix[n:, n:] = a, m_u
+    matrix[:n, n:] = np.outer(forced, row_u @ m_u / head**2)
     return Wfa(
         np.concatenate([pair.wfa.alpha, np.zeros(order)]),
         [matrix],

@@ -115,19 +115,21 @@ def hankel_rank(block: HankelBlock, tol: float = DEFAULT_RANK_TOL) -> int:
 def _prefix_states(wfa: Wfa, max_length: int) -> np.ndarray:
     """Rows alpha^T A_p for the prefixes p of length <= max_length, in
     ``WordIndex`` order: the left factor P of every block H = P S^T."""
-    return np.concatenate([wfa.alpha[None, :], *_prefix_levels(wfa, max_length)])
+    levels = _prefix_levels(wfa.alpha, wfa.transitions, max_length)
+    return np.concatenate([wfa.alpha[None, :], *levels])
 
 
 def _suffix_states(wfa: Wfa, max_length: int) -> np.ndarray:
     """Rows (A_s beta)^T for the suffixes s of length <= max_length: the right
     factor S of every block H = P S^T, up to row order.
 
-    They are the prefix states of the reversed automaton, so the row of w
-    holds the state of w reversed and P S^T is H with its columns permuted
-    by word reversal (the identity for one letter).  Only row 0, the empty
-    word, is read by position.
+    They are the prefix states of the reversed automaton (beta, {A_a^T}),
+    so the row of w holds the state of w reversed and P S^T is H with its
+    columns permuted by word reversal (the identity for one letter).  Only
+    row 0, the empty word, is read by position.
     """
-    return _prefix_states(Wfa(wfa.beta, [m.T for m in wfa.transitions], wfa.alpha), max_length)
+    levels = _prefix_levels(wfa.beta, [m.T for m in wfa.transitions], max_length)
+    return np.concatenate([wfa.beta[None, :], *levels])
 
 
 def _factored_svd(left: np.ndarray, right: np.ndarray):
@@ -219,18 +221,21 @@ def _orthonormal_span(start: np.ndarray, matrices, tol: float) -> np.ndarray:
     Breadth-first Gram-Schmidt, run twice per candidate; a candidate whose
     residual is at most ``tol`` is dropped.
     """
-    basis = np.empty((start.size, 0))
+    n = start.size
+    basis = np.empty((n, n), order="F")  # the first ``count`` columns are the span
+    count = 0
     norm = np.linalg.norm(start)
     queue = [start / norm] if norm > 0.0 else []
-    while queue and basis.shape[1] < start.size:
-        vector = queue.pop(0)
+    while queue and count < n:
+        vector, span = queue.pop(0), basis[:, :count]
         for _ in range(2):
-            vector = vector - basis @ (basis.T @ vector)
+            vector = vector - span @ (span.T @ vector)
         residual = np.linalg.norm(vector)
         if residual > tol:
-            basis = np.column_stack([basis, vector / residual])
-            queue.extend(m @ basis[:, -1] for m in matrices)
-    return basis
+            basis[:, count] = vector / residual
+            queue.extend(m @ basis[:, count] for m in matrices)
+            count += 1
+    return basis[:, :count]
 
 
 def _reduced_weights(wfa: Wfa):

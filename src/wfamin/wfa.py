@@ -134,19 +134,21 @@ def evaluation_table(wfa: Wfa, max_length: int) -> np.ndarray:
     if max_length < 0:
         raise ValueError(f"max_length must be >= 0, got {max_length}")
     levels = [np.array([float(wfa.alpha @ wfa.beta)])]
-    levels.extend(states @ wfa.beta for states in _prefix_levels(wfa, max_length))
+    states = _prefix_levels(wfa.alpha, wfa.transitions, max_length)
+    levels.extend(level @ wfa.beta for level in states)
     return np.concatenate(levels)
 
 
-def _prefix_levels(wfa: Wfa, max_length: int):
-    """Rows alpha^T A_w for the words w of length 1, ..., max_length.
+def _prefix_levels(start: np.ndarray, matrices, max_length: int):
+    """Rows start^T M_w for the words w of length 1, ..., max_length.
 
+    With (alpha, transitions) these are the prefix states alpha^T A_w.
     Yields one array per length, its rows in ``WordIndex`` order, from one
     matrix product per level.
     """
-    states = wfa.alpha[None, :]
-    stacked = np.concatenate(wfa.transitions, axis=1)  # [A_0 A_1 ... A_{d-1}]
+    states = start[None, :]
+    stacked = np.concatenate(matrices, axis=1)  # [M_0 M_1 ... M_{d-1}]
     for _ in range(max_length):
         # row for word w + (a,) sits at position value(w) * d + a
-        states = (states @ stacked).reshape(-1, wfa.num_states)
+        states = (states @ stacked).reshape(-1, start.size)
         yield states

@@ -9,6 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from wfamin.aak import (
     _bartels_stewart,
+    _optimal_sequence,
+    _schmidt_pair,
+    _singular_data,
     _smith_doubling,
     _solve_stein,
     aak_approximate,
@@ -115,6 +118,47 @@ class TestSolveStein:
         assert residual(_smith_doubling(a, a, c)) > 1e-9
         assert residual(_solve_stein(a, a, c)) < 1e-14
 
+    @pytest.mark.parametrize("rho", [0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("rows, cols", [(6, 6), (3, 7), (7, 2)])
+    def test_paired_members_match_kronecker_solve(self, rho, rows, cols):
+        # one stacked solve of two equations; each member is held to the
+        # tolerance of a solo solve
+        rng = np.random.default_rng(2)
+        a = np.stack([_non_normal(rows, rho, rng) for _ in range(2)])
+        b = np.stack([_non_normal(cols, rho, rng) for _ in range(2)])
+        c = rng.standard_normal((2, rows, cols))
+        solution = _solve_stein(a, b, c)
+        for member in range(2):
+            expected = stein_kronecker(a[member], b[member], c[member])
+            np.testing.assert_allclose(
+                solution[member], expected, rtol=0,
+                atol=1e-14 / (1 - rho) ** 2 * np.linalg.norm(expected),
+            )
+
+    def test_pair_falls_back_one_member_at_a_time(self, monkeypatch):
+        # the strongly non-normal equation of test_inaccurate_doubling_is_not_kept
+        # paired with a normal one: only the first goes to Bartels-Stewart,
+        # and the second keeps the doubling a solo solve gives
+        rng = np.random.default_rng(37)
+        hard = _non_normal(8, 0.99, rng, 2.0).T
+        c_hard = np.outer(*[rng.standard_normal(8)] * 2)
+        easy = _non_normal(8, 0.9, rng, 0.0)
+        c_easy = np.outer(*[rng.standard_normal(8)] * 2)
+        fallbacks = []
+
+        def recorded(a, b, c):
+            fallbacks.append(a)
+            return _bartels_stewart(a, b, c)
+
+        monkeypatch.setattr("wfamin.aak._bartels_stewart", recorded)
+        sides = np.stack([hard, easy])
+        solution = _solve_stein(sides, sides, np.stack([c_hard, c_easy]))
+        assert len(fallbacks) == 1
+        np.testing.assert_array_equal(fallbacks[0], hard)
+        np.testing.assert_array_equal(solution[1], _smith_doubling(easy, easy, c_easy))
+        residual = np.linalg.norm(solution[0] - hard @ solution[0] @ hard.T - c_hard)
+        assert residual < 1e-14 * np.linalg.norm(solution[0])
+
     def test_zero_rows(self):
         solution = _solve_stein(np.zeros((0, 0)), 0.5 * np.eye(3), np.zeros((0, 3)))
         assert solution.shape == (0, 3)
@@ -176,11 +220,14 @@ class TestGramians:
             assert abs(result.attained - result.error) <= 1e-6 * result.singular_values[0]
 
     def test_nan_observability_residual_is_refused(self, monkeypatch, two_state_wfa):
-        # Python's max(x, nan) is x: each residual is tested on its own
-        solutions = iter([_solve_stein, lambda a, b, c: np.full_like(c, np.nan)])
-        monkeypatch.setattr(
-            "wfamin.aak._solve_stein", lambda a, b, c: next(solutions)(a, b, c)
-        )
+        # one paired solve gives (controllability, observability); a NaN in
+        # the second member alone must not pass the residual test
+        def poisoned(a, b, c):
+            solution = _solve_stein(a, b, c)
+            solution[1] = np.nan
+            return solution
+
+        monkeypatch.setattr("wfamin.aak._solve_stein", poisoned)
         with pytest.raises(NumericalError, match="residuals"):
             gramians(two_state_wfa)
 
@@ -191,6 +238,20 @@ class TestGramians:
         wfa = Wfa([1.0, 1.0], [np.array([[0.5, weight], [0.0, 0.5]])], [1.0, 1.0])
         with pytest.raises(NumericalError, match="overflowed"):
             gramians(wfa)
+
+    @given(n=st.integers(1, 8), rho=st.floats(0.1, 0.95), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_pair_matches_kronecker_solve(self, n, rho, seed):
+        wfa = random_stable_wfa(1, n, seed=seed, radius_bound=rho)
+        a = wfa.transitions[0]
+        pair = gramians(wfa)
+        tol = 1e-14 / (1 - spectral_radius(a)) ** 2
+        for gramian, side, weight in ((pair.controllability, a, wfa.beta),
+                                      (pair.observability, a.T, wfa.alpha)):
+            expected = stein_kronecker(side, side, np.outer(weight, weight))
+            np.testing.assert_allclose(
+                gramian, expected, rtol=0, atol=tol * np.linalg.norm(expected)
+            )
 
     def test_divergent_radius(self):
         wfa = Wfa([1.0], [[[1.2]]], [1.0])
@@ -528,10 +589,23 @@ class TestAakApproximate:
             _optimal_sequence(pair, order=1)
 
 
+    @pytest.mark.parametrize("name", ["e2.wfa", "small-gramian-gap.wfa"])
+    def test_split_at_both_ends(self, name):
+        # k = 0 puts every inverse-system eigenvalue inside the circle (an
+        # empty outside block, no Sylvester solve); at k = n - 1 only the
+        # zero eigenvalue of A_x = A (1 - beta x^T / v(0)) is inside
+        wfa = load_document(FIXTURES / name).wfa
+        data = _singular_data(wfa)
+        sigmas = data[0]
+        for k in (0, wfa.num_states - 1):
+            sequence = _optimal_sequence(_schmidt_pair(wfa, k, data), k)
+            assert sequence.num_states == wfa.num_states + k
+            assert abs(hankel_norm(wfa, sequence) - sigmas[k]) <= 1e-6 * sigmas[0]
+
     def test_no_second_stein_solver(self, monkeypatch):
-        # every Stein equation goes through _solve_stein: two for the
-        # Gramians, one for the extraction and two for the certificate's
-        # difference Gramians
+        # every Stein equation goes through _solve_stein: one paired solve
+        # for the Gramians, one for the extraction and one paired solve for
+        # the certificate's difference Gramians
         calls = []
 
         def counted(*args):
@@ -544,7 +618,7 @@ class TestAakApproximate:
             for k in range(wfa.num_states):
                 calls.clear()
                 result = aak_approximate(wfa, k)
-                assert len(calls) == 5
+                assert len(calls) == 3
                 assert hankel_norm(wfa, result.wfa) == result.attained
                 assert abs(result.attained - result.error) <= 1e-6 * result.singular_values[0]
 

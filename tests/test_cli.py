@@ -323,6 +323,27 @@ class TestApproximate:
         assert re.fullmatch(r"error: recovery of the 1-state approximant failed: [^\n]*\n", err)
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("name, message", [
+        ("jordan-tie.wfa", "Schmidt denominator has 0 zeros inside the unit disk, expected 1"),
+        ("even-series.wfa", "Schmidt denominator vanishes at z = 0"),
+    ])
+    def test_known_false_refusals_exit_1(self, capsys, tmp_path, name, message):
+        """Two stable, minimal two-state inputs that k = 1 refuses, though an
+        optimal 1-state approximant exists: for jordan-tie (sigma_0 = sigma_1)
+        the zero automaton attains sigma_1, and even-series has v(0) = 0.
+        These refusals are a known defect of the extraction (ROADMAP item 5):
+        this test pins the exit-code contract until that is fixed, and
+        changes with the fix."""
+        out_file = tmp_path / "out.wfa"
+        code, out, err = run(
+            capsys, "approximate", str(FIXTURES / name), "1", "--no-timestamp",
+            "-o", str(out_file),
+        )
+        assert code == 1
+        assert out == ""
+        assert re.fullmatch(rf"error: {re.escape(message)}[^\n]*\n", err)
+        assert not out_file.exists()
+
     def test_aak_on_multi_letter_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "approximate", str(FIXTURES / "nilpotent.wfa"), "1",
