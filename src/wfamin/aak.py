@@ -87,11 +87,6 @@ class GramianPair:
     observability_residual: float
 
 
-def _frobenius(m: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(m, axis=(-2, -1)), the same sum, without its checks."""
-    return np.sqrt(np.add.reduce(m * m, axis=(-2, -1)))
-
-
 def _smith_doubling(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """sum_i a^i c (b^T)^i by X <- X + a X b^T, then a <- a^2, b <- b^2.
 
@@ -105,7 +100,7 @@ def _smith_doubling(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     b_is_a = b is a
     x = c
     for _ in range(64):
-        update = x + a @ x @ b.mT
+        update = x + a @ x @ b.swapaxes(-1, -2)
         unchanged = update == x
         if unchanged.all():
             break
@@ -152,10 +147,11 @@ def _solve_stein(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = _smith_doubling(a, b, c)
-        residual = _frobenius(x - a @ x @ b.mT - c)
-        norm_a = _frobenius(a)
-        norm_b = norm_a if b is a else _frobenius(b)
-        scale = _frobenius(c) + norm_a * _frobenius(x) * norm_b
+        residual = np.linalg.norm(x - a @ x @ b.swapaxes(-1, -2) - c, axis=(-2, -1))
+        norm_a = np.linalg.norm(a, axis=(-2, -1))
+        norm_b = norm_a if b is a else np.linalg.norm(b, axis=(-2, -1))
+        norm_x = np.linalg.norm(x, axis=(-2, -1))
+        scale = np.linalg.norm(c, axis=(-2, -1)) + norm_a * norm_x * norm_b
         # a NaN residual, from a member that did not settle, fails the test
         failed = ~(residual <= _SMITH_BACKWARD_RTOL * scale)
         if failed.any():
@@ -175,12 +171,14 @@ def _gramian_pair(alpha: np.ndarray, a: np.ndarray, beta: np.ndarray) -> Gramian
     weights = np.stack([beta, alpha])
     forcing = weights[:, :, None] * weights[:, None, :]
     pair = _solve_stein(sides, sides, forcing)
-    pair = 0.5 * (pair + pair.mT)
+    pair = 0.5 * (pair + pair.swapaxes(-1, -2))
     # a finite Gramian can still overflow its residual or norm; an infinite
     # scale would pass any residual, so both must be finite
     with np.errstate(over="ignore", invalid="ignore"):
-        residuals = _frobenius(pair - sides @ pair @ sides.mT - forcing)
-        scale = 1.0 + _frobenius(pair).max()
+        residuals = np.linalg.norm(
+            pair - sides @ pair @ sides.swapaxes(-1, -2) - forcing, axis=(-2, -1)
+        )
+        scale = 1.0 + np.linalg.norm(pair, axis=(-2, -1)).max()
     ctrl_res, obs_res = residuals.tolist()
     if not np.isfinite([ctrl_res, obs_res, scale]).all():
         raise NumericalError(
@@ -211,7 +209,8 @@ def _root_product(pair: GramianPair) -> tuple[np.ndarray, np.ndarray]:
     below ~1e-8 sigma_0, these keep small values accurate.
     """
     eigenvalues, vectors = np.linalg.eigh(np.stack([pair.observability, pair.controllability]))
-    roots = (vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))[:, None, :]) @ vectors.mT
+    roots = vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))[:, None, :]
+    roots = roots @ vectors.swapaxes(-1, -2)
     return roots[0], roots[0] @ roots[1]
 
 
@@ -267,7 +266,7 @@ def hankel_norm(f: Wfa, g: Wfa) -> float:
                              np.concatenate([f.beta, -g.beta]))
     except StabilityError as exc:
         raise NumericalError(f"Hankel norm of the difference is undefined: {exc}") from exc
-    return float(np.linalg.svd(_root_product(pair)[1], compute_uv=False)[0])
+    return float(np.linalg.norm(_root_product(pair)[1], 2))
 
 
 @dataclass(frozen=True)
@@ -354,6 +353,12 @@ def _optimal_sequence(pair: SchmidtPair, order: int) -> Wfa:
     schur, inside, real, imag, basis, _, info = lapack.dgees(
         lambda re, im: re * re + im * im <= 1.0, inverse, sort_t=1
     )
+    # info in 1..n: the QR iteration failed and left the eigenvalues
+    # unspecified; n + 1 or n + 2: they are computed but the reordering failed
+    if 0 < info <= n:
+        raise NumericalError(
+            f"Schur form of the inverse system failed (LAPACK info {info})"
+        )
     distance = float(np.abs(np.hypot(real, imag) - 1.0).min())
     if distance <= CIRCLE_GUARD:
         raise NumericalError(

@@ -221,21 +221,18 @@ def _orthonormal_span(start: np.ndarray, matrices, tol: float) -> np.ndarray:
     Breadth-first Gram-Schmidt, run twice per candidate; a candidate whose
     residual is at most ``tol`` is dropped.
     """
-    n = start.size
-    basis = np.empty((n, n), order="F")  # the first ``count`` columns are the span
-    count = 0
+    basis = np.empty((start.size, 0))
     norm = np.linalg.norm(start)
     queue = [start / norm] if norm > 0.0 else []
-    while queue and count < n:
-        vector, span = queue.pop(0), basis[:, :count]
+    while queue and basis.shape[1] < start.size:
+        vector = queue.pop(0)
         for _ in range(2):
-            vector = vector - span @ (span.T @ vector)
+            vector = vector - basis @ (basis.T @ vector)
         residual = np.linalg.norm(vector)
         if residual > tol:
-            basis[:, count] = vector / residual
-            queue.extend(m @ basis[:, count] for m in matrices)
-            count += 1
-    return basis[:, :count]
+            basis = np.column_stack([basis, vector / residual])
+            queue.extend(m @ basis[:, -1] for m in matrices)
+    return basis
 
 
 def _reduced_weights(wfa: Wfa):

@@ -3,8 +3,7 @@
 Nothing in the package calls these: the Fock lab applies its shifts and the
 flip as index maps, the Hankel identity is checked on word values, the AAK
 path realizes the error symbol exactly, and its Stein equations are solved
-on n x n matrices (doubling, or Bartels-Stewart on Schur forms), and
-minimality grows its Gram-Schmidt basis in place.  Each
+on n x n matrices (doubling, or Bartels-Stewart on Schur forms).  Each
 definition here is the plain (dense or pointwise) form of an object the
 package computes another way, so a test can hold the two against each
 other.
@@ -116,31 +115,6 @@ def check_hankel_property(block: HankelBlock, tol: float) -> tuple[bool, tuple |
             if not abs(values[a] - values[b]) <= tol:
                 return False, (*cells[a], *cells[b])
     return False, (*cells[0], *cells[0])
-
-
-# --- Minimality: the Gram-Schmidt span, grown by column_stack
-
-
-def orthonormal_span(start: np.ndarray, matrices, tol: float) -> np.ndarray:
-    """Orthonormal columns spanning {M_w start : words w}, as
-    ``hankel._orthonormal_span`` computes them, but with a basis rebuilt by
-    ``np.column_stack`` for every accepted direction.
-
-    Breadth-first Gram-Schmidt, run twice per candidate; a candidate whose
-    residual is at most ``tol`` is dropped.
-    """
-    basis = np.empty((start.size, 0))
-    norm = np.linalg.norm(start)
-    queue = [start / norm] if norm > 0.0 else []
-    while queue and basis.shape[1] < start.size:
-        vector = queue.pop(0)
-        for _ in range(2):
-            vector = vector - basis @ (basis.T @ vector)
-        residual = np.linalg.norm(vector)
-        if residual > tol:
-            basis = np.column_stack([basis, vector / residual])
-            queue.extend(m @ basis[:, -1] for m in matrices)
-    return basis
 
 
 # --- Stein equations: the Kronecker system

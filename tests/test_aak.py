@@ -588,6 +588,26 @@ class TestAakApproximate:
         with pytest.raises(NumericalError, match="z = 0"):
             _optimal_sequence(pair, order=1)
 
+    @pytest.mark.parametrize("info, message", [
+        (1, r"^Schur form of the inverse system failed \(LAPACK info 1\)"),
+        (4, "unit circle"),  # n + 2: the eigenvalues are computed, so the guard reads them
+    ])
+    def test_schur_failure_is_checked_before_the_circle_guard(self, monkeypatch, info, message):
+        # dgees reports failure with eigenvalues on the unit circle: after a
+        # failed QR iteration (info <= n) they are unspecified and not read
+        from scipy.linalg import lapack
+
+        real_dgees = lapack.dgees
+
+        def failing(*args, **kwargs):
+            schur, inside, real, imag, basis, work, _ = real_dgees(*args, **kwargs)
+            return schur, inside, np.ones_like(real), np.zeros_like(imag), basis, work, info
+
+        monkeypatch.setattr(lapack, "dgees", failing)
+        wfa = load_document(FIXTURES / "e2.wfa").wfa
+        assert wfa.num_states == 2
+        with pytest.raises(NumericalError, match=message):
+            _optimal_sequence(schmidt_pair(wfa, 1), order=1)
 
     @pytest.mark.parametrize("name", ["e2.wfa", "small-gramian-gap.wfa"])
     def test_split_at_both_ends(self, name):

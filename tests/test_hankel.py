@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +7,6 @@ from wfamin.hankel import (
     DEFAULT_RANK_TOL,
     HankelBlock,
     _factored_svd,
-    _orthonormal_span,
     _prefix_states,
     _suffix_states,
     _svd_baseline,
@@ -22,7 +19,7 @@ from wfamin.hankel import (
 from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa
 from wfamin.words import WordIndex
 
-from reference import check_hankel_property, orthonormal_span, svd_truncate
+from reference import check_hankel_property, svd_truncate
 
 
 def one_letter_block(first_column_generator, size):
@@ -330,33 +327,6 @@ class TestMinimize:
         length = 6 if d == 1 else 4
         original, kept = evaluation_table(wfa, length), evaluation_table(reduced, length)
         assert np.abs(original - kept).max() <= 1e-10 * np.abs(original).max()
-
-
-    @given(d=st.integers(1, 3), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
-           reduced=st.booleans(), data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_span_matches_the_column_stack_reference(self, d, n, seed, reduced, data):
-        # the basis grown in place is not bit-identical to the one rebuilt by
-        # column_stack; the verdict, the dimension and the projector must match
-        wfa = random_stable_wfa(d, n, seed=seed, radius_bound=0.9)
-        if reduced:  # a zero column and alpha entry leave state j unobservable
-            j = data.draw(st.integers(0, n - 1))
-            alpha, mats = wfa.alpha.copy(), [m.copy() for m in wfa.transitions]
-            alpha[j] = 0.0
-            for m in mats:
-                m[:, j] = 0.0
-            wfa = Wfa(alpha, mats, wfa.beta)
-        with mock.patch("wfamin.hankel._orthonormal_span", orthonormal_span):
-            expected = is_minimal(wfa)
-        assert is_minimal(wfa) == expected
-        assert not (reduced and expected)
-        tol = DEFAULT_RANK_TOL * max(1.0, max(np.linalg.norm(m, 2) for m in wfa.transitions))
-        for start, mats in ((wfa.beta, wfa.transitions),
-                            (wfa.alpha, [m.T for m in wfa.transitions])):
-            span = _orthonormal_span(start, mats, tol)
-            reference = orthonormal_span(start, mats, tol)
-            assert span.shape == reference.shape
-            np.testing.assert_allclose(span @ span.T, reference @ reference.T, rtol=0, atol=1e-12)
 
 
 class TestStateFactors:
