@@ -23,8 +23,6 @@ from .hankel import _svd_baseline
 from .io import WfaDocument, load_document, parse_word, save_document
 from .wfa import random_stable_wfa
 
-SUITES = ("hankel-eq", "shifts", "free-group", "nc-rational", "all")
-
 
 def _timestamp_lines(args):
     if not args.no_timestamp:
@@ -141,8 +139,7 @@ def _suite_hankel_eq(args):
     worst = 0.0
     passed = True
     for label, wfa in fixtures:
-        degree = args.degree if wfa.alphabet_size > 1 else max(args.degree, 2)
-        report = fock.verify_hankel_equation(wfa, degree)
+        report = fock.verify_hankel_equation(wfa, args.degree)
         worst = float(np.maximum(worst, report.max_discrepancy))  # NaN propagates
         passed = passed and report.passed
         lines.append(f"fixture: {label}")
@@ -186,20 +183,22 @@ def _suite_nc_rational(args):
     return [*lines, *report.lines()], report.passed
 
 
+SUITES = {
+    "hankel-eq": _suite_hankel_eq,
+    "shifts": _suite_shifts,
+    "free-group": _suite_free_group,
+    "nc-rational": _suite_nc_rational,
+}
+
+
 def cmd_verify(args) -> int:
-    suites = {
-        "hankel-eq": _suite_hankel_eq,
-        "shifts": _suite_shifts,
-        "free-group": _suite_free_group,
-        "nc-rational": _suite_nc_rational,
-    }
-    selected = list(suites) if args.suite == "all" else [args.suite]
+    selected = list(SUITES) if args.suite == "all" else [args.suite]
     for line in _timestamp_lines(args):
         print(line)
     all_passed = True
     for name in selected:
         with np.errstate(over="ignore", invalid="ignore"):
-            lines, passed = suites[name](args)
+            lines, passed = SUITES[name](args)
         for line in lines:
             print(line)
         print(f"result: {'pass' if passed else 'fail'}")
@@ -255,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run numerical verification suites")
     p_verify.add_argument("file", nargs="?", default=None,
                           help="optional automaton document used as the fixture")
-    p_verify.add_argument("--suite", choices=SUITES, default="all")
+    p_verify.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p_verify.add_argument("--degree", type=int, default=5,
                           help="Fock-space truncation degree")
     p_verify.add_argument("--seed", type=int, default=0)

@@ -8,11 +8,11 @@ simultaneously the sequence and the power-series view of the same object.
 The shifts act on the last axis, so a stack of vectors (leading batch
 axes) is shifted in one call; shifts and the flip are applied as index
 maps, and no dense shift or flip matrix is built (the tests keep those as
-reference definitions in ``tests/reference.py``).  Their adjoints enter
-only as the same index maps read the other way, as in
-:func:`verify_hankel_equation`.  The bilateral shift of the two-sided space
-is not modeled apart: both checks that use it draw from the positive
-component, where it is the right shift.
+reference definitions in ``tests/reference.py``); both shifts are one
+routine given the shift's index map.  Their adjoints enter only as the same
+index maps read the other way, as in :func:`verify_hankel_equation`.  The
+bilateral shift of the two-sided space is not modeled apart: both checks
+that use it draw from the positive component, where it is the right shift.
 The multiplier intertwining check applies no shift at all: it reads the
 operator through slices and reshaped views, using the index identities of
 :mod:`wfamin.words`.
@@ -21,7 +21,9 @@ Truncation discipline: a shift that would push support past the degree
 cutoff raises :class:`TruncationError`, the flipped multiplier drops the
 coefficients past it (the compression of the infinite operator), and the
 verification routines only compare on the *interior* (degrees where no
-truncation loss can occur).
+truncation loss can occur).  The nc-rational partial sum builds its
+argument products with the prefix recursion of
+:func:`~wfamin.wfa.evaluation_table`.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StabilityError, TruncationError
-from .hankel import build_hankel
-from .wfa import Wfa, evaluation_table, spectral_radius
+from .hankel import _check_block_size, build_hankel
+from .wfa import Wfa, _prefix_levels, evaluation_table, spectral_radius
 from .words import WordIndex
 
 #: Largest number of floats drawn at once by :func:`verify_shift_inequalities`
@@ -53,18 +55,6 @@ def _interior_size(basis: WordIndex) -> int:
     return basis.first_index_of_length(basis.max_length)
 
 
-def _check_interior_support(basis: WordIndex, vector: np.ndarray, what: str):
-    if vector.shape[-1:] != (len(basis),):
-        raise ValueError(
-            f"vector has shape {vector.shape}, expected a last axis of length {len(basis)}"
-        )
-    if np.any(vector[..., _interior_size(basis):] != 0.0):
-        raise TruncationError(
-            f"{what} would push support past degree {basis.max_length}; "
-            "the input must vanish on the top degree"
-        )
-
-
 def _prepend_indices(basis: WordIndex, symbol: int) -> np.ndarray:
     """index_of(symbol + w) = (1 + symbol) d^|w| + index_of(w), interior w."""
     cut = _interior_size(basis)
@@ -76,22 +66,32 @@ def _append_indices(basis: WordIndex, symbol: int) -> np.ndarray:
     return basis.alphabet_size * np.arange(_interior_size(basis), dtype=np.int64) + 1 + symbol
 
 
+def _shift(basis: WordIndex, vector, indices: np.ndarray, what: str) -> np.ndarray:
+    """Scatter the interior of ``vector`` (last axis) to ``indices``."""
+    vector = np.asarray(vector, dtype=float)
+    if vector.shape[-1:] != (len(basis),):
+        raise ValueError(
+            f"vector has shape {vector.shape}, expected a last axis of length {len(basis)}"
+        )
+    cut = _interior_size(basis)
+    if np.any(vector[..., cut:] != 0.0):
+        raise TruncationError(
+            f"{what} would push support past degree {basis.max_length}; "
+            "the input must vanish on the top degree"
+        )
+    out = np.zeros(vector.shape)
+    out[..., indices] = vector[..., :cut]
+    return out
+
+
 def left_shift(basis: WordIndex, symbol: int, vector) -> np.ndarray:
     """e_w -> e_{symbol w}; the input must vanish on the top degree."""
-    vector = np.asarray(vector, dtype=float)
-    _check_interior_support(basis, vector, "left shift")
-    out = np.zeros(vector.shape)
-    out[..., _prepend_indices(basis, symbol)] = vector[..., : _interior_size(basis)]
-    return out
+    return _shift(basis, vector, _prepend_indices(basis, symbol), "left shift")
 
 
 def right_shift(basis: WordIndex, symbol: int, vector) -> np.ndarray:
     """e_w -> e_{w symbol}; the input must vanish on the top degree."""
-    vector = np.asarray(vector, dtype=float)
-    _check_interior_support(basis, vector, "right shift")
-    out = np.zeros(vector.shape)
-    out[..., _append_indices(basis, symbol)] = vector[..., : _interior_size(basis)]
-    return out
+    return _shift(basis, vector, _append_indices(basis, symbol), "right shift")
 
 
 def _reversal_permutation(basis: WordIndex) -> np.ndarray:
@@ -213,38 +213,38 @@ def verify_shift_inequalities(alphabet_size: int, degree: int, trials: int,
     it the bilateral shift is the right shift, so (b) sums R_i h_i.
 
     Both sides sum the same squares in different orders; summed exactly,
-    they deviate only if a shift maps two words to one.
+    they deviate only if a shift maps two words to one.  ``degree`` must be
+    at least 1 (degree 0 has no interior), and one trial's 2 d vectors of N
+    words must fit the 10^7-entry bound of Hankel blocks (d = 2: degree <= 20).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if degree < 1:
+        raise ValueError(f"degree must be >= 1, got {degree}")
     rng = np.random.default_rng(seed)
     basis = WordIndex(alphabet_size, degree)
+    _check_block_size(2 * alphabet_size, len(basis), "set of shift trial vectors")
     cut = _interior_size(basis)
     # trials are drawn and shifted in batches of bounded size; drawing
     # (batch, 2, d, cut) normals continues the stream one trial at a time,
     # as y_0..y_{d-1} then h_0..h_{d-1}
     batch = max(1, _SHIFT_BATCH_ENTRIES // (2 * alphabet_size * len(basis)))
-    max_left = 0.0
-    max_bilateral = 0.0
+    worst = [0.0, 0.0]  # identity (a), identity (b)
     for start in range(0, trials, batch):
         count = min(batch, trials - start)
         draws = np.zeros((count, 2, alphabet_size, len(basis)))
         draws[..., :cut] = rng.standard_normal((count, 2, alphabet_size, cut))
-        ys, hs = draws[:, 0], draws[:, 1]
-
-        total = sum(left_shift(basis, i, ys[:, i]) for i in range(alphabet_size))
-        deviation = _exact_squared_norms(total) - _exact_squared_norms(ys)
-        max_left = float(np.maximum(max_left, np.abs(deviation).max()))
-
-        total = sum(right_shift(basis, i, hs[:, i]) for i in range(alphabet_size))
-        deviation = _exact_squared_norms(total) - _exact_squared_norms(hs)
-        max_bilateral = float(np.maximum(max_bilateral, np.abs(deviation).max()))
+        for k, shift in enumerate((left_shift, right_shift)):
+            vectors = draws[:, k]
+            total = sum(shift(basis, i, vectors[:, i]) for i in range(alphabet_size))
+            deviation = _exact_squared_norms(total) - _exact_squared_norms(vectors)
+            worst[k] = float(np.maximum(worst[k], np.abs(deviation).max()))
     return ShiftInequalityReport(
         alphabet_size=alphabet_size,
         degree=degree,
         trials=trials,
-        max_left_shift_deviation=max_left,
-        max_bilateral_deviation=max_bilateral,
+        max_left_shift_deviation=worst[0],
+        max_bilateral_deviation=worst[1],
     )
 
 
@@ -308,12 +308,8 @@ def free_group_counterexample() -> FreeGroupReport:
     def shift_apply(generator, vector):
         out = np.zeros(len(labels))
         for word, i in position.items():
-            if vector[i] == 0.0:
-                continue
-            image = append_generator(word, generator)
-            if image not in position:
-                raise TruncationError(f"image {image} leaves the length-1 truncation")
-            out[position[image]] += vector[i]
+            if vector[i] != 0.0:
+                out[position[append_generator(word, generator)]] += vector[i]
         return out
 
     h1 = np.zeros(len(labels))
@@ -409,28 +405,19 @@ def nc_rational_series(wfa: Wfa, arguments, max_degree: int) -> np.ndarray:
     """Partial sum of the series up to words of length ``max_degree``.
 
     Independent of :func:`nc_rational_eval`: the word coefficients
-    alpha^T A_w beta come from :func:`~wfamin.wfa.evaluation_table` and the
-    argument products z_w are built level by level; no power of the
-    Kronecker sum K is formed.  The tail beyond ``max_degree`` is bounded by
-    ||alpha|| ||beta|| ||K||^(max_degree+1) / (1 - ||K||) when ||K|| < 1
-    (the first number of :func:`series_bounds`).
+    alpha^T A_w beta come from :func:`~wfamin.wfa.evaluation_table`, and the
+    rows vec(z_w) from its prefix recursion started at vec(1_m) with the
+    matrices 1_m (x) z_a; the sum is one product of the two, and no power
+    of the Kronecker sum K is formed.  The tail beyond ``max_degree`` is
+    bounded by ||alpha|| ||beta|| ||K||^(max_degree+1) / (1 - ||K||) when
+    ||K|| < 1 (the first number of :func:`series_bounds`).
     """
     arguments, size = _coerce_arguments(wfa, arguments)
-    d = wfa.alphabet_size
-    coefficients = evaluation_table(wfa, max_degree)
-    stacked = np.concatenate(arguments, axis=1)  # [z_0 z_1 ... z_{d-1}]
-    total = coefficients[0] * np.eye(size)
-    products = np.eye(size)[None, :, :]  # z_w for the words w of the current length
-    start = 1
-    for _ in range(max_degree):
-        count = products.shape[0]
-        # block (w, a) of the product is z_w z_a, the word w a at value(w) * d + a
-        products = (products.reshape(-1, size) @ stacked).reshape(count, size, d, size)
-        products = products.transpose(0, 2, 1, 3).reshape(count * d, size, size)
-        level = coefficients[start : start + count * d]
-        total = total + (level @ products.reshape(count * d, size * size)).reshape(size, size)
-        start += count * d
-    return total
+    # row-major, vec(z_w) (1 (x) z_a) = vec(z_w z_a)
+    eye = np.eye(size)
+    levels = _prefix_levels(eye.ravel(), [np.kron(eye, z) for z in arguments], max_degree)
+    products = np.concatenate([eye.reshape(1, -1), *levels])
+    return (evaluation_table(wfa, max_degree) @ products).reshape(size, size)
 
 
 def series_bounds(wfa: Wfa, arguments, max_degree: int) -> tuple[float, float]:
@@ -492,9 +479,11 @@ def verify_nc_rational(wfa: Wfa, trials: int, seed=0) -> NcRationalReport:
     exactly.
     Each trial then draws one argument per letter, 0.3 times a standard
     normal matrix of size 1 or 2 (alternating), halved once when the
-    substituted pencil's spectral radius reaches 0.95.  The gap between the
-    closed form and the degree-``NC_SERIES_DEGREE`` partial sum must not
-    exceed the tail bound plus the rounding bound of :func:`series_bounds`.
+    substituted pencil's spectral radius reaches 0.95 or its tail bound is
+    infinite (||K||_2 >= 1).  The gap between the closed form and the
+    degree-``NC_SERIES_DEGREE`` partial sum must not exceed the tail bound
+    plus the rounding bound of :func:`series_bounds`; a bound still infinite
+    after the halving fails the trial (ratio inf).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -512,18 +501,23 @@ def verify_nc_rational(wfa: Wfa, trials: int, seed=0) -> NcRationalReport:
         # form under test builds its own
         pencil = _pencil(wfa, arguments)
         rho, norm_sum = _contraction_margins(pencil, arguments)
-        if rho >= 0.95:
+        # the tail bound holds in exact arithmetic; the computed gap also
+        # carries the rounding of both sides.  Its SVD runs only on pencils
+        # the closed form accepts (spectral radius below 1).
+        bound = sum(_series_bounds(wfa, pencil, NC_SERIES_DEGREE)) if rho < 0.95 else math.inf
+        if bound == math.inf:
             arguments = [0.5 * z for z in arguments]
             pencil = _pencil(wfa, arguments)
             rho, norm_sum = _contraction_margins(pencil, arguments)
+            bound = sum(_series_bounds(wfa, pencil, NC_SERIES_DEGREE)) if rho < 1.0 else math.inf
         closed = nc_rational_eval(wfa, arguments)
         partial = nc_rational_series(wfa, arguments, NC_SERIES_DEGREE)
-        # the tail bound holds in exact arithmetic; the computed gap also
-        # carries the rounding of both sides
-        bound = sum(_series_bounds(wfa, pencil, NC_SERIES_DEGREE))
         gap = float(np.linalg.norm(closed - partial, 2))
-        # np.maximum keeps a NaN; a NaN bound gives a NaN ratio
-        ratio = gap / bound if not bound <= 0 else float(gap > 0)
+        if bound == math.inf:
+            ratio = math.inf  # nothing was compared: the trial fails
+        else:
+            # np.maximum keeps a NaN; a NaN bound gives a NaN ratio
+            ratio = gap / bound if not bound <= 0 else float(gap > 0)
         worst_ratio = float(np.maximum(worst_ratio, ratio))
         worst_rho = float(np.maximum(worst_rho, rho))
         worst_norm_sum = float(np.maximum(worst_norm_sum, norm_sum))

@@ -428,6 +428,38 @@ class TestVerify:
         assert code == 0
         assert "result: pass" in out
 
+    def test_shifts_degree_past_the_block_bound_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--suite", "shifts", "--degree", "30", "--no-timestamp",
+        )
+        assert code == 2
+        assert out == ""
+        assert re.fullmatch(r"error: refusing to build [^\n]*\n", err)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--suite", "shifts", "--degree", "0"], "degree must be >= 1, got 0"),
+        ([str(FIXTURES / "e2.wfa"), "--suite", "hankel-eq", "--degree", "1"],
+         "degree must be >= 2, got 1"),
+    ])
+    def test_degree_below_the_suite_minimum_exits_2(self, capsys, argv, message):
+        # the degree is passed through as given, for one-letter files too
+        code, out, err = run(capsys, "verify", *argv, "--no-timestamp")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_nc_rational_infinite_bound_fails(self, capsys):
+        # ||K||_2 is about 1e150 in every trial although the spectral radius
+        # stays below 0.5: no trial can be compared, so the suite fails
+        code, out, err = run(
+            capsys, "verify", str(FIXTURES / "overflowing-gramian.wfa"),
+            "--suite", "nc-rational", "--no-timestamp",
+        )
+        assert code == 1
+        assert "max |closed - series| / (tail bound + rounding bound): inf\n" in out
+        assert out.endswith("result: fail\n")
+        assert err == ""
+
     def test_nc_rational_suite(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "nc-rational", "--trials", "10",

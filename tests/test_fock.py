@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wfamin import fock
+from wfamin import fock, hankel
 from wfamin.errors import StabilityError, TruncationError
 from wfamin.hankel import build_hankel, hankel_rank
 from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa
@@ -351,6 +351,20 @@ class TestShiftInequalities:
         with pytest.raises(ValueError):
             fock.verify_shift_inequalities(2, 3, trials=0)
 
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_degree_validation(self, degree):
+        # at degree 0 the interior is empty and nothing would be compared
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            fock.verify_shift_inequalities(2, degree, trials=1)
+
+    def test_one_trial_is_held_to_the_block_bound(self, monkeypatch):
+        # one trial draws 2 d vectors of N words; that count meets the bound
+        # of blocks before anything is allocated
+        monkeypatch.setattr(hankel, "MAX_BLOCK_ENTRIES", 2 * 2 * len(WordIndex(2, 3)))
+        assert fock.verify_shift_inequalities(2, 3, trials=2).passed
+        with pytest.raises(ValueError, match="refusing"):
+            fock.verify_shift_inequalities(2, 4, trials=1)
+
     def test_batched_draws_continue_the_per_trial_stream(self):
         trials, d, cut = 7, 3, 13
         rng = np.random.default_rng(4)
@@ -439,6 +453,27 @@ class TestNcRational:
         assert fock.verify_nc_rational(wfa, trials=10, seed=3) == report
         with pytest.raises(ValueError, match="trials"):
             fock.verify_nc_rational(wfa, trials=0)
+
+    @pytest.mark.parametrize("seed", [6, 13, 17, 29, 30, 31, 48, 51, 81, 111, 114, 115,
+                                      117, 126, 142, 145, 150, 156])
+    def test_every_trial_is_compared_against_a_finite_bound(self, seed, monkeypatch):
+        """The CLI's default fixture at seeds whose draws include a pencil with
+        ||K||_2 >= 1, where the tail bound is infinite: such a trial is halved,
+        so the arguments each trial compares at have a finite bound."""
+        compared = []
+        exact = fock.nc_rational_eval
+
+        def recording(wfa, arguments):
+            compared.append(arguments)
+            return exact(wfa, arguments)
+
+        monkeypatch.setattr(fock, "nc_rational_eval", recording)
+        wfa = random_stable_wfa(2, 3, seed=seed, radius_bound=0.9)
+        report = fock.verify_nc_rational(wfa, trials=100, seed=seed)
+        assert report.passed
+        assert len(compared) == 101  # the zero substitution, then one per trial
+        for arguments in compared[1:]:
+            assert np.isfinite(sum(fock.series_bounds(wfa, arguments, fock.NC_SERIES_DEGREE)))
 
     def test_non_contractive_substitution_rejected(self):
         wfa = Wfa([1.0], [np.eye(1)], [1.0])
