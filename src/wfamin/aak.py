@@ -26,7 +26,8 @@ method on the Schur forms of A and B.  The optimal rank-k Hankel sequence
 is the input minus that negative part, itself an (n + k)-state WFA; it is
 returned together with a k-state WFA recovered from it, whose attained
 error is certified exactly, as the Hankel norm of the difference automaton
-read from its Gramians (:func:`hankel_norm`), before returning.
+read from its Gramians (:func:`hankel_norm`), before returning; it must
+match sigma_k within :data:`CERTIFY_RTOL` times sigma_0, a fixed constant.
 
 Only two functions here need scipy: the extraction's ordered Schur split
 (:func:`_optimal_sequence`: LAPACK ``dgees`` and ``dtrsyl``) and the
@@ -49,6 +50,10 @@ from .words import WordIndex
 #: Largest Gramian fixed-point residual accepted, relative to 1 + the
 #: larger Gramian norm.
 GRAMIAN_RTOL = 1e-9
+
+#: Largest |attained - sigma_k| the certificate of :func:`aak_approximate`
+#: accepts, relative to sigma_0.  No caller can change it.
+CERTIFY_RTOL = 1e-6
 
 #: Singular values closer than this share of sigma_0 count as tied: the
 #: optimal approximation may then not be unique, and a warning says so.
@@ -412,7 +417,7 @@ class AakApproximation:
     (n + k)-state automaton, exact by construction; ``wfa`` is a k-state
     automaton recovered from it.  ``attained`` is the certificate: the exact
     Hankel norm ||H_f - H_wfa|| (:func:`hankel_norm`), which matched
-    ``error`` within the certification tolerance.  ``coefficients`` and
+    ``error`` within :data:`CERTIFY_RTOL` times sigma_0.  ``coefficients`` and
     ``hankel_block`` expose the sequence and its (exactly Hankel) finite
     blocks.
     """
@@ -440,13 +445,13 @@ class AakApproximation:
         return build_hankel(self.sequence, prefix_length, suffix_length)
 
 
-def aak_approximate(wfa: Wfa, k: int, *, certify_rtol: float = 1e-6) -> AakApproximation:
+def aak_approximate(wfa: Wfa, k: int) -> AakApproximation:
     """Best rank-k Hankel approximation of a minimal, stable one-letter WFA.
 
     The attained spectral-norm error equals the k-th Hankel singular value.
     Before returning, this is certified for the returned k-state automaton
     g once, exactly: |hankel_norm(wfa, g) - sigma_k| must be at most
-    ``certify_rtol`` times sigma_0.  By Eckart-Young no rank-k matrix,
+    :data:`CERTIFY_RTOL` times sigma_0.  By Eckart-Young no rank-k matrix,
     Hankel or not, is closer than sigma_k, and g has Hankel rank at most k,
     so the certificate proves optimality.
 
@@ -493,10 +498,10 @@ def aak_approximate(wfa: Wfa, k: int, *, certify_rtol: float = 1e-6) -> AakAppro
         # computed sequence lost its rank at working precision
         raise NumericalError(f"recovery of the {k}-state approximant failed: {exc}") from exc
     attained = hankel_norm(wfa, recovered)
-    if abs(attained - sigma_k) > certify_rtol * sigmas[0]:
+    if abs(attained - sigma_k) > CERTIFY_RTOL * sigmas[0]:
         raise NumericalError(
             f"attained error {attained!r} does not match the singular value "
-            f"{sigma_k!r} within {certify_rtol} relative"
+            f"{sigma_k!r} within {CERTIFY_RTOL} relative"
         )
     return AakApproximation(
         wfa=recovered,

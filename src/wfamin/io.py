@@ -18,9 +18,9 @@ The document format is line oriented and human auditable:
 
 Fields may come in any order, but ``states`` must precede the transition
 blocks, each of which holds ``states`` rows.  The parser reads each line
-once; every error in a line (a malformed number, a wrong count of weights
-in ``alpha``, ``beta`` or a matrix row, an unknown or repeated field) names
-that line.
+once; every error in a line (a malformed or non-finite number, a wrong
+count of weights in ``alpha``, ``beta`` or a matrix row, an unknown or
+repeated field) names that line.
 
 Numbers are written with 17 significant digits, so parsing a serialized
 document reproduces the automaton exactly.
@@ -29,6 +29,7 @@ document reproduces the automaton exactly.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -95,6 +96,8 @@ def _parse_row(line: tuple[int, str], size: int) -> list[float]:
         raise ValueError(
             f"line {line_no}: expected {size} entries (one weight per state), got {len(row)}"
         )
+    if not all(map(math.isfinite, row)):
+        raise ValueError(f"line {line_no}: weights must be finite (no NaN or inf), got {text!r}")
     return row
 
 

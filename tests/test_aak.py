@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import time
 import tracemalloc
 from pathlib import Path
@@ -468,6 +469,12 @@ class TestAakApproximate:
         redundant = Wfa([0.5, 0.5], [np.diag([0.5, 0.5])], [1.0, 1.0])
         with pytest.raises(RankDeficiencyError):
             aak_approximate(redundant, 1)
+
+    def test_no_tolerance_keyword(self, two_state_wfa):
+        # the certificate's bound is aak.CERTIFY_RTOL, which no caller passes
+        assert list(inspect.signature(aak_approximate).parameters) == ["wfa", "k"]
+        with pytest.raises(TypeError):
+            aak_approximate(two_state_wfa, 1, certify_rtol=1e-3)
 
     def test_vanishing_trailing_singular_values_do_not_refuse(self):
         # at n = 32 the smallest Hankel singular values are 0 at working

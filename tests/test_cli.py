@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wfamin import aak
 from wfamin.aak import hankel_norm, hankel_singular_values
 from wfamin.cli import build_parser, main
 from wfamin.errors import RankDeficiencyError
@@ -50,7 +51,7 @@ class TestEval:
         code, out, err = run(capsys, "eval", str(path), "a")
         assert code == 2
         assert out == ""
-        assert "finite" in err
+        assert err == f"error: line 6: weights must be finite (no NaN or inf), got '1 {bad}'\n"
 
     def test_overflowing_value_exits_1(self, capsys, tmp_path):
         # alpha^T A_a A_a beta = 1e400 - 1e400: inf - inf, NaN
@@ -166,11 +167,12 @@ class TestApproximate:
         assert "--length" in err
         assert not out_file.exists()
 
-    def test_failed_certificate_writes_nothing(self, capsys, tmp_path):
+    def test_failed_certificate_writes_nothing(self, capsys, tmp_path, monkeypatch):
         # e2 attains sigma_1 to ~8e-17 relative, which 1e-20 refuses
+        monkeypatch.setattr(aak, "CERTIFY_RTOL", 1e-20)
         out_file = tmp_path / "out.wfa"
         code, out, err = run(
-            capsys, "approximate", str(FIXTURES / "e2.wfa"), "1", "--tol", "1e-20",
+            capsys, "approximate", str(FIXTURES / "e2.wfa"), "1",
             "--no-timestamp", "-o", str(out_file),
         )
         assert code == 1
@@ -178,17 +180,31 @@ class TestApproximate:
         assert "does not match the singular value" in err
         assert not out_file.exists()
 
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "-inf", "x"])
-    def test_tol_must_be_finite_and_positive(self, capsys, tmp_path, tol):
+    @pytest.mark.parametrize("tol", ["1e-3", "-1", "0", "nan", "inf", "-inf", "x"])
+    def test_tol_is_not_an_option(self, capsys, tmp_path, tol):
+        # the certificate tolerance is the library's constant, not the caller's
         out_file = tmp_path / "out.wfa"
         code, out, err = run(
-            capsys, "approximate", str(FIXTURES / "e2.wfa"), "1", f"--tol={tol}",
+            capsys, "approximate", str(FIXTURES / "e2.wfa"), "1", "--tol", tol,
             "--no-timestamp", "-o", str(out_file),
         )
         assert code == 2
         assert out == ""
-        assert "--tol" in err
+        assert "unrecognized arguments: --tol" in err
         assert not out_file.exists()
+
+    def test_certificate_reports_the_library_tolerance(self, capsys, tmp_path, monkeypatch):
+        # the report reads the constant the check used, when it runs
+        monkeypatch.setattr(aak, "CERTIFY_RTOL", 1e-3)
+        code, out, _ = run(
+            capsys, "approximate", str(FIXTURES / "e2.wfa"), "1",
+            "--no-timestamp", "-o", str(tmp_path / "out.wfa"),
+        )
+        assert code == 0
+        assert out.splitlines()[-2].endswith("(tolerance 0.001)")
+        code, out, _ = run(capsys, "approximate", "--help")
+        assert code == 0
+        assert "--output" in out and "--tol" not in out
 
     def test_svd_k_above_block_rank_exits_2(self, capsys, tmp_path):
         # a zero final vector makes every block zero, of rank 0 < k = 1
@@ -508,7 +524,7 @@ class TestVerify:
         assert first == second
 
     @pytest.mark.parametrize("suite", ["nc-rational", "shifts", "all"])
-    @pytest.mark.parametrize("trials", ["0", "-3"])
+    @pytest.mark.parametrize("trials", ["0", "-3", "x"])
     def test_trials_below_one_exits_2(self, capsys, suite, trials):
         code, out, err = run(
             capsys, "verify", "--suite", suite, f"--trials={trials}", "--no-timestamp",

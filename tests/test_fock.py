@@ -329,6 +329,13 @@ class TestShiftInequalities:
         assert report.max_bilateral_deviation == 0.0
         assert report.passed
 
+    def test_any_deviation_fails(self):
+        # exact sums leave a correct shift no deviation at all
+        exact = fock.ShiftInequalityReport(2, 3, 1, 0.0, 0.0)
+        assert exact.passed
+        for deviations in ((1e-13, 0.0), (0.0, 1e-13), (float("nan"), 0.0)):
+            assert not fock.ShiftInequalityReport(2, 3, 1, *deviations).passed
+
     def test_colliding_shift_fails(self, monkeypatch):
         # two interior words sent to one slot lose one squared entry, in the
         # left shifts of identity (a) and in the right shifts of identity (b)

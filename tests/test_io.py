@@ -123,6 +123,23 @@ class TestParsing:
             parse_document(text)
 
 
+    @pytest.mark.parametrize("field,value", [
+        ("alpha", "1 nan"), ("beta", "-inf 0"), ("row", "0 1e999"), ("row", "nan 0"),
+    ])
+    def test_non_finite_weights_name_their_line(self, field, value):
+        lines = {"alpha": "1 0", "beta": "0 1", "row": "1 1"}
+        lines[field] = value
+        text = (
+            "alphabet: a\nstates: 2\nalpha: {alpha}\nbeta: {beta}\n"
+            "transition a:\n0 1\n{row}\n"
+        ).format(**lines)
+        line = {"alpha": 3, "beta": 4, "row": 7}[field]
+        with pytest.raises(ValueError, match=(
+            rf"^line {line}: weights must be finite \(no NaN or inf\), got '{value}'$"
+        )):
+            parse_document(text)
+
+
 class TestParseWord:
     @pytest.fixture
     def doc(self):
