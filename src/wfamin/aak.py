@@ -45,7 +45,6 @@ import numpy as np
 from .errors import NumericalError, RankDeficiencyError, StabilityError
 from .hankel import HankelBlock, _factored_recover, build_hankel, is_minimal
 from .wfa import Wfa, evaluation_table, spectral_radius
-from .words import WordIndex
 
 #: Largest Gramian fixed-point residual accepted, relative to 1 + the
 #: larger Gramian norm.
@@ -490,9 +489,8 @@ def aak_approximate(wfa: Wfa, k: int) -> AakApproximation:
     sequence = _optimal_sequence(pair, k)
     # the k-state realization of the sequence from its state factors, no
     # block (the one-state zero automaton at k = 0)
-    words = WordIndex(1, max(k, 1))
     try:
-        recovered = _factored_recover(words, words, k, sequence)[0]
+        recovered = _factored_recover(sequence, k, max(k, 1), max(k, 1))[0]
     except RankDeficiencyError as exc:
         # the input is minimal, so a rank-deficient block means the
         # computed sequence lost its rank at working precision

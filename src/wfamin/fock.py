@@ -9,13 +9,16 @@ The shifts act on the last axis, so a stack of vectors (leading batch
 axes) is shifted in one call; shifts and the flip are applied as index
 maps, and no dense shift or flip matrix is built (the tests keep those as
 reference definitions in ``tests/reference.py``); both shifts are one
-routine given the shift's index map.  Their adjoints enter only as the same
-index maps read the other way, as in :func:`verify_hankel_equation`.  The
-bilateral shift of the two-sided space is not modeled apart: both checks
-that use it draw from the positive component, where it is the right shift.
-The multiplier intertwining check applies no shift at all: it reads the
-operator through slices and reshaped views, using the index identities of
-:mod:`wfamin.words`.
+routine given the shift's index map.  Every index map (prepend, append,
+concatenation, reversal) is read from :class:`~wfamin.words.WordIndex`;
+their identities are documented once, in :mod:`wfamin.words`, and this
+module works none out itself.  The shifts'
+adjoints enter only as the same index maps read the other way, as in
+:func:`verify_hankel_equation`.  The bilateral shift of the two-sided space
+is not modeled apart: both checks that use it draw from the positive
+component, where it is the right shift.  The multiplier intertwining check
+applies no shift at all: it reads the operator through slices and reshaped
+views, using those identities.
 
 Truncation discipline: a shift that would push support past the degree
 cutoff raises :class:`TruncationError`, the flipped multiplier drops the
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -47,22 +51,6 @@ _SHIFT_BATCH_ENTRIES = 1 << 20
 NC_SERIES_DEGREE = 8
 
 
-def _interior_size(basis: WordIndex) -> int:
-    """Number of basis words of degree <= max_length - 1."""
-    return basis.first_index_of_length(basis.max_length)
-
-
-def _prepend_indices(basis: WordIndex, symbol: int) -> np.ndarray:
-    """index_of(symbol + w) = (1 + symbol) d^|w| + index_of(w), interior w."""
-    cut = _interior_size(basis)
-    return (1 + symbol) * basis.alphabet_size**basis.lengths[:cut] + np.arange(cut, dtype=np.int64)
-
-
-def _append_indices(basis: WordIndex, symbol: int) -> np.ndarray:
-    """index_of(w + symbol) = d index_of(w) + 1 + symbol, interior w."""
-    return basis.alphabet_size * np.arange(_interior_size(basis), dtype=np.int64) + 1 + symbol
-
-
 def _shift(basis: WordIndex, vector, indices: np.ndarray, what: str) -> np.ndarray:
     """Scatter the interior of ``vector`` (last axis) to ``indices``."""
     vector = np.asarray(vector, dtype=float)
@@ -70,7 +58,7 @@ def _shift(basis: WordIndex, vector, indices: np.ndarray, what: str) -> np.ndarr
         raise ValueError(
             f"vector has shape {vector.shape}, expected a last axis of length {len(basis)}"
         )
-    cut = _interior_size(basis)
+    cut = basis.interior_size
     if np.any(vector[..., cut:] != 0.0):
         raise TruncationError(
             f"{what} would push support past degree {basis.max_length}; "
@@ -83,24 +71,12 @@ def _shift(basis: WordIndex, vector, indices: np.ndarray, what: str) -> np.ndarr
 
 def left_shift(basis: WordIndex, symbol: int, vector) -> np.ndarray:
     """e_w -> e_{symbol w}; the input must vanish on the top degree."""
-    return _shift(basis, vector, _prepend_indices(basis, symbol), "left shift")
+    return _shift(basis, vector, basis.prepend_indices(symbol), "left shift")
 
 
 def right_shift(basis: WordIndex, symbol: int, vector) -> np.ndarray:
     """e_w -> e_{w symbol}; the input must vanish on the top degree."""
-    return _shift(basis, vector, _append_indices(basis, symbol), "right shift")
-
-
-def _reversal_permutation(basis: WordIndex) -> np.ndarray:
-    """index_of(reversed w) for every word w; an involution."""
-    d = basis.alphabet_size
-    blocks = []
-    for length, offset in enumerate(basis.offsets):
-        # axis k of the reshaped block is the k-th base-d digit of the value;
-        # reversing the axes reverses the digits
-        values = np.arange(d**length, dtype=np.int64).reshape((d,) * length)
-        blocks.append(offset + values.transpose().ravel())
-    return np.concatenate(blocks)
+    return _shift(basis, vector, basis.append_indices(symbol), "right shift")
 
 
 def flip(basis: WordIndex, vector) -> np.ndarray:
@@ -109,7 +85,7 @@ def flip(basis: WordIndex, vector) -> np.ndarray:
     if vector.shape != (len(basis),):
         raise ValueError(f"vector has shape {vector.shape}, expected ({len(basis)},)")
     out = np.empty_like(vector)
-    out[_reversal_permutation(basis)] = vector
+    out[basis.reversal_permutation()] = vector
     return out
 
 
@@ -145,14 +121,14 @@ def verify_hankel_equation(wfa: Wfa, degree: int) -> HankelEquationReport:
     """
     if degree < 2:
         raise ValueError(f"degree must be >= 2, got {degree}")
-    basis = WordIndex(wfa.alphabet_size, degree)
-    h = build_hankel(wfa, degree, degree).entries
-    cut = _interior_size(basis)
+    block = build_hankel(wfa, degree, degree)
+    h, basis = block.entries, block.prefixes
+    cut = basis.interior_size
     per_symbol = []
     comparisons = 0
     for symbol in range(wfa.alphabet_size):
-        lhs = h[:cut, _prepend_indices(basis, symbol)]  # columns i u
-        rhs = h[_append_indices(basis, symbol), :cut]  # rows w i
+        lhs = h[:cut, basis.prepend_indices(symbol)]  # columns i u
+        rhs = h[basis.append_indices(symbol), :cut]  # rows w i
         per_symbol.append(float(np.abs(lhs - rhs).max()))
         comparisons += lhs.size
     return HankelEquationReport(
@@ -193,9 +169,15 @@ class ShiftInequalityReport:
 
 
 def _exact_squared_norms(vectors: np.ndarray) -> np.ndarray:
-    """Squared norm of each trial (leading axis), summed exactly."""
-    squares = (vectors * vectors).reshape(len(vectors), -1)
-    return np.array([math.fsum(row.tolist()) for row in squares])
+    """Squared norm of each trial (leading axis), summed exactly: one
+    ``math.fsum`` over its squares, listed 2**16 at a time (fsum is exactly
+    rounded, so the chunks change no bit)."""
+    rows = vectors.reshape(len(vectors), -1)
+    chunks = range(0, rows.shape[1], 1 << 16)
+    return np.array([
+        math.fsum(chain.from_iterable(np.square(row[i : i + (1 << 16)]).tolist() for i in chunks))
+        for row in rows
+    ])
 
 
 def verify_shift_inequalities(alphabet_size: int, degree: int, trials: int,
@@ -222,7 +204,7 @@ def verify_shift_inequalities(alphabet_size: int, degree: int, trials: int,
     rng = np.random.default_rng(seed)
     basis = WordIndex(alphabet_size, degree)
     _check_block_size(2 * alphabet_size, len(basis), "set of shift trial vectors")
-    cut = _interior_size(basis)
+    cut = basis.interior_size
     # trials are drawn and shifted in batches of bounded size; drawing
     # (batch, 2, d, cut) normals continues the stream one trial at a time,
     # as y_0..y_{d-1} then h_0..h_{d-1}
@@ -540,21 +522,26 @@ def flipped_multiplier_matrix(wfa: Wfa, basis: WordIndex) -> np.ndarray:
     :func:`verify_multiplier_intertwining`.  The result is the flip times
     the matrix of right multiplication by the column, e_w -> sum_u f(u) e_{w u}
     with the coefficients past the degree dropped; each row w u is written
-    straight to its flipped position.
+    straight to its flipped position.  Like a Hankel block, the N x N result
+    is held to ``MAX_BLOCK_ENTRIES`` (N <= 3,162) before it is allocated.
     """
     if basis.alphabet_size != wfa.alphabet_size:
         raise ValueError("basis and automaton alphabet sizes differ")
+    _check_block_size(len(basis), len(basis), "flipped multiplier")
     series = evaluation_table(wfa, basis.max_length)
-    reversal = _reversal_permutation(basis)
-    d, offsets = basis.alphabet_size, basis.offsets
+    reversal = basis.reversal_permutation()
+    appended = np.stack([basis.append_indices(a) for a in range(basis.alphabet_size)], axis=1)
     out = np.zeros((len(basis), len(basis)))
+    words = np.arange(len(basis))[:, None]  # w u for |u| = 0
     for length in range(basis.max_length + 1):  # |u|: the suffix length
-        # left factors w with |w| + |u| <= max_length, one per column
-        cut = basis.first_index_of_length(basis.max_length - length + 1) if length else len(basis)
-        first = d**length * np.arange(cut, dtype=np.int64) + offsets[length]  # index of w + 0^|u|
-        suffixes = np.arange(d**length)
-        targets = reversal[first[:, None] + suffixes[None, :]]  # flipped rows of w u
-        out[targets, np.arange(cut)[:, None]] += series[offsets[length] + suffixes][None, :]
+        if length:
+            # left factors w with |w| + |u| <= max_length, one row each; each
+            # w u of this length is one of the last length's with a letter appended
+            cut = basis.first_index_of_length(basis.max_length - length + 1)
+            words = appended[words[:cut]].reshape(cut, -1)
+        start = basis.first_index_of_length(length)  # the suffixes u, in order
+        coefficients = series[start : start + words.shape[1]]
+        out[reversal[words], np.arange(len(words))[:, None]] += coefficients[None, :]
     return out
 
 
@@ -577,7 +564,7 @@ def verify_multiplier_intertwining(op: np.ndarray, basis: WordIndex) -> Multipli
     truncation cannot corrupt either side.
 
     ``op`` is read only through slices and reshaped views: neither U op nor
-    a shifted matrix is built, and ``_reversal_permutation`` is not read.
+    a shifted matrix is built, and the reversal permutation is not read.
     Row x of ``op`` is row reversed(x) of U op, so the interior entries of
     U op S_i - S_i U op at column c are op[0, i c] on the empty word's row,
     op[x a, i c] for a != i, and op[x i, i c] - op[x, c].  The interior rows

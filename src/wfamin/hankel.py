@@ -14,13 +14,14 @@ prefix states alpha^T A_p as the rows of P and the suffix states
 (A_s beta)^T as the rows of S (the forward-backward factorization of
 spectral learning).  Spectral recovery and the svd baseline work on these
 N x n factors: two thin QRs and the SVD of an r x r core (r <= n) cost
-O(N n^2) instead of the O(N^3) of a dense N x N SVD, and the block itself
-supplies only the prefix and suffix sets.  S holds the prefix states of
-the reversed automaton, so its rows follow the reversed words and P S^T is
-H with its columns permuted, which changes no singular value.
+O(N n^2) instead of the O(N^3) of a dense N x N SVD, so they take the
+prefix and suffix lengths and never build the block.  S holds the prefix
+states of the reversed automaton, so its rows follow the reversed words and
+P S^T is H with its columns permuted, which changes no singular value.
 ``hankel_rank`` takes arbitrary blocks and stays dense.  The word order
-lives in ``WordIndex`` alone: :func:`build_hankel` reads every cell from
-one table of word values through the concatenation index map.
+lives in ``WordIndex`` alone (its identities are documented in
+:mod:`wfamin.words`): :func:`build_hankel` reads every cell from one table
+of word values through the concatenation index map.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .words import WordIndex
 #: Refuse to materialize blocks with more entries than this.
 MAX_BLOCK_ENTRIES = 10_000_000
 
-#: Relative singular-value cutoff used for numerical rank decisions.
+#: Relative singular-value cutoff of every numerical rank decision.
 DEFAULT_RANK_TOL = 1e-9
 
 
@@ -85,9 +86,8 @@ def build_hankel(wfa: Wfa, prefix_length: int, suffix_length: int) -> HankelBloc
     prefixes = WordIndex(d, prefix_length)
     suffixes = WordIndex(d, suffix_length)
     _check_block_size(len(prefixes), len(suffixes), "block")
-    combined = WordIndex(d, prefix_length + suffix_length)
-    table = evaluation_table(wfa, combined.max_length)
-    entries = table[prefixes.concatenation_indices(suffixes, combined)]
+    table = evaluation_table(wfa, prefix_length + suffix_length)
+    entries = table[prefixes.concatenation_indices(suffixes)]
     return HankelBlock(prefixes, suffixes, entries)
 
 
@@ -98,18 +98,16 @@ def _svd(matrix: np.ndarray, compute_uv: bool):
         raise NumericalError(f"SVD failed: {exc}") from exc
 
 
-def _rank(singular_values: np.ndarray, tol: float) -> int:
-    """Number of singular values above ``tol`` times the largest."""
+def _rank(singular_values: np.ndarray) -> int:
+    """Number of singular values above ``DEFAULT_RANK_TOL`` times the largest."""
     if singular_values.size == 0 or singular_values[0] == 0.0:
         return 0
-    return int(np.count_nonzero(singular_values > tol * singular_values[0]))
+    return int(np.count_nonzero(singular_values > DEFAULT_RANK_TOL * singular_values[0]))
 
 
-def hankel_rank(block: HankelBlock, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Numerical rank: number of singular values above ``tol`` times the largest."""
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    return _rank(_svd(block.entries, compute_uv=False), tol)
+def hankel_rank(block: HankelBlock) -> int:
+    """Numerical rank: singular values above ``DEFAULT_RANK_TOL`` times the largest."""
+    return _rank(_svd(block.entries, compute_uv=False))
 
 
 def _prefix_states(wfa: Wfa, max_length: int) -> np.ndarray:
@@ -146,28 +144,24 @@ def _factored_svd(left: np.ndarray, right: np.ndarray):
     return q_left @ u, s, q_right @ vt.T
 
 
-def _factored_recover(prefixes: WordIndex, suffixes: WordIndex, k: int, wfa: Wfa):
-    """:func:`spectral_recover` on the block of ``wfa`` over these index sets.
-
-    Returns (recovered, P, S, s): the k-state automaton, the state factors
-    of the block and its singular values.  S lists its rows by reversed word
-    (:func:`_suffix_states`) and is read by position only at row 0.
-    """
-    if prefixes.max_length < 1:
+def _factored_recover(wfa: Wfa, k: int, prefix_length: int, suffix_length: int):
+    """:func:`spectral_recover`, returning (recovered, P, S, s): the k-state
+    automaton, the block's state factors and its singular values.  S lists its
+    rows by reversed word (:func:`_suffix_states`), read by position only at 0."""
+    if prefix_length < 1:
         raise ValueError("spectral recovery needs prefixes of length >= 1")
-    d = prefixes.alphabet_size
-    if wfa.alphabet_size != d:
-        raise ValueError("block and automaton alphabet sizes differ")
-    shape = (len(prefixes), len(suffixes))
+    d = wfa.alphabet_size
+    shape = (len(WordIndex(d, prefix_length)), len(WordIndex(d, suffix_length)))
     if k > min(shape):
         raise ValueError(f"k={k} exceeds block dimensions {shape}")
-    prefix = _prefix_states(wfa, prefixes.max_length)
-    suffix = _suffix_states(wfa, suffixes.max_length)
+    _check_block_size(max(shape), wfa.num_states, "state factor")
+    prefix = _prefix_states(wfa, prefix_length)
+    suffix = _suffix_states(wfa, suffix_length)
     u, s, v = _factored_svd(prefix, suffix)
     if k == 0:
         zero = np.zeros((1, 1))
         return Wfa(np.zeros(1), [zero] * d, np.zeros(1)), prefix, suffix, s
-    rank = _rank(s, DEFAULT_RANK_TOL)
+    rank = _rank(s)
     if k > rank:
         raise RankDeficiencyError(
             f"requested {k} states but the block has numerical rank {rank}"
@@ -179,19 +173,20 @@ def _factored_recover(prefixes: WordIndex, suffixes: WordIndex, k: int, wfa: Wfa
     return recovered, prefix, suffix, s
 
 
-def spectral_recover(block: HankelBlock, k: int, wfa: Wfa) -> Wfa:
-    """Recover a k-state WFA from a Hankel block via the spectral method.
+def spectral_recover(wfa: Wfa, k: int, prefix_length: int, suffix_length: int) -> Wfa:
+    """Recover a k-state WFA from the Hankel block of ``wfa`` via the spectral method.
 
-    The block holds the series f of ``wfa`` and supplies only its prefix and
-    suffix sets: its values are H = P S^T for the prefix and suffix state
-    factors of ``wfa``.  With the rank-k truncated SVD H = U_k D_k V_k^T,
-    taken from those factors in O(N n^2), the transition matrices are
-    D_k^{-1/2} U_k^T H_a V_k D_k^{-1/2}, where the shifted block
-    H_a(p, s) = f(p a s) is P A_a S^T, and the initial/final vectors come
-    from the empty-word row and column.  At k equal to the full rank the
-    result interpolates f on every word covered by the block.
+    The block H of the series f of ``wfa`` over the prefixes and suffixes up
+    to the given lengths is P S^T for the prefix and suffix state factors of
+    ``wfa``, and is never built.  With the rank-k truncated SVD
+    H = U_k D_k V_k^T, taken from those factors in O(N n^2), the transition
+    matrices are D_k^{-1/2} U_k^T H_a V_k D_k^{-1/2}, where the shifted
+    block H_a(p, s) = f(p a s) is P A_a S^T, and the initial/final vectors
+    come from the empty-word row and column.  At k equal to the full rank
+    the result interpolates f on every word covered by the block.  Each
+    N x n factor is held to ``MAX_BLOCK_ENTRIES``.
     """
-    return _factored_recover(block.prefixes, block.suffixes, k, wfa)[0]
+    return _factored_recover(wfa, k, prefix_length, suffix_length)[0]
 
 
 def _svd_baseline(wfa: Wfa, length: int, k: int):
@@ -207,7 +202,7 @@ def _svd_baseline(wfa: Wfa, length: int, k: int):
     """
     words = WordIndex(wfa.alphabet_size, length)
     _check_block_size(len(words), wfa.num_states + k, "state factor")
-    recovered, prefix, suffix, singular = _factored_recover(words, words, k, wfa)
+    recovered, prefix, suffix, singular = _factored_recover(wfa, k, length, length)
     _, difference, _ = _factored_svd(
         np.hstack([prefix, _prefix_states(recovered, length)]),
         np.hstack([suffix, -_suffix_states(recovered, length)]),

@@ -20,7 +20,8 @@ Fields may come in any order, but ``states`` must precede the transition
 blocks, each of which holds ``states`` rows.  The parser reads each line
 once; every error in a line (a malformed or non-finite number, a wrong
 count of weights in ``alpha``, ``beta`` or a matrix row, an unknown or
-repeated field) names that line.
+repeated field, an empty or repeating alphabet, a transition block for a
+label outside it) names that line.
 
 Numbers are written with 17 significant digits, so parsing a serialized
 document reproduces the automaton exactly.
@@ -109,7 +110,7 @@ def parse_document(text: str) -> WfaDocument:
         if line and not line.startswith("#")
     )
     fields: dict[str, tuple[int, str]] = {}
-    transitions: dict[str, list[list[float]]] = {}
+    transitions: dict[str, tuple[int, list[list[float]]]] = {}
     for line_no, line in lines:
         match = re.fullmatch(r"transition\s+(\S+)\s*:", line)
         if match:
@@ -122,7 +123,7 @@ def parse_document(text: str) -> WfaDocument:
             rows = [_parse_row(row, size) for row in itertools.islice(lines, size)]
             if len(rows) < size:
                 raise ValueError(f"line {line_no}: transition {label!r} is truncated")
-            transitions[label] = rows
+            transitions[label] = (line_no, rows)
             continue
         if ":" not in line:
             raise ValueError(f"line {line_no}: expected 'key: value', got {line!r}")
@@ -144,19 +145,21 @@ def parse_document(text: str) -> WfaDocument:
     for required in ("alphabet", "states", "alpha", "beta"):
         if required not in fields:
             raise ValueError(f"missing required field {required!r}")
-    labels = tuple(fields["alphabet"][1].split())
+    alphabet_line, labels = fields["alphabet"][0], tuple(fields["alphabet"][1].split())
     if not labels:
-        raise ValueError("alphabet must contain at least one label")
+        raise ValueError(f"line {alphabet_line}: alphabet must contain at least one label")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"line {alphabet_line}: symbol labels must be unique")
     # alpha and beta may precede states, so they are read once its count is known
     alpha = _parse_row(fields["alpha"], size)
     beta = _parse_row(fields["beta"], size)
     missing = [label for label in labels if label not in transitions]
     if missing:
         raise ValueError(f"missing transition matrices for: {' '.join(missing)}")
-    extra = [label for label in transitions if label not in labels]
-    if extra:
-        raise ValueError(f"transitions for labels not in the alphabet: {' '.join(extra)}")
-    wfa = Wfa(alpha, [np.array(transitions[label]) for label in labels], beta)
+    for label, (line_no, _) in transitions.items():
+        if label not in labels:
+            raise ValueError(f"line {line_no}: transition {label!r} is not in the alphabet")
+    wfa = Wfa(alpha, [np.array(transitions[label][1]) for label in labels], beta)
     return WfaDocument(
         labels=labels,
         wfa=wfa,

@@ -2,23 +2,20 @@
 
 Words are tuples of symbol indices in ``[0, alphabet_size)``.  The graded
 lexicographic order lists shorter words first and breaks ties by comparing
-symbol sequences; the empty word always has index 0.  Every module that
-indexes matrices or coefficient vectors by words goes through
-:class:`WordIndex`, so there is a single canonical ordering.
-
-Two identities of this order let callers work on index arithmetic, slices
-and reshaped views instead of per-word lookups.  For words w and u over d
-letters,
+symbol sequences; the empty word always has index 0.  :class:`WordIndex`
+owns this order and computes every index map between words; no other
+module works one out.  A word's index is its value as a base-d numeral plus
+the number of shorter words, so for words w, u over d letters and a letter
+a (index 1 + a)
 
     index_of(w + u) = d**len(u) * index_of(w) + index_of(u),
+    index_of((a,) + u) = (1 + a) * d**len(u) + index_of(u),
+    index_of(w + (a,)) = d * index_of(w) + 1 + a,
 
-and in particular, for one letter a, index_of(w + (a,)) = d * index_of(w)
-+ 1 + a: the rows w a of a word-indexed matrix, for w up to some length,
-are one contiguous (words, d) block.  The index does not depend on
+and reversing a word reverses its digits within its length block.  By the
+last identity the rows w a of a word-indexed matrix, for w up to some
+length, are one contiguous (words, d) block.  The index does not depend on
 ``max_length``, so the identities hold across indices of one alphabet.
-:meth:`WordIndex.concatenation_indices`, the shift and multiplier index
-maps of :mod:`wfamin.fock` and
-:func:`wfamin.fock.verify_multiplier_intertwining` rely on them.
 """
 
 from __future__ import annotations
@@ -31,16 +28,12 @@ import numpy as np
 
 Word = tuple[int, ...]
 
-EMPTY_WORD: Word = ()
-
 
 class WordIndex:
     """Bijection between words of length <= max_length and ``range(size)``.
 
     For alphabet size d > 1 the total size is ``(d**(L+1) - 1) // (d - 1)``;
-    for d = 1 it is ``L + 1``.  Within each length block a word is ranked by
-    its value as a base-d integer, which makes concatenation indices cheap
-    to compute in bulk (see :meth:`concatenation_indices`).
+    for d = 1 it is ``L + 1``.
     """
 
     def __init__(self, alphabet_size: int, max_length: int):
@@ -120,18 +113,39 @@ class WordIndex:
             self._lengths = out
         return self._lengths
 
-    def concatenation_indices(self, other: "WordIndex", combined: "WordIndex") -> np.ndarray:
-        """Index matrix C with C[i, j] = combined.index_of(word_i + word_j).
+    @property
+    def interior_size(self) -> int:
+        """Number of interior words (length < max_length), which come first:
+        the words whose one-letter extensions stay in the index."""
+        return self._offsets[-2]
 
-        ``self`` supplies the left factors, ``other`` the right ones;
-        ``combined`` must cover length ``self.max_length + other.max_length``.
-        """
+    def concatenation_indices(self, other: "WordIndex") -> np.ndarray:
+        """Index matrix C with C[i, j] = index_of(word_i + word_j), the left
+        factors from ``self`` and the right ones from ``other``."""
         d = self.alphabet_size
-        if other.alphabet_size != d or combined.alphabet_size != d:
+        if other.alphabet_size != d:
             raise ValueError("alphabet sizes must match")
-        if combined.max_length < self.max_length + other.max_length:
-            raise ValueError("combined index too short for all concatenations")
-        # index_of(w + u) = d**len(u) * index_of(w) + index_of(u), built in place
         out = np.multiply.outer(np.arange(len(self), dtype=np.int64), d**other.lengths)
         out += np.arange(len(other), dtype=np.int64)
         return out
+
+    def prepend_indices(self, symbol: int) -> np.ndarray:
+        """index_of((symbol,) + w) for every interior word w, in order."""
+        cut = self.interior_size
+        shifts = self.alphabet_size**self.lengths[:cut]  # d**len(w)
+        return (1 + symbol) * shifts + np.arange(cut, dtype=np.int64)
+
+    def append_indices(self, symbol: int) -> np.ndarray:
+        """index_of(w + (symbol,)) for every interior word w, in order."""
+        return self.alphabet_size * np.arange(self.interior_size, dtype=np.int64) + 1 + symbol
+
+    def reversal_permutation(self) -> np.ndarray:
+        """index_of(reversed w) for every word w, in order; an involution."""
+        d = self.alphabet_size
+        blocks = []
+        for length, offset in enumerate(self._offsets[:-1]):
+            # axis k of the reshaped block is the k-th base-d digit of the value;
+            # reversing the axes reverses the digits
+            values = np.arange(d**length, dtype=np.int64).reshape((d,) * length)
+            blocks.append(offset + values.transpose().ravel())
+        return np.concatenate(blocks)

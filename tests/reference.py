@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from wfamin.aak import AakApproximation, SchmidtPair
-from wfamin.fock import _append_indices, _interior_size, _prepend_indices, _reversal_permutation
 from wfamin.hankel import HankelBlock, _svd
 from wfamin.wfa import Wfa, evaluation_table
 from wfamin.words import WordIndex
@@ -23,27 +22,30 @@ from wfamin.words import WordIndex
 # --- Fock space: dense shift, flip and multiplication matrices
 
 
-def left_shift_matrix(basis: WordIndex, symbol: int) -> np.ndarray:
-    """Matrix of the left shift; columns at the top degree are zero."""
+def _word_map_matrix(basis: WordIndex, image) -> np.ndarray:
+    """Matrix of e_w -> e_{image(w)}, word by word through ``index_of``; the
+    column of w is zero where image(w) is longer than the basis degree."""
     out = np.zeros((len(basis), len(basis)))
-    cut = _interior_size(basis)
-    out[_prepend_indices(basis, symbol), np.arange(cut)] = 1.0
+    for column, word in enumerate(basis.words()):
+        target = image(word)
+        if len(target) <= basis.max_length:
+            out[basis.index_of(target), column] = 1.0
     return out
+
+
+def left_shift_matrix(basis: WordIndex, symbol: int) -> np.ndarray:
+    """Matrix of the left shift e_w -> e_{symbol w}; columns at the top degree are zero."""
+    return _word_map_matrix(basis, lambda word: (symbol,) + word)
 
 
 def right_shift_matrix(basis: WordIndex, symbol: int) -> np.ndarray:
-    """Matrix of the right shift; columns at the top degree are zero."""
-    out = np.zeros((len(basis), len(basis)))
-    cut = _interior_size(basis)
-    out[_append_indices(basis, symbol), np.arange(cut)] = 1.0
-    return out
+    """Matrix of the right shift e_w -> e_{w symbol}; columns at the top degree are zero."""
+    return _word_map_matrix(basis, lambda word: word + (symbol,))
 
 
 def flip_matrix(basis: WordIndex) -> np.ndarray:
-    """Matrix of the word-reversal (flipping) operator."""
-    out = np.zeros((len(basis), len(basis)))
-    out[_reversal_permutation(basis), np.arange(len(basis))] = 1.0
-    return out
+    """Matrix of the word-reversal (flipping) operator e_w -> e_{reversed w}."""
+    return _word_map_matrix(basis, lambda word: word[::-1])
 
 
 def right_multiplication_matrix(basis: WordIndex, series) -> np.ndarray:
@@ -96,7 +98,7 @@ def check_hankel_property(block: HankelBlock, tol: float) -> tuple[bool, tuple |
     by more than ``tol`` or are NaN ((p, s, p, s) if it has only one cell).
     """
     combined = WordIndex(block.alphabet_size, block.prefixes.max_length + block.suffixes.max_length)
-    words = block.prefixes.concatenation_indices(block.suffixes, combined)
+    words = block.prefixes.concatenation_indices(block.suffixes)
     # every word up to the combined length has at least one cell
     low = np.full(len(combined), np.inf)
     high = np.full(len(combined), -np.inf)

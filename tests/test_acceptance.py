@@ -21,7 +21,7 @@ from wfamin.fock import (
     verify_hankel_equation,
     verify_shift_inequalities,
 )
-from wfamin.hankel import build_hankel, hankel_rank, spectral_recover
+from wfamin.hankel import DEFAULT_RANK_TOL, build_hankel, hankel_rank, spectral_recover
 from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa
 from wfamin.words import WordIndex
 
@@ -66,10 +66,11 @@ def aak_cases():
 
 
 def test_criterion_1_fliess_rank(rank_fixture_wfas):
+    assert DEFAULT_RANK_TOL == 1e-9  # the criterion's relative cutoff
     start = time.perf_counter()
     failures = []
     for d, n, wfa in rank_fixture_wfas:
-        rank = hankel_rank(build_hankel(wfa, n, n), tol=1e-9)
+        rank = hankel_rank(build_hankel(wfa, n, n))
         if rank != n:
             failures.append((d, n, rank))
     elapsed = time.perf_counter() - start
@@ -84,8 +85,7 @@ def test_criterion_1_fliess_rank(rank_fixture_wfas):
 def test_criterion_2_spectral_recovery(rank_fixture_wfas):
     worst = 0.0
     for d, n, wfa in rank_fixture_wfas:
-        block = build_hankel(wfa, n, n)
-        recovered = spectral_recover(block, n, wfa)
+        recovered = spectral_recover(wfa, n, n, n)
         original = evaluation_table(wfa, 2 * n)
         reproduced = evaluation_table(recovered, 2 * n)
         worst = max(worst, float(np.abs(original - reproduced).max()))

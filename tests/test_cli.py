@@ -53,6 +53,20 @@ class TestEval:
         assert out == ""
         assert err == f"error: line 6: weights must be finite (no NaN or inf), got '1 {bad}'\n"
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("alphabet: a", "alphabet: a a", "line 3: symbol labels must be unique"),
+        ("alphabet: a", "alphabet:", "line 3: alphabet must contain at least one label"),
+        ("0 -0.3", "0 -0.3\ntransition b:\n1 0\n0 1",
+         "line 10: transition 'b' is not in the alphabet"),
+    ], ids=["repeated-label", "no-label", "unknown-transition"])
+    def test_alphabet_errors_name_their_line(self, capsys, tmp_path, old, new, message):
+        path = tmp_path / "bad.wfa"
+        path.write_text((FIXTURES / "e2.wfa").read_text().replace(old, new))
+        code, out, err = run(capsys, "eval", str(path), "a")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_overflowing_value_exits_1(self, capsys, tmp_path):
         # alpha^T A_a A_a beta = 1e400 - 1e400: inf - inf, NaN
         path = tmp_path / "overflow.wfa"

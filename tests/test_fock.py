@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -66,11 +67,11 @@ class TestShifts:
             u[:cut] = rng.standard_normal(cut)
             v = rng.standard_normal(len(basis))
             for shift, matrix, indices in (
-                (fock.left_shift, left_shift_matrix(basis, i), fock._prepend_indices),
-                (fock.right_shift, right_shift_matrix(basis, i), fock._append_indices),
+                (fock.left_shift, left_shift_matrix(basis, i), basis.prepend_indices),
+                (fock.right_shift, right_shift_matrix(basis, i), basis.append_indices),
             ):
                 np.testing.assert_array_equal(shift(basis, i, u), matrix @ u)
-                np.testing.assert_array_equal((matrix.T @ v)[:cut], v[indices(basis, i)])
+                np.testing.assert_array_equal((matrix.T @ v)[:cut], v[indices(i)])
                 np.testing.assert_array_equal((matrix.T @ v)[cut:], 0.0)
 
     def test_shifts_check_length(self):
@@ -141,12 +142,12 @@ class TestIndexMaps:
         for degree in degrees:
             basis = WordIndex(d, degree)
             expected = [basis.index_of(word[::-1]) for word in basis.words()]
-            np.testing.assert_array_equal(fock._reversal_permutation(basis), expected)
+            np.testing.assert_array_equal(basis.reversal_permutation(), expected)
 
     @given(d=st.integers(1, 4), degree=st.integers(0, 5))
     @settings(max_examples=30, deadline=None)
     def test_reversal_is_an_involution(self, d, degree):
-        perm = fock._reversal_permutation(WordIndex(d, degree))
+        perm = WordIndex(d, degree).reversal_permutation()
         np.testing.assert_array_equal(perm[perm], np.arange(len(perm)))
 
     def test_right_multiplication_matches_word_loop(self):
@@ -218,7 +219,7 @@ class TestIndexMaps:
         interior[cut:] = 0.0  # the left shift's matrix drops the top degree
         expected = []
         for i in range(d):
-            after = flipped[:cut, fock._prepend_indices(basis, i)]  # U op S_i
+            after = flipped[:cut, basis.prepend_indices(i)]  # U op S_i
             before = fock.left_shift(basis, i, interior.T).T[:cut, :cut]
             expected.append(float(np.abs(after - before).max()))
         report = fock.verify_multiplier_intertwining(op, basis)
@@ -339,9 +340,9 @@ class TestShiftInequalities:
     def test_colliding_shift_fails(self, monkeypatch):
         # two interior words sent to one slot lose one squared entry, in the
         # left shifts of identity (a) and in the right shifts of identity (b)
-        for index_map, deviation in (("_prepend_indices", "max_left_shift_deviation"),
-                                     ("_append_indices", "max_bilateral_deviation")):
-            correct = getattr(fock, index_map)
+        for index_map, deviation in (("prepend_indices", "max_left_shift_deviation"),
+                                     ("append_indices", "max_bilateral_deviation")):
+            correct = getattr(WordIndex, index_map)
 
             def colliding(basis, symbol, correct=correct):
                 indices = correct(basis, symbol).copy()
@@ -349,7 +350,7 @@ class TestShiftInequalities:
                 return indices
 
             with monkeypatch.context() as patch:
-                patch.setattr(fock, index_map, colliding)
+                patch.setattr(WordIndex, index_map, colliding)
                 report = fock.verify_shift_inequalities(2, 9, trials=5, seed=0)
             assert getattr(report, deviation) > 1e-6, index_map
             assert not report.passed
@@ -383,6 +384,29 @@ class TestShiftInequalities:
         whole = fock.verify_shift_inequalities(3, 3, trials=10, seed=2)
         monkeypatch.setattr(fock, "_SHIFT_BATCH_ENTRIES", 1)  # one trial per batch
         assert fock.verify_shift_inequalities(3, 3, trials=10, seed=2) == whole
+
+    def test_peak_memory_stays_near_the_draws(self):
+        # one trial draws 2 d vectors of N words; its squares are summed in
+        # bounded chunks, not listed whole as Python floats (which took 4x
+        # the draws' bytes here)
+        basis = WordIndex(2, 16)
+        draws = 2 * 2 * len(basis) * 8
+        tracemalloc.start()
+        try:
+            report = fock.verify_shift_inequalities(2, 16, trials=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 3 * draws
+
+    def test_chunked_sums_are_exact(self):
+        # fsum is exactly rounded, so chunking the squares changes no bit
+        rng = np.random.default_rng(7)
+        vectors = rng.standard_normal((3, 2, 70_000)) * np.logspace(-150, 150, 70_000)
+        squares = (vectors * vectors).reshape(3, -1)
+        expected = [math.fsum(row.tolist()) for row in squares]
+        assert fock._exact_squared_norms(vectors).tolist() == expected
 
 
 class TestFreeGroup:
@@ -548,6 +572,26 @@ class TestMultiplier:
             tracemalloc.stop()
         assert report.max_discrepancy < 1e-14
         assert peak < cut * cut * 8
+
+    def test_flipped_multiplier_is_held_to_the_block_bound(self, monkeypatch):
+        wfa = random_stable_wfa(2, 3, seed=2, radius_bound=0.9)
+        # N = 131,071 words: a 128 GiB matrix, refused before anything is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                r"^refusing to build a 131071 x 131071 flipped multiplier "
+                r"\(17179607041 entries > 10000000\)$"
+            )):
+                fock.flipped_multiplier_matrix(wfa, WordIndex(2, 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # the bound is the block bound: N x N entries
+        monkeypatch.setattr(hankel, "MAX_BLOCK_ENTRIES", len(WordIndex(2, 3)) ** 2)
+        fock.flipped_multiplier_matrix(wfa, WordIndex(2, 3))
+        with pytest.raises(ValueError, match="refusing"):
+            fock.flipped_multiplier_matrix(wfa, WordIndex(2, 4))
 
     def test_degree_zero_basis_rejected(self):
         basis = WordIndex(2, 0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wfamin import hankel
 from wfamin.errors import RankDeficiencyError
 from wfamin.hankel import (
     DEFAULT_RANK_TOL,
@@ -70,9 +71,12 @@ class TestHankelRank:
         block = HankelBlock(WordIndex(1, 1), WordIndex(1, 1), [[1.0, 0.5], [0.5, 0.25]])
         assert hankel_rank(block) == 1
 
-    def test_tol_must_be_positive(self, geometric_wfa):
-        with pytest.raises(ValueError):
-            hankel_rank(build_hankel(geometric_wfa, 1, 1), tol=0.0)
+    def test_tol_is_not_a_parameter(self, geometric_wfa):
+        # every rank decision uses the one cutoff DEFAULT_RANK_TOL
+        block = build_hankel(geometric_wfa, 1, 1)
+        for tol in (0.0, 1e-9):
+            with pytest.raises(TypeError):
+                hankel_rank(block, tol=tol)
 
 
 class TestSvdTruncate:
@@ -200,46 +204,46 @@ class TestSpectralRecover:
     @pytest.mark.parametrize("d,n,seed", [(1, 4, 10), (2, 3, 11), (3, 3, 12)])
     def test_full_rank_recovery_matches_function(self, d, n, seed):
         wfa = random_stable_wfa(d, n, seed=seed, radius_bound=0.8)
-        block = build_hankel(wfa, n, n)
-        recovered = spectral_recover(block, n, wfa)
+        recovered = spectral_recover(wfa, n, n, n)
         assert recovered.num_states == n
         original = evaluation_table(wfa, 2 * n)
         again = evaluation_table(recovered, 2 * n)
         np.testing.assert_allclose(again, original, atol=1e-8)
 
     def test_k_zero_convention(self, two_state_wfa):
-        block = build_hankel(two_state_wfa, 2, 2)
-        zero = spectral_recover(block, 0, two_state_wfa)
+        zero = spectral_recover(two_state_wfa, 0, 2, 2)
         assert zero.num_states == 1
         assert zero.evaluate((0, 0)) == 0.0
 
     def test_nilpotent_exact_recovery(self, nilpotent_wfa):
-        block = build_hankel(nilpotent_wfa, 2, 2)
-        recovered = spectral_recover(block, 2, nilpotent_wfa)
+        recovered = spectral_recover(nilpotent_wfa, 2, 2, 2)
         for word in WordIndex(2, 4).words():
             assert recovered.evaluate(word) == pytest.approx(
                 nilpotent_wfa.evaluate(word), abs=1e-10
             )
 
     def test_rank_one_geometric(self, geometric_wfa):
-        block = build_hankel(geometric_wfa, 2, 2)
-        recovered = spectral_recover(block, 1, geometric_wfa)
+        recovered = spectral_recover(geometric_wfa, 1, 2, 2)
         assert recovered.evaluate((0,) * 5) == pytest.approx(0.5**5, rel=1e-10)
 
     def test_rank_deficient_request(self, geometric_wfa):
-        block = build_hankel(geometric_wfa, 2, 2)
         with pytest.raises(RankDeficiencyError):
-            spectral_recover(block, 2, geometric_wfa)
-
-    def test_alphabet_mismatch_rejected(self, geometric_wfa, nilpotent_wfa):
-        block = build_hankel(nilpotent_wfa, 2, 2)
-        with pytest.raises(ValueError, match="alphabet"):
-            spectral_recover(block, 1, geometric_wfa)
+            spectral_recover(geometric_wfa, 2, 2, 2)
 
     def test_k_too_large(self, geometric_wfa):
-        block = build_hankel(geometric_wfa, 2, 2)
         with pytest.raises(ValueError):
-            spectral_recover(block, 4, geometric_wfa)
+            spectral_recover(geometric_wfa, 4, 2, 2)
+
+    def test_prefixes_must_have_a_letter(self, two_state_wfa):
+        with pytest.raises(ValueError, match="prefixes of length >= 1"):
+            spectral_recover(two_state_wfa, 1, 0, 2)
+
+    def test_state_factors_are_held_to_the_block_bound(self, nilpotent_wfa, monkeypatch):
+        # the N x n factors are the largest arrays built; the block never is
+        monkeypatch.setattr(hankel, "MAX_BLOCK_ENTRIES", len(WordIndex(2, 3)) * 2)
+        spectral_recover(nilpotent_wfa, 2, 3, 2)
+        with pytest.raises(ValueError, match="refusing to build a 31 x 2 state factor"):
+            spectral_recover(nilpotent_wfa, 2, 2, 4)
 
 
 class TestFliessBound:

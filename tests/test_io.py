@@ -140,6 +140,26 @@ class TestParsing:
             parse_document(text)
 
 
+    @pytest.mark.parametrize("alphabet, extra, message", [
+        ("a a", "", "line 2: symbol labels must be unique"),
+        ("", "", "line 2: alphabet must contain at least one label"),
+        ("a", "transition b:\n0\n", "line 9: transition 'b' is not in the alphabet"),
+    ], ids=["repeated-label", "no-label", "unknown-transition"])
+    def test_alphabet_errors_name_their_line(self, alphabet, extra, message):
+        # the alphabet's own line, or the header of the stray transition block
+        text = (
+            f"# heading\nalphabet: {alphabet}\nstates: 1\nalpha: 1\nbeta: 1\n"
+            f"transition a:\n0.5\n# more\n{extra}"
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_document(text)
+
+    def test_document_checks_its_labels(self):
+        # library callers building a document directly keep the check
+        with pytest.raises(ValueError, match="^symbol labels must be unique$"):
+            WfaDocument(("a", "a"), Wfa([1.0], [np.eye(1), np.eye(1)], [1.0]))
+
+
 class TestParseWord:
     @pytest.fixture
     def doc(self):

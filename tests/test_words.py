@@ -56,11 +56,36 @@ def test_concatenation_indices():
         prefixes = WordIndex(d, left)
         suffixes = WordIndex(d, right)
         combined = WordIndex(d, left + right + extra)
-        table = prefixes.concatenation_indices(suffixes, combined)
+        table = prefixes.concatenation_indices(suffixes)
         assert table.dtype == np.int64
         for i, p in enumerate(prefixes.words()):
             for j, s in enumerate(suffixes.words()):
                 assert table[i, j] == combined.index_of(p + s)
+    with pytest.raises(ValueError, match="alphabet sizes must match"):
+        WordIndex(2, 1).concatenation_indices(WordIndex(3, 1))
+
+
+@pytest.mark.parametrize("d, degrees", [(1, 6), (2, 5), (3, 4), (4, 3)])
+def test_every_index_map_is_its_per_word_definition(d, degrees):
+    """Each map of ``WordIndex`` equals ``index_of`` applied word by word."""
+    for degree in range(degrees + 1):
+        index = WordIndex(d, degree)
+        words = list(index.words())
+        interior = [w for w in words if len(w) < degree]
+        assert index.interior_size == len(interior)
+        assert words[: len(interior)] == interior  # the interior words come first
+        maps = [(index.reversal_permutation(), [index.index_of(w[::-1]) for w in words])]
+        for a in range(d):
+            maps.append((index.prepend_indices(a), [index.index_of((a,) + w) for w in interior]))
+            maps.append((index.append_indices(a), [index.index_of(w + (a,)) for w in interior]))
+        for other in range(3):
+            right = WordIndex(d, other)
+            combined = WordIndex(d, degree + other)
+            maps.append((index.concatenation_indices(right),
+                         [[combined.index_of(w + u) for u in right.words()] for w in words]))
+        for computed, expected in maps:
+            assert computed.dtype == np.int64
+            assert computed.tolist() == expected
 
 
 words = st.lists(st.integers(0, 3), max_size=5)
