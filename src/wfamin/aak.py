@@ -490,7 +490,7 @@ def aak_approximate(wfa: Wfa, k: int) -> AakApproximation:
     # the k-state realization of the sequence from its state factors, no
     # block (the one-state zero automaton at k = 0)
     try:
-        recovered = _factored_recover(sequence, k, max(k, 1), max(k, 1))[0]
+        recovered = _factored_recover(sequence, k, max(k, 1))[0]
     except RankDeficiencyError as exc:
         # the input is minimal, so a rank-deficient block means the
         # computed sequence lost its rank at working precision

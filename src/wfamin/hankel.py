@@ -12,12 +12,13 @@ decided without blocks, by an orthogonal reduction of the realization.
 The block of an n-state automaton factors exactly as H = P S^T, with the
 prefix states alpha^T A_p as the rows of P and the suffix states
 (A_s beta)^T as the rows of S (the forward-backward factorization of
-spectral learning).  Spectral recovery and the svd baseline work on these
-N x n factors: two thin QRs and the SVD of an r x r core (r <= n) cost
-O(N n^2) instead of the O(N^3) of a dense N x N SVD, so they take the
-prefix and suffix lengths and never build the block.  S holds the prefix
-states of the reversed automaton, so its rows follow the reversed words and
-P S^T is H with its columns permuted, which changes no singular value.
+spectral learning).  Spectral recovery and the svd baseline work on the
+square block over the words up to one length, whose N x n factors are held
+as one (2, N, n) stack: one stacked QR call and the SVD of an r x r core
+(r <= n) cost O(N n^2) instead of the O(N^3) of a dense N x N SVD, so they
+take that length and never build the block.  S holds the prefix states of
+the reversed automaton, so its rows follow the reversed words and P S^T is
+H with its columns permuted, which changes no singular value.
 ``hankel_rank`` takes arbitrary blocks and stays dense.  The word order
 lives in ``WordIndex`` alone (its identities are documented in
 :mod:`wfamin.words`): :func:`build_hankel` reads every cell from one table
@@ -110,83 +111,79 @@ def hankel_rank(block: HankelBlock) -> int:
     return _rank(_svd(block.entries, compute_uv=False))
 
 
-def _prefix_states(wfa: Wfa, max_length: int) -> np.ndarray:
-    """Rows alpha^T A_p for the prefixes p of length <= max_length, in
-    ``WordIndex`` order: the left factor P of every block H = P S^T."""
-    levels = _prefix_levels(wfa.alpha, wfa.transitions, max_length)
-    return np.concatenate([wfa.alpha[None, :], *levels])
+def _state_factors(wfa: Wfa, length: int) -> np.ndarray:
+    """The factors of the (length, length) block H = P S^T, stacked as one
+    (2, N, n) array [P, S].
 
-
-def _suffix_states(wfa: Wfa, max_length: int) -> np.ndarray:
-    """Rows (A_s beta)^T for the suffixes s of length <= max_length: the right
-    factor S of every block H = P S^T, up to row order.
-
-    They are the prefix states of the reversed automaton (beta, {A_a^T}),
-    so the row of w holds the state of w reversed and P S^T is H with its
-    columns permuted by word reversal (the identity for one letter).  Only
-    row 0, the empty word, is read by position.
+    The rows of P are the prefix states alpha^T A_p in ``WordIndex`` order.
+    The rows of S are the suffix states (A_s beta)^T, taken as the prefix
+    states of the reversed automaton (beta, {A_a^T}): the row of w holds the
+    state of w reversed, so P S^T is H with its columns permuted by word
+    reversal (the identity for one letter).  Only row 0 of S, the empty
+    word, is read by position.
     """
-    levels = _prefix_levels(wfa.beta, [m.T for m in wfa.transitions], max_length)
-    return np.concatenate([wfa.beta[None, :], *levels])
+    starts = ((wfa.alpha, wfa.transitions), (wfa.beta, [m.T for m in wfa.transitions]))
+    return np.stack([
+        np.concatenate([start[None, :], *_prefix_levels(start, matrices, length)])
+        for start, matrices in starts
+    ])
 
 
-def _factored_svd(left: np.ndarray, right: np.ndarray):
-    """Thin SVD (U, s, V) of ``left @ right.T``, which is never formed.
+def _factored_svd(factors: np.ndarray):
+    """Thin SVD (U, s, V) of ``P @ S.T`` for the stack ``factors = [P, S]``,
+    whose product is never formed.
 
-    With thin QRs left = Q_l R_l and right = Q_r R_r the product is
-    Q_l (R_l R_r^T) Q_r^T, so the SVD of the small core R_l R_r^T gives
-    U = Q_l U_c and V = Q_r V_c.  For N x n factors that is O(N n^2), and
+    One stacked QR call gives P = Q_P R_P and S = Q_S R_S, so the product is
+    Q_P (R_P R_S^T) Q_S^T and the SVD of the small core R_P R_S^T gives
+    U = Q_P U_c and V = Q_S V_c.  For N x n factors that is O(N n^2), and
     s has at most n values.
     """
-    q_left, r_left = np.linalg.qr(left)
-    q_right, r_right = np.linalg.qr(right)
-    u, s, vt = _svd(r_left @ r_right.T, compute_uv=True)
-    return q_left @ u, s, q_right @ vt.T
+    q, r = np.linalg.qr(factors)
+    u, s, vt = _svd(r[0] @ r[1].T, compute_uv=True)
+    return q[0] @ u, s, q[1] @ vt.T
 
 
-def _factored_recover(wfa: Wfa, k: int, prefix_length: int, suffix_length: int):
-    """:func:`spectral_recover`, returning (recovered, P, S, s): the k-state
-    automaton, the block's state factors and its singular values.  S lists its
-    rows by reversed word (:func:`_suffix_states`), read by position only at 0."""
-    if prefix_length < 1:
+def _factored_recover(wfa: Wfa, k: int, length: int):
+    """:func:`spectral_recover`, returning (recovered, factors, s): the k-state
+    automaton, the block's stacked state factors [P, S] (:func:`_state_factors`)
+    and its singular values."""
+    if length < 1:
         raise ValueError("spectral recovery needs prefixes of length >= 1")
     d = wfa.alphabet_size
-    shape = (len(WordIndex(d, prefix_length)), len(WordIndex(d, suffix_length)))
-    if k > min(shape):
-        raise ValueError(f"k={k} exceeds block dimensions {shape}")
-    _check_block_size(max(shape), wfa.num_states, "state factor")
-    prefix = _prefix_states(wfa, prefix_length)
-    suffix = _suffix_states(wfa, suffix_length)
-    u, s, v = _factored_svd(prefix, suffix)
+    size = len(WordIndex(d, length))
+    if k < 0:
+        raise ValueError(f"k must lie in [0, {size}] for the {size} x {size} block, got {k}")
+    if k > size:
+        raise ValueError(f"k={k} exceeds block dimensions ({size}, {size})")
+    _check_block_size(size, wfa.num_states, "state factor")
+    factors = _state_factors(wfa, length)
+    u, s, v = _factored_svd(factors)
     if k == 0:
-        zero = np.zeros((1, 1))
-        return Wfa(np.zeros(1), [zero] * d, np.zeros(1)), prefix, suffix, s
+        return Wfa(np.zeros(1), [np.zeros((1, 1))] * d, np.zeros(1)), factors, s
     rank = _rank(s)
     if k > rank:
-        raise RankDeficiencyError(
-            f"requested {k} states but the block has numerical rank {rank}"
-        )
+        raise RankDeficiencyError(f"requested {k} states but the block has numerical rank {rank}")
     root = np.sqrt(s[:k])
-    left = (u[:, :k] / root).T @ prefix  # D_k^{-1/2} U_k^T P
-    right = suffix.T @ (v[:, :k] / root)  # S^T V_k D_k^{-1/2}
+    left = (u[:, :k] / root).T @ factors[0]  # D_k^{-1/2} U_k^T P
+    right = factors[1].T @ (v[:, :k] / root)  # S^T V_k D_k^{-1/2}
     recovered = Wfa(root * u[0, :k], [left @ m @ right for m in wfa.transitions], root * v[0, :k])
-    return recovered, prefix, suffix, s
+    return recovered, factors, s
 
 
-def spectral_recover(wfa: Wfa, k: int, prefix_length: int, suffix_length: int) -> Wfa:
+def spectral_recover(wfa: Wfa, k: int, length: int) -> Wfa:
     """Recover a k-state WFA from the Hankel block of ``wfa`` via the spectral method.
 
-    The block H of the series f of ``wfa`` over the prefixes and suffixes up
-    to the given lengths is P S^T for the prefix and suffix state factors of
-    ``wfa``, and is never built.  With the rank-k truncated SVD
-    H = U_k D_k V_k^T, taken from those factors in O(N n^2), the transition
-    matrices are D_k^{-1/2} U_k^T H_a V_k D_k^{-1/2}, where the shifted
-    block H_a(p, s) = f(p a s) is P A_a S^T, and the initial/final vectors
-    come from the empty-word row and column.  At k equal to the full rank
-    the result interpolates f on every word covered by the block.  Each
-    N x n factor is held to ``MAX_BLOCK_ENTRIES``.
+    The block H of the series f of ``wfa`` over the words up to ``length``,
+    as prefixes and as suffixes, is P S^T for the state factors of ``wfa``,
+    and is never built.  With the rank-k truncated SVD H = U_k D_k V_k^T,
+    taken from the stacked factors in O(N n^2), the transition matrices are
+    D_k^{-1/2} U_k^T H_a V_k D_k^{-1/2}, where the shifted block
+    H_a(p, s) = f(p a s) is P A_a S^T, and the initial/final vectors come
+    from the empty-word row and column.  At k equal to the full rank the
+    result interpolates f on every word covered by the block.  Each N x n
+    factor is held to ``MAX_BLOCK_ENTRIES``.
     """
-    return _factored_recover(wfa, k, prefix_length, suffix_length)[0]
+    return _factored_recover(wfa, k, length)[0]
 
 
 def _svd_baseline(wfa: Wfa, length: int, k: int):
@@ -196,17 +193,17 @@ def _svd_baseline(wfa: Wfa, length: int, k: int):
     :func:`spectral_recover`, the singular values of the N x N block H, and
     ||H - G||_2 for the block G of g.  One factored SVD serves all three:
     H - G = [P_f | P_g] [S_f | -S_g]^T has rank at most n + k, so its norm
-    is the top singular value of that factored product; the reversed-word
-    row order of both S permutes its columns only.  The entry guard counts
-    the N x (n + k) factors, which is all that is built.
+    is the top singular value of that factored product, whose stack joins
+    the stacks of f and g (S_g negated) along the state axis; the
+    reversed-word row order of both S permutes its columns only.  The entry
+    guard counts the N x (n + k) factors, which is all that is built.
     """
     words = WordIndex(wfa.alphabet_size, length)
     _check_block_size(len(words), wfa.num_states + k, "state factor")
-    recovered, prefix, suffix, singular = _factored_recover(wfa, k, length, length)
-    _, difference, _ = _factored_svd(
-        np.hstack([prefix, _prefix_states(recovered, length)]),
-        np.hstack([suffix, -_suffix_states(recovered, length)]),
-    )
+    recovered, factors, singular = _factored_recover(wfa, k, length)
+    recovered_factors = _state_factors(recovered, length)
+    np.negative(recovered_factors[1], out=recovered_factors[1])
+    _, difference, _ = _factored_svd(np.concatenate([factors, recovered_factors], axis=2))
     return recovered, singular, float(difference[0]), len(words)
 
 

@@ -155,7 +155,9 @@ def parse_document(text: str) -> WfaDocument:
     beta = _parse_row(fields["beta"], size)
     missing = [label for label in labels if label not in transitions]
     if missing:
-        raise ValueError(f"missing transition matrices for: {' '.join(missing)}")
+        raise ValueError(
+            f"line {alphabet_line}: missing transition matrices for: {' '.join(missing)}"
+        )
     for label, (line_no, _) in transitions.items():
         if label not in labels:
             raise ValueError(f"line {line_no}: transition {label!r} is not in the alphabet")

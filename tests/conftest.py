@@ -11,6 +11,20 @@ settings.load_profile("deterministic")
 
 
 @pytest.fixture
+def qr_calls(monkeypatch):
+    """A list that gains one entry per ``np.linalg.qr`` call during the test."""
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
+@pytest.fixture
 def geometric_wfa():
     """One state, one letter: f(k) = 0.5**k."""
     return Wfa([1.0], [[[0.5]]], [1.0])

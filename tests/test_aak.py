@@ -529,6 +529,14 @@ class TestAakApproximate:
             assert result.wfa.num_states == max(k, 1)
             assert abs(result.attained - sigmas[k]) <= 1e-6 * sigmas[0]
 
+    def test_recovery_makes_one_qr_call(self, qr_calls):
+        # the sequence's state factors [P, S] are factored by one stacked QR
+        wfa = random_stable_wfa(1, 5, seed=24, radius_bound=0.8)
+        for k in range(5):
+            qr_calls.clear()
+            aak_approximate(wfa, k)
+            assert len(qr_calls) == 1
+
     def test_random_fixtures_attain_sigma_k(self):
         for seed, n in ((21, 3), (22, 4), (23, 5)):
             wfa = random_stable_wfa(1, n, seed=seed, radius_bound=0.8)

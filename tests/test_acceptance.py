@@ -85,7 +85,7 @@ def test_criterion_1_fliess_rank(rank_fixture_wfas):
 def test_criterion_2_spectral_recovery(rank_fixture_wfas):
     worst = 0.0
     for d, n, wfa in rank_fixture_wfas:
-        recovered = spectral_recover(wfa, n, n, n)
+        recovered = spectral_recover(wfa, n, n)
         original = evaluation_table(wfa, 2 * n)
         reproduced = evaluation_table(recovered, 2 * n)
         worst = max(worst, float(np.abs(original - reproduced).max()))

@@ -58,7 +58,8 @@ class TestEval:
         ("alphabet: a", "alphabet:", "line 3: alphabet must contain at least one label"),
         ("0 -0.3", "0 -0.3\ntransition b:\n1 0\n0 1",
          "line 10: transition 'b' is not in the alphabet"),
-    ], ids=["repeated-label", "no-label", "unknown-transition"])
+        ("alphabet: a", "alphabet: a b", "line 3: missing transition matrices for: b"),
+    ], ids=["repeated-label", "no-label", "unknown-transition", "missing-transition"])
     def test_alphabet_errors_name_their_line(self, capsys, tmp_path, old, new, message):
         path = tmp_path / "bad.wfa"
         path.write_text((FIXTURES / "e2.wfa").read_text().replace(old, new))
@@ -296,7 +297,7 @@ class TestApproximate:
         def unreachable(*args):
             raise AssertionError("state factors built past the guard")
 
-        monkeypatch.setattr("wfamin.hankel._prefix_states", unreachable)
+        monkeypatch.setattr("wfamin.hankel._state_factors", unreachable)
         code, out, err = run(
             capsys, "approximate", str(path), "1", "--mode", "svd", "--length", "20",
             "--no-timestamp", "-o", str(tmp_path / "big.wfa"),
@@ -305,6 +306,15 @@ class TestApproximate:
         assert out == ""
         assert "2097151 x 5 state factor" in err
         assert not (tmp_path / "big.wfa").exists()
+
+    def test_svd_makes_one_qr_call_per_factor_pair(self, capsys, tmp_path, qr_calls):
+        # one stacked QR for the block's [P, S], one for the difference pair
+        code, _, _ = run(
+            capsys, "approximate", str(FIXTURES / "nilpotent.wfa"), "1", "--mode", "svd",
+            "--no-timestamp", "-o", str(tmp_path / "out.wfa"),
+        )
+        assert code == 0
+        assert len(qr_calls) == 2
 
     def test_svd_failure_prints_one_error_line(self, capsys, tmp_path):
         # the fixture's states overflow to inf and NaN before the SVD fails;

@@ -8,8 +8,7 @@ from wfamin.hankel import (
     DEFAULT_RANK_TOL,
     HankelBlock,
     _factored_svd,
-    _prefix_states,
-    _suffix_states,
+    _state_factors,
     _svd_baseline,
     build_hankel,
     hankel_rank,
@@ -204,46 +203,53 @@ class TestSpectralRecover:
     @pytest.mark.parametrize("d,n,seed", [(1, 4, 10), (2, 3, 11), (3, 3, 12)])
     def test_full_rank_recovery_matches_function(self, d, n, seed):
         wfa = random_stable_wfa(d, n, seed=seed, radius_bound=0.8)
-        recovered = spectral_recover(wfa, n, n, n)
+        recovered = spectral_recover(wfa, n, n)
         assert recovered.num_states == n
         original = evaluation_table(wfa, 2 * n)
         again = evaluation_table(recovered, 2 * n)
         np.testing.assert_allclose(again, original, atol=1e-8)
 
     def test_k_zero_convention(self, two_state_wfa):
-        zero = spectral_recover(two_state_wfa, 0, 2, 2)
+        zero = spectral_recover(two_state_wfa, 0, 2)
         assert zero.num_states == 1
         assert zero.evaluate((0, 0)) == 0.0
 
     def test_nilpotent_exact_recovery(self, nilpotent_wfa):
-        recovered = spectral_recover(nilpotent_wfa, 2, 2, 2)
+        recovered = spectral_recover(nilpotent_wfa, 2, 2)
         for word in WordIndex(2, 4).words():
             assert recovered.evaluate(word) == pytest.approx(
                 nilpotent_wfa.evaluate(word), abs=1e-10
             )
 
     def test_rank_one_geometric(self, geometric_wfa):
-        recovered = spectral_recover(geometric_wfa, 1, 2, 2)
+        recovered = spectral_recover(geometric_wfa, 1, 2)
         assert recovered.evaluate((0,) * 5) == pytest.approx(0.5**5, rel=1e-10)
 
     def test_rank_deficient_request(self, geometric_wfa):
         with pytest.raises(RankDeficiencyError):
-            spectral_recover(geometric_wfa, 2, 2, 2)
+            spectral_recover(geometric_wfa, 2, 2)
 
     def test_k_too_large(self, geometric_wfa):
         with pytest.raises(ValueError):
-            spectral_recover(geometric_wfa, 4, 2, 2)
+            spectral_recover(geometric_wfa, 4, 2)
+
+    def test_negative_k(self):
+        # refused before any factor is built, as k above the block size is
+        wfa = random_stable_wfa(2, 3, seed=1, radius_bound=0.9)
+        message = r"^k must lie in \[0, 7\] for the 7 x 7 block, got -1$"
+        with pytest.raises(ValueError, match=message):
+            spectral_recover(wfa, -1, 2)
 
     def test_prefixes_must_have_a_letter(self, two_state_wfa):
         with pytest.raises(ValueError, match="prefixes of length >= 1"):
-            spectral_recover(two_state_wfa, 1, 0, 2)
+            spectral_recover(two_state_wfa, 1, 0)
 
     def test_state_factors_are_held_to_the_block_bound(self, nilpotent_wfa, monkeypatch):
         # the N x n factors are the largest arrays built; the block never is
         monkeypatch.setattr(hankel, "MAX_BLOCK_ENTRIES", len(WordIndex(2, 3)) * 2)
-        spectral_recover(nilpotent_wfa, 2, 3, 2)
+        spectral_recover(nilpotent_wfa, 2, 3)
         with pytest.raises(ValueError, match="refusing to build a 31 x 2 state factor"):
-            spectral_recover(nilpotent_wfa, 2, 2, 4)
+            spectral_recover(nilpotent_wfa, 2, 4)
 
 
 class TestFliessBound:
@@ -338,7 +344,9 @@ class TestStateFactors:
     def test_suffix_rows_follow_the_reversed_words(self, d, length):
         wfa = random_stable_wfa(d, 4, seed=d, radius_bound=0.9)
         words = WordIndex(d, length)
-        suffix = _suffix_states(wfa, length)
+        factors = _state_factors(wfa, length)
+        assert factors.shape == (2, len(words), 4)
+        prefix, suffix = factors
         for i, w in enumerate(words.words()):
             state = wfa.beta
             for symbol in w:  # A_{w reversed} beta
@@ -347,7 +355,7 @@ class TestStateFactors:
         # so P S^T is the block with its columns permuted by word reversal
         reversal = [words.index_of(w[::-1]) for w in words.words()]
         block = build_hankel(wfa, length, length).entries
-        product = _prefix_states(wfa, length) @ suffix.T
+        product = prefix @ suffix.T
         np.testing.assert_allclose(product[:, reversal], block, rtol=1e-12, atol=1e-15)
 
 
@@ -366,7 +374,7 @@ class TestFactoredSvd:
         wfa = hidden_redundancy(core, extra, seed=seed, unreachable=unreachable)
         block = build_hankel(wfa, length, length).entries
         dense = np.linalg.svd(block, compute_uv=False)
-        factored = _factored_svd(_prefix_states(wfa, length), _suffix_states(wfa, length))[1]
+        factored = _factored_svd(_state_factors(wfa, length))[1]
         scale = dense[0]
         assert factored.size <= min(n, block.shape[0])
         assert np.abs(factored - dense[: factored.size]).max() <= 1e-12 * scale

@@ -64,7 +64,7 @@ class TestParsing:
             parse_document("alphabet: a\nstates: 1\nalpha: 1\n")
 
     def test_missing_transition(self):
-        with pytest.raises(ValueError, match="missing transition"):
+        with pytest.raises(ValueError, match="^line 1: missing transition matrices for: b$"):
             parse_document("alphabet: a b\nstates: 1\nalpha: 1\nbeta: 1\ntransition a:\n0\n")
 
     def test_bad_matrix_row(self):
