@@ -439,9 +439,9 @@ class AakApproximation:
             raise ValueError(f"count must be >= 1, got {count}")
         return evaluation_table(self.sequence, count - 1)
 
-    def hankel_block(self, prefix_length: int, suffix_length: int) -> HankelBlock:
-        """Finite Hankel block of the approximating sequence (Hankel by construction)."""
-        return build_hankel(self.sequence, prefix_length, suffix_length)
+    def hankel_block(self, length: int) -> HankelBlock:
+        """Hankel block of the approximating sequence over the words up to ``length``."""
+        return build_hankel(self.sequence, length)
 
 
 def aak_approximate(wfa: Wfa, k: int) -> AakApproximation:

@@ -117,12 +117,11 @@ def cmd_approximate(args) -> int:
     return 0
 
 
-def _suite_hankel_eq(args):
+def _suite_hankel_eq(args, wfa):
     lines = ["suite: hankel-eq"]
     fixtures = []
-    if args.file:
-        doc = load_document(args.file)
-        fixtures.append((f"file {args.file}", doc.wfa))
+    if wfa is not None:
+        fixtures.append((f"file {args.file}", wfa))
     else:
         for i in range(5):
             fixtures.append(
@@ -145,7 +144,7 @@ def _suite_hankel_eq(args):
     return lines, passed
 
 
-def _suite_shifts(args):
+def _suite_shifts(args, wfa):
     lines = ["suite: shifts"]
     passed = True
     for d, degree in ((2, args.degree), (3, min(args.degree, 4))):
@@ -155,16 +154,15 @@ def _suite_shifts(args):
     return lines, passed
 
 
-def _suite_free_group(args):
+def _suite_free_group(args, wfa):
     report = fock.free_group_counterexample()
     lines = ["suite: free-group"]
     lines.extend("  " + line for line in report.lines())
     return lines, report.passed
 
 
-def _suite_nc_rational(args):
-    if args.file:
-        wfa = load_document(args.file).wfa
+def _suite_nc_rational(args, wfa):
+    if wfa is not None:
         label = f"file {args.file}"
     else:
         wfa = random_stable_wfa(2, 3, seed=args.seed, radius_bound=0.9)
@@ -189,11 +187,13 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     selected = list(SUITES) if args.suite == "all" else [args.suite]
+    # the file is parsed once, before any suite prints
+    wfa = load_document(args.file).wfa if args.file else None
     for line in _timestamp_lines(args):
         print(line)
     all_passed = True
     for name in selected:
-        lines, passed = SUITES[name](args)
+        lines, passed = SUITES[name](args, wfa)
         for line in lines:
             print(line)
         print(f"result: {'pass' if passed else 'fail'}")
@@ -234,10 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="aak: optimal Hankel approximation (one-letter only); "
                           "svd: truncated-SVD baseline (any alphabet)")
     p_approx.add_argument("--length", type=int, default=None,
-                          help="prefix/suffix length of the evaluation block (svd mode)")
+                          help="word length of the square evaluation block (svd mode)")
     p_approx.add_argument("--output", "-o", default=None, help="output document path")
     p_approx.add_argument("--no-timestamp", action="store_true",
-                          help="omit the timestamp line for byte-reproducible reports")
+                          help="omit the timestamp line; the report and the document are then "
+                          "byte-reproducible for the same input, numpy/BLAS build and "
+                          "BLAS thread count")
     p_approx.set_defaults(func=cmd_approximate)
 
     p_verify = sub.add_parser("verify", help="run numerical verification suites")
@@ -250,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=_positive, default=100,
                           help="random trials for the shifts / nc-rational suites")
     p_verify.add_argument("--no-timestamp", action="store_true",
-                          help="omit the timestamp line for byte-reproducible reports")
+                          help="omit the timestamp line; the report is then byte-reproducible "
+                          "for the same input, seed, numpy/BLAS build and BLAS thread count")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -38,9 +38,9 @@ from itertools import chain
 import numpy as np
 
 from .errors import StabilityError, TruncationError
-from .hankel import _check_block_size, build_hankel
+from .hankel import _block_rows, build_hankel
 from .wfa import Wfa, _prefix_levels, evaluation_table, spectral_radius
-from .words import WordIndex
+from .words import WordIndex, _word_count
 
 #: Largest number of floats drawn at once by :func:`verify_shift_inequalities`
 #: (8 MiB), so its memory does not grow with the trial count.
@@ -121,8 +121,8 @@ def verify_hankel_equation(wfa: Wfa, degree: int) -> HankelEquationReport:
     """
     if degree < 2:
         raise ValueError(f"degree must be >= 2, got {degree}")
-    block = build_hankel(wfa, degree, degree)
-    h, basis = block.entries, block.prefixes
+    block = build_hankel(wfa, degree)
+    h, basis = block.entries, block.words
     cut = basis.interior_size
     per_symbol = []
     comparisons = 0
@@ -202,8 +202,8 @@ def verify_shift_inequalities(alphabet_size: int, degree: int, trials: int,
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     rng = np.random.default_rng(seed)
+    _block_rows(alphabet_size, degree, 2 * alphabet_size, "set of shift trial vectors")
     basis = WordIndex(alphabet_size, degree)
-    _check_block_size(2 * alphabet_size, len(basis), "set of shift trial vectors")
     cut = basis.interior_size
     # trials are drawn and shifted in batches of bounded size; drawing
     # (batch, 2, d, cut) normals continues the stream one trial at a time,
@@ -424,7 +424,7 @@ def _series_bounds(wfa: Wfa, pencil: np.ndarray, max_degree: int) -> tuple[float
     if gain >= 1.0:
         return np.inf, np.inf
     scale = float(np.linalg.norm(wfa.alpha) * np.linalg.norm(wfa.beta))
-    words = sum(wfa.alphabet_size**j for j in range(max_degree + 1))
+    words = _word_count(wfa.alphabet_size, max_degree)
     steps = pencil.shape[0] / (1.0 - gain) + words
     rounding = float(np.finfo(float).eps) * steps * scale / (1.0 - gain)
     return scale * gain ** (max_degree + 1) / (1.0 - gain), rounding
@@ -527,7 +527,7 @@ def flipped_multiplier_matrix(wfa: Wfa, basis: WordIndex) -> np.ndarray:
     """
     if basis.alphabet_size != wfa.alphabet_size:
         raise ValueError("basis and automaton alphabet sizes differ")
-    _check_block_size(len(basis), len(basis), "flipped multiplier")
+    _block_rows(basis.alphabet_size, basis.max_length, None, "flipped multiplier")
     series = evaluation_table(wfa, basis.max_length)
     reversal = basis.reversal_permutation()
     appended = np.stack([basis.append_indices(a) for a in range(basis.alphabet_size)], axis=1)

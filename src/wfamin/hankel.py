@@ -1,9 +1,8 @@
 """Finite Hankel blocks of a WFA, rank checks and spectral reconstruction.
 
-A Hankel block is a finite sub-matrix of the bi-infinite Hankel matrix of a
-function f on words: rows are indexed by prefixes, columns by suffixes, and
-the entry at (p, s) is f(ps).  The block therefore satisfies the Hankel
-constraint that the entry only depends on the concatenation.  This module
+A Hankel block is the square truncation of the Hankel matrix of a function
+f on words: rows and columns are both the words up to one length, and the
+entry at (u, v) is f(uv), which only depends on the concatenation.  This module
 builds such blocks from automata, measures their numerical rank, runs the
 truncated-SVD baseline (whose rank-k optimum is generally not Hankel), and
 reconstructs a WFA of a given size from a block via the spectral method.  Minimality is
@@ -19,10 +18,10 @@ as one (2, N, n) stack: one stacked QR call and the SVD of an r x r core
 take that length and never build the block.  S holds the prefix states of
 the reversed automaton, so its rows follow the reversed words and P S^T is
 H with its columns permuted, which changes no singular value.
-``hankel_rank`` takes arbitrary blocks and stays dense.  The word order
-lives in ``WordIndex`` alone (its identities are documented in
-:mod:`wfamin.words`): :func:`build_hankel` reads every cell from one table
-of word values through the concatenation index map.
+``hankel_rank`` stays dense.  Every word set is sized in closed form and
+held to ``MAX_BLOCK_ENTRIES`` before its ``WordIndex`` is built.  That index
+alone holds the word order (see :mod:`wfamin.words`); :func:`build_hankel`
+reads every cell from one table of word values through its concatenation map.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import numpy as np
 
 from .errors import NumericalError, RankDeficiencyError
 from .wfa import Wfa, _prefix_levels, evaluation_table
-from .words import WordIndex
+from .words import WordIndex, _word_count
 
 #: Refuse to materialize blocks with more entries than this.
 MAX_BLOCK_ENTRIES = 10_000_000
@@ -44,19 +43,16 @@ DEFAULT_RANK_TOL = 1e-9
 
 @dataclass(frozen=True)
 class HankelBlock:
-    """A finite Hankel sub-matrix with explicit prefix/suffix index sets."""
+    """A square Hankel block: rows and columns both indexed by ``words``."""
 
-    prefixes: WordIndex
-    suffixes: WordIndex
+    words: WordIndex
     entries: np.ndarray
 
     def __post_init__(self):
         entries = np.array(self.entries, dtype=float)
-        expected = (len(self.prefixes), len(self.suffixes))
+        expected = (len(self.words), len(self.words))
         if entries.shape != expected:
             raise ValueError(f"entries have shape {entries.shape}, expected {expected}")
-        if self.prefixes.alphabet_size != self.suffixes.alphabet_size:
-            raise ValueError("prefix and suffix alphabets differ")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
@@ -64,32 +60,31 @@ class HankelBlock:
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
 
-    @property
-    def alphabet_size(self) -> int:
-        return self.prefixes.alphabet_size
+
+def _block_rows(alphabet_size: int, length: int, columns: int | None, what: str) -> int:
+    """The number N of words up to ``length``, once an N x ``columns`` ``what``
+    (N x N for None) is held to ``MAX_BLOCK_ENTRIES``.  From its bit length on,
+    the d**length >= 2**length longest words alone exceed it: no count is formed."""
+    if alphabet_size > 1 and length >= MAX_BLOCK_ENTRIES.bit_length():
+        raise ValueError(f"refusing to build a {what} over the words up to length {length} "
+                         f"(more than {MAX_BLOCK_ENTRIES} entries)")
+    rows = _word_count(alphabet_size, length)
+    cols = rows if columns is None else columns
+    if rows * cols > MAX_BLOCK_ENTRIES:
+        raise ValueError(f"refusing to build a {rows} x {cols} {what} "
+                         f"({rows * cols} entries > {MAX_BLOCK_ENTRIES})")
+    return rows
 
 
-def _check_block_size(num_rows: int, num_cols: int, what: str):
-    if num_rows * num_cols > MAX_BLOCK_ENTRIES:
-        raise ValueError(
-            f"refusing to build a {num_rows} x {num_cols} {what} "
-            f"({num_rows * num_cols} entries > {MAX_BLOCK_ENTRIES})"
-        )
-
-
-def build_hankel(wfa: Wfa, prefix_length: int, suffix_length: int) -> HankelBlock:
-    """Hankel block of a WFA over all prefixes/suffixes up to the given lengths.
+def build_hankel(wfa: Wfa, length: int) -> HankelBlock:
+    """Hankel block of a WFA over the words up to ``length``, as rows and columns.
 
     Every entry is pulled from a single table of word values, so two cells
     indexed by the same concatenated word hold the identical float.
     """
-    d = wfa.alphabet_size
-    prefixes = WordIndex(d, prefix_length)
-    suffixes = WordIndex(d, suffix_length)
-    _check_block_size(len(prefixes), len(suffixes), "block")
-    table = evaluation_table(wfa, prefix_length + suffix_length)
-    entries = table[prefixes.concatenation_indices(suffixes)]
-    return HankelBlock(prefixes, suffixes, entries)
+    _block_rows(wfa.alphabet_size, length, None, "block")
+    words = WordIndex(wfa.alphabet_size, length)
+    return HankelBlock(words, evaluation_table(wfa, 2 * length)[words.concatenation_indices()])
 
 
 def _svd(matrix: np.ndarray, compute_uv: bool):
@@ -143,19 +138,23 @@ def _factored_svd(factors: np.ndarray):
     return q[0] @ u, s, q[1] @ vt.T
 
 
+def _factor_rows(wfa: Wfa, length: int, columns: int) -> int:
+    """:func:`_block_rows` of N x ``columns`` state factors, for length >= 1."""
+    if length < 1:
+        raise ValueError("spectral recovery needs prefixes of length >= 1")
+    return _block_rows(wfa.alphabet_size, length, columns, "state factor")
+
+
 def _factored_recover(wfa: Wfa, k: int, length: int):
     """:func:`spectral_recover`, returning (recovered, factors, s): the k-state
     automaton, the block's stacked state factors [P, S] (:func:`_state_factors`)
     and its singular values."""
-    if length < 1:
-        raise ValueError("spectral recovery needs prefixes of length >= 1")
     d = wfa.alphabet_size
-    size = len(WordIndex(d, length))
+    size = _factor_rows(wfa, length, wfa.num_states)
     if k < 0:
         raise ValueError(f"k must lie in [0, {size}] for the {size} x {size} block, got {k}")
     if k > size:
         raise ValueError(f"k={k} exceeds block dimensions ({size}, {size})")
-    _check_block_size(size, wfa.num_states, "state factor")
     factors = _state_factors(wfa, length)
     u, s, v = _factored_svd(factors)
     if k == 0:
@@ -198,13 +197,12 @@ def _svd_baseline(wfa: Wfa, length: int, k: int):
     reversed-word row order of both S permutes its columns only.  The entry
     guard counts the N x (n + k) factors, which is all that is built.
     """
-    words = WordIndex(wfa.alphabet_size, length)
-    _check_block_size(len(words), wfa.num_states + k, "state factor")
+    size = _factor_rows(wfa, length, wfa.num_states + k)
     recovered, factors, singular = _factored_recover(wfa, k, length)
     recovered_factors = _state_factors(recovered, length)
     np.negative(recovered_factors[1], out=recovered_factors[1])
     _, difference, _ = _factored_svd(np.concatenate([factors, recovered_factors], axis=2))
-    return recovered, singular, float(difference[0]), len(words)
+    return recovered, singular, float(difference[0]), size
 
 
 def _orthonormal_span(start: np.ndarray, matrices, tol: float) -> np.ndarray:

@@ -29,25 +29,27 @@ import numpy as np
 Word = tuple[int, ...]
 
 
-class WordIndex:
-    """Bijection between words of length <= max_length and ``range(size)``.
+def _word_count(alphabet_size: int, max_length: int) -> int:
+    """Number of words of length <= max_length, in closed form: L + 1 over one
+    letter, ``(d**(L+1) - 1) // (d - 1)`` over d > 1."""
+    if alphabet_size < 1:
+        raise ValueError(f"alphabet_size must be >= 1, got {alphabet_size}")
+    if max_length < 0:
+        raise ValueError(f"max_length must be >= 0, got {max_length}")
+    if alphabet_size == 1:
+        return max_length + 1
+    return (alphabet_size ** (max_length + 1) - 1) // (alphabet_size - 1)
 
-    For alphabet size d > 1 the total size is ``(d**(L+1) - 1) // (d - 1)``;
-    for d = 1 it is ``L + 1``.
-    """
+
+class WordIndex:
+    """Bijection between words of length <= max_length and ``range(size)``."""
 
     def __init__(self, alphabet_size: int, max_length: int):
-        if alphabet_size < 1:
-            raise ValueError(f"alphabet_size must be >= 1, got {alphabet_size}")
-        if max_length < 0:
-            raise ValueError(f"max_length must be >= 0, got {max_length}")
+        _word_count(alphabet_size, max_length)  # checks both
         self.alphabet_size = int(alphabet_size)
         self.max_length = int(max_length)
         # offsets[k] = index of the first word of length k; offsets[L+1] = size
-        offsets = [0]
-        for k in range(max_length + 1):
-            offsets.append(offsets[-1] + alphabet_size**k)
-        self._offsets = offsets
+        self._offsets = [0, *(_word_count(alphabet_size, k) for k in range(max_length + 1))]
         self._lengths: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -119,14 +121,12 @@ class WordIndex:
         the words whose one-letter extensions stay in the index."""
         return self._offsets[-2]
 
-    def concatenation_indices(self, other: "WordIndex") -> np.ndarray:
-        """Index matrix C with C[i, j] = index_of(word_i + word_j), the left
-        factors from ``self`` and the right ones from ``other``."""
-        d = self.alphabet_size
-        if other.alphabet_size != d:
-            raise ValueError("alphabet sizes must match")
-        out = np.multiply.outer(np.arange(len(self), dtype=np.int64), d**other.lengths)
-        out += np.arange(len(other), dtype=np.int64)
+    def concatenation_indices(self) -> np.ndarray:
+        """Index matrix C with C[i, j] = index_of(word_i + word_j), an index
+        into the words up to twice ``max_length``."""
+        words = np.arange(len(self), dtype=np.int64)
+        out = np.multiply.outer(words, self.alphabet_size**self.lengths)
+        out += words
         return out
 
     def prepend_indices(self, symbol: int) -> np.ndarray:

@@ -97,9 +97,10 @@ def check_hankel_property(block: HankelBlock, tol: float) -> tuple[bool, tuple |
     word: its first pair of cells, by prefix length, whose entries differ
     by more than ``tol`` or are NaN ((p, s, p, s) if it has only one cell).
     """
-    combined = WordIndex(block.alphabet_size, block.prefixes.max_length + block.suffixes.max_length)
-    words = block.prefixes.concatenation_indices(block.suffixes)
-    # every word up to the combined length has at least one cell
+    index = block.words
+    combined = WordIndex(index.alphabet_size, 2 * index.max_length)
+    words = index.concatenation_indices()
+    # every word up to twice the length has at least one cell
     low = np.full(len(combined), np.inf)
     high = np.full(len(combined), -np.inf)
     with np.errstate(invalid="ignore"):
@@ -110,7 +111,7 @@ def check_hankel_property(block: HankelBlock, tol: float) -> tuple[bool, tuple |
         return True, None
     rows, cols = np.nonzero(words == bad_words[0])  # one cell per prefix length
     values = block.entries[rows, cols].tolist()
-    cells = [(block.prefixes.word_at(r), block.suffixes.word_at(c))
+    cells = [(index.word_at(r), index.word_at(c))
              for r, c in zip(rows.tolist(), cols.tolist())]
     for a in range(len(cells)):
         for b in range(a + 1, len(cells)):

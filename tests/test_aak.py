@@ -277,14 +277,14 @@ class TestHankelSingularValues:
 
     def test_matches_large_truncation_svd(self, two_state_wfa):
         sigmas = hankel_singular_values(two_state_wfa)
-        block = build_hankel(two_state_wfa, 63, 63)
+        block = build_hankel(two_state_wfa, 63)
         truncated = np.linalg.svd(block.entries, compute_uv=False)[:2]
         np.testing.assert_allclose(truncated, sigmas, atol=1e-8)
 
     def test_truncations_increase_to_operator_norm(self, two_state_wfa):
         sigmas = hankel_singular_values(two_state_wfa)
         norms = [
-            np.linalg.norm(build_hankel(two_state_wfa, n - 1, n - 1).entries, 2)
+            np.linalg.norm(build_hankel(two_state_wfa, n - 1).entries, 2)
             for n in (8, 16, 32, 64)
         ]
         assert all(norms[i] <= norms[i + 1] + 1e-12 for i in range(len(norms) - 1))
@@ -302,7 +302,7 @@ class TestSchmidtPair:
         for k in (0, 1):
             pair = schmidt_pair(two_state_wfa, k)
             n = 220
-            block = build_hankel(two_state_wfa, n - 1, n - 1).entries
+            block = build_hankel(two_state_wfa, n - 1).entries
             v = v_coefficients(pair, n)
             w = w_coefficients(pair, n)
             assert np.abs(block @ v - pair.sigma * w).max() < 1e-10
@@ -339,12 +339,12 @@ class TestAakApproximate:
     def test_two_state_drop_to_one(self, two_state_wfa):
         sigmas = hankel_singular_values(two_state_wfa)
         result = aak_approximate(two_state_wfa, 1)
-        h64 = build_hankel(two_state_wfa, 63, 63).entries
-        g64 = result.hankel_block(63, 63).entries
+        h64 = build_hankel(two_state_wfa, 63).entries
+        g64 = result.hankel_block(63).entries
         achieved = np.linalg.norm(h64 - g64, 2)
         assert abs(achieved - sigmas[1]) <= 1e-6 * sigmas[0]
         assert result.wfa.num_states == 1
-        ok, _ = check_hankel_property(result.hankel_block(63, 63), tol=0.0)
+        ok, _ = check_hankel_property(result.hankel_block(63), tol=0.0)
         assert ok
 
     def test_blocks_exactly_hankel_and_rank_k(self):
@@ -352,7 +352,7 @@ class TestAakApproximate:
         sigmas = hankel_singular_values(wfa)
         for k in range(4):
             result = aak_approximate(wfa, k)
-            block = result.hankel_block(63, 63)
+            block = result.hankel_block(63)
             ok, witness = check_hankel_property(block, tol=0.0)
             assert ok, witness
             s = np.linalg.svd(block.entries, compute_uv=False)
@@ -373,8 +373,8 @@ class TestAakApproximate:
 
     def test_spectral_norm_bounded_by_symbol_sup_norm(self, two_state_wfa):
         result = aak_approximate(two_state_wfa, 1)
-        h = build_hankel(two_state_wfa, 63, 63).entries
-        g = result.hankel_block(63, 63).entries
+        h = build_hankel(two_state_wfa, 63).entries
+        g = result.hankel_block(63).entries
         sup = error_circle_samples(result, 4096).max()
         assert np.linalg.norm(h - g, 2) <= sup + 1e-8
 
@@ -421,18 +421,18 @@ class TestAakApproximate:
         result = aak_approximate(wfa, 1)
         sigmas = result.singular_values
         assert result.wfa.num_states == 1
-        h200 = build_hankel(wfa, 199, 199).entries
-        g200 = build_hankel(result.wfa, 199, 199).entries
+        h200 = build_hankel(wfa, 199).entries
+        g200 = build_hankel(result.wfa, 199).entries
         assert abs(np.linalg.norm(h200 - g200, 2) - sigmas[1]) <= 1e-12 * sigmas[0]
-        h = build_hankel(wfa, 63, 63).entries
-        g = build_hankel(result.wfa, 63, 63).entries
+        h = build_hankel(wfa, 63).entries
+        g = build_hankel(result.wfa, 63).entries
         assert abs(np.linalg.norm(h - g, 2) - sigmas[1]) <= 1e-12 * sigmas[0]
 
     def test_eckart_young_never_beaten(self, two_state_wfa):
         result = aak_approximate(two_state_wfa, 1)
-        h = build_hankel(two_state_wfa, 63, 63).entries
+        h = build_hankel(two_state_wfa, 63).entries
         sigma_k_trunc = np.linalg.svd(h, compute_uv=False)[1]
-        achieved = np.linalg.norm(h - result.hankel_block(63, 63).entries, 2)
+        achieved = np.linalg.norm(h - result.hankel_block(63).entries, 2)
         rng = np.random.default_rng(5)
         for _ in range(100):
             candidate = rng.normal(size=(64, 1)) @ rng.normal(size=(1, 64))
@@ -441,7 +441,7 @@ class TestAakApproximate:
 
     def test_entrywise_duality_with_hankel_block(self, two_state_wfa):
         coeffs = evaluation_table(two_state_wfa, 12)
-        block = build_hankel(two_state_wfa, 6, 6).entries
+        block = build_hankel(two_state_wfa, 6).entries
         for i in range(7):
             for j in range(7):
                 assert block[i, j] == coeffs[i + j]
@@ -541,21 +541,21 @@ class TestAakApproximate:
         for seed, n in ((21, 3), (22, 4), (23, 5)):
             wfa = random_stable_wfa(1, n, seed=seed, radius_bound=0.8)
             sigmas = hankel_singular_values(wfa)
-            h = build_hankel(wfa, 63, 63).entries
+            h = build_hankel(wfa, 63).entries
             for k in range(n):
                 result = aak_approximate(wfa, k)
-                g = result.hankel_block(63, 63).entries
+                g = result.hankel_block(63).entries
                 assert abs(np.linalg.norm(h - g, 2) - sigmas[k]) <= 1e-6 * sigmas[0]
 
     def test_small_gramian_gap_certified(self):
         # minimal, with sigma_6 / sigma_0 = 3.4e-8: a Gramian eigenvalue
         # cutoff at 1e-7 refused it as not minimal
         wfa = load_document(FIXTURES / "small-gramian-gap.wfa").wfa
-        h = build_hankel(wfa, 199, 199).entries
+        h = build_hankel(wfa, 199).entries
         for k in range(wfa.num_states):
             result = aak_approximate(wfa, k)
             sigmas = result.singular_values
-            g = build_hankel(result.wfa, 199, 199).entries
+            g = build_hankel(result.wfa, 199).entries
             assert abs(np.linalg.norm(h - g, 2) - sigmas[k]) <= 1e-6 * sigmas[0]
 
     @given(
@@ -570,8 +570,8 @@ class TestAakApproximate:
         result = aak_approximate(wfa, k)
         sigmas = result.singular_values
         assert abs(result.attained - sigmas[k]) <= 1e-6 * sigmas[0]
-        h = build_hankel(wfa, 199, 199).entries
-        g = build_hankel(result.wfa, 199, 199).entries
+        h = build_hankel(wfa, 199).entries
+        g = build_hankel(result.wfa, 199).entries
         assert abs(np.linalg.norm(h - g, 2) - result.attained) <= 1e-6 * sigmas[0]
 
     def test_schmidt_denominator_zero_on_circle_rejected(self):
@@ -690,8 +690,8 @@ class TestHankelNorm:
         assert hankel_norm(geometric_wfa, geometric_wfa) <= 1e-15
 
     def test_matches_truncated_block(self, two_state_wfa, geometric_wfa):
-        h = build_hankel(two_state_wfa, 127, 127).entries
-        g = build_hankel(geometric_wfa, 127, 127).entries
+        h = build_hankel(two_state_wfa, 127).entries
+        g = build_hankel(geometric_wfa, 127).entries
         assert hankel_norm(two_state_wfa, geometric_wfa) == pytest.approx(
             np.linalg.norm(h - g, 2), rel=1e-12
         )

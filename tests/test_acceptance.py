@@ -59,7 +59,7 @@ def aak_cases():
         n = 2 + i % 4
         wfa = random_stable_wfa(1, n, seed=8100 + i, radius_bound=0.8)
         sigmas = hankel_singular_values(wfa)
-        h64 = build_hankel(wfa, 63, 63).entries
+        h64 = build_hankel(wfa, 63).entries
         results = {k: aak_approximate(wfa, k) for k in range(n)}
         cases.append((wfa, sigmas, h64, results))
     return cases, time.perf_counter() - start
@@ -70,7 +70,7 @@ def test_criterion_1_fliess_rank(rank_fixture_wfas):
     start = time.perf_counter()
     failures = []
     for d, n, wfa in rank_fixture_wfas:
-        rank = hankel_rank(build_hankel(wfa, n, n))
+        rank = hankel_rank(build_hankel(wfa, n))
         if rank != n:
             failures.append((d, n, rank))
     elapsed = time.perf_counter() - start
@@ -108,7 +108,7 @@ def test_criterion_3_aak_optimality(aak_cases):
     worst_norm_dev = 0.0
     for wfa, sigmas, h64, results in cases:
         for k, result in results.items():
-            block = result.hankel_block(63, 63)
+            block = result.hankel_block(63)
             ok, _ = check_hankel_property(block, tol=0.0)
             hankel_ok = hankel_ok and ok
             singular = np.linalg.svd(block.entries, compute_uv=False)
@@ -134,7 +134,7 @@ def test_criterion_4_optimality_certificate(aak_cases):
     for wfa, sigmas, h64, results in cases:
         block_sigmas = np.linalg.svd(h64, compute_uv=False)
         for k, result in results.items():
-            achieved = np.linalg.norm(h64 - result.hankel_block(63, 63).entries, 2)
+            achieved = np.linalg.norm(h64 - result.hankel_block(63).entries, 2)
             lower = block_sigmas[k]
             for _ in range(100):
                 if k == 0:
@@ -147,8 +147,8 @@ def test_criterion_4_optimality_certificate(aak_cases):
                 never_beaten = False
             norms = [
                 np.linalg.norm(
-                    build_hankel(wfa, size - 1, size - 1).entries
-                    - result.hankel_block(size - 1, size - 1).entries,
+                    build_hankel(wfa, size - 1).entries
+                    - result.hankel_block(size - 1).entries,
                     2,
                 )
                 for size in (16, 32, 64)
@@ -173,7 +173,7 @@ def test_criterion_5_nc_hankel_equation(nilpotent_wfa):
         rep = verify_hankel_equation(wfa, 5)
         worst = max(worst, rep.max_discrepancy)
     basis = WordIndex(2, 4)
-    h = build_hankel(nilpotent_wfa, 4, 4).entries
+    h = build_hankel(nilpotent_wfa, 4).entries
     cut = basis.first_index_of_length(4)
     lhs = h[:cut, basis.index_of((0, 1, 0))]
     rhs = h[[basis.index_of(w + (0,)) for w in WordIndex(2, 3).words()], basis.index_of((1, 0))]
@@ -250,7 +250,7 @@ def test_criterion_9_flipped_symbol(nilpotent_wfa, two_state_wfa, geometric_wfa)
         # the multiplier's column at the empty word is the flipped symbol
         multiplier_column = flipped_multiplier_matrix(wfa, basis)[:, 0]
         series = flip(basis, multiplier_column)
-        column = build_hankel(wfa, degree, 0).entries[:, 0]
+        column = build_hankel(wfa, degree).entries[:, 0]
         column_exact = column_exact and np.array_equal(series, column)
         if wfa.alphabet_size == 1:
             # one letter: the flip is the identity, and the symbol's negative

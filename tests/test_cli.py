@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +17,7 @@ from wfamin.io import WfaDocument, load_document, save_document
 from wfamin.wfa import random_stable_wfa
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -120,8 +125,8 @@ class TestApproximate:
         )
         original = load_document(FIXTURES / "e2.wfa").wfa
         reloaded = load_document(out_file).wfa
-        h = build_hankel(original, 63, 63).entries
-        g = build_hankel(reloaded, 63, 63).entries
+        h = build_hankel(original, 63).entries
+        g = build_hankel(reloaded, 63).entries
         assert abs(np.linalg.norm(h - g, 2) - reported) <= 1e-12
 
     def test_aak_reports_the_certificate_block(self, capsys, tmp_path):
@@ -155,8 +160,8 @@ class TestApproximate:
         written = load_document(out_file).wfa
         assert written.num_states == 3
         sigmas = hankel_singular_values(original)
-        h = build_hankel(original, 199, 199).entries
-        g = build_hankel(written, 199, 199).entries
+        h = build_hankel(original, 199).entries
+        g = build_hankel(written, 199).entries
         assert abs(np.linalg.norm(h - g, 2) - sigmas[3]) <= 1e-6 * sigmas[0]
 
     def test_non_minimal_input_exits_2(self, capsys, tmp_path):
@@ -244,7 +249,7 @@ class TestApproximate:
             "--mode", "svd", "--length", "5", "--no-timestamp", "-o", str(out_file),
         )
         assert code == 0
-        block = build_hankel(load_document(FIXTURES / "nilpotent.wfa").wfa, 5, 5)
+        block = build_hankel(load_document(FIXTURES / "nilpotent.wfa").wfa, 5)
         sigma_1 = np.linalg.svd(block.entries, compute_uv=False)[1]
         reported = float(
             next(line for line in out.splitlines() if line.startswith("truncated-block"))
@@ -561,6 +566,94 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "free-group")
         assert code == 0
         assert out.startswith("# generated: ")
+
+    def test_file_is_parsed_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return load_document(path)
+
+        monkeypatch.setattr("wfamin.cli.load_document", counting)
+        code, out, _ = run(
+            capsys, "verify", str(FIXTURES / "nilpotent.wfa"), "--suite", "all",
+            "--trials", "5", "--no-timestamp",
+        )
+        assert code == 0
+        assert out.count(f"file {FIXTURES / 'nilpotent.wfa'}") == 2  # hankel-eq, nc-rational
+        assert calls == [str(FIXTURES / "nilpotent.wfa")]
+
+    @pytest.mark.parametrize("suite", ["shifts", "free-group", "all"])
+    def test_bad_file_exits_2_before_any_suite_prints(self, capsys, tmp_path, suite):
+        path = tmp_path / "bad.wfa"
+        path.write_text("alphabet: a\nstates: 1\n")
+        for argv in ([str(path)], [str(tmp_path / "missing.wfa")]):
+            code, out, err = run(capsys, "verify", *argv, "--suite", suite)
+            assert code == 2
+            assert out == ""  # not even the timestamp line
+            assert re.fullmatch(r"error: [^\n]*\n", err)
+
+
+class TestOversizedWordSets:
+    """A word set past the entry bound is refused from its closed-form count,
+    before any index is built: one error line, exit 2, at once."""
+
+    @pytest.mark.parametrize("argv", [
+        ["approximate", str(FIXTURES / "nilpotent.wfa"), "1", "--mode", "svd", "--length", "63"],
+        ["approximate", str(FIXTURES / "nilpotent.wfa"), "1", "--mode", "svd",
+         "--length", "40000"],
+        ["verify", "--suite", "hankel-eq", "--degree", "63"],
+        ["verify", "--suite", "shifts", "--degree", "63"],
+    ], ids=["svd-length-63", "svd-length-40000", "hankel-eq-degree-63", "shifts-degree-63"])
+    def test_refused_with_one_error_line(self, capsys, tmp_path, argv):
+        if argv[0] == "approximate":
+            argv = [*argv, "-o", str(tmp_path / "out.wfa")]
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--no-timestamp")
+        assert time.perf_counter() - start < 2.0
+        assert code == 2
+        assert out == ""
+        assert re.fullmatch(r"error: refusing to build [^\n]*\n", err)
+        assert not (tmp_path / "out.wfa").exists()
+
+    def test_svd_length_below_one_has_one_message(self, capsys, tmp_path):
+        errors = set()
+        for length in ("0", "-1"):
+            code, out, err = run(
+                capsys, "approximate", str(FIXTURES / "nilpotent.wfa"), "1", "--mode", "svd",
+                "--length", length, "--no-timestamp", "-o", str(tmp_path / "out.wfa"),
+            )
+            assert code == 2 and out == ""
+            errors.add(err)
+        assert errors == {"error: spectral recovery needs prefixes of length >= 1\n"}
+
+
+class TestReproducibility:
+    def test_promise_names_its_conditions(self, capsys):
+        for command in ("approximate", "verify"):
+            code, out, _ = run(capsys, command, "--help")
+            assert code == 0
+            text = " ".join(out.split()).replace("byte- ", "byte-")  # argparse wraps at hyphens
+            assert "byte-reproducible for the same input" in text
+            assert "numpy/BLAS build and BLAS thread count" in text
+
+    def test_no_timestamp_runs_are_byte_identical(self, tmp_path):
+        # one BLAS thread: another thread count may change the last bits
+        doc = tmp_path / "n120.wfa"
+        save_document(WfaDocument(labels=("a",), wfa=random_stable_wfa(1, 120, 3, 0.9)), doc)
+        out = tmp_path / "out.wfa"
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+        runs = []
+        for _ in range(2):
+            result = subprocess.run(
+                [sys.executable, "-m", "wfamin.cli", "approximate", str(doc), "1",
+                 "--no-timestamp", "-o", str(out)],
+                env=env, capture_output=True, timeout=120, check=False,
+            )
+            assert result.returncode == 0, result.stderr
+            runs.append((result.stdout, out.read_bytes()))
+            out.unlink()
+        assert runs[0] == runs[1]
 
 
 class TestUsage:

@@ -229,24 +229,24 @@ class TestIndexMaps:
 
 
 class TestNcHankelMatrix:
-    """The Hankel matrix over Fock bases is ``build_hankel(...).entries``."""
+    """The degree-L Hankel matrix over the Fock basis is ``build_hankel(wfa, L).entries``."""
 
     def test_matches_hankel_block_exactly(self):
         # entry (row w, col u) is the word table's value at w u
         wfa = random_stable_wfa(2, 3, seed=6, radius_bound=0.9)
-        matrix = build_hankel(wfa, 3, 2).entries
-        table = evaluation_table(wfa, 5)
-        index = WordIndex(2, 5)
+        matrix = build_hankel(wfa, 3).entries
+        table = evaluation_table(wfa, 6)
+        index = WordIndex(2, 6)
         for i, p in enumerate(WordIndex(2, 3).words()):
-            for j, s in enumerate(WordIndex(2, 2).words()):
+            for j, s in enumerate(WordIndex(2, 3).words()):
                 assert matrix[i, j] == table[index.index_of(p + s)]
 
     def test_zero_automaton(self):
         wfa = Wfa([1.0], [np.zeros((1, 1)), np.zeros((1, 1))], [0.0])
-        np.testing.assert_array_equal(build_hankel(wfa, 2, 2).entries, np.zeros((7, 7)))
+        np.testing.assert_array_equal(build_hankel(wfa, 2).entries, np.zeros((7, 7)))
 
     def test_nilpotent_integer_exact(self, nilpotent_wfa):
-        matrix = build_hankel(nilpotent_wfa, 2, 2).entries
+        matrix = build_hankel(nilpotent_wfa, 2).entries
         for i, p in enumerate(WordIndex(2, 2).words()):
             for j, s in enumerate(WordIndex(2, 2).words()):
                 assert matrix[i, j] == float(nilpotent_wfa.evaluate(p + s))
@@ -254,7 +254,7 @@ class TestNcHankelMatrix:
     def test_rank_agrees_with_fliess_rank(self):
         for seed in (0, 1, 2):
             wfa = random_stable_wfa(2, 3, seed=seed, radius_bound=0.9)
-            block = build_hankel(wfa, 3, 3)
+            block = build_hankel(wfa, 3)
             s = np.linalg.svd(block.entries, compute_uv=False)
             rank = int(np.count_nonzero(s > 1e-9 * s[0]))
             assert rank == hankel_rank(block)
@@ -283,7 +283,7 @@ class TestHankelEquation:
         # H S_a e_{ba} and R*_a H e_{ba} both list f(., aba) over the rows
         degree = 4
         basis = WordIndex(2, degree)
-        h = build_hankel(nilpotent_wfa, degree, degree).entries
+        h = build_hankel(nilpotent_wfa, degree).entries
         cut = basis.first_index_of_length(degree)
         col_shift = h[:cut, basis.index_of((0, 1, 0))]
         rows_appended = [basis.index_of(w + (0,)) for w in WordIndex(2, degree - 1).words()]
@@ -524,7 +524,7 @@ class TestFlippedSymbol:
         for seed in (0, 1):
             wfa = random_stable_wfa(2, 3, seed=seed, radius_bound=0.9)
             series = evaluation_table(wfa, 4)
-            column = build_hankel(wfa, 4, 0).entries[:, 0]
+            column = build_hankel(wfa, 4).entries[:, 0]
             np.testing.assert_array_equal(series, column)
 
     def test_nilpotent_pattern(self, nilpotent_wfa):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from wfamin import hankel
 from wfamin.errors import RankDeficiencyError
+from wfamin.fock import verify_shift_inequalities
 from wfamin.hankel import (
     DEFAULT_RANK_TOL,
     HankelBlock,
@@ -25,54 +26,76 @@ from reference import check_hankel_property, svd_truncate
 def one_letter_block(first_column_generator, size):
     index = WordIndex(1, size - 1)
     entries = np.array([[first_column_generator(i + j) for j in range(size)] for i in range(size)])
-    return HankelBlock(index, index, entries)
+    return HankelBlock(index, entries)
 
 
 class TestBuildHankel:
     def test_geometric_block(self, geometric_wfa):
-        block = build_hankel(geometric_wfa, 2, 2)
+        block = build_hankel(geometric_wfa, 2)
         expected = [[1, 0.5, 0.25], [0.5, 0.25, 0.125], [0.25, 0.125, 0.0625]]
         np.testing.assert_allclose(block.entries, expected, rtol=1e-15)
 
     def test_zero_automaton(self):
         wfa = Wfa([1.0, 2.0], [np.eye(2) * 0.4], [0.0, 0.0])
-        block = build_hankel(wfa, 3, 3)
+        block = build_hankel(wfa, 3)
         np.testing.assert_array_equal(block.entries, np.zeros((4, 4)))
 
     def test_entries_match_evaluate(self, nilpotent_wfa):
-        block = build_hankel(nilpotent_wfa, 2, 2)
-        for i, p in enumerate(block.prefixes.words()):
-            for j, s in enumerate(block.suffixes.words()):
+        block = build_hankel(nilpotent_wfa, 2)
+        for i, p in enumerate(block.words.words()):
+            for j, s in enumerate(block.words.words()):
                 assert block.entries[i, j] == nilpotent_wfa.evaluate(p + s)
 
     def test_first_column_graded_lex_layout(self, nilpotent_wfa):
         # first column walks f over epsilon, a, b, aa, ab, ba, ... in order
-        block = build_hankel(nilpotent_wfa, 2, 0)
+        block = build_hankel(nilpotent_wfa, 2)
         table = evaluation_table(nilpotent_wfa, 2)
         np.testing.assert_array_equal(block.entries[:, 0], table)
 
     def test_size_guard(self, nilpotent_wfa):
         with pytest.raises(ValueError, match="refusing"):
-            build_hankel(nilpotent_wfa, 12, 12)
+            build_hankel(nilpotent_wfa, 12)
+
+    @pytest.mark.parametrize("length", [24, 62, 63, 40000])
+    def test_oversized_word_sets_refused_before_any_index(self, nilpotent_wfa, monkeypatch,
+                                                          length):
+        # past 2**63 - 1 words, len(WordIndex) itself would overflow
+        def unreachable(*args):
+            raise AssertionError("WordIndex built past the guard")
+
+        monkeypatch.setattr("wfamin.hankel.WordIndex", unreachable)
+        monkeypatch.setattr("wfamin.fock.WordIndex", unreachable)
+        for call in (
+            lambda: build_hankel(nilpotent_wfa, length),
+            lambda: spectral_recover(nilpotent_wfa, 1, length),
+            lambda: _svd_baseline(nilpotent_wfa, length, 1),
+            lambda: verify_shift_inequalities(2, length, 1),
+        ):
+            with pytest.raises(ValueError, match=rf"^refusing to build .* length {length} "):
+                call()
+
+    def test_one_letter_guard_keeps_the_exact_count(self, geometric_wfa):
+        with pytest.raises(ValueError, match=r"^refusing to build a 40001 x 40001 block "):
+            build_hankel(geometric_wfa, 40000)
 
 
 class TestHankelRank:
     @pytest.mark.parametrize("d,n,seed", [(1, 3, 0), (2, 3, 1), (3, 4, 2), (2, 5, 3)])
     def test_minimal_wfa_has_rank_n(self, d, n, seed):
         wfa = random_stable_wfa(d, n, seed=seed, radius_bound=0.8)
-        assert hankel_rank(build_hankel(wfa, n, n)) == n
+        assert hankel_rank(build_hankel(wfa, n)) == n
 
     def test_zero_block(self):
         block = one_letter_block(lambda k: 0.0, 4)
         assert hankel_rank(block) == 0
 
     def test_rank_one_block(self):
-        block = HankelBlock(WordIndex(1, 1), WordIndex(1, 1), [[1.0, 0.5], [0.5, 0.25]])
+        block = HankelBlock(WordIndex(1, 1), [[1.0, 0.5], [0.5, 0.25]])
         assert hankel_rank(block) == 1
 
     def test_tol_is_not_a_parameter(self, geometric_wfa):
         # every rank decision uses the one cutoff DEFAULT_RANK_TOL
-        block = build_hankel(geometric_wfa, 1, 1)
+        block = build_hankel(geometric_wfa, 1)
         for tol in (0.0, 1e-9):
             with pytest.raises(TypeError):
                 hankel_rank(block, tol=tol)
@@ -80,25 +103,25 @@ class TestHankelRank:
 
 class TestSvdTruncate:
     def test_full_rank_reproduces(self, two_state_wfa):
-        block = build_hankel(two_state_wfa, 4, 4)
+        block = build_hankel(two_state_wfa, 4)
         approx, error = svd_truncate(block, hankel_rank(block))
         assert error == 0.0 or error < 1e-12
         np.testing.assert_allclose(approx, block.entries, atol=1e-12)
 
     def test_k_zero_gives_zero_matrix_and_norm(self, two_state_wfa):
-        block = build_hankel(two_state_wfa, 3, 3)
+        block = build_hankel(two_state_wfa, 3)
         approx, error = svd_truncate(block, 0)
         np.testing.assert_array_equal(approx, np.zeros(block.shape))
         assert error == pytest.approx(np.linalg.norm(block.entries, 2))
 
     def test_rank_one_exact(self):
-        block = HankelBlock(WordIndex(1, 1), WordIndex(1, 1), [[1.0, 0.5], [0.5, 0.25]])
+        block = HankelBlock(WordIndex(1, 1), [[1.0, 0.5], [0.5, 0.25]])
         approx, error = svd_truncate(block, 1)
         assert error < 1e-15
         np.testing.assert_allclose(approx, block.entries, atol=1e-15)
 
     def test_attains_eckart_young_bound(self, two_state_wfa):
-        block = build_hankel(two_state_wfa, 5, 5)
+        block = build_hankel(two_state_wfa, 5)
         s = np.linalg.svd(block.entries, compute_uv=False)
         for k in (0, 1, 2):
             approx, error = svd_truncate(block, k)
@@ -108,7 +131,7 @@ class TestSvdTruncate:
                 assert error == pytest.approx(s[k], abs=1e-14)
 
     def test_random_rank_k_never_beats_sigma_k(self, two_state_wfa):
-        block = build_hankel(two_state_wfa, 5, 5)
+        block = build_hankel(two_state_wfa, 5)
         s = np.linalg.svd(block.entries, compute_uv=False)
         rng = np.random.default_rng(0)
         rows, cols = block.shape
@@ -118,41 +141,41 @@ class TestSvdTruncate:
                 assert np.linalg.norm(block.entries - candidate, 2) >= s[k] - 1e-10
 
     def test_k_out_of_range(self, geometric_wfa):
-        block = build_hankel(geometric_wfa, 1, 1)
+        block = build_hankel(geometric_wfa, 1)
         with pytest.raises(ValueError):
             svd_truncate(block, 3)
 
 
 class TestCheckHankelProperty:
     def test_built_blocks_pass_exactly(self, nilpotent_wfa, two_state_wfa):
-        for wfa, lengths in ((nilpotent_wfa, (2, 2)), (two_state_wfa, (4, 3))):
-            ok, witness = check_hankel_property(build_hankel(wfa, *lengths), tol=0.0)
+        for wfa, length in ((nilpotent_wfa, 2), (two_state_wfa, 4)):
+            ok, witness = check_hankel_property(build_hankel(wfa, length), tol=0.0)
             assert ok and witness is None
 
     def test_svd_truncation_generically_not_hankel(self, two_state_wfa):
-        block = build_hankel(two_state_wfa, 3, 3)
+        block = build_hankel(two_state_wfa, 3)
         approx, _ = svd_truncate(block, 1)
         ok, witness = check_hankel_property(
-            HankelBlock(block.prefixes, block.suffixes, approx), tol=1e-10
+            HankelBlock(block.words, approx), tol=1e-10
         )
         assert not ok
         p, s, p2, s2 = witness
         assert p + s == p2 + s2
 
     def test_perturbed_entry_detected(self, geometric_wfa):
-        block = build_hankel(geometric_wfa, 2, 2)
+        block = build_hankel(geometric_wfa, 2)
         tol = 1e-8
         entries = block.entries.copy()
         entries[0, 1] += 10 * tol
         ok, witness = check_hankel_property(
-            HankelBlock(block.prefixes, block.suffixes, entries), tol=tol
+            HankelBlock(block.words, entries), tol=tol
         )
         assert not ok
         p, s, p2, s2 = witness
         assert p + s == p2 + s2 == (0,)
 
     def test_nan_cell_is_a_violation(self, nilpotent_wfa):
-        block = build_hankel(nilpotent_wfa, 2, 2)
+        block = build_hankel(nilpotent_wfa, 2)
         a, b = (0,), (1,)
         # the word ab has the cells (eps, ab), (a, b), (ab, eps); abbb only (ab, bb)
         for (p, s), witness in (
@@ -161,19 +184,19 @@ class TestCheckHankelProperty:
             ((a + b, b + b), (a + b, b + b, a + b, b + b)),
         ):
             entries = block.entries.copy()
-            entries[block.prefixes.index_of(p), block.suffixes.index_of(s)] = np.nan
+            entries[block.words.index_of(p), block.words.index_of(s)] = np.nan
             for tol in (0.0, 1.0, np.inf):
                 assert check_hankel_property(
-                    HankelBlock(block.prefixes, block.suffixes, entries), tol=tol
+                    HankelBlock(block.words, entries), tol=tol
                 ) == (False, witness)
 
-    @given(d=st.integers(1, 3), lp=st.integers(0, 3), ls=st.integers(0, 3),
+    @given(d=st.integers(1, 3), length=st.integers(0, 3),
            seed=st.integers(0, 2**32 - 1), tol=st.sampled_from([0.0, 1e-10, 1e-7]),
            data=st.data())
     @settings(max_examples=100, deadline=None)
-    def test_matches_the_split_by_split_definition(self, d, lp, ls, seed, tol, data):
+    def test_matches_the_split_by_split_definition(self, d, length, seed, tol, data):
         wfa = random_stable_wfa(d, 3, seed=seed, radius_bound=0.9)
-        block = build_hankel(wfa, lp, ls)
+        block = build_hankel(wfa, length)
         entries = block.entries.copy()
         rng = np.random.default_rng(seed)
         for _ in range(data.draw(st.integers(0, 3))):
@@ -181,10 +204,10 @@ class TestCheckHankelProperty:
             entries[cell] += data.draw(st.sampled_from([1e-11, 1e-9, 1e-6, 1.0, np.nan]))
         # reference: the cells of each word, listed by prefix length
         cells = {}
-        for i, p in enumerate(block.prefixes.words()):
-            for j, s in enumerate(block.suffixes.words()):
+        for i, p in enumerate(block.words.words()):
+            for j, s in enumerate(block.words.words()):
                 cells.setdefault(p + s, []).append((p, s, entries[i, j]))
-        combined = WordIndex(d, lp + ls)
+        combined = WordIndex(d, 2 * length)
         expected = (True, None)
         for word in sorted(cells, key=combined.index_of):
             splits = cells[word]
@@ -195,7 +218,7 @@ class TestCheckHankelProperty:
                 (p, s, _), (p2, s2, _) = bad[0]
                 expected = (False, (p, s, p2, s2))
                 break
-        perturbed = HankelBlock(block.prefixes, block.suffixes, entries)
+        perturbed = HankelBlock(block.words, entries)
         assert check_hankel_property(perturbed, tol) == expected
 
 
@@ -259,7 +282,7 @@ class TestFliessBound:
         d, n = int(rng.integers(1, 4)), int(rng.integers(1, 5))
         wfa = random_stable_wfa(d, n, seed=seed + 100, radius_bound=0.8)
         for length in (1, 2, n):
-            assert hankel_rank(build_hankel(wfa, length, length)) <= n
+            assert hankel_rank(build_hankel(wfa, length)) <= n
 
     def test_is_minimal(self, two_state_wfa, geometric_wfa):
         assert is_minimal(two_state_wfa)
@@ -354,7 +377,7 @@ class TestStateFactors:
             np.testing.assert_allclose(suffix[i], state, rtol=1e-13, atol=1e-15)
         # so P S^T is the block with its columns permuted by word reversal
         reversal = [words.index_of(w[::-1]) for w in words.words()]
-        block = build_hankel(wfa, length, length).entries
+        block = build_hankel(wfa, length).entries
         product = prefix @ suffix.T
         np.testing.assert_allclose(product[:, reversal], block, rtol=1e-12, atol=1e-15)
 
@@ -372,7 +395,7 @@ class TestFactoredSvd:
         length = data.draw(st.integers(1, {1: 24, 2: 6, 3: 4}[d]))
         core = random_stable_wfa(d, n - extra, seed=seed, radius_bound=0.9)
         wfa = hidden_redundancy(core, extra, seed=seed, unreachable=unreachable)
-        block = build_hankel(wfa, length, length).entries
+        block = build_hankel(wfa, length).entries
         dense = np.linalg.svd(block, compute_uv=False)
         factored = _factored_svd(_state_factors(wfa, length))[1]
         scale = dense[0]
@@ -384,5 +407,5 @@ class TestFactoredSvd:
         recovered, singular, achieved, size = _svd_baseline(wfa, length, k)
         np.testing.assert_array_equal(singular, factored)
         assert size == block.shape[0]
-        approx = build_hankel(recovered, length, length).entries
+        approx = build_hankel(recovered, length).entries
         assert abs(achieved - np.linalg.norm(block - approx, 2)) <= 1e-12 * scale

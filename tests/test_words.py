@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wfamin.words import WordIndex
+from wfamin.words import WordIndex, _word_count
 
 
 def test_empty_word_has_index_zero():
@@ -51,18 +51,31 @@ def test_rejects_out_of_range():
         WordIndex(2, -1)
 
 
+@pytest.mark.parametrize("d, length", [(1, 0), (1, 7), (2, 0), (2, 9), (3, 5), (4, 3)])
+def test_word_count_is_the_index_size(d, length):
+    index = WordIndex(d, length)
+    assert _word_count(d, length) == len(index) == len(list(index.words()))
+
+
+def test_word_count_needs_no_index():
+    # the closed form of 12,000 digits, which no index of that size could hold
+    assert _word_count(2, 40000) == 2**40001 - 1
+    assert _word_count(1, 10**30) == 10**30 + 1
+    with pytest.raises(ValueError, match="max_length must be >= 0"):
+        _word_count(2, -1)
+    with pytest.raises(ValueError, match="alphabet_size must be >= 1"):
+        _word_count(0, 3)
+
+
 def test_concatenation_indices():
-    for d, left, right, extra in ((2, 2, 3, 0), (1, 4, 2, 0), (3, 2, 1, 2), (4, 1, 2, 1)):
-        prefixes = WordIndex(d, left)
-        suffixes = WordIndex(d, right)
-        combined = WordIndex(d, left + right + extra)
-        table = prefixes.concatenation_indices(suffixes)
+    for d, length, extra in ((2, 3, 0), (1, 4, 0), (3, 2, 2), (4, 2, 1)):
+        index = WordIndex(d, length)
+        combined = WordIndex(d, 2 * length + extra)
+        table = index.concatenation_indices()
         assert table.dtype == np.int64
-        for i, p in enumerate(prefixes.words()):
-            for j, s in enumerate(suffixes.words()):
+        for i, p in enumerate(index.words()):
+            for j, s in enumerate(index.words()):
                 assert table[i, j] == combined.index_of(p + s)
-    with pytest.raises(ValueError, match="alphabet sizes must match"):
-        WordIndex(2, 1).concatenation_indices(WordIndex(3, 1))
 
 
 @pytest.mark.parametrize("d, degrees", [(1, 6), (2, 5), (3, 4), (4, 3)])
@@ -78,11 +91,9 @@ def test_every_index_map_is_its_per_word_definition(d, degrees):
         for a in range(d):
             maps.append((index.prepend_indices(a), [index.index_of((a,) + w) for w in interior]))
             maps.append((index.append_indices(a), [index.index_of(w + (a,)) for w in interior]))
-        for other in range(3):
-            right = WordIndex(d, other)
-            combined = WordIndex(d, degree + other)
-            maps.append((index.concatenation_indices(right),
-                         [[combined.index_of(w + u) for u in right.words()] for w in words]))
+        combined = WordIndex(d, 2 * degree)
+        maps.append((index.concatenation_indices(),
+                     [[combined.index_of(w + u) for u in words] for w in words]))
         for computed, expected in maps:
             assert computed.dtype == np.int64
             assert computed.tolist() == expected
