@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, RankDeficiencyError, StabilityError
-from .hankel import HankelBlock, _factored_recover, build_hankel, is_minimal
+from .hankel import HankelBlock, build_hankel, is_minimal, spectral_recover
 from .wfa import Wfa, evaluation_table, spectral_radius
 
 #: Largest Gramian fixed-point residual accepted, relative to 1 + the
@@ -77,7 +77,7 @@ def _require_one_letter(wfa: Wfa) -> np.ndarray:
     return wfa.transitions[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramianPair:
     """Controllability and observability Gramians of a one-letter realization.
 
@@ -273,7 +273,7 @@ def hankel_norm(f: Wfa, g: Wfa) -> float:
     return float(np.linalg.norm(_root_product(pair)[1], 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtPair:
     """Schmidt functions of one Hankel singular triple, in closed form.
 
@@ -407,7 +407,7 @@ def _optimal_sequence(pair: SchmidtPair, order: int) -> Wfa:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AakApproximation:
     """Result of the optimal rank-k Hankel approximation of a one-letter WFA.
 
@@ -490,7 +490,7 @@ def aak_approximate(wfa: Wfa, k: int) -> AakApproximation:
     # the k-state realization of the sequence from its state factors, no
     # block (the one-state zero automaton at k = 0)
     try:
-        recovered = _factored_recover(sequence, k, max(k, 1))[0]
+        recovered = spectral_recover(sequence, k, max(k, 1))
     except RankDeficiencyError as exc:
         # the input is minimal, so a rank-deficient block means the
         # computed sequence lost its rank at working precision

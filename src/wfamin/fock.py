@@ -38,9 +38,9 @@ from itertools import chain
 import numpy as np
 
 from .errors import StabilityError, TruncationError
-from .hankel import _block_rows, build_hankel
+from .hankel import build_hankel
 from .wfa import Wfa, _prefix_levels, evaluation_table, spectral_radius
-from .words import WordIndex, _word_count
+from .words import WordIndex, _block_rows, _word_count
 
 #: Largest number of floats drawn at once by :func:`verify_shift_inequalities`
 #: (8 MiB), so its memory does not grow with the trial count.
@@ -195,7 +195,8 @@ def verify_shift_inequalities(alphabet_size: int, degree: int, trials: int,
     Both sides sum the same squares in different orders; summed exactly,
     they deviate only if a shift maps two words to one.  ``degree`` must be
     at least 1 (degree 0 has no interior), and one trial's 2 d vectors of N
-    words must fit the 10^7-entry bound of Hankel blocks (d = 2: degree <= 20).
+    words must fit ``words.MAX_BLOCK_ENTRIES`` (d = 2: degree <= 20) before
+    anything, the ``WordIndex`` included, is built.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -523,7 +524,8 @@ def flipped_multiplier_matrix(wfa: Wfa, basis: WordIndex) -> np.ndarray:
     the matrix of right multiplication by the column, e_w -> sum_u f(u) e_{w u}
     with the coefficients past the degree dropped; each row w u is written
     straight to its flipped position.  Like a Hankel block, the N x N result
-    is held to ``MAX_BLOCK_ENTRIES`` (N <= 3,162) before it is allocated.
+    is held to ``words.MAX_BLOCK_ENTRIES`` (N <= 3,162) before it is
+    allocated; a ``WordIndex`` refuses more words than that bound itself.
     """
     if basis.alphabet_size != wfa.alphabet_size:
         raise ValueError("basis and automaton alphabet sizes differ")
@@ -577,8 +579,8 @@ def verify_multiplier_intertwining(op: np.ndarray, basis: WordIndex) -> Multipli
         raise ValueError(f"operator has shape {op.shape}, expected square over the basis")
     if basis.max_length < 1:
         raise ValueError(f"basis degree must be >= 1, got {basis.max_length}")
-    d, offsets = basis.alphabet_size, basis.offsets
-    inner = basis.first_index_of_length(basis.max_length - 1)  # words x with x a interior
+    d, first = basis.alphabet_size, basis.first_index_of_length
+    inner = first(basis.max_length - 1)  # words x with x a interior
     # index_of(x + (a,)) = d * index_of(x) + 1 + a: row 1 + d x + a is x a
     tails = op[1 : 1 + d * inner].reshape(inner, d, len(basis))
     per_symbol = []
@@ -586,13 +588,13 @@ def verify_multiplier_intertwining(op: np.ndarray, basis: WordIndex) -> Multipli
         parts = []
         for length in range(basis.max_length):  # |c|
             size = d**length
-            start = offsets[length + 1] + symbol * size
+            start = first(length + 1) + symbol * size
             columns = slice(start, start + size)  # the words i c
             rows = tails[:, :, columns]
             parts.append(np.abs(op[0, columns]).max())
             parts.append(np.abs(rows[:, :symbol]).max(initial=0.0))
             parts.append(np.abs(rows[:, symbol + 1 :]).max(initial=0.0))
-            plain = op[:inner, offsets[length] : offsets[length] + size]  # the words c
+            plain = op[:inner, first(length) : first(length) + size]  # the words c
             parts.append(np.abs(rows[:, symbol] - plain).max(initial=0.0))
         per_symbol.append(float(np.max(parts)))  # NaN propagates
     return MultiplierReport(

@@ -18,9 +18,9 @@ as one (2, N, n) stack: one stacked QR call and the SVD of an r x r core
 take that length and never build the block.  S holds the prefix states of
 the reversed automaton, so its rows follow the reversed words and P S^T is
 H with its columns permuted, which changes no singular value.
-``hankel_rank`` stays dense.  Every word set is sized in closed form and
-held to ``MAX_BLOCK_ENTRIES`` before its ``WordIndex`` is built.  That index
-alone holds the word order (see :mod:`wfamin.words`); :func:`build_hankel`
+``hankel_rank`` stays dense.  :mod:`wfamin.words` sizes every block and
+factor, holding it to ``words.MAX_BLOCK_ENTRIES`` before anything is built,
+and its ``WordIndex`` alone holds the word order: :func:`build_hankel`
 reads every cell from one table of word values through its concatenation map.
 """
 
@@ -32,16 +32,13 @@ import numpy as np
 
 from .errors import NumericalError, RankDeficiencyError
 from .wfa import Wfa, _prefix_levels, evaluation_table
-from .words import WordIndex, _word_count
-
-#: Refuse to materialize blocks with more entries than this.
-MAX_BLOCK_ENTRIES = 10_000_000
+from .words import WordIndex, _block_rows
 
 #: Relative singular-value cutoff of every numerical rank decision.
 DEFAULT_RANK_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HankelBlock:
     """A square Hankel block: rows and columns both indexed by ``words``."""
 
@@ -59,21 +56,6 @@ class HankelBlock:
     @property
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
-
-
-def _block_rows(alphabet_size: int, length: int, columns: int | None, what: str) -> int:
-    """The number N of words up to ``length``, once an N x ``columns`` ``what``
-    (N x N for None) is held to ``MAX_BLOCK_ENTRIES``.  From its bit length on,
-    the d**length >= 2**length longest words alone exceed it: no count is formed."""
-    if alphabet_size > 1 and length >= MAX_BLOCK_ENTRIES.bit_length():
-        raise ValueError(f"refusing to build a {what} over the words up to length {length} "
-                         f"(more than {MAX_BLOCK_ENTRIES} entries)")
-    rows = _word_count(alphabet_size, length)
-    cols = rows if columns is None else columns
-    if rows * cols > MAX_BLOCK_ENTRIES:
-        raise ValueError(f"refusing to build a {rows} x {cols} {what} "
-                         f"({rows * cols} entries > {MAX_BLOCK_ENTRIES})")
-    return rows
 
 
 def build_hankel(wfa: Wfa, length: int) -> HankelBlock:
@@ -139,7 +121,7 @@ def _factored_svd(factors: np.ndarray):
 
 
 def _factor_rows(wfa: Wfa, length: int, columns: int) -> int:
-    """:func:`_block_rows` of N x ``columns`` state factors, for length >= 1."""
+    """:func:`~wfamin.words._block_rows` of N x ``columns`` state factors, for length >= 1."""
     if length < 1:
         raise ValueError("spectral recovery needs prefixes of length >= 1")
     return _block_rows(wfa.alphabet_size, length, columns, "state factor")
@@ -180,7 +162,7 @@ def spectral_recover(wfa: Wfa, k: int, length: int) -> Wfa:
     H_a(p, s) = f(p a s) is P A_a S^T, and the initial/final vectors come
     from the empty-word row and column.  At k equal to the full rank the
     result interpolates f on every word covered by the block.  Each N x n
-    factor is held to ``MAX_BLOCK_ENTRIES``.
+    factor is held to ``words.MAX_BLOCK_ENTRIES``.
     """
     return _factored_recover(wfa, k, length)[0]
 

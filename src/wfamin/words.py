@@ -16,17 +16,22 @@ and reversing a word reverses its digits within its length block.  By the
 last identity the rows w a of a word-indexed matrix, for w up to some
 length, are one contiguous (words, d) block.  The index does not depend on
 ``max_length``, so the identities hold across indices of one alphabet.
+This module also sizes every word-indexed array: it counts the words in
+closed form and holds the array to ``MAX_BLOCK_ENTRIES`` before anything
+is built, a :class:`WordIndex` included.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import product
 from typing import Iterator
 
 import numpy as np
 
 Word = tuple[int, ...]
+
+#: Refuse to materialize word-indexed arrays with more entries than this.
+MAX_BLOCK_ENTRIES = 10_000_000
 
 
 def _word_count(alphabet_size: int, max_length: int) -> int:
@@ -41,19 +46,33 @@ def _word_count(alphabet_size: int, max_length: int) -> int:
     return (alphabet_size ** (max_length + 1) - 1) // (alphabet_size - 1)
 
 
+def _block_rows(alphabet_size: int, length: int, columns: int | None, what: str) -> int:
+    """The number N of words up to ``length``, once an N x ``columns`` ``what``
+    (N x N for None) is held to ``MAX_BLOCK_ENTRIES``.  From its bit length on,
+    the d**length >= 2**length longest words alone exceed it: no count is formed."""
+    if alphabet_size > 1 and length >= MAX_BLOCK_ENTRIES.bit_length():
+        raise ValueError(f"refusing to build a {what} over the words up to length {length} "
+                         f"(more than {MAX_BLOCK_ENTRIES} entries)")
+    rows = _word_count(alphabet_size, length)
+    cols = rows if columns is None else columns
+    if rows * cols > MAX_BLOCK_ENTRIES:
+        raise ValueError(f"refusing to build a {rows} x {cols} {what} "
+                         f"({rows * cols} entries > {MAX_BLOCK_ENTRIES})")
+    return rows
+
+
 class WordIndex:
-    """Bijection between words of length <= max_length and ``range(size)``."""
+    """Bijection between words of length <= max_length and ``range(size)``,
+    refused for more than ``MAX_BLOCK_ENTRIES`` words before anything is built."""
 
     def __init__(self, alphabet_size: int, max_length: int):
-        _word_count(alphabet_size, max_length)  # checks both
+        self._size = _block_rows(alphabet_size, max_length, 1, "word index")
         self.alphabet_size = int(alphabet_size)
         self.max_length = int(max_length)
-        # offsets[k] = index of the first word of length k; offsets[L+1] = size
-        self._offsets = [0, *(_word_count(alphabet_size, k) for k in range(max_length + 1))]
         self._lengths: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return self._offsets[-1]
+        return self._size
 
     def __eq__(self, other) -> bool:
         return (
@@ -62,19 +81,17 @@ class WordIndex:
             and other.max_length == self.max_length
         )
 
+    def __hash__(self) -> int:
+        return hash((self.alphabet_size, self.max_length))
+
     def __repr__(self) -> str:
         return f"WordIndex(alphabet_size={self.alphabet_size}, max_length={self.max_length})"
 
-    @property
-    def offsets(self) -> np.ndarray:
-        """offsets[k] is the index of the first word of length k."""
-        return np.asarray(self._offsets[:-1], dtype=np.int64)
-
     def first_index_of_length(self, length: int) -> int:
-        """Index of the first word of the given length."""
+        """Index of the first word of the given length: the number of shorter words."""
         if not 0 <= length <= self.max_length:
             raise ValueError(f"length {length} outside [0, {self.max_length}]")
-        return self._offsets[length]
+        return _word_count(self.alphabet_size, length - 1) if length else 0
 
     def index_of(self, word) -> int:
         """Index of a word (any sequence of symbol indices)."""
@@ -86,17 +103,15 @@ class WordIndex:
             if not 0 <= symbol < self.alphabet_size:
                 raise ValueError(f"symbol {symbol} outside [0, {self.alphabet_size})")
             value = value * self.alphabet_size + symbol
-        return self._offsets[len(word)] + value
+        return self.first_index_of_length(len(word)) + value
 
     def word_at(self, index: int) -> Word:
         """Word with the given index; inverse of :meth:`index_of`."""
         if not 0 <= index < len(self):
             raise ValueError(f"index {index} outside [0, {len(self)})")
-        length = bisect_right(self._offsets, index) - 1
-        value = index - self._offsets[length]
         symbols = []
-        for _ in range(length):
-            value, symbol = divmod(value, self.alphabet_size)
+        while index:  # index_of(w + (a,)) = d * index_of(w) + 1 + a peels the last letter
+            index, symbol = divmod(index - 1, self.alphabet_size)
             symbols.append(symbol)
         return tuple(reversed(symbols))
 
@@ -109,8 +124,8 @@ class WordIndex:
     def lengths(self) -> np.ndarray:
         """Array mapping index -> word length."""
         if self._lengths is None:
-            counts = np.diff(self._offsets)  # words per length
-            out = np.repeat(np.arange(self.max_length + 1, dtype=np.int64), counts)
+            lengths = np.arange(self.max_length + 1, dtype=np.int64)
+            out = np.repeat(lengths, self.alphabet_size**lengths)  # d**k words of length k
             out.setflags(write=False)
             self._lengths = out
         return self._lengths
@@ -119,7 +134,7 @@ class WordIndex:
     def interior_size(self) -> int:
         """Number of interior words (length < max_length), which come first:
         the words whose one-letter extensions stay in the index."""
-        return self._offsets[-2]
+        return self.first_index_of_length(self.max_length)
 
     def concatenation_indices(self) -> np.ndarray:
         """Index matrix C with C[i, j] = index_of(word_i + word_j), an index
@@ -143,9 +158,9 @@ class WordIndex:
         """index_of(reversed w) for every word w, in order; an involution."""
         d = self.alphabet_size
         blocks = []
-        for length, offset in enumerate(self._offsets[:-1]):
+        for length in range(self.max_length + 1):
             # axis k of the reshaped block is the k-th base-d digit of the value;
             # reversing the axes reverses the digits
             values = np.arange(d**length, dtype=np.int64).reshape((d,) * length)
-            blocks.append(offset + values.transpose().ravel())
+            blocks.append(self.first_index_of_length(length) + values.transpose().ravel())
         return np.concatenate(blocks)

@@ -58,15 +58,15 @@ def right_multiplication_matrix(basis: WordIndex, series) -> np.ndarray:
     if series.shape != (len(basis),):
         raise ValueError(f"series has shape {series.shape}, expected ({len(basis)},)")
     d = basis.alphabet_size
-    offsets = basis.offsets
+    first = basis.first_index_of_length
     out = np.zeros((len(basis), len(basis)))
     for length in range(basis.max_length + 1):  # |u|: the suffix length
         # left factors w with |w| + |u| <= max_length, one per column
-        cut = basis.first_index_of_length(basis.max_length - length + 1) if length else len(basis)
-        first = d**length * np.arange(cut, dtype=np.int64) + offsets[length]  # index of w + 0^|u|
+        cut = first(basis.max_length - length + 1) if length else len(basis)
+        base = d**length * np.arange(cut, dtype=np.int64) + first(length)  # index of w + 0^|u|
         suffixes = np.arange(d**length)
-        targets = first[:, None] + suffixes[None, :]
-        out[targets, np.arange(cut)[:, None]] += series[offsets[length] + suffixes][None, :]
+        targets = base[:, None] + suffixes[None, :]
+        out[targets, np.arange(cut)[:, None]] += series[first(length) + suffixes][None, :]
     return out
 
 

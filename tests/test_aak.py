@@ -25,6 +25,7 @@ from wfamin.errors import NumericalError, RankDeficiencyError, StabilityError
 from wfamin.hankel import build_hankel, is_minimal
 from wfamin.io import load_document
 from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa, spectral_radius
+from wfamin.words import WordIndex
 
 from reference import (
     check_hankel_property,
@@ -664,7 +665,7 @@ class TestAakApproximate:
         def rank_deficient(*args):
             raise RankDeficiencyError("requested 1 states but the block has numerical rank 0")
 
-        monkeypatch.setattr("wfamin.aak._factored_recover", rank_deficient)
+        monkeypatch.setattr("wfamin.aak.spectral_recover", rank_deficient)
         wfa = load_document(FIXTURES / "e2.wfa").wfa
         with pytest.raises(NumericalError, match="recovery of the 1-state approximant failed"):
             aak_approximate(wfa, 1)
@@ -699,3 +700,21 @@ class TestHankelNorm:
     def test_unstable_approximant_is_a_numerical_failure(self, geometric_wfa):
         with pytest.raises(NumericalError, match="spectral radius"):
             hankel_norm(geometric_wfa, Wfa([1.0], [[[1.5]]], [1.0]))
+
+
+def test_array_holding_results_compare_by_identity():
+    # comparing the arrays field by field would raise "truth value of an
+    # array is ambiguous"; a word index compares and hashes by its sizes
+    wfa = load_document(FIXTURES / "e2.wfa").wfa
+    for make in (
+        lambda: build_hankel(wfa, 2),
+        lambda: gramians(wfa),
+        lambda: schmidt_pair(wfa, 1),
+        lambda: aak_approximate(wfa, 1),
+    ):
+        result = make()
+        assert result == result
+        assert result != make()
+        hash(result)
+    assert WordIndex(2, 2) == WordIndex(2, 2) != WordIndex(2, 3)
+    assert len({WordIndex(2, 2), WordIndex(2, 2), WordIndex(3, 2)}) == 2

@@ -357,7 +357,7 @@ class TestApproximate:
         def rank_deficient(*args):
             raise RankDeficiencyError("requested 1 states but the block has numerical rank 0")
 
-        monkeypatch.setattr("wfamin.aak._factored_recover", rank_deficient)
+        monkeypatch.setattr("wfamin.aak.spectral_recover", rank_deficient)
         out_file = tmp_path / "out.wfa"
         code, out, err = run(
             capsys, "approximate", str(FIXTURES / "e2.wfa"), "1", "--no-timestamp",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wfamin import fock, hankel
+from wfamin import fock
 from wfamin.errors import StabilityError, TruncationError
 from wfamin.hankel import build_hankel, hankel_rank
 from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa
@@ -368,7 +368,7 @@ class TestShiftInequalities:
     def test_one_trial_is_held_to_the_block_bound(self, monkeypatch):
         # one trial draws 2 d vectors of N words; that count meets the bound
         # of blocks before anything is allocated
-        monkeypatch.setattr(hankel, "MAX_BLOCK_ENTRIES", 2 * 2 * len(WordIndex(2, 3)))
+        monkeypatch.setattr("wfamin.words.MAX_BLOCK_ENTRIES", 2 * 2 * len(WordIndex(2, 3)))
         assert fock.verify_shift_inequalities(2, 3, trials=2).passed
         with pytest.raises(ValueError, match="refusing"):
             fock.verify_shift_inequalities(2, 4, trials=1)
@@ -588,7 +588,7 @@ class TestMultiplier:
             tracemalloc.stop()
         assert peak < 1 << 20
         # the bound is the block bound: N x N entries
-        monkeypatch.setattr(hankel, "MAX_BLOCK_ENTRIES", len(WordIndex(2, 3)) ** 2)
+        monkeypatch.setattr("wfamin.words.MAX_BLOCK_ENTRIES", len(WordIndex(2, 3)) ** 2)
         fock.flipped_multiplier_matrix(wfa, WordIndex(2, 3))
         with pytest.raises(ValueError, match="refusing"):
             fock.flipped_multiplier_matrix(wfa, WordIndex(2, 4))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wfamin import hankel
 from wfamin.errors import RankDeficiencyError
 from wfamin.fock import verify_shift_inequalities
 from wfamin.hankel import (
@@ -269,7 +268,7 @@ class TestSpectralRecover:
 
     def test_state_factors_are_held_to_the_block_bound(self, nilpotent_wfa, monkeypatch):
         # the N x n factors are the largest arrays built; the block never is
-        monkeypatch.setattr(hankel, "MAX_BLOCK_ENTRIES", len(WordIndex(2, 3)) * 2)
+        monkeypatch.setattr("wfamin.words.MAX_BLOCK_ENTRIES", len(WordIndex(2, 3)) * 2)
         spectral_recover(nilpotent_wfa, 2, 3)
         with pytest.raises(ValueError, match="refusing to build a 31 x 2 state factor"):
             spectral_recover(nilpotent_wfa, 2, 4)

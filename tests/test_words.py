@@ -1,7 +1,13 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wfamin.fock import flipped_multiplier_matrix, verify_shift_inequalities
+from wfamin.hankel import build_hankel, spectral_recover
+from wfamin.wfa import random_stable_wfa
 from wfamin.words import WordIndex, _word_count
 
 
@@ -65,6 +71,43 @@ def test_word_count_needs_no_index():
         _word_count(2, -1)
     with pytest.raises(ValueError, match="alphabet_size must be >= 1"):
         _word_count(0, 3)
+
+
+def test_oversized_index_refused_before_anything_is_built():
+    # a caller-built basis meets the bound of every word-indexed array: more
+    # than 10^7 words are refused at once, not indexed or overflowed
+    for d, length in ((2, 63), (2, 60000), (1, 10**7)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^refusing to build [^\n]*word index[^\n]*$"):
+            WordIndex(d, length)
+        assert time.perf_counter() - start < 0.1
+    # up to the bound an index holds no per-length list: it costs no memory
+    tracemalloc.start()
+    try:
+        built = [WordIndex(2, 22), WordIndex(1, 9_999_999)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(index) for index in built] == [8_388_607, 10_000_000]
+    assert peak < 1 << 20
+
+
+def test_one_bound_sizes_every_word_indexed_array(monkeypatch):
+    wfa = random_stable_wfa(2, 3, seed=1, radius_bound=0.9)
+    calls = {
+        "word index": lambda: WordIndex(2, 3),
+        "block": lambda: build_hankel(wfa, 2),
+        "state factor": lambda: spectral_recover(wfa, 1, 2),
+        "set of shift trial vectors": lambda: verify_shift_inequalities(2, 2, 1),
+        "flipped multiplier": lambda: flipped_multiplier_matrix(wfa, WordIndex(2, 2)),
+    }
+    for call in calls.values():
+        call()
+    monkeypatch.setattr("wfamin.words.MAX_BLOCK_ENTRIES", 14)
+    for what, call in calls.items():
+        with pytest.raises(ValueError, match=rf"^refusing to build a \d+ x \d+ {what} "
+                                             rf"\(\d+ entries > 14\)$"):
+            call()
 
 
 def test_concatenation_indices():
