@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import NumericalError, RankDeficiencyError, StabilityError
 from .hankel import HankelBlock, build_hankel, is_minimal, spectral_recover
-from .wfa import Wfa, evaluation_table, spectral_radius
+from .wfa import Wfa, _integer_k, evaluation_table, spectral_radius
 
 #: Largest Gramian fixed-point residual accepted, relative to 1 + the
 #: larger Gramian norm.
@@ -456,6 +456,8 @@ def aak_approximate(wfa: Wfa, k: int) -> AakApproximation:
 
     Raises
     ------
+    TypeError
+        If k is not an integer (``operator.index``; True counts as 1).
     ValueError
         If k is out of range or the alphabet is not one-letter.
     StabilityError
@@ -469,6 +471,7 @@ def aak_approximate(wfa: Wfa, k: int) -> AakApproximation:
         unstable or the certificate does not hold.  Smaller singular values,
         even vanishing ones, do not enter.
     """
+    k = _integer_k(k)
     _require_one_letter(wfa)
     n = wfa.num_states
     if not 0 <= k < n:

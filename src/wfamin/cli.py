@@ -201,15 +201,19 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
-def _positive(text: str) -> int:
-    """Argument type: an int above zero."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """Argument type: an int of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 @functools.cache
@@ -248,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p_verify.add_argument("--degree", type=int, default=5,
                           help="Fock-space truncation degree")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--trials", type=_positive, default=100,
+    p_verify.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_verify.add_argument("--trials", type=_int_at_least(1), default=100,
                           help="random trials for the shifts / nc-rational suites")
     p_verify.add_argument("--no-timestamp", action="store_true",
                           help="omit the timestamp line; the report is then byte-reproducible "

@@ -344,21 +344,11 @@ def _pencil(wfa: Wfa, arguments) -> np.ndarray:
     )
 
 
-def _contraction_margins(pencil: np.ndarray, arguments) -> tuple[float, float]:
-    rho = spectral_radius(pencil)
-    norm_sum = float(sum(np.linalg.norm(z, 2) ** 2 for z in arguments))
-    return rho, norm_sum
-
-
-def contraction_margins(wfa: Wfa, arguments) -> tuple[float, float]:
-    """(spectral radius of sum A_j (x) z_j, sum_j ||z_j z_j^T||).
-
-    The first number below one is what evaluation needs; the second below
-    one is the classical sufficient condition for convergence of the series
-    under the substitution.
-    """
-    arguments, _ = _coerce_arguments(wfa, arguments)
-    return _contraction_margins(_pencil(wfa, arguments), arguments)
+def _norm_sum(arguments) -> float:
+    """sum_j ||z_j z_j^T|| = sum_j ||z_j||^2, the norms from one stacked SVD
+    call; each is squared as a scalar (an array power may round differently)."""
+    norms = np.linalg.norm(np.stack(arguments), 2, axis=(1, 2))
+    return float(sum(norm**2 for norm in norms))
 
 
 def nc_rational_eval(wfa: Wfa, arguments) -> np.ndarray:
@@ -372,10 +362,9 @@ def nc_rational_eval(wfa: Wfa, arguments) -> np.ndarray:
     pencil = _pencil(wfa, arguments)
     rho = spectral_radius(pencil)
     if rho >= 1.0:
-        _, norm_sum = _contraction_margins(pencil, arguments)
         raise StabilityError(
             f"substitution is not contractive: spectral radius {rho} >= 1 "
-            f"(sum of ||z_j z_j^T|| is {norm_sum})"
+            f"(sum of ||z_j z_j^T|| is {_norm_sum(arguments)})"
         )
     eye = np.eye(pencil.shape[0])
     solved = np.linalg.solve(eye - pencil, np.kron(wfa.beta[:, None], np.eye(size)))
@@ -391,7 +380,7 @@ def nc_rational_series(wfa: Wfa, arguments, max_degree: int) -> np.ndarray:
     matrices 1_m (x) z_a; the sum is one product of the two, and no power
     of the Kronecker sum K is formed.  The tail beyond ``max_degree`` is
     bounded by ||alpha|| ||beta|| ||K||^(max_degree+1) / (1 - ||K||) when
-    ||K|| < 1 (the first number of :func:`series_bounds`).
+    ||K|| < 1 (the third number of :func:`series_bounds`).
     """
     arguments, size = _coerce_arguments(wfa, arguments)
     # row-major, vec(z_w) (1 (x) z_a) = vec(z_w z_a)
@@ -401,34 +390,38 @@ def nc_rational_series(wfa: Wfa, arguments, max_degree: int) -> np.ndarray:
     return (evaluation_table(wfa, max_degree) @ products).reshape(size, size)
 
 
-def series_bounds(wfa: Wfa, arguments, max_degree: int) -> tuple[float, float]:
-    """(tail, rounding): how far the closed form and the degree-``max_degree``
-    partial sum can lie apart, in exact arithmetic and through rounding.
+def series_bounds(wfa: Wfa, arguments, max_degree: int) -> tuple[float, float, float, float]:
+    """(spectral_radius, norm_sum, tail, rounding) of one substitution, all
+    read from one pencil K = sum_j A_j (x) z_j.
 
-    For K the Kronecker sum with g = ||K|| < 1, the degree-j part of the
-    series is at most ||alpha|| ||beta|| g^j.  The tail beyond
-    ``max_degree`` is therefore at most
-    ||alpha|| ||beta|| g^(max_degree+1) / (1 - g), and the results of both
-    computations are at most ||alpha|| ||beta|| / (1 - g).  The
-    rounding term is a first-order estimate: each rounded step errs by at
-    most eps relative to that magnitude, the partial sum adds one term per
+    The contraction margins come first: the spectral radius of K, which
+    evaluation needs below one, and sum_j ||z_j z_j^T||, whose being below
+    one is the classical sufficient condition for convergence of the series
+    under the substitution.  Then how far the closed form and the
+    degree-``max_degree`` partial sum can lie apart, in exact arithmetic and
+    through rounding.  With g = ||K|| < 1, the degree-j part of the series
+    is at most ||alpha|| ||beta|| g^j.  The tail beyond ``max_degree`` is
+    therefore at most ||alpha|| ||beta|| g^(max_degree+1) / (1 - g), and the
+    results of both computations are at most ||alpha|| ||beta|| / (1 - g).
+    The rounding term is a first-order estimate: each rounded step errs by
+    at most eps relative to that magnitude, the partial sum adds one term per
     word of length <= ``max_degree``, and the linear solve has N = order of
     K unknowns and amplifies its backward error by
-    ||(1 - K)^{-1}|| <= 1 / (1 - g).
+    ||(1 - K)^{-1}|| <= 1 / (1 - g).  Both bounds are infinite when g >= 1,
+    and K's SVD is skipped when the spectral radius, a lower bound on g, is.
     """
     arguments, _ = _coerce_arguments(wfa, arguments)
-    return _series_bounds(wfa, _pencil(wfa, arguments), max_degree)
-
-
-def _series_bounds(wfa: Wfa, pencil: np.ndarray, max_degree: int) -> tuple[float, float]:
-    gain = float(np.linalg.norm(pencil, 2))
+    pencil = _pencil(wfa, arguments)
+    rho = spectral_radius(pencil)
+    norm_sum = _norm_sum(arguments)
+    gain = float(np.linalg.norm(pencil, 2)) if rho < 1.0 else math.inf
     if gain >= 1.0:
-        return np.inf, np.inf
+        return rho, norm_sum, math.inf, math.inf
     scale = float(np.linalg.norm(wfa.alpha) * np.linalg.norm(wfa.beta))
     words = _word_count(wfa.alphabet_size, max_degree)
     steps = pencil.shape[0] / (1.0 - gain) + words
     rounding = float(np.finfo(float).eps) * steps * scale / (1.0 - gain)
-    return scale * gain ** (max_degree + 1) / (1.0 - gain), rounding
+    return rho, norm_sum, scale * gain ** (max_degree + 1) / (1.0 - gain), rounding
 
 
 @dataclass(frozen=True)
@@ -478,19 +471,16 @@ def verify_nc_rational(wfa: Wfa, trials: int, seed=0) -> NcRationalReport:
     for trial in range(trials):
         size = 1 + trial % 2
         arguments = [0.3 * rng.standard_normal((size, size)) for _ in range(d)]
-        # one pencil per trial serves the margins and the bounds; the closed
-        # form under test builds its own
-        pencil = _pencil(wfa, arguments)
-        rho, norm_sum = _contraction_margins(pencil, arguments)
-        # the tail bound holds in exact arithmetic; the computed gap also
-        # carries the rounding of both sides.  Its SVD runs only on pencils
-        # the closed form accepts (spectral radius below 1).
-        bound = sum(_series_bounds(wfa, pencil, NC_SERIES_DEGREE)) if rho < 0.95 else math.inf
+        # one call per substitution gives the margins and the bounds; the
+        # closed form under test builds its own pencil.  The tail bound holds
+        # in exact arithmetic; the computed gap also carries the rounding of
+        # both sides.
+        rho, norm_sum, tail, rounding = series_bounds(wfa, arguments, NC_SERIES_DEGREE)
+        bound = tail + rounding if rho < 0.95 else math.inf
         if bound == math.inf:
             arguments = [0.5 * z for z in arguments]
-            pencil = _pencil(wfa, arguments)
-            rho, norm_sum = _contraction_margins(pencil, arguments)
-            bound = sum(_series_bounds(wfa, pencil, NC_SERIES_DEGREE)) if rho < 1.0 else math.inf
+            rho, norm_sum, tail, rounding = series_bounds(wfa, arguments, NC_SERIES_DEGREE)
+            bound = tail + rounding if rho < 1.0 else math.inf
         closed = nc_rational_eval(wfa, arguments)
         partial = nc_rational_series(wfa, arguments, NC_SERIES_DEGREE)
         gap = float(np.linalg.norm(closed - partial, 2))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, RankDeficiencyError
-from .wfa import Wfa, _prefix_levels, evaluation_table
+from .wfa import Wfa, _integer_k, _prefix_levels, evaluation_table
 from .words import WordIndex, _block_rows
 
 #: Relative singular-value cutoff of every numerical rank decision.
@@ -131,6 +131,7 @@ def _factored_recover(wfa: Wfa, k: int, length: int):
     """:func:`spectral_recover`, returning (recovered, factors, s): the k-state
     automaton, the block's stacked state factors [P, S] (:func:`_state_factors`)
     and its singular values."""
+    k = _integer_k(k)
     d = wfa.alphabet_size
     size = _factor_rows(wfa, length, wfa.num_states)
     if k < 0:
@@ -162,7 +163,8 @@ def spectral_recover(wfa: Wfa, k: int, length: int) -> Wfa:
     H_a(p, s) = f(p a s) is P A_a S^T, and the initial/final vectors come
     from the empty-word row and column.  At k equal to the full rank the
     result interpolates f on every word covered by the block.  Each N x n
-    factor is held to ``words.MAX_BLOCK_ENTRIES``.
+    factor is held to ``words.MAX_BLOCK_ENTRIES``.  A k that is not an
+    integer (``operator.index``) raises ``TypeError`` before anything is built.
     """
     return _factored_recover(wfa, k, length)[0]
 

@@ -13,6 +13,8 @@ share across threads.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import NumericalError
@@ -79,6 +81,15 @@ class Wfa:
                 )
             u = u @ self.transitions[symbol]
         return float(u @ self.beta)
+
+
+def _integer_k(k) -> int:
+    """A state count k as a Python int, read through ``operator.index``:
+    True is 1, and a float or a numpy bool is refused."""
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise TypeError(f"k must be an integer, got {k!r}") from None
 
 
 def spectral_radius(matrix) -> float:

@@ -100,10 +100,14 @@ class WordIndex:
             raise ValueError(f"word of length {len(word)} exceeds bound {self.max_length}")
         value = 0
         for symbol in word:
-            if not 0 <= symbol < self.alphabet_size:
-                raise ValueError(f"symbol {symbol} outside [0, {self.alphabet_size})")
-            value = value * self.alphabet_size + symbol
+            value = value * self.alphabet_size + self._letter(symbol)
         return self.first_index_of_length(len(word)) + value
+
+    def _letter(self, symbol: int) -> int:
+        """``symbol``, once it is a letter of the alphabet."""
+        if not 0 <= symbol < self.alphabet_size:
+            raise ValueError(f"symbol {symbol} outside [0, {self.alphabet_size})")
+        return symbol
 
     def word_at(self, index: int) -> Word:
         """Word with the given index; inverse of :meth:`index_of`."""
@@ -148,11 +152,12 @@ class WordIndex:
         """index_of((symbol,) + w) for every interior word w, in order."""
         cut = self.interior_size
         shifts = self.alphabet_size**self.lengths[:cut]  # d**len(w)
-        return (1 + symbol) * shifts + np.arange(cut, dtype=np.int64)
+        return (1 + self._letter(symbol)) * shifts + np.arange(cut, dtype=np.int64)
 
     def append_indices(self, symbol: int) -> np.ndarray:
         """index_of(w + (symbol,)) for every interior word w, in order."""
-        return self.alphabet_size * np.arange(self.interior_size, dtype=np.int64) + 1 + symbol
+        interior = np.arange(self.interior_size, dtype=np.int64)
+        return self.alphabet_size * interior + 1 + self._letter(symbol)
 
     def reversal_permutation(self) -> np.ndarray:
         """index_of(reversed w) for every word w, in order; an involution."""

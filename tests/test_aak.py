@@ -337,6 +337,21 @@ class TestAakApproximate:
         assert result.wfa.num_states == 1
         assert result.wfa.evaluate((0, 0)) == 0.0
 
+    def test_k_is_read_as_an_integer(self, two_state_wfa, monkeypatch):
+        # True is k = 1; a float or a numpy bool is refused before any solve
+        expected = aak_approximate(two_state_wfa, 1)
+        approx = aak_approximate(two_state_wfa, True)
+        assert approx.order == 1 and type(approx.order) is int
+        assert (approx.error, approx.attained) == (expected.error, expected.attained)
+
+        def unreachable(*args):
+            raise AssertionError("a Gramian solve ran")
+
+        monkeypatch.setattr("wfamin.aak._singular_data", unreachable)
+        for k in (1.0, np.bool_(True)):
+            with pytest.raises(TypeError, match=rf"^k must be an integer, got {k!r}$"):
+                aak_approximate(two_state_wfa, k)
+
     def test_two_state_drop_to_one(self, two_state_wfa):
         sigmas = hankel_singular_values(two_state_wfa)
         result = aak_approximate(two_state_wfa, 1)

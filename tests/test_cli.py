@@ -562,6 +562,13 @@ class TestVerify:
         assert out == ""
         assert "--trials" in err
 
+    @pytest.mark.parametrize("suite", ["hankel-eq", "shifts", "free-group", "nc-rational", "all"])
+    def test_negative_seed_exits_2(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--seed=-1", "--no-timestamp")
+        assert code == 2
+        assert out == ""
+        assert "argument --seed: must be >= 0, got -1" in err
+
     def test_timestamp_line_present_by_default(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "free-group")
         assert code == 0

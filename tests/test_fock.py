@@ -83,6 +83,14 @@ class TestShifts:
             with pytest.raises(ValueError, match="last axis"):
                 shift(basis, 0, 1.0)
 
+    @pytest.mark.parametrize("symbol", [-1, 2])
+    def test_shifts_refuse_letters_outside_the_alphabet(self, symbol):
+        basis = WordIndex(2, 2)
+        empty = np.eye(len(basis))[0]
+        for shift in (fock.left_shift, fock.right_shift):
+            with pytest.raises(ValueError, match=rf"^symbol {symbol} outside \[0, 2\)$"):
+                shift(basis, symbol, empty)
+
     def test_batched_shifts_equal_rows(self):
         basis = WordIndex(3, 3)
         rng = np.random.default_rng(9)
@@ -447,7 +455,7 @@ class TestNcRational:
             zs = [rng.standard_normal((m, m)) * 0.25 for _ in range(d)]
             closed = fock.nc_rational_eval(wfa, zs)
             partial = fock.nc_rational_series(wfa, zs, 8)
-            bound = fock.series_bounds(wfa, zs, 8)[0]
+            bound = fock.series_bounds(wfa, zs, 8)[2]
             assert np.isfinite(bound)
             assert np.linalg.norm(closed - partial, 2) <= bound
 
@@ -504,7 +512,7 @@ class TestNcRational:
         assert report.passed
         assert len(compared) == 101  # the zero substitution, then one per trial
         for arguments in compared[1:]:
-            assert np.isfinite(sum(fock.series_bounds(wfa, arguments, fock.NC_SERIES_DEGREE)))
+            assert np.isfinite(sum(fock.series_bounds(wfa, arguments, fock.NC_SERIES_DEGREE)[2:]))
 
     def test_non_contractive_substitution_rejected(self):
         wfa = Wfa([1.0], [np.eye(1)], [1.0])
@@ -512,7 +520,7 @@ class TestNcRational:
             fock.nc_rational_eval(wfa, [np.array([[1.5]])])
 
     def test_contraction_margins(self, two_state_wfa):
-        rho, norm_sum = fock.contraction_margins(two_state_wfa, [np.array([[0.5]])])
+        rho, norm_sum, _, _ = fock.series_bounds(two_state_wfa, [np.array([[0.5]])], 8)
         assert rho < 1.0
         assert norm_sum == pytest.approx(0.25)
 

@@ -262,6 +262,15 @@ class TestSpectralRecover:
         with pytest.raises(ValueError, match=message):
             spectral_recover(wfa, -1, 2)
 
+    def test_k_must_be_an_integer(self, two_state_wfa, monkeypatch):
+        # refused before the block is factored
+        def unreachable(*args):
+            raise AssertionError("the block was factored")
+
+        monkeypatch.setattr("wfamin.hankel._state_factors", unreachable)
+        with pytest.raises(TypeError, match=r"^k must be an integer, got 1\.5$"):
+            spectral_recover(two_state_wfa, 1.5, 3)
+
     def test_prefixes_must_have_a_letter(self, two_state_wfa):
         with pytest.raises(ValueError, match="prefixes of length >= 1"):
             spectral_recover(two_state_wfa, 1, 0)

@@ -142,6 +142,18 @@ def test_every_index_map_is_its_per_word_definition(d, degrees):
             assert computed.tolist() == expected
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_letter_maps_refuse_letters_outside_the_alphabet(d):
+    # the maps refuse a letter with the message index_of gives
+    index = WordIndex(d, 2)
+    for symbol in (-1, d):
+        for letter_map, argument in ((index.prepend_indices, symbol),
+                                     (index.append_indices, symbol),
+                                     (index.index_of, (symbol,))):
+            with pytest.raises(ValueError, match=rf"^symbol {symbol} outside \[0, {d}\)$"):
+                letter_map(argument)
+
+
 words = st.lists(st.integers(0, 3), max_size=5)
 
 
