@@ -480,7 +480,7 @@ def verify_nc_rational(wfa: Wfa, trials: int, seed=0) -> NcRationalReport:
         if bound == math.inf:
             arguments = [0.5 * z for z in arguments]
             rho, norm_sum, tail, rounding = series_bounds(wfa, arguments, NC_SERIES_DEGREE)
-            bound = tail + rounding if rho < 1.0 else math.inf
+            bound = tail + rounding
         closed = nc_rational_eval(wfa, arguments)
         partial = nc_rational_series(wfa, arguments, NC_SERIES_DEGREE)
         gap = float(np.linalg.norm(closed - partial, 2))

@@ -85,7 +85,11 @@ class Wfa:
 
 def _integer_k(k) -> int:
     """A state count k as a Python int, read through ``operator.index``:
-    True is 1, and a float or a numpy bool is refused."""
+    True is 1, and a float or a numpy bool is refused.  A numpy bool is
+    refused by type, since numpy 1.x still lets ``operator.index`` read it
+    (with a DeprecationWarning) where numpy 2 raises."""
+    if isinstance(k, np.bool_):
+        raise TypeError(f"k must be an integer, got {k!r}")
     try:
         return operator.index(k)
     except TypeError:

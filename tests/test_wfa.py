@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa, spectral_radius
+from wfamin.wfa import Wfa, _integer_k, evaluation_table, random_stable_wfa, spectral_radius
 from wfamin.words import WordIndex
 
 
@@ -89,6 +91,17 @@ class TestValidation:
     def test_immutable_arrays(self, geometric_wfa):
         with pytest.raises(ValueError):
             geometric_wfa.alpha[0] = 2.0
+
+
+class TestIntegerK:
+    def test_numpy_bool_is_refused_by_type(self, monkeypatch):
+        # numpy 1.x lets operator.index read a numpy bool as 0 or 1 (with a
+        # DeprecationWarning); numpy 2 raises.  The refusal must not hang on it.
+        monkeypatch.setattr("wfamin.wfa.operator", SimpleNamespace(index=int))
+        for k in (np.bool_(True), np.bool_(False)):
+            with pytest.raises(TypeError, match=rf"^k must be an integer, got {k!r}$"):
+                _integer_k(k)
+        assert _integer_k(2) == 2
 
 
 class TestSpectralRadius:
