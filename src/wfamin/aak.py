@@ -17,17 +17,18 @@ denominator is split by an ordered Schur form into its parts inside and
 outside the unit circle (the discrete-time form of Glover's all-optimal
 Hankel-norm construction).  The Stein equations X = A X B^T + C are solved
 by :func:`_solve_stein` in O(n^2) memory, three per approximation: the two
-Gramians of the input as one paired solve, whose members share the powers
-A^(2^j), the extraction's mixed equation, and the certificate's two
-difference Gramians as a second paired solve.  Each member runs Smith's
-doubling iteration, whose solution is kept when its residual is backward
-stable; a member that fails that test alone comes from the Bartels-Stewart
-method on the Schur forms of A and B.  The optimal rank-k Hankel sequence
-is the input minus that negative part, itself an (n + k)-state WFA; it is
-returned together with a k-state WFA recovered from it, whose attained
-error is certified exactly, as the Hankel norm of the difference automaton
-read from its Gramians (:func:`hankel_norm`), before returning; it must
-match sigma_k within :data:`CERTIFY_RTOL` times sigma_0, a fixed constant.
+Gramians of the input as one :func:`gramians` solve, whose members share
+one loop, each squaring its own matrix of [A, A^T], the extraction's mixed
+equation, and the certificate's two difference Gramians as a second one.
+Each member runs Smith's doubling iteration, whose solution is kept when
+its residual is backward stable; a member that fails that test alone comes
+from the Bartels-Stewart method on the Schur forms of A and B.  The optimal
+rank-k Hankel sequence is the input minus that negative part, itself an
+(n + k)-state WFA; it is returned together with a k-state WFA recovered
+from it, whose attained error is certified exactly, as the Hankel norm of
+the difference automaton read from its Gramians (:func:`hankel_norm`),
+before returning; it must match sigma_k within :data:`CERTIFY_RTOL` times
+sigma_0, a fixed constant.
 
 Only two functions here need scipy: the extraction's ordered Schur split
 (:func:`_optimal_sequence`: LAPACK ``dgees`` and ``dtrsyl``) and the
@@ -166,13 +167,18 @@ def _solve_stein(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return x
 
 
-def _gramian_pair(alpha: np.ndarray, a: np.ndarray, beta: np.ndarray) -> GramianPair:
-    """Gramians of (alpha, a, beta), both from one stacked Stein solve."""
+def gramians(wfa: Wfa) -> GramianPair:
+    """Exact Gramians of a one-letter WFA, from one paired Stein solve.
+
+    Requires the transition matrix to have spectral radius below one, which
+    makes both fixed-point equations uniquely solvable.
+    """
+    a = _require_one_letter(wfa)
     rho = spectral_radius(a)
     if rho >= 1.0:
         raise StabilityError(f"Gramians diverge: spectral radius {rho} >= 1")
     sides = np.stack([a, a.T])
-    weights = np.stack([beta, alpha])
+    weights = np.stack([wfa.beta, wfa.alpha])
     forcing = weights[:, :, None] * weights[:, None, :]
     pair = _solve_stein(sides, sides, forcing)
     pair = 0.5 * (pair + pair.swapaxes(-1, -2))
@@ -194,15 +200,6 @@ def _gramian_pair(alpha: np.ndarray, a: np.ndarray, beta: np.ndarray) -> Gramian
             f"Gramian residuals {ctrl_res:.3e}, {obs_res:.3e} exceed tolerance"
         )
     return GramianPair(pair[0], pair[1], ctrl_res, obs_res)
-
-
-def gramians(wfa: Wfa) -> GramianPair:
-    """Exact Gramians of a one-letter WFA, from one paired Stein solve.
-
-    Requires the transition matrix to have spectral radius below one, which
-    makes both fixed-point equations uniquely solvable.
-    """
-    return _gramian_pair(wfa.alpha, _require_one_letter(wfa), wfa.beta)
 
 
 def _root_product(pair: GramianPair) -> tuple[np.ndarray, np.ndarray]:
@@ -266,8 +263,8 @@ def hankel_norm(f: Wfa, g: Wfa) -> float:
     block = np.zeros((n + len(a_g),) * 2)
     block[:n, :n], block[n:, n:] = a_f, a_g
     try:
-        pair = _gramian_pair(np.concatenate([f.alpha, g.alpha]), block,
-                             np.concatenate([f.beta, -g.beta]))
+        pair = gramians(Wfa(np.concatenate([f.alpha, g.alpha]), [block],
+                            np.concatenate([f.beta, -g.beta])))
     except StabilityError as exc:
         raise NumericalError(f"Hankel norm of the difference is undefined: {exc}") from exc
     return float(np.linalg.norm(_root_product(pair)[1], 2))
@@ -310,7 +307,7 @@ def _schmidt_pair(wfa: Wfa, k: int, singular_data) -> SchmidtPair:
 
 def schmidt_pair(wfa: Wfa, k: int) -> SchmidtPair:
     """Schmidt pair for the k-th largest Hankel singular value (0-indexed)."""
-    return _schmidt_pair(wfa, k, _singular_data(wfa))
+    return _schmidt_pair(wfa, _integer_k(k), _singular_data(wfa))
 
 
 def _optimal_sequence(pair: SchmidtPair, order: int) -> Wfa:

@@ -55,9 +55,6 @@ def _approximate_aak(args, doc: WfaDocument):
     sigmas = result.singular_values
     deviation = float(abs(result.attained - result.error) / sigmas[0])
     lines = [
-        "mode: aak",
-        f"input: {args.file} ({wfa.num_states} states, alphabet {' '.join(doc.labels)})",
-        f"target states: {args.k}",
         "singular values: " + " ".join(repr(float(s)) for s in sigmas),
         f"error: {result.error!r}",
         f"achieved spectral-norm error: {result.attained!r}",
@@ -76,9 +73,6 @@ def _approximate_svd(args, doc: WfaDocument):
     recovered, singular, achieved, size = _svd_baseline(wfa, length, args.k)
     error = float(singular[args.k]) if args.k < singular.size else 0.0
     lines = [
-        "mode: svd",
-        f"input: {args.file} ({wfa.num_states} states, alphabet {' '.join(doc.labels)})",
-        f"target states: {args.k}",
         "singular values: " + " ".join(repr(float(s)) for s in singular[: min(10, singular.size)]),
         f"truncated-block error (optimal, generally non-Hankel): {error!r}",
         f"evaluation block: {size} x {size}",
@@ -111,6 +105,9 @@ def cmd_approximate(args) -> int:
     save_document(out_doc, out_path)
     for line in _timestamp_lines(args):
         print(line)
+    print(f"mode: {args.mode}")
+    print(f"input: {args.file} ({doc.wfa.num_states} states, alphabet {' '.join(doc.labels)})")
+    print(f"target states: {args.k}")
     for line in lines:
         print(line)
     print(f"output: {out_path}")

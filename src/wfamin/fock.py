@@ -11,14 +11,15 @@ maps, and no dense shift or flip matrix is built (the tests keep those as
 reference definitions in ``tests/reference.py``); both shifts are one
 routine given the shift's index map.  Every index map (prepend, append,
 concatenation, reversal) is read from :class:`~wfamin.words.WordIndex`;
-their identities are documented once, in :mod:`wfamin.words`, and this
-module works none out itself.  The shifts'
-adjoints enter only as the same index maps read the other way, as in
-:func:`verify_hankel_equation`.  The bilateral shift of the two-sided space
-is not modeled apart: both checks that use it draw from the positive
-component, where it is the right shift.  The multiplier intertwining check
-applies no shift at all: it reads the operator through slices and reshaped
-views, using those identities.
+their identities are documented once, in :mod:`wfamin.words`.
+:func:`flipped_multiplier_matrix` and :func:`verify_multiplier_intertwining`
+also slice word-indexed arrays by the append and prepend identities, and
+rely on them as documented there.  The shifts' adjoints enter only as the
+same index maps read the other way, as in :func:`verify_hankel_equation`.
+The bilateral shift of the two-sided space is not modeled apart: both
+checks that use it draw from the positive component, where it is the right
+shift.  The multiplier intertwining check applies no shift at all: it reads
+the operator through slices and reshaped views, using those identities.
 
 Truncation discipline: a shift that would push support past the degree
 cutoff raises :class:`TruncationError`, the flipped multiplier drops the
@@ -327,9 +328,8 @@ def _coerce_arguments(wfa: Wfa, arguments):
             f"expected {wfa.alphabet_size} arguments, got {len(arguments)}"
         )
     size = arguments[0].shape[0]
-    for z in arguments:
-        if z.shape != (size, size):
-            raise ValueError("arguments must be square matrices of one common size")
+    if size == 0 or any(z.shape != (size, size) for z in arguments):
+        raise ValueError("arguments must be nonempty square matrices of one common size")
     return arguments, size
 
 

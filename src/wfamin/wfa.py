@@ -7,19 +7,21 @@ weight vector.  It computes
     f(x_1 ... x_t) = alpha^T A_{x_1} ... A_{x_t} beta,
 
 with the empty word mapped to alpha^T beta.  All values are immutable after
-construction (the arrays are marked read-only), so instances are safe to
-share across threads.
+construction (the arrays are marked read-only and the attributes cannot be
+rebound), so instances are safe to share across threads.
 """
 
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Wfa:
     """A weighted finite automaton with real weights.
 
@@ -36,10 +38,14 @@ class Wfa:
     weight.
     """
 
-    def __init__(self, alpha, transitions, beta):
-        alpha = np.array(alpha, dtype=float)
-        beta = np.array(beta, dtype=float)
-        mats = tuple(np.array(m, dtype=float) for m in transitions)
+    alpha: np.ndarray
+    transitions: tuple[np.ndarray, ...]
+    beta: np.ndarray
+
+    def __post_init__(self):
+        alpha = np.array(self.alpha, dtype=float)
+        beta = np.array(self.beta, dtype=float)
+        mats = tuple(np.array(m, dtype=float) for m in self.transitions)
         if alpha.ndim != 1 or beta.ndim != 1:
             raise ValueError("alpha and beta must be vectors")
         n = alpha.shape[0]
@@ -56,9 +62,9 @@ class Wfa:
             raise ValueError("weights must be finite (no NaN or inf)")
         for arr in (alpha, beta, *mats):
             arr.setflags(write=False)
-        self.alpha = alpha
-        self.beta = beta
-        self.transitions = mats
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "transitions", mats)
 
     @property
     def num_states(self) -> int:

@@ -3,10 +3,10 @@
 Words are tuples of symbol indices in ``[0, alphabet_size)``.  The graded
 lexicographic order lists shorter words first and breaks ties by comparing
 symbol sequences; the empty word always has index 0.  :class:`WordIndex`
-owns this order and computes every index map between words; no other
-module works one out.  A word's index is its value as a base-d numeral plus
-the number of shorter words, so for words w, u over d letters and a letter
-a (index 1 + a)
+owns this order and computes every index map between words; a module that
+slices a word-indexed array relies on the identities below.  A word's index
+is its value as a base-d numeral plus the number of shorter words, so for
+words w, u over d letters and a letter a (index 1 + a)
 
     index_of(w + u) = d**len(u) * index_of(w) + index_of(u),
     index_of((a,) + u) = (1 + a) * d**len(u) + index_of(u),
@@ -23,6 +23,8 @@ is built, a :class:`WordIndex` included.
 
 from __future__ import annotations
 
+import operator
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
@@ -36,7 +38,9 @@ MAX_BLOCK_ENTRIES = 10_000_000
 
 def _word_count(alphabet_size: int, max_length: int) -> int:
     """Number of words of length <= max_length, in closed form: L + 1 over one
-    letter, ``(d**(L+1) - 1) // (d - 1)`` over d > 1."""
+    letter, ``(d**(L+1) - 1) // (d - 1)`` over d > 1.  Both sizes are read
+    through ``operator.index``, so the count is an exact Python int."""
+    alphabet_size, max_length = operator.index(alphabet_size), operator.index(max_length)
     if alphabet_size < 1:
         raise ValueError(f"alphabet_size must be >= 1, got {alphabet_size}")
     if max_length < 0:
@@ -54,38 +58,28 @@ def _block_rows(alphabet_size: int, length: int, columns: int | None, what: str)
         raise ValueError(f"refusing to build a {what} over the words up to length {length} "
                          f"(more than {MAX_BLOCK_ENTRIES} entries)")
     rows = _word_count(alphabet_size, length)
-    cols = rows if columns is None else columns
+    cols = rows if columns is None else operator.index(columns)
     if rows * cols > MAX_BLOCK_ENTRIES:
         raise ValueError(f"refusing to build a {rows} x {cols} {what} "
                          f"({rows * cols} entries > {MAX_BLOCK_ENTRIES})")
     return rows
 
 
+@dataclass(frozen=True)
 class WordIndex:
-    """Bijection between words of length <= max_length and ``range(size)``,
+    """Bijection between words of length <= max_length and ``range(len(self))``,
     refused for more than ``MAX_BLOCK_ENTRIES`` words before anything is built."""
 
-    def __init__(self, alphabet_size: int, max_length: int):
-        self._size = _block_rows(alphabet_size, max_length, 1, "word index")
-        self.alphabet_size = int(alphabet_size)
-        self.max_length = int(max_length)
-        self._lengths: np.ndarray | None = None
+    alphabet_size: int
+    max_length: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "alphabet_size", operator.index(self.alphabet_size))
+        object.__setattr__(self, "max_length", operator.index(self.max_length))
+        _block_rows(self.alphabet_size, self.max_length, 1, "word index")
 
     def __len__(self) -> int:
-        return self._size
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WordIndex)
-            and other.alphabet_size == self.alphabet_size
-            and other.max_length == self.max_length
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet_size, self.max_length))
-
-    def __repr__(self) -> str:
-        return f"WordIndex(alphabet_size={self.alphabet_size}, max_length={self.max_length})"
+        return _word_count(self.alphabet_size, self.max_length)
 
     def first_index_of_length(self, length: int) -> int:
         """Index of the first word of the given length: the number of shorter words."""
@@ -127,12 +121,8 @@ class WordIndex:
     @property
     def lengths(self) -> np.ndarray:
         """Array mapping index -> word length."""
-        if self._lengths is None:
-            lengths = np.arange(self.max_length + 1, dtype=np.int64)
-            out = np.repeat(lengths, self.alphabet_size**lengths)  # d**k words of length k
-            out.setflags(write=False)
-            self._lengths = out
-        return self._lengths
+        lengths = np.arange(self.max_length + 1, dtype=np.int64)
+        return np.repeat(lengths, self.alphabet_size**lengths)  # d**k words of length k
 
     @property
     def interior_size(self) -> int:

@@ -317,6 +317,21 @@ class TestSchmidtPair:
         np.testing.assert_allclose(v_at(pair, z), v_series, atol=1e-13)
         np.testing.assert_allclose(w_at(pair, z), w_series, atol=1e-13)
 
+    def test_k_is_read_as_an_integer(self, monkeypatch):
+        # True is k = 1; a float or a numpy bool is refused before any solve
+        wfa = load_document(FIXTURES / "e2.wfa").wfa
+        expected, pair = schmidt_pair(wfa, 1), schmidt_pair(wfa, True)
+        assert pair.sigma == expected.sigma
+        np.testing.assert_array_equal(pair.direction, expected.direction)
+
+        def unreachable(*args):
+            raise AssertionError("a Gramian solve ran")
+
+        monkeypatch.setattr("wfamin.aak._singular_data", unreachable)
+        for k in (1.0, np.bool_(True)):
+            with pytest.raises(TypeError, match=rf"^k must be an integer, got {k!r}$"):
+                schmidt_pair(wfa, k)
+
 
 def circle_fourier_oracle(result, count, num_points=8192):
     """Independent extraction oracle: trapezoid Fourier integrals of the
@@ -351,6 +366,19 @@ class TestAakApproximate:
         for k in (1.0, np.bool_(True)):
             with pytest.raises(TypeError, match=rf"^k must be an integer, got {k!r}$"):
                 aak_approximate(two_state_wfa, k)
+
+    def test_two_gramian_solves(self, two_state_wfa, monkeypatch):
+        # the input's Gramians, then the certificate's over the 2 + 1 states
+        # of the difference automaton
+        states = []
+
+        def counted(wfa):
+            states.append(wfa.num_states)
+            return gramians(wfa)
+
+        monkeypatch.setattr("wfamin.aak.gramians", counted)
+        aak_approximate(two_state_wfa, 1)
+        assert states == [2, 3]
 
     def test_two_state_drop_to_one(self, two_state_wfa):
         sigmas = hankel_singular_values(two_state_wfa)

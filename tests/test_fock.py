@@ -514,6 +514,22 @@ class TestNcRational:
         for arguments in compared[1:]:
             assert np.isfinite(sum(fock.series_bounds(wfa, arguments, fock.NC_SERIES_DEGREE)[2:]))
 
+    def test_empty_arguments_refused(self):
+        wfa = random_stable_wfa(2, 3, seed=8, radius_bound=0.9)
+        empty = [np.zeros((0, 0))] * 2
+        for call in (lambda: fock.nc_rational_eval(wfa, empty),
+                     lambda: fock.series_bounds(wfa, empty, 8),
+                     lambda: fock.nc_rational_series(wfa, empty, 8)):
+            with pytest.raises(ValueError, match="^arguments must be nonempty square matrices"):
+                call()
+
+    def test_float_degree_refused(self):
+        wfa = random_stable_wfa(2, 3, seed=8, radius_bound=0.9)
+        arguments = [0.1 * np.eye(2)] * 2
+        for call in (fock.series_bounds, fock.nc_rational_series):
+            with pytest.raises(TypeError):
+                call(wfa, arguments, 8.0)
+
     def test_non_contractive_substitution_rejected(self):
         wfa = Wfa([1.0], [np.eye(1)], [1.0])
         with pytest.raises(StabilityError, match="spectral radius"):

@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import hypothesis.extra.numpy as hnp
@@ -91,6 +92,16 @@ class TestValidation:
     def test_immutable_arrays(self, geometric_wfa):
         with pytest.raises(ValueError):
             geometric_wfa.alpha[0] = 2.0
+
+    def test_attributes_cannot_be_rebound(self):
+        # a rebound alpha would pass no validation: two states, one NaN
+        wfa = Wfa([1.0], [[[0.5]]], [1.0])
+        for name, value in (("alpha", np.array([np.nan, 1.0])), ("beta", np.ones(1)),
+                            ("transitions", ())):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(wfa, name, value)
+        assert wfa.num_states == 1 and wfa.alpha.tolist() == [1.0]
+        assert Wfa(alpha=[1.0], transitions=[[[0.5]]], beta=[1.0]).evaluate((0,)) == 0.5
 
 
 class TestIntegerK:

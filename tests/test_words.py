@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import tracemalloc
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from wfamin.fock import flipped_multiplier_matrix, verify_shift_inequalities
 from wfamin.hankel import build_hankel, spectral_recover
 from wfamin.wfa import random_stable_wfa
-from wfamin.words import WordIndex, _word_count
+from wfamin.words import WordIndex, _block_rows, _word_count
 
 
 def test_empty_word_has_index_zero():
@@ -90,6 +91,37 @@ def test_oversized_index_refused_before_anything_is_built():
         tracemalloc.stop()
     assert [len(index) for index in built] == [8_388_607, 10_000_000]
     assert peak < 1 << 20
+
+
+def test_numpy_integer_sizes_cannot_wrap_the_guard():
+    # int64 arithmetic on these counts wraps; the sizes are read as Python
+    # ints, so every count is exact and the guard refuses
+    for call in (lambda: _block_rows(8, np.int64(23), None, "block"),
+                 lambda: _block_rows(6, np.int64(23), None, "block"),
+                 lambda: WordIndex(np.int64(16), 23)):
+        with pytest.raises(ValueError, match=r"^refusing to build "):
+            call()
+
+
+def test_index_fields_cannot_be_assigned():
+    index = WordIndex(2, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        index.max_length = 9
+    assert (len(index), index.interior_size) == (15, 7)
+    assert index in {WordIndex(2, 3)}
+
+
+def test_float_sizes_are_refused_when_built():
+    for d, length in ((2.5, 2), (2, 3.0)):
+        with pytest.raises(TypeError):
+            WordIndex(d, length)
+
+
+def test_numpy_integer_sizes_give_the_same_index():
+    index = WordIndex(np.int64(2), 3)
+    assert index == WordIndex(2, 3)
+    assert hash(index) == hash(WordIndex(2, 3))
+    assert repr(index) == repr(WordIndex(2, 3)) == "WordIndex(alphabet_size=2, max_length=3)"
 
 
 def test_one_bound_sizes_every_word_indexed_array(monkeypatch):
