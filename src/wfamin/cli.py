@@ -145,7 +145,7 @@ def _suite_shifts(args, wfa):
     lines = ["suite: shifts"]
     passed = True
     for d, degree in ((2, args.degree), (3, min(args.degree, 4))):
-        report = fock.verify_shift_inequalities(d, degree, trials=args.trials, seed=args.seed)
+        report = fock.verify_shift_inequalities(d, degree)
         lines.extend("  " + line for line in report.lines())
         passed = passed and report.passed
     return lines, passed
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="Fock-space truncation degree")
     p_verify.add_argument("--seed", type=_int_at_least(0), default=0)
     p_verify.add_argument("--trials", type=_int_at_least(1), default=100,
-                          help="random trials for the shifts / nc-rational suites")
+                          help="random trials for the nc-rational suite")
     p_verify.add_argument("--no-timestamp", action="store_true",
                           help="omit the timestamp line; the report is then byte-reproducible "
                           "for the same input, seed, numpy/BLAS build and BLAS thread count")

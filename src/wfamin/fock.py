@@ -17,7 +17,7 @@ also slice word-indexed arrays by the append and prepend identities, and
 rely on them as documented there.  The shifts' adjoints enter only as the
 same index maps read the other way, as in :func:`verify_hankel_equation`.
 The bilateral shift of the two-sided space is not modeled apart: both
-checks that use it draw from the positive component, where it is the right
+checks that use it work on the positive component, where it is the right
 shift.  The multiplier intertwining check applies no shift at all: it reads
 the operator through slices and reshaped views, using those identities.
 
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -42,10 +41,6 @@ from .errors import StabilityError, TruncationError
 from .hankel import build_hankel
 from .wfa import Wfa, _prefix_levels, evaluation_table, spectral_radius
 from .words import WordIndex, _block_rows, _word_count
-
-#: Largest number of floats drawn at once by :func:`verify_shift_inequalities`
-#: (8 MiB), so its memory does not grow with the trial count.
-_SHIFT_BATCH_ENTRIES = 1 << 20
 
 #: Degree of the partial sum that :func:`verify_nc_rational` compares with
 #: the closed form.
@@ -143,91 +138,58 @@ def verify_hankel_equation(wfa: Wfa, degree: int) -> HankelEquationReport:
 
 @dataclass(frozen=True)
 class ShiftInequalityReport:
-    """Deviations from equality in the shift norm identities, over random trials.
-
-    ``max_bilateral_deviation`` is identity (b)'s: the trials draw from the
-    positive component of the two-sided space, where the bilateral shift
-    is the right shift R_i.  Both sides sum the same squares exactly, so the
-    report passes only when both deviations are exactly 0.0.
-    """
+    """Collisions of the shift index maps behind the two norm identities:
+    interior words sent where another is sent too, by the same letter or
+    another.  ``bilateral_collisions`` is identity (b)'s, whose bilateral
+    shift is R_i.  The report passes only when both counts are 0."""
 
     alphabet_size: int
     degree: int
-    trials: int
-    max_left_shift_deviation: float
-    max_bilateral_deviation: float
+    left_shift_collisions: int
+    bilateral_collisions: int
 
     @property
     def passed(self) -> bool:
-        return self.max_left_shift_deviation == 0.0 and self.max_bilateral_deviation == 0.0
+        return self.left_shift_collisions == 0 and self.bilateral_collisions == 0
 
     def lines(self):
         yield f"alphabet size: {self.alphabet_size}"
         yield f"degree: {self.degree}"
-        yield f"trials: {self.trials}"
-        yield f"max |deviation|, left shifts: {self.max_left_shift_deviation!r}"
-        yield f"max |deviation|, bilateral shifts: {self.max_bilateral_deviation!r}"
+        yield f"collisions, left shifts: {self.left_shift_collisions}"
+        yield f"collisions, bilateral shifts: {self.bilateral_collisions}"
 
 
-def _exact_squared_norms(vectors: np.ndarray) -> np.ndarray:
-    """Squared norm of each trial (leading axis), summed exactly: one
-    ``math.fsum`` over its squares, listed 2**16 at a time (fsum is exactly
-    rounded, so the chunks change no bit)."""
-    rows = vectors.reshape(len(vectors), -1)
-    chunks = range(0, rows.shape[1], 1 << 16)
-    return np.array([
-        math.fsum(chain.from_iterable(np.square(row[i : i + (1 << 16)]).tolist() for i in chunks))
-        for row in rows
-    ])
-
-
-def verify_shift_inequalities(alphabet_size: int, degree: int, trials: int,
-                              seed=0) -> ShiftInequalityReport:
-    """Check the two norm identities behind the operator-tuple hypotheses.
+def verify_shift_inequalities(alphabet_size: int, degree: int) -> ShiftInequalityReport:
+    """Decide the two norm identities behind the operator-tuple hypotheses.
 
     (a) The left shifts are isometries with pairwise orthogonal ranges, so
     ||sum_i S_i y_i||^2 equals sum_i ||y_i||^2 for any interior-supported
     y_i.  (b) The bilateral shifts restricted to their invariant positive
-    component are again orthogonal-range isometries, so the same identity
-    holds there; the trials draw the h_i from that component, which is where
-    the contraction hypothesis is actually exercised by the framework.  On
-    it the bilateral shift is the right shift, so (b) sums R_i h_i.
+    component, where the framework's contraction hypothesis is exercised,
+    are again orthogonal-range isometries; there they are the right shifts,
+    so (b) is the same identity for R_i h_i.
 
-    Both sides sum the same squares in different orders; summed exactly,
-    they deviate only if a shift maps two words to one.  ``degree`` must be
-    at least 1 (degree 0 has no interior), and one trial's 2 d vectors of N
-    words must fit ``words.MAX_BLOCK_ENTRIES`` (d = 2: degree <= 20) before
-    anything, the ``WordIndex`` included, is built.
+    Each shift scatters the interior through a ``WordIndex`` map.  When the
+    d maps are injective with disjoint images, both sides sum the same
+    squares, so summed exactly (``math.fsum``) they agree for every
+    interior-supported vector; when two words land on one, some vector
+    tells them apart.  So the d maps' targets are marked in one mask over
+    the words, and an identity holds on the truncation exactly when its
+    count, d times the interior size minus the marked words, is 0.
+    ``degree`` must be at least 1 (degree 0 has no interior); the words are
+    held to the ``WordIndex`` bound (d = 2: degree <= 22), and the mask
+    costs one byte per word.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    rng = np.random.default_rng(seed)
-    _block_rows(alphabet_size, degree, 2 * alphabet_size, "set of shift trial vectors")
     basis = WordIndex(alphabet_size, degree)
-    cut = basis.interior_size
-    # trials are drawn and shifted in batches of bounded size; drawing
-    # (batch, 2, d, cut) normals continues the stream one trial at a time,
-    # as y_0..y_{d-1} then h_0..h_{d-1}
-    batch = max(1, _SHIFT_BATCH_ENTRIES // (2 * alphabet_size * len(basis)))
-    worst = [0.0, 0.0]  # identity (a), identity (b)
-    for start in range(0, trials, batch):
-        count = min(batch, trials - start)
-        draws = np.zeros((count, 2, alphabet_size, len(basis)))
-        draws[..., :cut] = rng.standard_normal((count, 2, alphabet_size, cut))
-        for k, shift in enumerate((left_shift, right_shift)):
-            vectors = draws[:, k]
-            total = sum(shift(basis, i, vectors[:, i]) for i in range(alphabet_size))
-            deviation = _exact_squared_norms(total) - _exact_squared_norms(vectors)
-            worst[k] = float(np.maximum(worst[k], np.abs(deviation).max()))
-    return ShiftInequalityReport(
-        alphabet_size=alphabet_size,
-        degree=degree,
-        trials=trials,
-        max_left_shift_deviation=worst[0],
-        max_bilateral_deviation=worst[1],
-    )
+    counts = []
+    for index_map in (basis.prepend_indices, basis.append_indices):
+        hit = np.zeros(len(basis), dtype=bool)
+        for symbol in range(basis.alphabet_size):
+            hit[index_map(symbol)] = True
+        counts.append(basis.alphabet_size * basis.interior_size - int(np.count_nonzero(hit)))
+    return ShiftInequalityReport(alphabet_size, degree, *counts)
 
 
 @dataclass(frozen=True)
@@ -311,22 +273,14 @@ def free_group_counterexample() -> FreeGroupReport:
     monoid_rhs = float(m1 @ m1 + m2 @ m2)
 
     degenerate = shift_apply(2, h2)
-    return FreeGroupReport(
-        group_lhs=group_lhs,
-        group_rhs=group_rhs,
-        monoid_lhs=monoid_lhs,
-        monoid_rhs=monoid_rhs,
-        degenerate_lhs=float(degenerate @ degenerate),
-        degenerate_rhs=float(h2 @ h2),
-    )
+    return FreeGroupReport(group_lhs, group_rhs, monoid_lhs, monoid_rhs,
+                           float(degenerate @ degenerate), float(h2 @ h2))
 
 
 def _coerce_arguments(wfa: Wfa, arguments):
     arguments = [np.atleast_2d(np.asarray(z, dtype=float)) for z in arguments]
     if len(arguments) != wfa.alphabet_size:
-        raise ValueError(
-            f"expected {wfa.alphabet_size} arguments, got {len(arguments)}"
-        )
+        raise ValueError(f"expected {wfa.alphabet_size} arguments, got {len(arguments)}")
     size = arguments[0].shape[0]
     if size == 0 or any(z.shape != (size, size) for z in arguments):
         raise ValueError("arguments must be nonempty square matrices of one common size")
@@ -339,9 +293,7 @@ def _pencil(wfa: Wfa, arguments) -> np.ndarray:
     ``arguments`` must have passed :func:`_coerce_arguments`.
     """
     n, size = wfa.num_states, arguments[0].shape[0]
-    return np.einsum("jab,jcd->acbd", wfa.transitions, arguments).reshape(
-        n * size, n * size
-    )
+    return np.einsum("jab,jcd->acbd", wfa.transitions, arguments).reshape(n * size, n * size)
 
 
 def _norm_sum(arguments) -> float:

@@ -98,13 +98,16 @@ class WordIndex:
         return self.first_index_of_length(len(word)) + value
 
     def _letter(self, symbol: int) -> int:
-        """``symbol``, once it is a letter of the alphabet."""
+        """``symbol`` read through ``operator.index``, once it is a letter of
+        the alphabet."""
+        symbol = operator.index(symbol)
         if not 0 <= symbol < self.alphabet_size:
             raise ValueError(f"symbol {symbol} outside [0, {self.alphabet_size})")
         return symbol
 
     def word_at(self, index: int) -> Word:
         """Word with the given index; inverse of :meth:`index_of`."""
+        index = operator.index(index)
         if not 0 <= index < len(self):
             raise ValueError(f"index {index} outside [0, {len(self)})")
         symbols = []

@@ -15,6 +15,7 @@ from wfamin.errors import RankDeficiencyError
 from wfamin.hankel import build_hankel
 from wfamin.io import WfaDocument, load_document, save_document
 from wfamin.wfa import random_stable_wfa
+from wfamin.words import WordIndex
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -472,6 +473,27 @@ class TestVerify:
         )
         assert code == 0
         assert "result: pass" in out
+
+    @pytest.mark.parametrize("index_map, line", [
+        ("prepend_indices", "collisions, left shifts: "),
+        ("append_indices", "collisions, bilateral shifts: "),
+    ])
+    def test_colliding_shift_exits_1(self, capsys, monkeypatch, index_map, line):
+        # one interior word per letter sent where another is sent: d collisions
+        correct = getattr(WordIndex, index_map)
+
+        def colliding(basis, symbol):
+            indices = correct(basis, symbol).copy()
+            indices[2] = indices[1]
+            return indices
+
+        monkeypatch.setattr(WordIndex, index_map, colliding)
+        code, out, err = run(capsys, "verify", "--suite", "shifts", "--degree", "4",
+                             "--no-timestamp")
+        assert code == 1
+        assert [text.strip() for text in out.splitlines() if line in text] == [f"{line}2", f"{line}3"]
+        assert out.endswith("result: fail\n")
+        assert err == ""
 
     def test_shifts_degree_past_the_block_bound_exits_2(self, capsys):
         code, out, err = run(

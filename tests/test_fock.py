@@ -317,39 +317,44 @@ class TestShiftInequalities:
         assert total @ total == 2.0 == y @ y + y @ y
 
     def test_zero_vectors(self):
-        report = fock.verify_shift_inequalities(2, 3, trials=1, seed=0)
+        report = fock.verify_shift_inequalities(2, 3)
         zero = np.zeros(len(WordIndex(2, 3)))
         total = fock.left_shift(WordIndex(2, 3), 0, zero)
         assert total @ total == 0.0
-        assert report.trials == 1
+        assert (report.left_shift_collisions, report.bilateral_collisions) == (0, 0)
 
     def test_equality_over_random_trials(self):
-        report = fock.verify_shift_inequalities(3, 4, trials=100, seed=1)
-        assert report.max_left_shift_deviation <= 1e-12
-        assert report.max_bilateral_deviation <= 1e-12
+        # no collision, so both sides of each identity sum the same squares:
+        # summed exactly, random interior-supported vectors give equal sides
+        d, degree = 3, 4
+        report = fock.verify_shift_inequalities(d, degree)
         assert report.passed
+        basis = WordIndex(d, degree)
+        rng = np.random.default_rng(1)
+        for shift in (fock.left_shift, fock.right_shift):
+            for _ in range(20):
+                vectors = np.zeros((d, len(basis)))
+                vectors[:, : basis.interior_size] = rng.standard_normal(
+                    (d, basis.interior_size))
+                total = sum(shift(basis, i, vectors[i]) for i in range(d))
+                assert math.fsum(np.square(total)) == math.fsum(np.square(vectors).ravel())
 
     @pytest.mark.parametrize("degree", [9, 10])
     def test_exact_at_high_degree(self, degree):
-        # both sides sum the same ~2,000 squares in different orders; summed
-        # in floating point they differed by 1.4e-12 at degree 9
-        report = fock.verify_shift_inequalities(2, degree, trials=100, seed=0)
-        assert report.max_left_shift_deviation == 0.0
-        assert report.max_bilateral_deviation == 0.0
+        report = fock.verify_shift_inequalities(2, degree)
+        assert report.left_shift_collisions == 0
+        assert report.bilateral_collisions == 0
         assert report.passed
 
     def test_any_deviation_fails(self):
-        # exact sums leave a correct shift no deviation at all
-        exact = fock.ShiftInequalityReport(2, 3, 1, 0.0, 0.0)
-        assert exact.passed
-        for deviations in ((1e-13, 0.0), (0.0, 1e-13), (float("nan"), 0.0)):
-            assert not fock.ShiftInequalityReport(2, 3, 1, *deviations).passed
+        assert fock.ShiftInequalityReport(2, 3, 0, 0).passed
+        for collisions in ((1, 0), (0, 1), (2, 2)):
+            assert not fock.ShiftInequalityReport(2, 3, *collisions).passed
 
     def test_colliding_shift_fails(self, monkeypatch):
-        # two interior words sent to one slot lose one squared entry, in the
-        # left shifts of identity (a) and in the right shifts of identity (b)
-        for index_map, deviation in (("prepend_indices", "max_left_shift_deviation"),
-                                     ("append_indices", "max_bilateral_deviation")):
+        # one interior word per letter sent where another is sent: d
+        # collisions in the patched identity, none in the other
+        for index_map, counts in (("prepend_indices", (2, 0)), ("append_indices", (0, 2))):
             correct = getattr(WordIndex, index_map)
 
             def colliding(basis, symbol, correct=correct):
@@ -359,62 +364,70 @@ class TestShiftInequalities:
 
             with monkeypatch.context() as patch:
                 patch.setattr(WordIndex, index_map, colliding)
-                report = fock.verify_shift_inequalities(2, 9, trials=5, seed=0)
-            assert getattr(report, deviation) > 1e-6, index_map
+                report = fock.verify_shift_inequalities(2, 9)
+            assert (report.left_shift_collisions, report.bilateral_collisions) == counts
             assert not report.passed
 
-    def test_trials_validation(self):
-        with pytest.raises(ValueError):
-            fock.verify_shift_inequalities(2, 3, trials=0)
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), degree=st.integers(1, 5), data=st.data())
+    def test_report_agrees_with_brute_force(self, d, degree, data):
+        """The counts equal d * interior size minus the distinct targets of
+        ``index_of((a,) + w)`` and ``index_of(w + (a,))``, optionally with one
+        interior word of one map redirected to another's target."""
+        basis = WordIndex(d, degree)
+        interior = [w for w in basis.words() if len(w) < degree]
+        targets = {
+            "prepend_indices": [[basis.index_of((a,) + w) for w in interior] for a in range(d)],
+            "append_indices": [[basis.index_of(w + (a,)) for w in interior] for a in range(d)],
+        }
+        name = data.draw(st.sampled_from([None, *targets]), label="redirected map")
+        with pytest.MonkeyPatch.context() as patch:
+            if name is not None:
+                letter, source = (data.draw(st.integers(0, d - 1)) for _ in range(2))
+                word, other = (data.draw(st.integers(0, len(interior) - 1)) for _ in range(2))
+                targets[name][letter][word] = targets[name][source][other]
+                correct = getattr(WordIndex, name)
+
+                def redirected(basis, symbol):
+                    indices = correct(basis, symbol).copy()
+                    if symbol == letter:
+                        indices[word] = correct(basis, source)[other]
+                    return indices
+
+                patch.setattr(WordIndex, name, redirected)
+            report = fock.verify_shift_inequalities(d, degree)
+        expected = tuple(d * len(interior) - len({t for row in maps for t in row})
+                         for maps in targets.values())
+        assert (report.left_shift_collisions, report.bilateral_collisions) == expected
+        assert report.passed == (expected == (0, 0))
 
     @pytest.mark.parametrize("degree", [0, -1])
     def test_degree_validation(self, degree):
         # at degree 0 the interior is empty and nothing would be compared
         with pytest.raises(ValueError, match="degree must be >= 1"):
-            fock.verify_shift_inequalities(2, degree, trials=1)
+            fock.verify_shift_inequalities(2, degree)
 
     def test_one_trial_is_held_to_the_block_bound(self, monkeypatch):
-        # one trial draws 2 d vectors of N words; that count meets the bound
-        # of blocks before anything is allocated
-        monkeypatch.setattr("wfamin.words.MAX_BLOCK_ENTRIES", 2 * 2 * len(WordIndex(2, 3)))
-        assert fock.verify_shift_inequalities(2, 3, trials=2).passed
-        with pytest.raises(ValueError, match="refusing"):
-            fock.verify_shift_inequalities(2, 4, trials=1)
-
-    def test_batched_draws_continue_the_per_trial_stream(self):
-        trials, d, cut = 7, 3, 13
-        rng = np.random.default_rng(4)
-        sequential = [rng.standard_normal(cut) for _ in range(trials * 2 * d)]
-        batched = np.random.default_rng(4).standard_normal((trials, 2, d, cut))
-        np.testing.assert_array_equal(batched.reshape(-1, cut), sequential)
-
-    def test_report_does_not_depend_on_batch_size(self, monkeypatch):
-        whole = fock.verify_shift_inequalities(3, 3, trials=10, seed=2)
-        monkeypatch.setattr(fock, "_SHIFT_BATCH_ENTRIES", 1)  # one trial per batch
-        assert fock.verify_shift_inequalities(3, 3, trials=10, seed=2) == whole
+        # the suite's only word-sized arrays are the mask over the N words
+        # and the index maps; the WordIndex bound on N refuses the rest
+        monkeypatch.setattr("wfamin.words.MAX_BLOCK_ENTRIES", len(WordIndex(2, 3)))
+        assert fock.verify_shift_inequalities(2, 3).passed
+        with pytest.raises(ValueError, match="^refusing to build .*word index"):
+            fock.verify_shift_inequalities(2, 4)
 
     def test_peak_memory_stays_near_the_draws(self):
-        # one trial draws 2 d vectors of N words; its squares are summed in
-        # bounded chunks, not listed whole as Python floats (which took 4x
-        # the draws' bytes here)
+        # the mask takes one byte per word; the index maps are the largest
+        # arrays, far below the 2 d vectors of N floats a sampled trial drew
         basis = WordIndex(2, 16)
         draws = 2 * 2 * len(basis) * 8
         tracemalloc.start()
         try:
-            report = fock.verify_shift_inequalities(2, 16, trials=1)
+            report = fock.verify_shift_inequalities(2, 16)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert report.passed
-        assert peak < 3 * draws
-
-    def test_chunked_sums_are_exact(self):
-        # fsum is exactly rounded, so chunking the squares changes no bit
-        rng = np.random.default_rng(7)
-        vectors = rng.standard_normal((3, 2, 70_000)) * np.logspace(-150, 150, 70_000)
-        squares = (vectors * vectors).reshape(3, -1)
-        expected = [math.fsum(row.tolist()) for row in squares]
-        assert fock._exact_squared_norms(vectors).tolist() == expected
+        assert peak < draws
 
 
 class TestFreeGroup:

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wfamin.errors import RankDeficiencyError
-from wfamin.fock import verify_shift_inequalities
 from wfamin.hankel import (
     DEFAULT_RANK_TOL,
     HankelBlock,
@@ -63,12 +62,10 @@ class TestBuildHankel:
             raise AssertionError("WordIndex built past the guard")
 
         monkeypatch.setattr("wfamin.hankel.WordIndex", unreachable)
-        monkeypatch.setattr("wfamin.fock.WordIndex", unreachable)
         for call in (
             lambda: build_hankel(nilpotent_wfa, length),
             lambda: spectral_recover(nilpotent_wfa, 1, length),
             lambda: _svd_baseline(nilpotent_wfa, length, 1),
-            lambda: verify_shift_inequalities(2, length, 1),
         ):
             with pytest.raises(ValueError, match=rf"^refusing to build .* length {length} "):
                 call()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wfamin.fock import flipped_multiplier_matrix, verify_shift_inequalities
+from wfamin.fock import flipped_multiplier_matrix
 from wfamin.hankel import build_hankel, spectral_recover
 from wfamin.wfa import random_stable_wfa
 from wfamin.words import WordIndex, _block_rows, _word_count
@@ -117,6 +117,22 @@ def test_float_sizes_are_refused_when_built():
             WordIndex(d, length)
 
 
+def test_float_letters_and_indices_are_refused():
+    # a float letter or index was range-checked only, and gave float indices
+    # or a word of float symbols
+    index = WordIndex(2, 3)
+    for call in (lambda: index.index_of((0.5,)), lambda: index.word_at(1.5),
+                 lambda: index.prepend_indices(0.5), lambda: index.append_indices(0.5)):
+        with pytest.raises(TypeError):
+            call()
+    one = np.int64(1)
+    assert index.index_of((one, 0)) == index.index_of((1, 0)) == 5
+    assert index.word_at(np.int64(5)) == (1, 0)
+    assert type(index.word_at(np.int64(5))[0]) is int
+    np.testing.assert_array_equal(index.prepend_indices(one), index.prepend_indices(1))
+    np.testing.assert_array_equal(index.append_indices(one), index.append_indices(1))
+
+
 def test_numpy_integer_sizes_give_the_same_index():
     index = WordIndex(np.int64(2), 3)
     assert index == WordIndex(2, 3)
@@ -130,7 +146,6 @@ def test_one_bound_sizes_every_word_indexed_array(monkeypatch):
         "word index": lambda: WordIndex(2, 3),
         "block": lambda: build_hankel(wfa, 2),
         "state factor": lambda: spectral_recover(wfa, 1, 2),
-        "set of shift trial vectors": lambda: verify_shift_inequalities(2, 2, 1),
         "flipped multiplier": lambda: flipped_multiplier_matrix(wfa, WordIndex(2, 2)),
     }
     for call in calls.values():
