@@ -20,15 +20,15 @@ by :func:`_solve_stein` in O(n^2) memory, three per approximation: the two
 Gramians of the input as one :func:`gramians` solve, whose members share
 one loop, each squaring its own matrix of [A, A^T], the extraction's mixed
 equation, and the certificate's two difference Gramians as a second one.
-Each member runs Smith's doubling iteration, whose solution is kept when
-its residual is backward stable; a member that fails that test alone comes
-from the Bartels-Stewart method on the Schur forms of A and B.  The optimal
-rank-k Hankel sequence is the input minus that negative part, itself an
-(n + k)-state WFA; it is returned together with a k-state WFA recovered
-from it, whose attained error is certified exactly, as the Hankel norm of
-the difference automaton read from its Gramians (:func:`hankel_norm`),
-before returning; it must match sigma_k within :data:`CERTIFY_RTOL` times
-sigma_0, a fixed constant.
+Each member keeps its Smith doubling solution when the residual is backward
+stable, and otherwise comes from the Bartels-Stewart method on the Schur
+forms of A and B; every solution returned meets one acceptance,
+:data:`STEIN_RTOL`.  The optimal rank-k Hankel sequence is the input minus
+that negative part, itself an (n + k)-state WFA; it is returned together
+with a k-state WFA recovered from it, whose attained error is certified
+exactly, as the Hankel norm of the difference automaton read from its
+Gramians (:func:`hankel_norm`), before returning; it must match sigma_k
+within :data:`CERTIFY_RTOL` times sigma_0, a fixed constant.
 
 Only two functions here need scipy: the extraction's ordered Schur split
 (:func:`_optimal_sequence`: LAPACK ``dgees`` and ``dtrsyl``) and the
@@ -47,9 +47,9 @@ from .errors import NumericalError, RankDeficiencyError, StabilityError
 from .hankel import HankelBlock, build_hankel, is_minimal, spectral_recover
 from .wfa import Wfa, _integer_k, evaluation_table, spectral_radius
 
-#: Largest Gramian fixed-point residual accepted, relative to 1 + the
-#: larger Gramian norm.
-GRAMIAN_RTOL = 1e-9
+#: Largest Stein residual ||X - a X b^T - c||_F accepted, relative to
+#: 1 + ||X||_F, for every solution :func:`_solve_stein` returns.
+STEIN_RTOL = 1e-9
 
 #: Largest |attained - sigma_k| the certificate of :func:`aak_approximate`
 #: accepts, relative to sigma_0.  No caller can change it.
@@ -83,7 +83,8 @@ class GramianPair:
     """Controllability and observability Gramians of a one-letter realization.
 
     They satisfy P = A P A^T + beta beta^T and Q = A^T Q A + alpha alpha^T;
-    the attained fixed-point residuals are kept for diagnostics.
+    the residuals of their solve (:func:`_solve_stein`) are kept for
+    diagnostics.
     """
 
     controllability: np.ndarray
@@ -137,9 +138,9 @@ def _bartels_stewart(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return u @ (y / scale) @ q.T
 
 
-def _solve_stein(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """X = a X b^T + c, for rho(a) rho(b) < 1, or each member of stacks of
-    such equations (see :func:`_smith_doubling`).
+def _solve_stein(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(X, ||X - a X b^T - c||_F) for X = a X b^T + c, rho(a) rho(b) < 1, or
+    for each member of stacks of such equations (see :func:`_smith_doubling`).
 
     Smith doubling costs three products per doubling, and one fewer when b
     is a.  Its squared powers lose accuracy when the powers of a or b grow
@@ -147,31 +148,40 @@ def _solve_stein(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     kept only when its residual is a backward-stable one, within
     _SMITH_BACKWARD_RTOL of ||c|| + ||a|| ||X|| ||b||; otherwise that
     member alone comes from the Bartels-Stewart method
-    (:func:`_bartels_stewart`).  An X that is not finite raises
-    :class:`NumericalError`.
+    (:func:`_bartels_stewart`) and is measured again.  Every member returned
+    then needs a finite ||X|| and a residual within :data:`STEIN_RTOL`
+    (1 + ||X||), or :class:`NumericalError` is raised.
     """
+    def residual_of(x):
+        return np.linalg.norm(x - a @ x @ b.swapaxes(-1, -2) - c, axis=(-2, -1))
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = _smith_doubling(a, b, c)
-        residual = np.linalg.norm(x - a @ x @ b.swapaxes(-1, -2) - c, axis=(-2, -1))
+        residual = residual_of(x)
         norm_a = np.linalg.norm(a, axis=(-2, -1))
         norm_b = norm_a if b is a else np.linalg.norm(b, axis=(-2, -1))
         norm_x = np.linalg.norm(x, axis=(-2, -1))
-        scale = np.linalg.norm(c, axis=(-2, -1)) + norm_a * norm_x * norm_b
         # a NaN residual, from a member that did not settle, fails the test
-        failed = ~(residual <= _SMITH_BACKWARD_RTOL * scale)
+        failed = ~(residual <= _SMITH_BACKWARD_RTOL
+                   * (np.linalg.norm(c, axis=(-2, -1)) + norm_a * norm_x * norm_b))
         if failed.any():
             for member in map(tuple, np.argwhere(failed)):
                 x[member] = _bartels_stewart(a[member], b[member], c[member])
-        if not np.isfinite(x).all():
-            raise NumericalError("Stein equation solution overflowed")
-    return x
+            residual, norm_x = residual_of(x), np.linalg.norm(x, axis=(-2, -1))
+        # an infinite norm would pass any residual, and a NaN one fails
+        if not (np.isfinite(norm_x) & (residual <= STEIN_RTOL * (1.0 + norm_x))).all():
+            raise NumericalError(f"Stein solution overflowed or inaccurate: residuals {residual}"
+                                 f" at norms {norm_x}, tolerance {STEIN_RTOL} (1 + norm)")
+    return x, residual
 
 
 def gramians(wfa: Wfa) -> GramianPair:
     """Exact Gramians of a one-letter WFA, from one paired Stein solve.
 
     Requires the transition matrix to have spectral radius below one, which
-    makes both fixed-point equations uniquely solvable.
+    makes both fixed-point equations uniquely solvable.  The residuals kept
+    are the solve's (:func:`_solve_stein`); they bound those of the
+    symmetrized pair, as the residual map commutes with transposition.
     """
     a = _require_one_letter(wfa)
     rho = spectral_radius(a)
@@ -179,27 +189,9 @@ def gramians(wfa: Wfa) -> GramianPair:
         raise StabilityError(f"Gramians diverge: spectral radius {rho} >= 1")
     sides = np.stack([a, a.T])
     weights = np.stack([wfa.beta, wfa.alpha])
-    forcing = weights[:, :, None] * weights[:, None, :]
-    pair = _solve_stein(sides, sides, forcing)
+    pair, residuals = _solve_stein(sides, sides, weights[:, :, None] * weights[:, None, :])
     pair = 0.5 * (pair + pair.swapaxes(-1, -2))
-    # a finite Gramian can still overflow its residual or norm; an infinite
-    # scale would pass any residual, so both must be finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        residuals = np.linalg.norm(
-            pair - sides @ pair @ sides.swapaxes(-1, -2) - forcing, axis=(-2, -1)
-        )
-        scale = 1.0 + np.linalg.norm(pair, axis=(-2, -1)).max()
-    ctrl_res, obs_res = residuals.tolist()
-    if not np.isfinite([ctrl_res, obs_res, scale]).all():
-        raise NumericalError(
-            f"Gramian residual check overflowed (residuals {ctrl_res:.3e}, "
-            f"{obs_res:.3e}, scale {scale:.3e})"
-        )
-    if not (ctrl_res <= GRAMIAN_RTOL * scale and obs_res <= GRAMIAN_RTOL * scale):
-        raise NumericalError(
-            f"Gramian residuals {ctrl_res:.3e}, {obs_res:.3e} exceed tolerance"
-        )
-    return GramianPair(pair[0], pair[1], ctrl_res, obs_res)
+    return GramianPair(pair[0], pair[1], *residuals.tolist())
 
 
 def _root_product(pair: GramianPair) -> tuple[np.ndarray, np.ndarray]:
@@ -392,7 +384,7 @@ def _optimal_sequence(pair: SchmidtPair, order: int) -> Wfa:
     constant = 1.0 / head + float(row_u @ m_u @ col_u) / head**2
     forced = pair.controllability @ x
     # X = T_s X A^T + col_s (A P x)^T gives sum_j (row_s T_s^j col_s) A^{j+1} P x
-    mixed = _solve_stein(t_s, a, np.outer(col_s, a @ forced))
+    mixed, _ = _solve_stein(t_s, a, np.outer(col_s, a @ forced))
     projected = constant * forced - mixed.T @ row_s / head**2
     matrix = np.zeros((n + order, n + order))
     matrix[:n, :n], matrix[n:, n:] = a, m_u

@@ -464,28 +464,26 @@ def flipped_multiplier_matrix(wfa: Wfa, basis: WordIndex) -> np.ndarray:
     the intertwining property checked by
     :func:`verify_multiplier_intertwining`.  The result is the flip times
     the matrix of right multiplication by the column, e_w -> sum_u f(u) e_{w u}
-    with the coefficients past the degree dropped; each row w u is written
-    straight to its flipped position.  Like a Hankel block, the N x N result
-    is held to ``words.MAX_BLOCK_ENTRIES`` (N <= 3,162) before it is
-    allocated; a ``WordIndex`` refuses more words than that bound itself.
+    with the coefficients past the degree dropped; for each suffix length
+    one scatter writes every row w u, index_of(w u) = d**|u| index_of(w) +
+    index_of(u), straight to its flipped position, each cell once.  Like a
+    Hankel block, the N x N result is held to ``words.MAX_BLOCK_ENTRIES``
+    (N <= 3,162) before it is allocated; a ``WordIndex`` refuses more words
+    than that bound itself.
     """
     if basis.alphabet_size != wfa.alphabet_size:
         raise ValueError("basis and automaton alphabet sizes differ")
-    _block_rows(basis.alphabet_size, basis.max_length, None, "flipped multiplier")
+    d = basis.alphabet_size
+    _block_rows(d, basis.max_length, None, "flipped multiplier")
     series = evaluation_table(wfa, basis.max_length)
     reversal = basis.reversal_permutation()
-    appended = np.stack([basis.append_indices(a) for a in range(basis.alphabet_size)], axis=1)
     out = np.zeros((len(basis), len(basis)))
-    words = np.arange(len(basis))[:, None]  # w u for |u| = 0
     for length in range(basis.max_length + 1):  # |u|: the suffix length
-        if length:
-            # left factors w with |w| + |u| <= max_length, one row each; each
-            # w u of this length is one of the last length's with a letter appended
-            cut = basis.first_index_of_length(basis.max_length - length + 1)
-            words = appended[words[:cut]].reshape(cut, -1)
-        start = basis.first_index_of_length(length)  # the suffixes u, in order
-        coefficients = series[start : start + words.shape[1]]
-        out[reversal[words], np.arange(len(words))[:, None]] += coefficients[None, :]
+        # the left factors w with |w| + |u| <= max_length, and the suffixes u
+        left = np.arange(_word_count(d, basis.max_length - length))[:, None]
+        start = basis.first_index_of_length(length)
+        suffixes = np.arange(start, start + d**length)
+        out[reversal[d**length * left + suffixes], left] = series[suffixes]
     return out
 
 

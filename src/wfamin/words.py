@@ -143,9 +143,12 @@ class WordIndex:
 
     def prepend_indices(self, symbol: int) -> np.ndarray:
         """index_of((symbol,) + w) for every interior word w, in order."""
-        cut = self.interior_size
-        shifts = self.alphabet_size**self.lengths[:cut]  # d**len(w)
-        return (1 + self._letter(symbol)) * shifts + np.arange(cut, dtype=np.int64)
+        letter = self._letter(symbol)
+        powers = self.alphabet_size ** np.arange(self.max_length, dtype=np.int64)
+        out = np.repeat(powers, powers)  # d**len(w): d**k interior words of length k
+        out *= 1 + letter
+        out += np.arange(len(out), dtype=np.int64)
+        return out
 
     def append_indices(self, symbol: int) -> np.ndarray:
         """index_of(w + (symbol,)) for every interior word w, in order."""

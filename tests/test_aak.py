@@ -85,7 +85,7 @@ class TestSolveStein:
         # the series converges more slowly, and loses more to rounding, as
         # rho(a) rho(b) approaches 1
         np.testing.assert_allclose(
-            _solve_stein(a, b, c), expected, rtol=0,
+            _solve_stein(a, b, c)[0], expected, rtol=0,
             atol=1e-14 / (1 - rho) ** 2 * np.linalg.norm(expected),
         )
 
@@ -109,7 +109,7 @@ class TestSolveStein:
 
     def test_inaccurate_doubling_is_not_kept(self):
         # the input's observability equation: the doubling's residual
-        # exceeds GRAMIAN_RTOL, and the solution kept is backward stable
+        # exceeds STEIN_RTOL ||X||, and the solution kept is backward stable
         rng = np.random.default_rng(37)
         a = _non_normal(8, 0.99, rng, 2.0).T
         c = np.outer(*[rng.standard_normal(8)] * 2)
@@ -118,7 +118,7 @@ class TestSolveStein:
             return np.linalg.norm(x - a @ x @ a.T - c) / np.linalg.norm(x)
 
         assert residual(_smith_doubling(a, a, c)) > 1e-9
-        assert residual(_solve_stein(a, a, c)) < 1e-14
+        assert residual(_solve_stein(a, a, c)[0]) < 1e-14
 
     @pytest.mark.parametrize("rho", [0.5, 0.9, 0.999])
     @pytest.mark.parametrize("rows, cols", [(6, 6), (3, 7), (7, 2)])
@@ -129,7 +129,7 @@ class TestSolveStein:
         a = np.stack([_non_normal(rows, rho, rng) for _ in range(2)])
         b = np.stack([_non_normal(cols, rho, rng) for _ in range(2)])
         c = rng.standard_normal((2, rows, cols))
-        solution = _solve_stein(a, b, c)
+        solution, _ = _solve_stein(a, b, c)
         for member in range(2):
             expected = stein_kronecker(a[member], b[member], c[member])
             np.testing.assert_allclose(
@@ -137,15 +137,21 @@ class TestSolveStein:
                 atol=1e-14 / (1 - rho) ** 2 * np.linalg.norm(expected),
             )
 
-    def test_pair_falls_back_one_member_at_a_time(self, monkeypatch):
-        # the strongly non-normal equation of test_inaccurate_doubling_is_not_kept
-        # paired with a normal one: only the first goes to Bartels-Stewart,
-        # and the second keeps the doubling a solo solve gives
+    @staticmethod
+    def _hard_and_easy():
+        """The strongly non-normal equation of test_inaccurate_doubling_is_not_kept
+        stacked with a normal one, as (sides, forcings)."""
         rng = np.random.default_rng(37)
         hard = _non_normal(8, 0.99, rng, 2.0).T
         c_hard = np.outer(*[rng.standard_normal(8)] * 2)
         easy = _non_normal(8, 0.9, rng, 0.0)
         c_easy = np.outer(*[rng.standard_normal(8)] * 2)
+        return np.stack([hard, easy]), np.stack([c_hard, c_easy])
+
+    def test_pair_falls_back_one_member_at_a_time(self, monkeypatch):
+        # only the hard member goes to Bartels-Stewart, and the easy one
+        # keeps the doubling a solo solve gives
+        sides, forcings = self._hard_and_easy()
         fallbacks = []
 
         def recorded(a, b, c):
@@ -153,17 +159,49 @@ class TestSolveStein:
             return _bartels_stewart(a, b, c)
 
         monkeypatch.setattr("wfamin.aak._bartels_stewart", recorded)
-        sides = np.stack([hard, easy])
-        solution = _solve_stein(sides, sides, np.stack([c_hard, c_easy]))
+        solution, _ = _solve_stein(sides, sides, forcings)
         assert len(fallbacks) == 1
-        np.testing.assert_array_equal(fallbacks[0], hard)
-        np.testing.assert_array_equal(solution[1], _smith_doubling(easy, easy, c_easy))
-        residual = np.linalg.norm(solution[0] - hard @ solution[0] @ hard.T - c_hard)
+        np.testing.assert_array_equal(fallbacks[0], sides[0])
+        np.testing.assert_array_equal(
+            solution[1], _smith_doubling(sides[1], sides[1], forcings[1])
+        )
+        residual = np.linalg.norm(solution[0] - sides[0] @ solution[0] @ sides[0].T - forcings[0])
         assert residual < 1e-14 * np.linalg.norm(solution[0])
 
+    def test_residuals_are_those_of_the_returned_solutions(self):
+        # the hard member's residual is measured again after its fallback;
+        # the easy member's is the one its doubling was kept on
+        sides, forcings = self._hard_and_easy()
+        solution, residuals = _solve_stein(sides, sides, forcings)
+        for x, side, c, residual in zip(solution, sides, forcings, residuals):
+            assert residual == np.linalg.norm(x - side @ x @ side.T - c)
+
+    def test_inaccurate_fallback_is_refused(self, monkeypatch):
+        # a mixed (b != a) equation, as the extraction solves, with a planted
+        # solution of norm 1.6 and off-diagonal weights 1e6: the doubling fails
+        # its backward test, and the Bartels-Stewart solution, backward
+        # stable at ||a|| ||b|| of about 1e12, misses STEIN_RTOL (1 + ||X||)
+        rng = np.random.default_rng(0)
+        a = np.triu(rng.uniform(-0.9, 0.9, (3, 3)))
+        a[np.triu_indices(3, 1)] *= 1e6
+        b = np.tril(rng.uniform(-0.9, 0.9, (2, 2)))
+        b[1, 0] *= 1e6
+        planted = rng.standard_normal((3, 2))
+        fallbacks = []
+
+        def recorded(*args):
+            fallbacks.append(1)
+            return _bartels_stewart(*args)
+
+        monkeypatch.setattr("wfamin.aak._bartels_stewart", recorded)
+        with pytest.raises(NumericalError, match="residuals"):
+            _solve_stein(a, b, planted - a @ planted @ b.T)
+        assert len(fallbacks) == 1
+
     def test_zero_rows(self):
-        solution = _solve_stein(np.zeros((0, 0)), 0.5 * np.eye(3), np.zeros((0, 3)))
+        solution, residual = _solve_stein(np.zeros((0, 0)), 0.5 * np.eye(3), np.zeros((0, 3)))
         assert solution.shape == (0, 3)
+        assert residual == 0.0
 
     def test_overflow_is_a_numerical_failure(self):
         # stable, but the solution's entries exceed the largest double; no
@@ -222,14 +260,19 @@ class TestGramians:
             assert abs(result.attained - result.error) <= 1e-6 * result.singular_values[0]
 
     def test_nan_observability_residual_is_refused(self, monkeypatch, two_state_wfa):
-        # one paired solve gives (controllability, observability); a NaN in
-        # the second member alone must not pass the residual test
-        def poisoned(a, b, c):
-            solution = _solve_stein(a, b, c)
+        # one paired solve gives (controllability, observability); when the
+        # second member's doubling and its fallback both give NaN, the
+        # solve's acceptance refuses it
+        def poisoned_doubling(a, b, c):
+            solution = _smith_doubling(a, b, c)
             solution[1] = np.nan
             return solution
 
-        monkeypatch.setattr("wfamin.aak._solve_stein", poisoned)
+        def poisoned_fallback(a, b, c):
+            return np.full_like(c, np.nan)
+
+        monkeypatch.setattr("wfamin.aak._smith_doubling", poisoned_doubling)
+        monkeypatch.setattr("wfamin.aak._bartels_stewart", poisoned_fallback)
         with pytest.raises(NumericalError, match="residuals"):
             gramians(two_state_wfa)
 

@@ -165,6 +165,18 @@ class TestApproximate:
         g = build_hankel(written, 199).entries
         assert abs(np.linalg.norm(h - g, 2) - sigmas[3]) <= 1e-6 * sigmas[0]
 
+    def test_non_normal_input_is_certified_at_every_k(self, capsys, tmp_path):
+        # the observability Gramian, the extraction and the certificate of
+        # this input each take the Bartels-Stewart fallback
+        for k in range(8):
+            code, out, err = run(
+                capsys, "approximate", str(FIXTURES / "non-normal.wfa"), str(k),
+                "--no-timestamp", "-o", str(tmp_path / f"out{k}.wfa"),
+            )
+            assert code == 0, err
+            assert re.search(rf"^certificate: attained sigma_{k} within \S+ relative", out,
+                             re.MULTILINE)
+
     def test_non_minimal_input_exits_2(self, capsys, tmp_path):
         path = tmp_path / "redundant.wfa"
         path.write_text(

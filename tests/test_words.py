@@ -189,6 +189,22 @@ def test_every_index_map_is_its_per_word_definition(d, degrees):
             assert computed.tolist() == expected
 
 
+def test_prepend_map_peak_is_the_append_maps():
+    # d**len(w) is built for the interior words alone, not from the lengths
+    # of all N words: each map's traced peak is about 8 bytes per word at
+    # d = 2, where the lengths took the left map to 12
+    index = WordIndex(2, 16)
+    peaks = []
+    for letter_map in (index.prepend_indices, index.append_indices):
+        tracemalloc.start()
+        try:
+            letter_map(1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1] + 4096
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_letter_maps_refuse_letters_outside_the_alphabet(d):
     # the maps refuse a letter with the message index_of gives
