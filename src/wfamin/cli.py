@@ -166,7 +166,7 @@ def _suite_nc_rational(args, wfa):
         label = f"random (d=2, n=3, seed={args.seed})"
     lines = ["suite: nc-rational", f"realization: {label}"]
     try:
-        report = fock.verify_nc_rational(wfa, args.trials, args.seed)
+        report = fock.verify_nc_rational(wfa, args.seed)
     except StabilityError as exc:
         # a trial substitution the series cannot be evaluated at fails the
         # suite; it is not bad input
@@ -198,19 +198,15 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
-def _int_at_least(minimum: int):
-    """Argument type: an int of at least ``minimum``."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        return value
-
-    return parse
+def _nonnegative_int(text: str) -> int:
+    """Argument type: an int of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 @functools.cache
@@ -249,9 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p_verify.add_argument("--degree", type=int, default=5,
                           help="Fock-space truncation degree")
-    p_verify.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_verify.add_argument("--trials", type=_int_at_least(1), default=100,
-                          help="random trials for the nc-rational suite")
+    p_verify.add_argument("--seed", type=_nonnegative_int, default=0)
     p_verify.add_argument("--no-timestamp", action="store_true",
                           help="omit the timestamp line; the report is then byte-reproducible "
                           "for the same input, seed, numpy/BLAS build and BLAS thread count")

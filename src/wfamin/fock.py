@@ -45,6 +45,8 @@ from .words import WordIndex, _block_rows, _word_count
 #: Degree of the partial sum that :func:`verify_nc_rational` compares with
 #: the closed form.
 NC_SERIES_DEGREE = 8
+#: Number of random substitutions :func:`verify_nc_rational` compares.
+NC_TRIALS = 100
 
 
 def _shift(basis: WordIndex, vector, indices: np.ndarray, what: str) -> np.ndarray:
@@ -378,9 +380,8 @@ def series_bounds(wfa: Wfa, arguments, max_degree: int) -> tuple[float, float, f
 
 @dataclass(frozen=True)
 class NcRationalReport:
-    """Closed form against partial sums of a rational series, over random trials."""
+    """Closed form against partial sums of a rational series, over ``NC_TRIALS`` draws."""
 
-    trials: int
     head_exact: bool
     max_ratio: float
     max_spectral_radius: float
@@ -392,27 +393,25 @@ class NcRationalReport:
 
     def lines(self):
         yield f"zero substitution returns head coefficient exactly: {self.head_exact}"
-        yield f"trials: {self.trials} (matrix sizes 1 and 2, degree-{NC_SERIES_DEGREE} series)"
+        yield f"trials: {NC_TRIALS} (matrix sizes 1 and 2, degree-{NC_SERIES_DEGREE} series)"
         yield f"max |closed - series| / (tail bound + rounding bound): {self.max_ratio!r}"
         yield f"max spectral radius of the substituted pencil: {self.max_spectral_radius!r}"
         yield f"max sum of ||z_j z_j^T||: {self.max_norm_sum!r}"
 
 
-def verify_nc_rational(wfa: Wfa, trials: int, seed=0) -> NcRationalReport:
+def verify_nc_rational(wfa: Wfa, seed=0) -> NcRationalReport:
     """Check :func:`nc_rational_eval` against :func:`nc_rational_series`.
 
     The zero substitution must return the head coefficient alpha^T beta
     exactly.
-    Each trial then draws one argument per letter, 0.3 times a standard
-    normal matrix of size 1 or 2 (alternating), halved once when the
-    substituted pencil's spectral radius reaches 0.95 or its tail bound is
-    infinite (||K||_2 >= 1).  The gap between the closed form and the
+    Each of ``NC_TRIALS`` trials then draws one argument per letter, 0.3
+    times a standard normal matrix of size 1 or 2 (alternating), halved once
+    when the substituted pencil's spectral radius reaches 0.95 or its tail
+    bound is infinite (||K||_2 >= 1).  The gap between the closed form and the
     degree-``NC_SERIES_DEGREE`` partial sum must not exceed the tail bound
     plus the rounding bound of :func:`series_bounds`; a bound still infinite
     after the halving fails the trial (ratio inf).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     d = wfa.alphabet_size
     head = nc_rational_eval(wfa, [np.zeros((1, 1))] * d)[0, 0]
@@ -420,7 +419,7 @@ def verify_nc_rational(wfa: Wfa, trials: int, seed=0) -> NcRationalReport:
     worst_ratio = 0.0
     worst_rho = 0.0
     worst_norm_sum = 0.0
-    for trial in range(trials):
+    for trial in range(NC_TRIALS):
         size = 1 + trial % 2
         arguments = [0.3 * rng.standard_normal((size, size)) for _ in range(d)]
         # one call per substitution gives the margins and the bounds; the
@@ -445,7 +444,6 @@ def verify_nc_rational(wfa: Wfa, trials: int, seed=0) -> NcRationalReport:
         worst_rho = float(np.maximum(worst_rho, rho))
         worst_norm_sum = float(np.maximum(worst_norm_sum, norm_sum))
     return NcRationalReport(
-        trials=trials,
         head_exact=head_exact,
         max_ratio=worst_ratio,
         max_spectral_radius=worst_rho,

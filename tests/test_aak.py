@@ -375,6 +375,20 @@ class TestSchmidtPair:
             with pytest.raises(TypeError, match=rf"^k must be an integer, got {k!r}$"):
                 schmidt_pair(wfa, k)
 
+    def test_k_out_of_range_is_refused(self):
+        wfa = load_document(FIXTURES / "e2.wfa").wfa
+        for k in (-1, 2):
+            with pytest.raises(ValueError, match=rf"^k must lie in \[0, 2\), got {k}$"):
+                schmidt_pair(wfa, k)
+
+    def test_vanishing_sigma_has_no_schmidt_pair(self):
+        # stable and minimal, but sigma_1 / sigma_0 is about 1.5e-17
+        wfa = load_document(FIXTURES / "vanishing-sigma.wfa").wfa
+        assert is_minimal(wfa)
+        with pytest.raises(NumericalError, match="sigma_1 is 0 at working precision"):
+            aak_approximate(wfa, 1)
+        assert aak_approximate(wfa, 0).order == 0
+
 
 def circle_fourier_oracle(result, count, num_points=8192):
     """Independent extraction oracle: trapezoid Fourier integrals of the
@@ -394,6 +408,11 @@ class TestAakApproximate:
         assert np.abs(result.coefficients(40)).max() < 1e-12
         assert result.wfa.num_states == 1
         assert result.wfa.evaluate((0, 0)) == 0.0
+
+    def test_coefficient_count_below_one_is_refused(self, geometric_wfa):
+        result = aak_approximate(geometric_wfa, 0)
+        with pytest.raises(ValueError, match="^count must be >= 1, got 0$"):
+            result.coefficients(0)
 
     def test_k_is_read_as_an_integer(self, two_state_wfa, monkeypatch):
         # True is k = 1; a float or a numpy bool is refused before any solve
@@ -693,17 +712,22 @@ class TestAakApproximate:
     @pytest.mark.parametrize("info, message", [
         (1, r"^Schur form of the inverse system failed \(LAPACK info 1\)"),
         (4, "unit circle"),  # n + 2: the eigenvalues are computed, so the guard reads them
+        (3, r"^ordered Schur form of the inverse system failed \(LAPACK info 3\)"),
     ])
     def test_schur_failure_is_checked_before_the_circle_guard(self, monkeypatch, info, message):
         # dgees reports failure with eigenvalues on the unit circle: after a
-        # failed QR iteration (info <= n) they are unspecified and not read
+        # failed QR iteration (info <= n) they are unspecified and not read.
+        # A failed reordering (n + 1) keeps them as computed, off the circle,
+        # and is refused once the guard has read them
         from scipy.linalg import lapack
 
         real_dgees = lapack.dgees
 
         def failing(*args, **kwargs):
             schur, inside, real, imag, basis, work, _ = real_dgees(*args, **kwargs)
-            return schur, inside, np.ones_like(real), np.zeros_like(imag), basis, work, info
+            if info != 3:
+                real, imag = np.ones_like(real), np.zeros_like(imag)
+            return schur, inside, real, imag, basis, work, info
 
         monkeypatch.setattr(lapack, "dgees", failing)
         wfa = load_document(FIXTURES / "e2.wfa").wfa

@@ -402,6 +402,38 @@ class TestApproximate:
         assert re.fullmatch(rf"error: {re.escape(message)}[^\n]*\n", err)
         assert not out_file.exists()
 
+    def test_vanishing_sigma_exits_1(self, capsys, tmp_path):
+        # stable and minimal, but sigma_1 / sigma_0 is about 1.5e-17: k = 1
+        # has no Schmidt pair, while k = 0 is certified
+        out_file = tmp_path / "out.wfa"
+        code, out, err = run(
+            capsys, "approximate", str(FIXTURES / "vanishing-sigma.wfa"), "1",
+            "--no-timestamp", "-o", str(out_file),
+        )
+        assert code == 1
+        assert out == ""
+        assert re.fullmatch(r"error: the Hankel singular value sigma_1 is 0 at working "
+                            r"precision [^\n]*\n", err)
+        assert not out_file.exists()
+        code, _, err = run(
+            capsys, "approximate", str(FIXTURES / "vanishing-sigma.wfa"), "0",
+            "--no-timestamp", "-o", str(out_file),
+        )
+        assert code == 0
+        assert err == ""
+        assert out_file.exists()
+
+    def test_defaults_write_beside_the_input_with_a_timestamp(self, capsys, tmp_path):
+        path = tmp_path / "e2.wfa"
+        path.write_text((FIXTURES / "e2.wfa").read_text())
+        code, out, err = run(capsys, "approximate", str(path), "1")
+        assert code == 0
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[0].startswith("# generated: ")
+        assert lines[-1] == f"output: {tmp_path / 'e2-aak1.wfa'}"
+        assert load_document(tmp_path / "e2-aak1.wfa").wfa.num_states == 1
+
     def test_aak_on_multi_letter_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "approximate", str(FIXTURES / "nilpotent.wfa"), "1",
@@ -480,8 +512,7 @@ class TestVerify:
 
     def test_shifts_suite(self, capsys):
         code, out, _ = run(
-            capsys, "verify", "--suite", "shifts", "--degree", "4",
-            "--trials", "20", "--no-timestamp",
+            capsys, "verify", "--suite", "shifts", "--degree", "4", "--no-timestamp",
         )
         assert code == 0
         assert "result: pass" in out
@@ -541,11 +572,11 @@ class TestVerify:
 
     def test_nc_rational_suite(self, capsys):
         code, out, _ = run(
-            capsys, "verify", "--suite", "nc-rational", "--trials", "10",
-            "--seed", "3", "--no-timestamp",
+            capsys, "verify", "--suite", "nc-rational", "--seed", "3", "--no-timestamp",
         )
         assert code == 0
         assert "head coefficient exactly: True" in out
+        assert "trials: 100 (matrix sizes 1 and 2, degree-8 series)" in out
 
     def test_nc_rational_rounding_is_not_a_failure(self, capsys):
         # seed 28 has trials whose exact tail bound (~1e-21) lies below the
@@ -576,25 +607,14 @@ class TestVerify:
         assert out.strip().endswith("result: fail")
 
     def test_all_suites_deterministic_output(self, capsys):
-        _, first, _ = run(
-            capsys, "verify", "--suite", "all", "--trials", "5",
-            "--seed", "7", "--no-timestamp",
-        )
-        _, second, _ = run(
-            capsys, "verify", "--suite", "all", "--trials", "5",
-            "--seed", "7", "--no-timestamp",
-        )
-        assert first == second
-
-    @pytest.mark.parametrize("suite", ["nc-rational", "shifts", "all"])
-    @pytest.mark.parametrize("trials", ["0", "-3", "x"])
-    def test_trials_below_one_exits_2(self, capsys, suite, trials):
-        code, out, err = run(
-            capsys, "verify", "--suite", suite, f"--trials={trials}", "--no-timestamp",
-        )
-        assert code == 2
-        assert out == ""
-        assert "--trials" in err
+        runs = [
+            run(capsys, "verify", "--suite", "all", "--seed", "7", "--no-timestamp")
+            for _ in range(2)
+        ]
+        assert runs[0] == runs[1]
+        code, out, _ = runs[0]
+        assert code == 0
+        assert out.count("result: pass") == 4
 
     @pytest.mark.parametrize("suite", ["hankel-eq", "shifts", "free-group", "nc-rational", "all"])
     def test_negative_seed_exits_2(self, capsys, suite):
@@ -602,6 +622,12 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "argument --seed: must be >= 0, got -1" in err
+
+    def test_non_integer_seed_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--seed", "x", "--no-timestamp")
+        assert code == 2
+        assert out == ""
+        assert "argument --seed: invalid int value: 'x'" in err
 
     def test_timestamp_line_present_by_default(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "free-group")
@@ -617,8 +643,7 @@ class TestVerify:
 
         monkeypatch.setattr("wfamin.cli.load_document", counting)
         code, out, _ = run(
-            capsys, "verify", str(FIXTURES / "nilpotent.wfa"), "--suite", "all",
-            "--trials", "5", "--no-timestamp",
+            capsys, "verify", str(FIXTURES / "nilpotent.wfa"), "--suite", "all", "--no-timestamp",
         )
         assert code == 0
         assert out.count(f"file {FIXTURES / 'nilpotent.wfa'}") == 2  # hankel-eq, nc-rational

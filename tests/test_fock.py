@@ -131,6 +131,11 @@ class TestFlip:
         np.testing.assert_array_equal(fock.flip(basis, fock.flip(basis, v)), v)
         assert np.linalg.norm(fock.flip(basis, v)) == pytest.approx(np.linalg.norm(v))
 
+    def test_vector_of_the_wrong_shape_is_refused(self):
+        basis = WordIndex(2, 2)
+        with pytest.raises(ValueError, match=r"^vector has shape \(6,\), expected \(7,\)$"):
+            fock.flip(basis, np.zeros(6))
+
     def test_flip_conjugates_left_to_right_shift(self):
         basis = WordIndex(2, 4)
         u = flip_matrix(basis)
@@ -495,16 +500,14 @@ class TestNcRational:
 
     def test_verify_nc_rational_report(self):
         wfa = random_stable_wfa(2, 3, seed=3, radius_bound=0.9)
-        report = fock.verify_nc_rational(wfa, trials=10, seed=3)
+        report = fock.verify_nc_rational(wfa, seed=3)
         assert report.head_exact and report.passed
         assert 0.0 < report.max_ratio <= 1.0
         assert report.max_spectral_radius < 0.95
         lines = list(report.lines())
         assert lines[0] == "zero substitution returns head coefficient exactly: True"
-        assert lines[1] == "trials: 10 (matrix sizes 1 and 2, degree-8 series)"
-        assert fock.verify_nc_rational(wfa, trials=10, seed=3) == report
-        with pytest.raises(ValueError, match="trials"):
-            fock.verify_nc_rational(wfa, trials=0)
+        assert lines[1] == "trials: 100 (matrix sizes 1 and 2, degree-8 series)"
+        assert fock.verify_nc_rational(wfa, seed=3) == report
 
     @pytest.mark.parametrize("seed", [6, 13, 17, 29, 30, 31, 48, 51, 81, 111, 114, 115,
                                       117, 126, 142, 145, 150, 156])
@@ -521,9 +524,9 @@ class TestNcRational:
 
         monkeypatch.setattr(fock, "nc_rational_eval", recording)
         wfa = random_stable_wfa(2, 3, seed=seed, radius_bound=0.9)
-        report = fock.verify_nc_rational(wfa, trials=100, seed=seed)
+        report = fock.verify_nc_rational(wfa, seed=seed)
         assert report.passed
-        assert len(compared) == 101  # the zero substitution, then one per trial
+        assert len(compared) == 1 + fock.NC_TRIALS  # the zero substitution, then one per trial
         for arguments in compared[1:]:
             assert np.isfinite(sum(fock.series_bounds(wfa, arguments, fock.NC_SERIES_DEGREE)[2:]))
 
@@ -535,6 +538,11 @@ class TestNcRational:
                      lambda: fock.nc_rational_series(wfa, empty, 8)):
             with pytest.raises(ValueError, match="^arguments must be nonempty square matrices"):
                 call()
+
+    def test_argument_count_must_match_the_alphabet(self):
+        wfa = random_stable_wfa(2, 3, seed=8, radius_bound=0.9)
+        with pytest.raises(ValueError, match="^expected 2 arguments, got 3$"):
+            fock.nc_rational_eval(wfa, [0.1 * np.eye(2)] * 3)
 
     def test_float_degree_refused(self):
         wfa = random_stable_wfa(2, 3, seed=8, radius_bound=0.9)
@@ -568,6 +576,10 @@ class TestFlippedSymbol:
         series = evaluation_table(nilpotent_wfa, 2)
         np.testing.assert_array_equal(series, [0, 1, 0, 0, 1, 0, 0])
 
+    def test_basis_of_another_alphabet_is_refused(self, two_state_wfa):
+        with pytest.raises(ValueError, match="^basis and automaton alphabet sizes differ$"):
+            fock.flipped_multiplier_matrix(two_state_wfa, WordIndex(2, 3))
+
     def test_one_letter_equals_symbol_coefficients(self, two_state_wfa):
         # one letter: the flip is the identity, so the flipped multiplier's
         # column at the empty word is the symbol's coefficient sequence
@@ -589,6 +601,11 @@ class TestMultiplier:
         op = fock.flipped_multiplier_matrix(wfa, basis)
         report = fock.verify_multiplier_intertwining(op, basis)
         assert report.max_discrepancy < 1e-14
+
+    def test_non_square_operator_is_refused(self):
+        basis = WordIndex(2, 3)
+        with pytest.raises(ValueError, match=r"^operator has shape \(15, 14\), expected square"):
+            fock.verify_multiplier_intertwining(np.zeros((15, 14)), basis)
 
     def test_identity_is_not_a_multiplier(self):
         basis = WordIndex(2, 3)

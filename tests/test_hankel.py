@@ -74,6 +74,11 @@ class TestBuildHankel:
         with pytest.raises(ValueError, match=r"^refusing to build a 40001 x 40001 block "):
             build_hankel(geometric_wfa, 40000)
 
+    def test_entries_must_be_square_over_the_words(self):
+        words = WordIndex(2, 1)
+        with pytest.raises(ValueError, match=r"^entries have shape \(3, 2\), expected \(3, 3\)$"):
+            HankelBlock(words, np.zeros((3, 2)))
+
 
 class TestHankelRank:
     @pytest.mark.parametrize("d,n,seed", [(1, 3, 0), (2, 3, 1), (3, 4, 2), (2, 5, 3)])

@@ -83,6 +83,10 @@ class TestParsing:
                 "alphabet: a a\nstates: 1\nalpha: 1\nbeta: 1\ntransition a:\n0\n"
             )
 
+    def test_label_count_must_match_the_alphabet(self):
+        with pytest.raises(ValueError, match="^2 labels for 1 symbols$"):
+            WfaDocument(labels=("a", "b"), wfa=Wfa([1.0], [[[0.5]]], [1.0]))
+
     def test_duplicate_transition_block(self):
         with pytest.raises(ValueError, match="duplicate transition"):
             parse_document(
@@ -101,6 +105,20 @@ class TestParsing:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="one weight per state"):
             parse_document("alphabet: a\nstates: 2\nalpha: 1\nbeta: 0 1\ntransition a:\n0 0\n0 0\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("alphabet: a\ntransition a:\n0\nstates: 1\nalpha: 1\nbeta: 1\n",
+         "line 2: 'states' must precede transitions"),
+        ("alphabet: a\nstates: 2\nalpha: 1 0\nbeta: 0 1\n# one row\ntransition a:\n0 1\n",
+         "line 6: transition 'a' is truncated"),
+        ("alphabet: a\nstates: 1\nalpha 1\nbeta: 1\ntransition a:\n0\n",
+         "line 3: expected 'key: value', got 'alpha 1'"),
+        ("alphabet: a\nstates: 1\nalpha: 1\nbeta: 1\n\nalpha: 2\ntransition a:\n0\n",
+         "line 6: duplicate field 'alpha'"),
+    ], ids=["transition-before-states", "truncated-block", "no-colon", "duplicate-field"])
+    def test_malformed_layout_names_its_line(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_document(text)
 
     @pytest.mark.parametrize("field,value,message", [
         ("alpha", "x", "expected numbers, got 'x'"),

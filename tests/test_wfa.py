@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wfamin.errors import NumericalError
 from wfamin.wfa import Wfa, _integer_k, evaluation_table, random_stable_wfa, spectral_radius
 from wfamin.words import WordIndex
 
@@ -80,6 +81,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             Wfa([1.0], [], [1.0])
 
+    def test_matrix_alpha_and_no_states_are_refused(self):
+        with pytest.raises(ValueError, match="^alpha and beta must be vectors$"):
+            Wfa([[1.0]], [[[0.5]]], [1.0])
+        with pytest.raises(ValueError, match="^a WFA needs at least one state$"):
+            Wfa([], [np.zeros((0, 0))], [])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weights_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -128,6 +135,15 @@ class TestSpectralRadius:
     def test_non_square(self):
         with pytest.raises(ValueError):
             spectral_radius(np.ones((2, 3)))
+
+    def test_eigenvalue_failure_is_a_numerical_error(self, monkeypatch):
+        def failing(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", failing)
+        with pytest.raises(NumericalError, match="^eigenvalue computation failed: "
+                                                 "Eigenvalues did not converge$"):
+            spectral_radius([[0.5]])
 
 
 class TestKronecker:

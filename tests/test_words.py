@@ -58,6 +58,14 @@ def test_rejects_out_of_range():
         WordIndex(2, -1)
 
 
+def test_first_index_of_length_refuses_lengths_outside_the_bound():
+    index = WordIndex(2, 3)
+    assert index.first_index_of_length(3) == 7
+    for length in (-1, 4):
+        with pytest.raises(ValueError, match=rf"^length {length} outside \[0, 3\]$"):
+            index.first_index_of_length(length)
+
+
 @pytest.mark.parametrize("d, length", [(1, 0), (1, 7), (2, 0), (2, 9), (3, 5), (4, 3)])
 def test_word_count_is_the_index_size(d, length):
     index = WordIndex(d, length)
