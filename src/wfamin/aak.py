@@ -78,6 +78,16 @@ def _require_one_letter(wfa: Wfa) -> np.ndarray:
     return wfa.transitions[0]
 
 
+def _checked_k(wfa: Wfa, k) -> int:
+    """k read by :func:`_integer_k`, once ``wfa`` has one letter and k lies
+    in [0, n); every check runs before any solve."""
+    k = _integer_k(k)
+    _require_one_letter(wfa)
+    if not 0 <= k < wfa.num_states:
+        raise ValueError(f"k must lie in [0, {wfa.num_states}), got {k}")
+    return k
+
+
 @dataclass(frozen=True, eq=False)
 class GramianPair:
     """Controllability and observability Gramians of a one-letter realization.
@@ -221,27 +231,16 @@ def _singular_data(wfa: Wfa):
     return sigmas, left, sqrt_obs, pair
 
 
-def _vanishes(sigmas: np.ndarray, k: int) -> bool:
-    """Whether sigma_k is 0 at working precision (at most eps * sigma_0)."""
-    return sigmas[k] <= np.finfo(float).eps * sigmas[0]
-
-
 def hankel_singular_values(wfa: Wfa) -> np.ndarray:
     """Singular values of the infinite Hankel operator of a one-letter WFA.
 
     Computed as the singular values of a product of Gramian square roots,
     which is exact at the size of the realization; no truncation enters.
-    Raises :class:`RankDeficiencyError` when the automaton is not minimal
-    and :class:`NumericalError` when the smallest value is 0 at working
-    precision.
+    Every value is returned, even one that is 0 at working precision (only
+    its Schmidt pair is refused).  Raises :class:`StabilityError` or
+    :class:`RankDeficiencyError` for an unstable or a non-minimal input.
     """
-    sigmas = _singular_data(wfa)[0]
-    if _vanishes(sigmas, -1):
-        raise NumericalError(
-            "the smallest Hankel singular value is 0 at working precision "
-            f"(singular values {sigmas})"
-        )
-    return sigmas
+    return _singular_data(wfa)[0]
 
 
 def hankel_norm(f: Wfa, g: Wfa) -> float:
@@ -279,11 +278,12 @@ class SchmidtPair:
     controllability: np.ndarray = field(repr=False)
 
 
-def _schmidt_pair(wfa: Wfa, k: int, singular_data) -> SchmidtPair:
+def _schmidt_pair(wfa: Wfa, k: int, singular_data) -> tuple[SchmidtPair, tuple[str, ...]]:
+    """sigma_k's Schmidt pair, chosen within the tie group {i : |sigma_i -
+    sigma_k| <= TIE_RTOL sigma_0}, and a warning for each of the index pairs
+    (k - 1, k) and (k, k + 1) that lies inside that group."""
     sigmas, left, sqrt_obs, pair = singular_data
-    if not 0 <= k < len(sigmas):
-        raise ValueError(f"k must lie in [0, {len(sigmas)}), got {k}")
-    if _vanishes(sigmas, k):
+    if sigmas[k] <= np.finfo(float).eps * sigmas[0]:
         raise NumericalError(
             f"the Hankel singular value sigma_{k} is 0 at working precision "
             f"(singular values {sigmas}); its Schmidt pair is undefined"
@@ -294,12 +294,19 @@ def _schmidt_pair(wfa: Wfa, k: int, singular_data) -> SchmidtPair:
     tied = np.flatnonzero(np.abs(sigmas - sigmas[k]) <= TIE_RTOL * sigmas[0])
     u = left[:, tied[np.argmax(np.abs(left[:, tied].T @ (sqrt_obs @ wfa.beta)))]]
     direction = sqrt_obs @ u / sigmas[k]
-    return SchmidtPair(float(sigmas[k]), direction, wfa, pair.controllability)
+    warnings = tuple(
+        f"singular values {i} and {i + 1} are nearly equal; the optimal "
+        "approximation may not be unique"
+        for i in (k - 1, k) if i in tied and i + 1 in tied
+    )
+    return SchmidtPair(float(sigmas[k]), direction, wfa, pair.controllability), warnings
 
 
 def schmidt_pair(wfa: Wfa, k: int) -> SchmidtPair:
-    """Schmidt pair for the k-th largest Hankel singular value (0-indexed)."""
-    return _schmidt_pair(wfa, _integer_k(k), _singular_data(wfa))
+    """Schmidt pair for the k-th largest Hankel singular value (0-indexed).
+    k is checked before any solve; a sigma_k that is 0 at working precision
+    (at most eps * sigma_0) has none (:class:`NumericalError`)."""
+    return _schmidt_pair(wfa, _checked_k(wfa, k), _singular_data(wfa))[0]
 
 
 def _optimal_sequence(pair: SchmidtPair, order: int) -> Wfa:
@@ -460,24 +467,14 @@ def aak_approximate(wfa: Wfa, k: int) -> AakApproximation:
         unstable or the certificate does not hold.  Smaller singular values,
         even vanishing ones, do not enter.
     """
-    k = _integer_k(k)
-    _require_one_letter(wfa)
-    n = wfa.num_states
-    if not 0 <= k < n:
-        raise ValueError(f"k must lie in [0, {n}), got {k}")
+    k = _checked_k(wfa, k)
     # one Gramian solve serves the singular values and the Schmidt pair;
     # StabilityError unless spectral radius < 1, then RankDeficiencyError
     # unless minimal
     singular_data = _singular_data(wfa)
     sigmas = singular_data[0]
     sigma_k = float(sigmas[k])
-    warnings = tuple(
-        f"singular values {i} and {i + 1} are nearly equal; the optimal "
-        "approximation may not be unique"
-        for i in (k - 1, k)
-        if 0 <= i and i + 1 < n and sigmas[i] - sigmas[i + 1] <= TIE_RTOL * sigmas[0]
-    )
-    pair = _schmidt_pair(wfa, k, singular_data)
+    pair, warnings = _schmidt_pair(wfa, k, singular_data)
     sequence = _optimal_sequence(pair, k)
     # the k-state realization of the sequence from its state factors, no
     # block (the one-state zero automaton at k = 0)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
+from .words import _letter
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -78,14 +79,11 @@ class Wfa:
         return f"Wfa(states={self.num_states}, alphabet_size={self.alphabet_size})"
 
     def evaluate(self, word) -> float:
-        """Value of the realized function on a word of symbol indices."""
+        """Value of the realized function on a word of symbol indices, each
+        read by :func:`words._letter`, as :class:`WordIndex` reads them."""
         u = self.alpha
         for symbol in word:
-            if not 0 <= symbol < self.alphabet_size:
-                raise ValueError(
-                    f"symbol {symbol} outside [0, {self.alphabet_size})"
-                )
-            u = u @ self.transitions[symbol]
+            u = u @ self.transitions[_letter(symbol, self.alphabet_size)]
         return float(u @ self.beta)
 
 

@@ -1,12 +1,15 @@
 """Word enumeration over a finite alphabet in graded lexicographic order.
 
-Words are tuples of symbol indices in ``[0, alphabet_size)``.  The graded
-lexicographic order lists shorter words first and breaks ties by comparing
-symbol sequences; the empty word always has index 0.  :class:`WordIndex`
-owns this order and computes every index map between words; a module that
-slices a word-indexed array relies on the identities below.  A word's index
-is its value as a base-d numeral plus the number of shorter words, so for
-words w, u over d letters and a letter a (index 1 + a)
+Words are tuples of symbol indices in ``[0, alphabet_size)``.  Every letter
+of the package, :meth:`Wfa.evaluate`'s included, is read by :func:`_letter`:
+a float or string symbol is a ``TypeError``, one outside the alphabet a
+``ValueError``.  The graded lexicographic order lists shorter words first
+and breaks ties by comparing symbol sequences; the empty word always has
+index 0.  :class:`WordIndex` owns this order and computes every index map
+between words; a module that slices a word-indexed array relies on the
+identities below.  A word's index is its value as a base-d numeral plus the
+number of shorter words, so for words w, u over d letters and a letter a
+(index 1 + a)
 
     index_of(w + u) = d**len(u) * index_of(w) + index_of(u),
     index_of((a,) + u) = (1 + a) * d**len(u) + index_of(u),
@@ -65,6 +68,15 @@ def _block_rows(alphabet_size: int, length: int, columns: int | None, what: str)
     return rows
 
 
+def _letter(symbol: int, alphabet_size: int) -> int:
+    """``symbol`` read through ``operator.index``, once it is a letter of an
+    alphabet of ``alphabet_size`` symbols."""
+    symbol = operator.index(symbol)
+    if not 0 <= symbol < alphabet_size:
+        raise ValueError(f"symbol {symbol} outside [0, {alphabet_size})")
+    return symbol
+
+
 @dataclass(frozen=True)
 class WordIndex:
     """Bijection between words of length <= max_length and ``range(len(self))``,
@@ -94,16 +106,8 @@ class WordIndex:
             raise ValueError(f"word of length {len(word)} exceeds bound {self.max_length}")
         value = 0
         for symbol in word:
-            value = value * self.alphabet_size + self._letter(symbol)
+            value = value * self.alphabet_size + _letter(symbol, self.alphabet_size)
         return self.first_index_of_length(len(word)) + value
-
-    def _letter(self, symbol: int) -> int:
-        """``symbol`` read through ``operator.index``, once it is a letter of
-        the alphabet."""
-        symbol = operator.index(symbol)
-        if not 0 <= symbol < self.alphabet_size:
-            raise ValueError(f"symbol {symbol} outside [0, {self.alphabet_size})")
-        return symbol
 
     def word_at(self, index: int) -> Word:
         """Word with the given index; inverse of :meth:`index_of`."""
@@ -143,7 +147,7 @@ class WordIndex:
 
     def prepend_indices(self, symbol: int) -> np.ndarray:
         """index_of((symbol,) + w) for every interior word w, in order."""
-        letter = self._letter(symbol)
+        letter = _letter(symbol, self.alphabet_size)
         powers = self.alphabet_size ** np.arange(self.max_length, dtype=np.int64)
         out = np.repeat(powers, powers)  # d**len(w): d**k interior words of length k
         out *= 1 + letter
@@ -153,7 +157,7 @@ class WordIndex:
     def append_indices(self, symbol: int) -> np.ndarray:
         """index_of(w + (symbol,)) for every interior word w, in order."""
         interior = np.arange(self.interior_size, dtype=np.int64)
-        return self.alphabet_size * interior + 1 + self._letter(symbol)
+        return self.alphabet_size * interior + 1 + _letter(symbol, self.alphabet_size)
 
     def reversal_permutation(self) -> np.ndarray:
         """index_of(reversed w) for every word w, in order; an involution."""

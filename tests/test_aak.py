@@ -21,6 +21,7 @@ from wfamin.aak import (
     hankel_singular_values,
     schmidt_pair,
 )
+from wfamin.cli import main
 from wfamin.errors import NumericalError, RankDeficiencyError, StabilityError
 from wfamin.hankel import build_hankel, is_minimal
 from wfamin.io import load_document
@@ -210,6 +211,31 @@ class TestSolveStein:
         with pytest.raises(NumericalError, match="overflowed"):
             _solve_stein(a, a, np.ones((2, 2)))
 
+    def test_overflowing_doubling_still_falls_back(self, monkeypatch):
+        # A^2 overflows, so the doubling is not finite, yet the solution
+        # (4/3) e_1 e_1^T is: a member whose doubling overflowed is not
+        # refused at once but solved by Bartels-Stewart
+        a = np.array([[0.5, 1e200, 0.0], [0.0, 0.5, 1e200], [0.0, 0.0, 0.5]])
+        c = np.zeros((3, 3))
+        c[0, 0] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(_smith_doubling(a, a, c)).any()
+        solution, residual = _solve_stein(a, a, c)
+        np.testing.assert_allclose(solution, 4.0 / 3.0 * c, rtol=1e-15, atol=0)
+        assert residual == 0.0
+        # (e_3, A, e_1) realizes 0: both Gramians fall back, and the input is
+        # refused as not minimal (exit 2), not as a failed solve (exit 1)
+        fallbacks = []
+
+        def recorded(*args):
+            fallbacks.append(1)
+            return _bartels_stewart(*args)
+
+        monkeypatch.setattr("wfamin.aak._bartels_stewart", recorded)
+        with pytest.raises(RankDeficiencyError, match="not minimal"):
+            aak_approximate(Wfa([0.0, 0.0, 1.0], [a], [1.0, 0.0, 0.0]), 1)
+        assert len(fallbacks) == 2
+
     def test_no_fixed_point_is_a_numerical_failure(self):
         # X = X + I has no solution: every doubling doubles X, and the
         # Schur pencils share the eigenvalue 1
@@ -375,11 +401,45 @@ class TestSchmidtPair:
             with pytest.raises(TypeError, match=rf"^k must be an integer, got {k!r}$"):
                 schmidt_pair(wfa, k)
 
-    def test_k_out_of_range_is_refused(self):
+    def test_k_out_of_range_is_refused(self, monkeypatch):
+        # before any solve, as aak_approximate refuses it
         wfa = load_document(FIXTURES / "e2.wfa").wfa
+
+        def unreachable(*args):
+            raise AssertionError("a Gramian solve ran")
+
+        monkeypatch.setattr("wfamin.aak._singular_data", unreachable)
         for k in (-1, 2):
             with pytest.raises(ValueError, match=rf"^k must lie in \[0, 2\), got {k}$"):
                 schmidt_pair(wfa, k)
+
+    def test_k_is_checked_before_stability(self):
+        # an unstable one-state input: k = 1 is out of range, whatever the radius
+        unstable = Wfa([1.0], [[[1.5]]], [1.0])
+        for call in (schmidt_pair, aak_approximate):
+            with pytest.raises(ValueError, match=r"^k must lie in \[0, 1\), got 1$"):
+                call(unstable, 1)
+            with pytest.raises(StabilityError):
+                call(unstable, 0)
+
+    @pytest.mark.parametrize("sigmas, warned", [
+        ((1.0, 1.0, 0.5), [0]), ((2.0, 1.0, 1.0), [1]), ((2.0, 1.0, 0.5), []),
+    ])
+    def test_one_tie_group_for_the_pair_and_the_warnings(self, sigmas, warned):
+        # k = 1 with planted singular values: sigma_1 ties sigma_0, sigma_2 or
+        # neither; the pair is chosen and the warnings named inside one group
+        wfa = random_stable_wfa(1, 3, seed=21, radius_bound=0.8)
+        _, left, sqrt_obs, gramian_pair = _singular_data(wfa)
+        sigmas = np.array(sigmas)
+        pair, warnings = _schmidt_pair(wfa, 1, (sigmas, left, sqrt_obs, gramian_pair))
+        assert warnings == tuple(
+            f"singular values {i} and {i + 1} are nearly equal; the optimal "
+            "approximation may not be unique" for i in warned
+        )
+        tied = [1] + [i for i in (0, 2) if sigmas[i] == sigmas[1]]
+        heads = np.abs(left[:, tied].T @ (sqrt_obs @ wfa.beta))
+        np.testing.assert_array_equal(pair.direction,
+                                      sqrt_obs @ left[:, tied[np.argmax(heads)]] / sigmas[1])
 
     def test_vanishing_sigma_has_no_schmidt_pair(self):
         # stable and minimal, but sigma_1 / sigma_0 is about 1.5e-17
@@ -387,7 +447,21 @@ class TestSchmidtPair:
         assert is_minimal(wfa)
         with pytest.raises(NumericalError, match="sigma_1 is 0 at working precision"):
             aak_approximate(wfa, 1)
+        with pytest.raises(NumericalError, match="sigma_1 is 0 at working precision"):
+            schmidt_pair(wfa, 1)
         assert aak_approximate(wfa, 0).order == 0
+
+    def test_vanishing_sigma_is_returned_as_approximate_prints_it(self, tmp_path, capsys):
+        # hankel_singular_values refuses nothing of its own: it returns the
+        # values `approximate ... 0` prints, 5.263157894736843 and 7.8e-17
+        path = FIXTURES / "vanishing-sigma.wfa"
+        sigmas = hankel_singular_values(load_document(path).wfa)
+        assert main(["approximate", str(path), "0", "--no-timestamp",
+                     "-o", str(tmp_path / "out.wfa")]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert "singular values: " + " ".join(map(repr, sigmas.tolist())) in printed
+        assert sigmas[0] == pytest.approx(5.263157894736843, rel=1e-14)
+        assert 0.0 < sigmas[1] <= np.finfo(float).eps * sigmas[0]
 
 
 def circle_fourier_oracle(result, count, num_points=8192):
@@ -590,8 +664,10 @@ class TestAakApproximate:
             result = aak_approximate(wfa, 16)
             sigmas = result.singular_values
             assert abs(result.attained - sigmas[16]) <= 1e-6 * sigmas[0]
-        with pytest.raises(NumericalError, match="smallest"):
-            hankel_singular_values(random_stable_wfa(1, 32, seed=0, radius_bound=0.9))
+        # the public values are the approximation's, vanishing ones included
+        wfa = random_stable_wfa(1, 32, seed=0, radius_bound=0.9)
+        np.testing.assert_array_equal(hankel_singular_values(wfa),
+                                      aak_approximate(wfa, 16).singular_values)
 
     def test_extraction_memory_is_quadratic_in_n(self):
         # every Stein equation is solved on n x n matrices; a Kronecker
@@ -744,7 +820,7 @@ class TestAakApproximate:
         data = _singular_data(wfa)
         sigmas = data[0]
         for k in (0, wfa.num_states - 1):
-            sequence = _optimal_sequence(_schmidt_pair(wfa, k, data), k)
+            sequence = _optimal_sequence(_schmidt_pair(wfa, k, data)[0], k)
             assert sequence.num_states == wfa.num_states + k
             assert abs(hankel_norm(wfa, sequence) - sigmas[k]) <= 1e-6 * sigmas[0]
 

@@ -451,6 +451,12 @@ class TestFreeGroup:
         assert report.degenerate_lhs == 1.0 <= report.degenerate_rhs
         assert report.passed
 
+    def test_report_without_a_violation_says_so(self):
+        # the probe always exhibits one; a report without one fails
+        report = fock.FreeGroupReport(2.0, 2.0, 2.0, 2.0, 1.0, 1.0)
+        assert not report.violation_exhibited and not report.passed
+        assert next(report.lines()) == "free group: 2.0 <= 2.0 (no violation found)"
+
 
 class TestNcRational:
     def test_zero_arguments_give_head_coefficient(self):

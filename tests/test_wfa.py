@@ -45,6 +45,21 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             nilpotent_wfa.evaluate((0, 2))
 
+    @pytest.mark.parametrize("read", ["evaluate", "index_of"])
+    @pytest.mark.parametrize("symbol, error, message", [
+        (0.5, TypeError, "^'float' object cannot be interpreted as an integer$"),
+        (np.float64(1.0), TypeError, "cannot be interpreted as an integer$"),
+        ("a", TypeError, "^'str' object cannot be interpreted as an integer$"),
+        (-1, ValueError, r"^symbol -1 outside \[0, 2\)$"),
+        (2, ValueError, r"^symbol 2 outside \[0, 2\)$"),
+    ])
+    def test_letters_are_read_as_word_index_reads_them(self, nilpotent_wfa, read, symbol,
+                                                       error, message):
+        # one letter rule: evaluate refuses each symbol as the word index does
+        reader = nilpotent_wfa if read == "evaluate" else WordIndex(2, 3)
+        with pytest.raises(error, match=message):
+            getattr(reader, read)((0, symbol))
+
     def test_multiplicative_on_splits(self):
         wfa = random_stable_wfa(2, 3, seed=11, radius_bound=0.9)
         rng = np.random.default_rng(0)
@@ -109,6 +124,9 @@ class TestValidation:
                 setattr(wfa, name, value)
         assert wfa.num_states == 1 and wfa.alpha.tolist() == [1.0]
         assert Wfa(alpha=[1.0], transitions=[[[0.5]]], beta=[1.0]).evaluate((0,)) == 0.5
+
+    def test_repr_names_the_sizes_only(self, nilpotent_wfa):
+        assert repr(nilpotent_wfa) == "Wfa(states=2, alphabet_size=2)"
 
 
 class TestIntegerK:
