@@ -18,7 +18,7 @@ import numpy as np
 
 from . import aak, fock
 from .errors import NumericalError, StabilityError
-from .hankel import _svd_baseline
+from .hankel import _svd_baseline, build_hankel
 from .io import WfaDocument, load_document, parse_word, save_document
 from .wfa import random_stable_wfa
 
@@ -132,7 +132,7 @@ def _suite_hankel_eq(args, wfa):
     worst = 0.0
     passed = True
     for label, wfa in fixtures:
-        report = fock.verify_hankel_equation(wfa, args.degree)
+        report = fock.verify_hankel_equation(build_hankel(wfa, args.degree))
         worst = float(np.maximum(worst, report.max_discrepancy))  # NaN propagates
         passed = passed and report.passed
         lines.append(f"fixture: {label}")
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("file", nargs="?", default=None,
                           help="optional automaton document used as the fixture")
     p_verify.add_argument("--suite", choices=(*SUITES, "all"), default="all")
-    p_verify.add_argument("--degree", type=int, default=5,
+    p_verify.add_argument("--degree", type=_nonnegative_int, default=5,
                           help="Fock-space truncation degree")
     p_verify.add_argument("--seed", type=_nonnegative_int, default=0)
     p_verify.add_argument("--no-timestamp", action="store_true",

@@ -15,11 +15,12 @@ their identities are documented once, in :mod:`wfamin.words`.
 :func:`flipped_multiplier_matrix` and :func:`verify_multiplier_intertwining`
 also slice word-indexed arrays by the append and prepend identities, and
 rely on them as documented there.  The shifts' adjoints enter only as the
-same index maps read the other way, as in :func:`verify_hankel_equation`.
-The bilateral shift of the two-sided space is not modeled apart: both
-checks that use it work on the positive component, where it is the right
-shift.  The multiplier intertwining check applies no shift at all: it reads
-the operator through slices and reshaped views, using those identities.
+same index maps read the other way, as in :func:`verify_hankel_equation`,
+which checks the square block it is given and builds none.  The bilateral
+shift of the two-sided space is not modeled apart: both checks that use it
+work on the positive component, where it is the right shift.  The
+multiplier intertwining check applies no shift at all: it reads the
+operator through slices and reshaped views, using those identities.
 
 Truncation discipline: a shift that would push support past the degree
 cutoff raises :class:`TruncationError`, the flipped multiplier drops the
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StabilityError, TruncationError
-from .hankel import build_hankel
+from .hankel import HankelBlock
 from .wfa import Wfa, _prefix_levels, evaluation_table, spectral_radius
 from .words import WordIndex, _block_rows, _word_count
 
@@ -99,8 +100,8 @@ class HankelEquationReport:
 
     @property
     def passed(self) -> bool:
-        # both sides are assembled from identical word evaluations, so any
-        # discrepancy at all means the identity is violated
+        # an automaton's block compares identical floats, so any discrepancy
+        # at all means the block violates the identity
         return self.max_discrepancy == 0.0
 
     def lines(self):
@@ -108,30 +109,29 @@ class HankelEquationReport:
         yield f"max discrepancy: {self.max_discrepancy!r}"
 
 
-def verify_hankel_equation(wfa: Wfa, degree: int) -> HankelEquationReport:
-    """Check the noncommutative Hankel identity H S_i = R_i^* H on the interior.
+def verify_hankel_equation(block: HankelBlock) -> HankelEquationReport:
+    """Check the noncommutative Hankel identity H S_i = R_i^* H on the interior
+    of a square block of degree ``block.words.max_length``.
 
     For every symbol i and interior column word u, the column of H at i u is
     compared against the right-shift-adjoint image of the column at u, row by
-    interior row.  The expected discrepancy is exactly zero because both
-    sides reduce to evaluations of the automaton on the same concatenated
-    words.
+    interior row.  An automaton's block, read from one table of word values,
+    gives exactly zero; any other block passes only on exact agreement.
     """
-    if degree < 2:
-        raise ValueError(f"degree must be >= 2, got {degree}")
-    block = build_hankel(wfa, degree)
     h, basis = block.entries, block.words
+    if basis.max_length < 2:
+        raise ValueError(f"degree must be >= 2, got {basis.max_length}")
     cut = basis.interior_size
     per_symbol = []
     comparisons = 0
-    for symbol in range(wfa.alphabet_size):
+    for symbol in range(basis.alphabet_size):
         lhs = h[:cut, basis.prepend_indices(symbol)]  # columns i u
         rhs = h[basis.append_indices(symbol), :cut]  # rows w i
         per_symbol.append(float(np.abs(lhs - rhs).max()))
         comparisons += lhs.size
     return HankelEquationReport(
-        alphabet_size=wfa.alphabet_size,
-        degree=degree,
+        alphabet_size=basis.alphabet_size,
+        degree=basis.max_length,
         comparisons=comparisons,
         per_symbol=tuple(per_symbol),
         max_discrepancy=float(np.max(per_symbol)),  # NaN propagates

@@ -40,7 +40,7 @@ DEFAULT_RANK_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class HankelBlock:
-    """A square Hankel block: rows and columns both indexed by ``words``."""
+    """A square block over one word set; ``build_hankel``'s blocks are Hankel."""
 
     words: WordIndex
     entries: np.ndarray

@@ -1,12 +1,14 @@
 """Dense reference definitions that the tests compare the package against.
 
 Nothing in the package calls these: the Fock lab applies its shifts and the
-flip as index maps, the Hankel identity is checked on word values, the AAK
-path realizes the error symbol exactly, and its Stein equations are solved
-on n x n matrices (doubling, or Bartels-Stewart on Schur forms).  Each
-definition here is the plain (dense or pointwise) form of an object the
-package computes another way, so a test can hold the two against each
-other.
+flip as index maps, the Hankel identity is checked on the block it is
+given, the AAK path realizes the error symbol exactly, and its Stein
+equations are solved on n x n matrices (doubling, or Bartels-Stewart on
+Schur forms).  Each definition here is the plain (dense or pointwise) form
+of an object the package computes another way, so a test can hold the two
+against each other.  The proportional-class lift is the oracle of a step the
+package does not take yet: a d-letter input whose letters act by multiples
+of one matrix, approximated through a one-letter one.
 """
 
 from __future__ import annotations
@@ -118,6 +120,36 @@ def check_hankel_property(block: HankelBlock, tol: float) -> tuple[bool, tuple |
             if not abs(values[a] - values[b]) <= tol:
                 return False, (*cells[a], *cells[b])
     return False, (*cells[0], *cells[0])
+
+
+# --- The proportional class: every letter acts by a multiple of one matrix
+
+
+def proportional_pair(alpha, matrix, beta, coefficients) -> tuple[Wfa, Wfa]:
+    """(f, f'): the d-letter f with A_a = c_a A, and the one-letter
+    f' = (alpha, sqrt(s) A, beta), where s = sum_a c_a^2 (A and c are arrays).
+
+    f(uv) = c(u) c(v) h(|u| + |v|), with c(w) the product of the c_{w_i}
+    and h(m) = alpha^T A^m beta.  The vectors (c(u))_{|u| = m} are orthogonal
+    across lengths m, with squared norm s^m, so on their span H_f is
+    unitarily equivalent to H_{f'}, and it is zero on the complement.
+    """
+    root = np.sqrt(coefficients @ coefficients)
+    return (Wfa(alpha, [c * matrix for c in coefficients], beta),
+            Wfa(alpha, [root * matrix], beta))
+
+
+def proportional_lift(g_prime: Wfa, coefficients) -> Wfa:
+    """The d-letter g with A_{g,a} = (c_a / sqrt(s)) A_{g'} for a one-letter g'.
+
+    H_g is unitarily equivalent to H_{g'} the way H_f is to H_{f'}
+    (:func:`proportional_pair`), so ||H_f - H_g|| = ||H_{f'} - H_{g'}||, and
+    the lift of the optimal one-letter approximant of f' attains sigma_k(H_f)
+    with Hankel rank at most k.
+    """
+    root = np.sqrt(coefficients @ coefficients)
+    (matrix,) = g_prime.transitions
+    return Wfa(g_prime.alpha, [(c / root) * matrix for c in coefficients], g_prime.beta)
 
 
 # --- Stein equations: the Kronecker system

@@ -23,7 +23,7 @@ from wfamin.aak import (
 )
 from wfamin.cli import main
 from wfamin.errors import NumericalError, RankDeficiencyError, StabilityError
-from wfamin.hankel import build_hankel, is_minimal
+from wfamin.hankel import _factored_svd, _state_factors, build_hankel, is_minimal
 from wfamin.io import load_document
 from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa, spectral_radius
 from wfamin.words import WordIndex
@@ -31,6 +31,8 @@ from wfamin.words import WordIndex
 from reference import (
     check_hankel_property,
     error_circle_samples,
+    proportional_lift,
+    proportional_pair,
     stein_kronecker,
     v_at,
     v_coefficients,
@@ -886,6 +888,40 @@ class TestHankelNorm:
     def test_unstable_approximant_is_a_numerical_failure(self, geometric_wfa):
         with pytest.raises(NumericalError, match="spectral radius"):
             hankel_norm(geometric_wfa, Wfa([1.0], [[[1.5]]], [1.0]))
+
+
+class TestProportionalLift:
+    """A_a = c_a A: the d-letter blocks of f and of f - g, for the lift g of
+    the optimal one-letter approximant g' of f' = (alpha, sqrt(s) A, beta),
+    rise from below to sigma_k(f'), the value both infinite operators take."""
+
+    LENGTHS = (4, 6, 8, 9)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_block_values_rise_to_the_one_letter_value(self, seed):
+        rng = np.random.default_rng(seed)
+        matrix = rng.standard_normal((4, 4))
+        coefficients = rng.standard_normal(2)
+        # sqrt(s) rho(A) = 0.7, so f' is stable
+        matrix *= 0.7 / (np.sqrt(coefficients @ coefficients) * spectral_radius(matrix))
+        f, f_prime = proportional_pair(rng.standard_normal(4), matrix,
+                                       rng.standard_normal(4), coefficients)
+        sigmas = hankel_singular_values(f_prime)
+        slack = 1e-12 * sigmas[0]  # rounding of the factored SVDs
+        for k in (1, 2):
+            g = proportional_lift(aak_approximate(f_prime, k).wfa, coefficients)
+            block_sigma, block_error = [], []
+            for length in self.LENGTHS:
+                factors = _state_factors(f, length)
+                block_sigma.append(_factored_svd(factors)[1][k])
+                g_factors = _state_factors(g, length)
+                np.negative(g_factors[1], out=g_factors[1])  # [P_f | P_g] [S_f | -S_g]^T
+                difference = np.concatenate([factors, g_factors], axis=2)
+                block_error.append(_factored_svd(difference)[1][0])
+            for values in (block_sigma, block_error):
+                assert max(values) <= sigmas[k] + slack
+                assert all(b >= a - slack for a, b in zip(values, values[1:]))
+                assert values[-1] == pytest.approx(sigmas[k], rel=1e-2)
 
 
 def test_array_holding_results_compare_by_identity():

@@ -169,7 +169,7 @@ def test_criterion_5_nc_hankel_equation(nilpotent_wfa):
     for i in range(20):
         d = 2 + i % 2
         wfa = random_stable_wfa(d, 3, seed=9200 + i, radius_bound=0.9)
-        rep = verify_hankel_equation(wfa, 5)
+        rep = verify_hankel_equation(build_hankel(wfa, 5))
         worst = max(worst, rep.max_discrepancy)
     basis = WordIndex(2, 4)
     h = build_hankel(nilpotent_wfa, 4).entries

@@ -623,6 +623,17 @@ class TestVerify:
         assert out == ""
         assert "argument --seed: must be >= 0, got -1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "all"],
+        [str(FIXTURES / "nilpotent.wfa"), "--suite", "hankel-eq"],
+    ])
+    def test_negative_degree_exits_2(self, capsys, argv):
+        # refused by argparse, before a file is read or a block is built
+        code, out, err = run(capsys, "verify", *argv, "--degree=-1", "--no-timestamp")
+        assert code == 2
+        assert out == ""
+        assert "argument --degree: must be >= 0, got -1" in err
+
     def test_non_integer_seed_exits_2(self, capsys):
         code, out, err = run(capsys, "verify", "--seed", "x", "--no-timestamp")
         assert code == 2

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from wfamin import fock
 from wfamin.errors import StabilityError, TruncationError
-from wfamin.hankel import build_hankel, hankel_rank
+from wfamin.aak import aak_approximate
+from wfamin.hankel import HankelBlock, build_hankel, hankel_rank
 from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa
 from wfamin.words import WordIndex
 
@@ -16,6 +17,7 @@ from reference import (
     left_shift_matrix,
     right_multiplication_matrix,
     right_shift_matrix,
+    svd_truncate,
 )
 
 
@@ -278,7 +280,7 @@ class TestHankelEquation:
         for seed in range(6):
             d = 2 + seed % 2
             wfa = random_stable_wfa(d, 3, seed=seed, radius_bound=0.9)
-            report = fock.verify_hankel_equation(wfa, 5)
+            report = fock.verify_hankel_equation(build_hankel(wfa, 5))
             assert report.max_discrepancy == 0.0
             assert report.passed
 
@@ -289,7 +291,8 @@ class TestHankelEquation:
     @settings(max_examples=40, deadline=None)
     def test_exactly_zero_property(self, d, n, degree, seed, radius):
         wfa = random_stable_wfa(d, n, seed=seed, radius_bound=radius)
-        report = fock.verify_hankel_equation(wfa, degree if d < 3 else min(degree, 4))
+        degree = degree if d < 3 else min(degree, 4)
+        report = fock.verify_hankel_equation(build_hankel(wfa, degree))
         assert report.max_discrepancy == 0.0
 
     def test_two_letter_fixture_columns(self, nilpotent_wfa):
@@ -306,12 +309,43 @@ class TestHankelEquation:
         np.testing.assert_array_equal(col_shift, expected)
 
     def test_one_letter_specialization(self, two_state_wfa):
-        report = fock.verify_hankel_equation(two_state_wfa, 5)
+        report = fock.verify_hankel_equation(build_hankel(two_state_wfa, 5))
         assert report.max_discrepancy == 0.0
 
     def test_degree_validation(self, nilpotent_wfa):
         with pytest.raises(ValueError):
-            fock.verify_hankel_equation(nilpotent_wfa, 1)
+            fock.verify_hankel_equation(build_hankel(nilpotent_wfa, 1))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("d, degree, k", [(2, 5, 2), (3, 4, 1)])
+    def test_truncated_svd_fails(self, d, degree, k, n):
+        # the rank-k truncation of an automaton's block is generally not
+        # Hankel, so the cells of one word disagree
+        for seed in range(5):
+            block = build_hankel(random_stable_wfa(d, n, seed=seed, radius_bound=0.9), degree)
+            exact = fock.verify_hankel_equation(block)
+            assert exact.max_discrepancy == 0.0 and exact.passed
+            truncated, _ = svd_truncate(block, k)
+            report = fock.verify_hankel_equation(HankelBlock(block.words, truncated))
+            assert report.max_discrepancy > 1e-2 * np.linalg.norm(block.entries, 2)
+            assert not report.passed
+
+    def test_one_perturbed_interior_cell_fails(self):
+        block = build_hankel(random_stable_wfa(2, 3, seed=0, radius_bound=0.9), 4)
+        entries = block.entries.copy()
+        # the cell (empty word, a) is compared with (a, empty word) for letter a only
+        entries[0, block.words.index_of((0,))] += 1e-9 * np.linalg.norm(entries, 2)
+        report = fock.verify_hankel_equation(HankelBlock(block.words, entries))
+        assert report.per_symbol[0] > 0.0
+        assert report.per_symbol[1] == 0.0
+        assert not report.passed
+
+    def test_optimal_one_letter_sequence_passes(self, two_state_wfa):
+        # the third operator: the AAK sequence and the recovered automaton
+        result = aak_approximate(two_state_wfa, 1)
+        for length in (2, 5, 63):
+            for block in (result.hankel_block(length), build_hankel(result.wfa, length)):
+                assert fock.verify_hankel_equation(block).max_discrepancy == 0.0
 
 
 class TestShiftInequalities:
