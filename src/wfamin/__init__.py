@@ -16,7 +16,7 @@ The names below are the entry points; everything else stays reachable as
 """
 
 from .aak import AakApproximation, aak_approximate, hankel_singular_values
-from .errors import NumericalError, RankDeficiencyError, StabilityError, TruncationError
+from .errors import NumericalError, RankDeficiencyError, StabilityError
 from .fock import (
     flipped_multiplier_matrix,
     free_group_counterexample,
@@ -38,7 +38,6 @@ __all__ = [
     "NumericalError",
     "RankDeficiencyError",
     "StabilityError",
-    "TruncationError",
     "Wfa",
     "WfaDocument",
     "WordIndex",

@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class TruncationError(ValueError):
-    """An operation would push coefficients past the degree cutoff."""
-
-
 class RankDeficiencyError(ValueError):
     """The input's numerical rank is too low for the requested operation."""
 

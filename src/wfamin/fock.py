@@ -5,26 +5,22 @@ its degree-D truncation is represented here by plain numpy vectors and
 matrices over a :class:`~wfamin.words.WordIndex`, so a coefficient vector is
 simultaneously the sequence and the power-series view of the same object.
 
-The shifts act on the last axis, so a stack of vectors (leading batch
-axes) is shifted in one call; shifts and the flip are applied as index
-maps, and no dense shift or flip matrix is built (the tests keep those as
-reference definitions in ``tests/reference.py``); both shifts are one
-routine given the shift's index map.  Every index map (prepend, append,
-concatenation, reversal) is read from :class:`~wfamin.words.WordIndex`;
-their identities are documented once, in :mod:`wfamin.words`.
+The shifts and the flip are never applied as operators of their own: every
+check reads them as index maps (prepend, append, concatenation, reversal)
+of :class:`~wfamin.words.WordIndex`, whose identities are documented once,
+in :mod:`wfamin.words`, and no dense shift or flip matrix is built (the
+tests keep those as reference definitions in ``tests/reference.py``).
 :func:`flipped_multiplier_matrix` and :func:`verify_multiplier_intertwining`
-also slice word-indexed arrays by the append and prepend identities, and
-rely on them as documented there.  The shifts' adjoints enter only as the
-same index maps read the other way, as in :func:`verify_hankel_equation`,
-which checks the square block it is given and builds none.  The bilateral
-shift of the two-sided space is not modeled apart: both checks that use it
-work on the positive component, where it is the right shift.  The
-multiplier intertwining check applies no shift at all: it reads the
-operator through slices and reshaped views, using those identities.
+slice word-indexed arrays by the append and prepend identities.  The
+shifts' adjoints enter only as the same index maps read the other way, as
+in :func:`verify_hankel_equation`, which checks the square block it is
+given and builds none.  The bilateral shift of the two-sided space is not
+modeled apart: both checks that use it work on the positive component,
+where it is the right shift.  The multiplier intertwining check applies no
+shift at all: it reads the operator through slices and reshaped views.
 
-Truncation discipline: a shift that would push support past the degree
-cutoff raises :class:`TruncationError`, the flipped multiplier drops the
-coefficients past it (the compression of the infinite operator), and the
+Truncation discipline: the flipped multiplier drops the coefficients past
+the degree cutoff (the compression of the infinite operator), and the
 verification routines only compare on the *interior* (degrees where no
 truncation loss can occur).  The nc-rational partial sum builds its
 argument products with the prefix recursion of
@@ -38,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StabilityError, TruncationError
+from .errors import StabilityError
 from .hankel import HankelBlock
 from .wfa import Wfa, _prefix_levels, evaluation_table, spectral_radius
 from .words import WordIndex, _block_rows, _word_count
@@ -48,44 +44,6 @@ from .words import WordIndex, _block_rows, _word_count
 NC_SERIES_DEGREE = 8
 #: Number of random substitutions :func:`verify_nc_rational` compares.
 NC_TRIALS = 100
-
-
-def _shift(basis: WordIndex, vector, indices: np.ndarray, what: str) -> np.ndarray:
-    """Scatter the interior of ``vector`` (last axis) to ``indices``."""
-    vector = np.asarray(vector, dtype=float)
-    if vector.shape[-1:] != (len(basis),):
-        raise ValueError(
-            f"vector has shape {vector.shape}, expected a last axis of length {len(basis)}"
-        )
-    cut = basis.interior_size
-    if np.any(vector[..., cut:] != 0.0):
-        raise TruncationError(
-            f"{what} would push support past degree {basis.max_length}; "
-            "the input must vanish on the top degree"
-        )
-    out = np.zeros(vector.shape)
-    out[..., indices] = vector[..., :cut]
-    return out
-
-
-def left_shift(basis: WordIndex, symbol: int, vector) -> np.ndarray:
-    """e_w -> e_{symbol w}; the input must vanish on the top degree."""
-    return _shift(basis, vector, basis.prepend_indices(symbol), "left shift")
-
-
-def right_shift(basis: WordIndex, symbol: int, vector) -> np.ndarray:
-    """e_w -> e_{w symbol}; the input must vanish on the top degree."""
-    return _shift(basis, vector, basis.append_indices(symbol), "right shift")
-
-
-def flip(basis: WordIndex, vector) -> np.ndarray:
-    """Word-reversal (flipping) operator; unitary, involutive, no truncation."""
-    vector = np.asarray(vector, dtype=float)
-    if vector.shape != (len(basis),):
-        raise ValueError(f"vector has shape {vector.shape}, expected ({len(basis)},)")
-    out = np.empty_like(vector)
-    out[basis.reversal_permutation()] = vector
-    return out
 
 
 @dataclass(frozen=True)
@@ -267,10 +225,13 @@ def free_group_counterexample() -> FreeGroupReport:
     group_rhs = float(h1 @ h1 + h2 @ h2)
 
     # same probe on the free monoid: h_i = e_{g_i}, where the bilateral
-    # shift is the right shift and appending never cancels
+    # shift is the right shift and appending never cancels; R_i scatters
+    # the interior through the append map
     basis = WordIndex(2, 2)
     m1, m2 = np.eye(len(basis))[[basis.index_of((0,)), basis.index_of((1,))]]
-    summed = right_shift(basis, 0, m1) + right_shift(basis, 1, m2)
+    summed = np.zeros(len(basis))
+    for symbol, probe in enumerate((m1, m2)):
+        summed[basis.append_indices(symbol)] += probe[: basis.interior_size]
     monoid_lhs = float(summed @ summed)
     monoid_rhs = float(m1 @ m1 + m2 @ m2)
 
@@ -337,11 +298,12 @@ def nc_rational_series(wfa: Wfa, arguments, max_degree: int) -> np.ndarray:
     ||K|| < 1 (the third number of :func:`series_bounds`).
     """
     arguments, size = _coerce_arguments(wfa, arguments)
+    table = evaluation_table(wfa, max_degree)  # held to the bound before the products
     # row-major, vec(z_w) (1 (x) z_a) = vec(z_w z_a)
     eye = np.eye(size)
     levels = _prefix_levels(eye.ravel(), [np.kron(eye, z) for z in arguments], max_degree)
     products = np.concatenate([eye.reshape(1, -1), *levels])
-    return (evaluation_table(wfa, max_degree) @ products).reshape(size, size)
+    return (table @ products).reshape(size, size)
 
 
 def series_bounds(wfa: Wfa, arguments, max_degree: int) -> tuple[float, float, float, float]:

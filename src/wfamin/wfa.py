@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .words import _letter
+from .words import _block_rows, _letter
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -149,9 +149,13 @@ def evaluation_table(wfa: Wfa, max_length: int) -> np.ndarray:
     entries indexed by the same word are the same float.  The table is
     built one length level at a time, one matrix product per level, from
     the prefix states that Hankel factors share (:func:`_prefix_levels`).
+    The widest level, d**max_length x n prefix states, is held to
+    ``words.MAX_BLOCK_ENTRIES`` before any is built; one letter gives one
+    state row per level.
     """
     if max_length < 0:
         raise ValueError(f"max_length must be >= 0, got {max_length}")
+    _block_rows(wfa.alphabet_size, max_length, wfa.num_states, "prefix-state level", level=True)
     levels = [np.array([float(wfa.alpha @ wfa.beta)])]
     states = _prefix_levels(wfa.alpha, wfa.transitions, max_length)
     levels.extend(level @ wfa.beta for level in states)

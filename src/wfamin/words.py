@@ -21,7 +21,8 @@ length, are one contiguous (words, d) block.  The index does not depend on
 ``max_length``, so the identities hold across indices of one alphabet.
 This module also sizes every word-indexed array: it counts the words in
 closed form and holds the array to ``MAX_BLOCK_ENTRIES`` before anything
-is built, a :class:`WordIndex` included.
+is built, a :class:`WordIndex` and the widest level of an evaluation table
+included.
 """
 
 from __future__ import annotations
@@ -53,14 +54,18 @@ def _word_count(alphabet_size: int, max_length: int) -> int:
     return (alphabet_size ** (max_length + 1) - 1) // (alphabet_size - 1)
 
 
-def _block_rows(alphabet_size: int, length: int, columns: int | None, what: str) -> int:
-    """The number N of words up to ``length``, once an N x ``columns`` ``what``
-    (N x N for None) is held to ``MAX_BLOCK_ENTRIES``.  From its bit length on,
-    the d**length >= 2**length longest words alone exceed it: no count is formed."""
+def _block_rows(alphabet_size: int, length: int, columns: int | None, what: str,
+                level: bool = False) -> int:
+    """The number N of words up to ``length`` (of exactly ``length`` for a
+    ``level``), once an N x ``columns`` ``what`` (N x N for None) is held to
+    ``MAX_BLOCK_ENTRIES``.  From its bit length on, the d**length >= 2**length
+    longest words alone exceed it: no count is formed."""
     if alphabet_size > 1 and length >= MAX_BLOCK_ENTRIES.bit_length():
         raise ValueError(f"refusing to build a {what} over the words up to length {length} "
                          f"(more than {MAX_BLOCK_ENTRIES} entries)")
     rows = _word_count(alphabet_size, length)
+    if level and length:
+        rows -= _word_count(alphabet_size, length - 1)
     cols = rows if columns is None else operator.index(columns)
     if rows * cols > MAX_BLOCK_ENTRIES:
         raise ValueError(f"refusing to build a {rows} x {cols} {what} "

@@ -1,7 +1,8 @@
 """Dense reference definitions that the tests compare the package against.
 
-Nothing in the package calls these: the Fock lab applies its shifts and the
-flip as index maps, the Hankel identity is checked on the block it is
+Nothing in the package calls these: the Fock lab reads its shifts and the
+flip only as the index maps of ``WordIndex`` and has no function that
+applies them to a vector, the Hankel identity is checked on the block it is
 given, the AAK path realizes the error symbol exactly, and its Stein
 equations are solved on n x n matrices (doubling, or Bartels-Stewart on
 Schur forms).  Each definition here is the plain (dense or pointwise) form

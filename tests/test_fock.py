@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wfamin import fock
-from wfamin.errors import StabilityError, TruncationError
+from wfamin.errors import StabilityError
 from wfamin.aak import aak_approximate
 from wfamin.hankel import HankelBlock, build_hankel, hankel_rank
 from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa
@@ -28,39 +28,10 @@ def basis_vector(basis, word):
 
 
 class TestShifts:
-    def test_left_shift_on_basis_words(self):
-        basis = WordIndex(2, 3)
-        out = fock.left_shift(basis, 0, basis_vector(basis, ()))
-        np.testing.assert_array_equal(out, basis_vector(basis, (0,)))
-        out = fock.left_shift(basis, 0, basis_vector(basis, (1, 0)))
-        np.testing.assert_array_equal(out, basis_vector(basis, (0, 1, 0)))
-        # the right shift appends: the bilateral shift on the positive component
-        out = fock.right_shift(basis, 0, basis_vector(basis, (1,)))
-        np.testing.assert_array_equal(out, basis_vector(basis, (1, 0)))
-
-    def test_left_shift_linear(self):
-        basis = WordIndex(2, 3)
-        rng = np.random.default_rng(0)
-        cut = basis.first_index_of_length(basis.max_length)
-        u = np.zeros(len(basis))
-        v = np.zeros(len(basis))
-        u[:cut] = rng.standard_normal(cut)
-        v[:cut] = rng.standard_normal(cut)
-        left = fock.left_shift(basis, 1, u + v)
-        right = fock.left_shift(basis, 1, u) + fock.left_shift(basis, 1, v)
-        np.testing.assert_array_equal(left, right)
-
-    def test_truncation_is_loud(self):
-        basis = WordIndex(2, 2)
-        top = basis_vector(basis, (0, 1))
-        with pytest.raises(TruncationError):
-            fock.left_shift(basis, 0, top)
-        with pytest.raises(TruncationError):
-            fock.right_shift(basis, 0, top)
-
     def test_shifts_match_reference_matrices(self):
-        # the index maps are the dense matrices' action, and read the other
-        # way round they are the adjoints' (the transposes') on the interior
+        # a scatter through the index maps is the dense matrices' action, and
+        # read the other way round they are the adjoints' (the transposes')
+        # on the interior
         basis = WordIndex(3, 3)
         rng = np.random.default_rng(1)
         cut = basis.first_index_of_length(basis.max_length)
@@ -68,43 +39,15 @@ class TestShifts:
             u = np.zeros(len(basis))
             u[:cut] = rng.standard_normal(cut)
             v = rng.standard_normal(len(basis))
-            for shift, matrix, indices in (
-                (fock.left_shift, left_shift_matrix(basis, i), basis.prepend_indices),
-                (fock.right_shift, right_shift_matrix(basis, i), basis.append_indices),
+            for matrix, indices in (
+                (left_shift_matrix(basis, i), basis.prepend_indices(i)),
+                (right_shift_matrix(basis, i), basis.append_indices(i)),
             ):
-                np.testing.assert_array_equal(shift(basis, i, u), matrix @ u)
-                np.testing.assert_array_equal((matrix.T @ v)[:cut], v[indices(i)])
+                scattered = np.zeros(len(basis))
+                scattered[indices] = u[:cut]
+                np.testing.assert_array_equal(scattered, matrix @ u)
+                np.testing.assert_array_equal((matrix.T @ v)[:cut], v[indices])
                 np.testing.assert_array_equal((matrix.T @ v)[cut:], 0.0)
-
-    def test_shifts_check_length(self):
-        basis = WordIndex(2, 3)
-        for shift in (fock.left_shift, fock.right_shift):
-            for length in (len(basis) + 4, len(basis) - 1):
-                with pytest.raises(ValueError, match="last axis"):
-                    shift(basis, 0, np.ones(length))
-            with pytest.raises(ValueError, match="last axis"):
-                shift(basis, 0, 1.0)
-
-    @pytest.mark.parametrize("symbol", [-1, 2])
-    def test_shifts_refuse_letters_outside_the_alphabet(self, symbol):
-        basis = WordIndex(2, 2)
-        empty = np.eye(len(basis))[0]
-        for shift in (fock.left_shift, fock.right_shift):
-            with pytest.raises(ValueError, match=rf"^symbol {symbol} outside \[0, 2\)$"):
-                shift(basis, symbol, empty)
-
-    def test_batched_shifts_equal_rows(self):
-        basis = WordIndex(3, 3)
-        rng = np.random.default_rng(9)
-        cut = basis.first_index_of_length(basis.max_length)
-        interior = np.zeros((4, 2, len(basis)))
-        interior[..., :cut] = rng.standard_normal((4, 2, cut))
-        for i in range(3):
-            for shift in (fock.left_shift, fock.right_shift):
-                out = shift(basis, i, interior)
-                assert out.shape == interior.shape
-                for row in np.ndindex(interior.shape[:-1]):
-                    np.testing.assert_array_equal(out[row], shift(basis, i, interior[row]))
 
     def test_shifts_are_isometric_with_orthogonal_ranges(self):
         # S*_i S_j = delta_ij on the interior, exhaustively over basis vectors
@@ -121,23 +64,6 @@ class TestShifts:
 
 
 class TestFlip:
-    def test_reverses_words(self):
-        basis = WordIndex(2, 3)
-        out = fock.flip(basis, basis_vector(basis, (0, 1)))
-        np.testing.assert_array_equal(out, basis_vector(basis, (1, 0)))
-
-    def test_involution_and_isometry(self):
-        basis = WordIndex(3, 3)
-        rng = np.random.default_rng(2)
-        v = rng.standard_normal(len(basis))
-        np.testing.assert_array_equal(fock.flip(basis, fock.flip(basis, v)), v)
-        assert np.linalg.norm(fock.flip(basis, v)) == pytest.approx(np.linalg.norm(v))
-
-    def test_vector_of_the_wrong_shape_is_refused(self):
-        basis = WordIndex(2, 2)
-        with pytest.raises(ValueError, match=r"^vector has shape \(6,\), expected \(7,\)$"):
-            fock.flip(basis, np.zeros(6))
-
     def test_flip_conjugates_left_to_right_shift(self):
         basis = WordIndex(2, 4)
         u = flip_matrix(basis)
@@ -229,14 +155,15 @@ class TestIndexMaps:
         # U op S_i and S_i U op in full through the index maps: a matrix
         # product would turn inf * 0 into NaN
         cut = basis.first_index_of_length(degree)
-        flipped = np.stack([fock.flip(basis, col) for col in op.T], axis=1)
-        interior = flipped.copy()
-        interior[cut:] = 0.0  # the left shift's matrix drops the top degree
+        flipped = np.empty_like(op)
+        flipped[basis.reversal_permutation()] = op  # U sends row w to reversed w
         expected = []
         for i in range(d):
             after = flipped[:cut, basis.prepend_indices(i)]  # U op S_i
-            before = fock.left_shift(basis, i, interior.T).T[:cut, :cut]
-            expected.append(float(np.abs(after - before).max()))
+            # S_i U op: the left shift's matrix drops the top degree
+            before = np.zeros_like(flipped)
+            before[basis.prepend_indices(i)] = flipped[:cut]
+            expected.append(float(np.abs(after - before[:cut, :cut]).max()))
         report = fock.verify_multiplier_intertwining(op, basis)
         assert len(report.per_symbol) == d
         for got, want in zip(report.per_symbol, expected):
@@ -352,13 +279,13 @@ class TestShiftInequalities:
     def test_orthogonal_basis_example(self):
         basis = WordIndex(2, 2)
         y = basis_vector(basis, ())
-        total = fock.left_shift(basis, 0, y) + fock.left_shift(basis, 1, y)
+        total = left_shift_matrix(basis, 0) @ y + left_shift_matrix(basis, 1) @ y
         assert total @ total == 2.0 == y @ y + y @ y
 
     def test_zero_vectors(self):
         report = fock.verify_shift_inequalities(2, 3)
         zero = np.zeros(len(WordIndex(2, 3)))
-        total = fock.left_shift(WordIndex(2, 3), 0, zero)
+        total = left_shift_matrix(WordIndex(2, 3), 0) @ zero
         assert total @ total == 0.0
         assert (report.left_shift_collisions, report.bilateral_collisions) == (0, 0)
 
@@ -370,12 +297,13 @@ class TestShiftInequalities:
         assert report.passed
         basis = WordIndex(d, degree)
         rng = np.random.default_rng(1)
-        for shift in (fock.left_shift, fock.right_shift):
+        for shift in (left_shift_matrix, right_shift_matrix):
+            matrices = [shift(basis, i) for i in range(d)]
             for _ in range(20):
                 vectors = np.zeros((d, len(basis)))
                 vectors[:, : basis.interior_size] = rng.standard_normal(
                     (d, basis.interior_size))
-                total = sum(shift(basis, i, vectors[i]) for i in range(d))
+                total = sum(matrices[i] @ vectors[i] for i in range(d))
                 assert math.fsum(np.square(total)) == math.fsum(np.square(vectors).ravel())
 
     @pytest.mark.parametrize("degree", [9, 10])
@@ -600,6 +528,17 @@ class TestNcRational:
         rho, norm_sum, _, _ = fock.series_bounds(two_state_wfa, [np.array([[0.5]])], 8)
         assert rho < 1.0
         assert norm_sum == pytest.approx(0.25)
+
+    def test_series_table_is_held_to_the_bound_before_the_products(self, monkeypatch):
+        # the degree-8 table's widest level holds 256 x 2 prefix states
+        def unreachable(*args):
+            raise AssertionError("argument products built before the guard")
+
+        monkeypatch.setattr("wfamin.words.MAX_BLOCK_ENTRIES", 500)
+        monkeypatch.setattr("wfamin.fock._prefix_levels", unreachable)
+        wfa = random_stable_wfa(2, 2, seed=8, radius_bound=0.9)
+        with pytest.raises(ValueError, match=r"^refusing to build a 256 x 2 prefix-state level "):
+            fock.nc_rational_series(wfa, [0.1 * np.eye(2)] * 2, 8)
 
 
 class TestFlippedSymbol:

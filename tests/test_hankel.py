@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +71,26 @@ class TestBuildHankel:
         ):
             with pytest.raises(ValueError, match=rf"^refusing to build .* length {length} "):
                 call()
+
+    def test_table_levels_are_held_to_the_block_bound(self, monkeypatch):
+        # the 63 x 63 block passes its own check, but its length-10 table
+        # would hold a 1024 x 50 level of prefix states: it is refused
+        # before any level is built
+        monkeypatch.setattr("wfamin.words.MAX_BLOCK_ENTRIES", 10_000)
+        wfa = random_stable_wfa(2, 50, seed=0, radius_bound=0.9)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                r"^refusing to build a 1024 x 50 prefix-state level \(51200 entries > 10000\)$"
+            )):
+                build_hankel(wfa, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000 * 8
+        # one letter: one state row per level, whatever the length
+        one_letter = random_stable_wfa(1, 50, seed=0, radius_bound=0.9)
+        assert evaluation_table(one_letter, 1000).shape == (1001,)
 
     def test_one_letter_guard_keeps_the_exact_count(self, geometric_wfa):
         with pytest.raises(ValueError, match=r"^refusing to build a 40001 x 40001 block "):

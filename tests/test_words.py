@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from wfamin.fock import flipped_multiplier_matrix
 from wfamin.hankel import build_hankel, spectral_recover
-from wfamin.wfa import random_stable_wfa
+from wfamin.wfa import evaluation_table, random_stable_wfa
 from wfamin.words import WordIndex, _block_rows, _word_count
 
 
@@ -155,6 +155,7 @@ def test_one_bound_sizes_every_word_indexed_array(monkeypatch):
         "block": lambda: build_hankel(wfa, 2),
         "state factor": lambda: spectral_recover(wfa, 1, 2),
         "flipped multiplier": lambda: flipped_multiplier_matrix(wfa, WordIndex(2, 2)),
+        "prefix-state level": lambda: evaluation_table(wfa, 3),
     }
     for call in calls.values():
         call()
