@@ -116,19 +116,12 @@ def cmd_approximate(args) -> int:
 
 def _suite_hankel_eq(args, wfa):
     lines = ["suite: hankel-eq"]
-    fixtures = []
     if wfa is not None:
-        fixtures.append((f"file {args.file}", wfa))
+        fixtures = [(f"file {args.file}", wfa)]
     else:
-        for i in range(5):
-            fixtures.append(
-                (f"random (d=2, n=3, seed={args.seed + i})",
-                 random_stable_wfa(2, 3, seed=args.seed + i, radius_bound=0.9))
-            )
-            fixtures.append(
-                (f"random (d=3, n=3, seed={args.seed + 100 + i})",
-                 random_stable_wfa(3, 3, seed=args.seed + 100 + i, radius_bound=0.9))
-            )
+        seeds = [(d, args.seed + offset + i) for i in range(5) for d, offset in ((2, 0), (3, 100))]
+        fixtures = [(f"random (d={d}, n=3, seed={seed})",
+                     random_stable_wfa(d, 3, seed=seed, radius_bound=0.9)) for d, seed in seeds]
     worst = 0.0
     passed = True
     for label, wfa in fixtures:

@@ -6,8 +6,8 @@ matrices over a :class:`~wfamin.words.WordIndex`, so a coefficient vector is
 simultaneously the sequence and the power-series view of the same object.
 
 The shifts and the flip are never applied as operators of their own: every
-check reads them as index maps (prepend, append, concatenation, reversal)
-of :class:`~wfamin.words.WordIndex`, whose identities are documented once,
+check reads them as index maps (prepend, append, reversal) of
+:class:`~wfamin.words.WordIndex`, whose identities are documented once,
 in :mod:`wfamin.words`, and no dense shift or flip matrix is built (the
 tests keep those as reference definitions in ``tests/reference.py``).
 :func:`flipped_multiplier_matrix` and :func:`verify_multiplier_intertwining`

@@ -21,7 +21,8 @@ H with its columns permuted, which changes no singular value.
 ``hankel_rank`` stays dense.  :mod:`wfamin.words` sizes every block and
 factor, holding it to ``words.MAX_BLOCK_ENTRIES`` before anything is built,
 and its ``WordIndex`` alone holds the word order: :func:`build_hankel`
-reads every cell from one table of word values through its concatenation map.
+cuts the block from one table of word values, one column band per word
+length, by the concatenation identity documented there.
 """
 
 from __future__ import annotations
@@ -61,12 +62,20 @@ class HankelBlock:
 def build_hankel(wfa: Wfa, length: int) -> HankelBlock:
     """Hankel block of a WFA over the words up to ``length``, as rows and columns.
 
-    Every entry is pulled from a single table of word values, so two cells
-    indexed by the same concatenated word hold the identical float.
+    The block is cut from one table of word values, so two cells of one
+    concatenated word hold the identical float: the columns of the length-m
+    words are one slice of the table, read as N x d**m (:mod:`wfamin.words`).
+    The table is released before :class:`HankelBlock` copies the block, so
+    past the table's own build the peak is two N x N float arrays.
     """
-    _block_rows(wfa.alphabet_size, length, None, "block")
-    words = WordIndex(wfa.alphabet_size, length)
-    return HankelBlock(words, evaluation_table(wfa, 2 * length)[words.concatenation_indices()])
+    d = wfa.alphabet_size
+    n = _block_rows(d, length, None, "block")
+    words = WordIndex(d, length)
+    first, table = words.first_index_of_length, evaluation_table(wfa, 2 * length)
+    entries = np.concatenate([table[first(m):first(m) + n * d**m].reshape(n, d**m)
+                              for m in range(length + 1)], axis=1)
+    del table
+    return HankelBlock(words, entries)
 
 
 def _svd(matrix: np.ndarray, compute_uv: bool):

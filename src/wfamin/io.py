@@ -20,8 +20,8 @@ Fields may come in any order, but ``states`` must precede the transition
 blocks, each of which holds ``states`` rows.  The parser reads each line
 once; every error in a line (a malformed or non-finite number, a wrong
 count of weights in ``alpha``, ``beta`` or a matrix row, an unknown or
-repeated field, an empty or repeating alphabet, a transition block for a
-label outside it) names that line.
+repeated field, an empty or repeating alphabet or one with a label that
+contains ',', a transition block for a label outside it) names that line.
 
 Numbers are written with 17 significant digits, so parsing a serialized
 document reproduces the automaton exactly.
@@ -53,8 +53,7 @@ class WfaDocument:
             raise ValueError(
                 f"{len(self.labels)} labels for {self.wfa.alphabet_size} symbols"
             )
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("symbol labels must be unique")
+        _check_labels(self.labels)
 
     def symbol_of(self, label: str) -> int:
         try:
@@ -63,6 +62,15 @@ class WfaDocument:
             raise ValueError(
                 f"unknown symbol {label!r}; alphabet is {' '.join(self.labels)}"
             ) from None
+
+
+def _check_labels(labels, where: str = "") -> None:
+    """Refuse repeated labels, and labels with a comma, where :func:`parse_word`
+    splits a word; ``where`` prefixes the message."""
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"{where}symbol labels must be unique")
+    if any("," in label for label in labels):
+        raise ValueError(f"{where}symbol labels must not contain ','")
 
 
 def _format_row(values) -> str:
@@ -148,8 +156,7 @@ def parse_document(text: str) -> WfaDocument:
     alphabet_line, labels = fields["alphabet"][0], tuple(fields["alphabet"][1].split())
     if not labels:
         raise ValueError(f"line {alphabet_line}: alphabet must contain at least one label")
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"line {alphabet_line}: symbol labels must be unique")
+    _check_labels(labels, f"line {alphabet_line}: ")
     # alpha and beta may precede states, so they are read once its count is known
     alpha = _parse_row(fields["alpha"], size)
     beta = _parse_row(fields["beta"], size)

@@ -16,9 +16,13 @@ number of shorter words, so for words w, u over d letters and a letter a
     index_of(w + (a,)) = d * index_of(w) + 1 + a,
 
 and reversing a word reverses its digits within its length block.  By the
-last identity the rows w a of a word-indexed matrix, for w up to some
-length, are one contiguous (words, d) block.  The index does not depend on
-``max_length``, so the identities hold across indices of one alphabet.
+first identity the words w u, for the first N words w and all u of length
+m, are the N d**m indices from ``first_index_of_length(m)`` on, w major:
+the column band of the length-m words in a Hankel block is one slice of a
+word table, read as an N x d**m array.  By the last, the rows w a of a
+word-indexed matrix, for w up to some length, are one contiguous (words,
+d) block.  The index does not depend on ``max_length``, so the identities
+hold across indices of one alphabet.
 This module also sizes every word-indexed array: it counts the words in
 closed form and holds the array to ``MAX_BLOCK_ENTRIES`` before anything
 is built, a :class:`WordIndex` and the widest level of an evaluation table
@@ -131,24 +135,10 @@ class WordIndex:
             yield from product(range(self.alphabet_size), repeat=length)
 
     @property
-    def lengths(self) -> np.ndarray:
-        """Array mapping index -> word length."""
-        lengths = np.arange(self.max_length + 1, dtype=np.int64)
-        return np.repeat(lengths, self.alphabet_size**lengths)  # d**k words of length k
-
-    @property
     def interior_size(self) -> int:
         """Number of interior words (length < max_length), which come first:
         the words whose one-letter extensions stay in the index."""
         return self.first_index_of_length(self.max_length)
-
-    def concatenation_indices(self) -> np.ndarray:
-        """Index matrix C with C[i, j] = index_of(word_i + word_j), an index
-        into the words up to twice ``max_length``."""
-        words = np.arange(len(self), dtype=np.int64)
-        out = np.multiply.outer(words, self.alphabet_size**self.lengths)
-        out += words
-        return out
 
     def prepend_indices(self, symbol: int) -> np.ndarray:
         """index_of((symbol,) + w) for every interior word w, in order."""

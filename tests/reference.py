@@ -102,7 +102,10 @@ def check_hankel_property(block: HankelBlock, tol: float) -> tuple[bool, tuple |
     """
     index = block.words
     combined = WordIndex(index.alphabet_size, 2 * index.max_length)
-    words = index.concatenation_indices()
+    # the index of each cell's word: index_of(u + v) = d**len(v) index_of(u) + index_of(v)
+    rows = np.arange(len(index), dtype=np.int64)
+    powers = np.array([index.alphabet_size ** len(v) for v in index.words()], dtype=np.int64)
+    words = np.multiply.outer(rows, powers) + rows
     # every word up to twice the length has at least one cell
     low = np.full(len(combined), np.inf)
     high = np.full(len(combined), -np.inf)

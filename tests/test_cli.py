@@ -65,7 +65,9 @@ class TestEval:
         ("0 -0.3", "0 -0.3\ntransition b:\n1 0\n0 1",
          "line 10: transition 'b' is not in the alphabet"),
         ("alphabet: a", "alphabet: a b", "line 3: missing transition matrices for: b"),
-    ], ids=["repeated-label", "no-label", "unknown-transition", "missing-transition"])
+        ("alphabet: a", "alphabet: a,b", "line 3: symbol labels must not contain ','"),
+    ], ids=["repeated-label", "no-label", "unknown-transition", "missing-transition",
+            "comma-in-label"])
     def test_alphabet_errors_name_their_line(self, capsys, tmp_path, old, new, message):
         path = tmp_path / "bad.wfa"
         path.write_text((FIXTURES / "e2.wfa").read_text().replace(old, new))

@@ -92,6 +92,20 @@ class TestBuildHankel:
         one_letter = random_stable_wfa(1, 50, seed=0, radius_bound=0.9)
         assert evaluation_table(one_letter, 1000).shape == (1001,)
 
+    def test_build_peaks_at_two_blocks(self):
+        # the table is released before HankelBlock copies the joined bands,
+        # so only the two N x N float arrays are alive at once.  d = 2,
+        # because at d = 3 the table's own build already reaches 2 blocks
+        wfa = random_stable_wfa(2, 3, seed=0, radius_bound=0.9)
+        n = len(WordIndex(2, 9))
+        tracemalloc.start()
+        try:
+            build_hankel(wfa, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * n * n * 8
+
     def test_one_letter_guard_keeps_the_exact_count(self, geometric_wfa):
         with pytest.raises(ValueError, match=r"^refusing to build a 40001 x 40001 block "):
             build_hankel(geometric_wfa, 40000)

@@ -162,7 +162,9 @@ class TestParsing:
         ("a a", "", "line 2: symbol labels must be unique"),
         ("", "", "line 2: alphabet must contain at least one label"),
         ("a", "transition b:\n0\n", "line 9: transition 'b' is not in the alphabet"),
-    ], ids=["repeated-label", "no-label", "unknown-transition"])
+        # eval splits a word at commas, so such a label could never be named
+        ("a,b c", "", "line 2: symbol labels must not contain ','"),
+    ], ids=["repeated-label", "no-label", "unknown-transition", "comma-in-label"])
     def test_alphabet_errors_name_their_line(self, alphabet, extra, message):
         # the alphabet's own line, or the header of the stray transition block
         text = (
@@ -174,8 +176,11 @@ class TestParsing:
 
     def test_document_checks_its_labels(self):
         # library callers building a document directly keep the check
+        wfa = Wfa([1.0], [np.eye(1), np.eye(1)], [1.0])
         with pytest.raises(ValueError, match="^symbol labels must be unique$"):
-            WfaDocument(("a", "a"), Wfa([1.0], [np.eye(1), np.eye(1)], [1.0]))
+            WfaDocument(("a", "a"), wfa)
+        with pytest.raises(ValueError, match="^symbol labels must not contain ','$"):
+            WfaDocument(("a,b", "c"), wfa)
 
 
 class TestParseWord:

@@ -166,15 +166,16 @@ def test_one_bound_sizes_every_word_indexed_array(monkeypatch):
             call()
 
 
-def test_concatenation_indices():
-    for d, length, extra in ((2, 3, 0), (1, 4, 0), (3, 2, 2), (4, 2, 1)):
-        index = WordIndex(d, length)
-        combined = WordIndex(d, 2 * length + extra)
-        table = index.concatenation_indices()
-        assert table.dtype == np.int64
-        for i, p in enumerate(index.words()):
-            for j, s in enumerate(index.words()):
-                assert table[i, j] == combined.index_of(p + s)
+def test_hankel_cells_are_the_table_values_of_concatenations():
+    # the column bands cut from the table put f(uv) at (u, v), cell by cell
+    for d, length in ((1, 4), (2, 3), (3, 2), (4, 2)):
+        wfa = random_stable_wfa(d, 3, seed=d, radius_bound=0.9)
+        entries = build_hankel(wfa, length).entries
+        index, combined = WordIndex(d, length), WordIndex(d, 2 * length)
+        table = evaluation_table(wfa, 2 * length)
+        for i, u in enumerate(index.words()):
+            for j, v in enumerate(index.words()):
+                assert entries[i, j] == table[combined.index_of(u + v)]
 
 
 @pytest.mark.parametrize("d, degrees", [(1, 6), (2, 5), (3, 4), (4, 3)])
@@ -190,9 +191,6 @@ def test_every_index_map_is_its_per_word_definition(d, degrees):
         for a in range(d):
             maps.append((index.prepend_indices(a), [index.index_of((a,) + w) for w in interior]))
             maps.append((index.append_indices(a), [index.index_of(w + (a,)) for w in interior]))
-        combined = WordIndex(d, 2 * degree)
-        maps.append((index.concatenation_indices(),
-                     [[combined.index_of(w + u) for u in words] for w in words]))
         for computed, expected in maps:
             assert computed.dtype == np.int64
             assert computed.tolist() == expected
@@ -239,8 +237,3 @@ def test_concatenation_index_identity(d, w, u):
     # u of one letter a: the rows w a follow w at d * index_of(w) + 1 + a
     for a in range(d):
         assert index.index_of(w + (a,)) == d * index.index_of(w) + 1 + a
-
-
-def test_lengths_and_values_arrays():
-    index = WordIndex(2, 3)
-    np.testing.assert_array_equal(index.lengths[:4], [0, 1, 1, 2])
