@@ -177,17 +177,16 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     selected = list(SUITES) if args.suite == "all" else [args.suite]
-    # the file is parsed once, before any suite prints
+    # the file is parsed once, and every suite runs before anything prints,
+    # so a refused input leaves stdout empty
     wfa = load_document(args.file).wfa if args.file else None
-    for line in _timestamp_lines(args):
-        print(line)
+    lines = list(_timestamp_lines(args))
     all_passed = True
     for name in selected:
-        lines, passed = SUITES[name](args, wfa)
-        for line in lines:
-            print(line)
-        print(f"result: {'pass' if passed else 'fail'}")
+        suite_lines, passed = SUITES[name](args, wfa)
+        lines.extend([*suite_lines, f"result: {'pass' if passed else 'fail'}"])
         all_passed = all_passed and passed
+    print("\n".join(lines))
     return 0 if all_passed else 1
 
 

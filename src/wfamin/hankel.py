@@ -2,27 +2,24 @@
 
 A Hankel block is the square truncation of the Hankel matrix of a function
 f on words: rows and columns are both the words up to one length, and the
-entry at (u, v) is f(uv), which only depends on the concatenation.  This module
-builds such blocks from automata, measures their numerical rank, runs the
-truncated-SVD baseline (whose rank-k optimum is generally not Hankel), and
-reconstructs a WFA of a given size from a block via the spectral method.  Minimality is
-decided without blocks, by an orthogonal reduction of the realization.
+entry at (u, v) is f(uv), which only depends on the concatenation.  This
+module builds such blocks from automata, measures their numerical rank, runs
+the truncated-SVD baseline (whose rank-k optimum is generally not Hankel) and
+reconstructs a WFA of a given size from a block via the spectral method.
+Minimality is decided without blocks, by an orthogonal reduction.
 
 The block of an n-state automaton factors exactly as H = P S^T, with the
 prefix states alpha^T A_p as the rows of P and the suffix states
 (A_s beta)^T as the rows of S (the forward-backward factorization of
-spectral learning).  Spectral recovery and the svd baseline work on the
-square block over the words up to one length, whose N x n factors are held
-as one (2, N, n) stack: one stacked QR call and the SVD of an r x r core
-(r <= n) cost O(N n^2) instead of the O(N^3) of a dense N x N SVD, so they
-take that length and never build the block.  S holds the prefix states of
-the reversed automaton, so its rows follow the reversed words and P S^T is
-H with its columns permuted, which changes no singular value.
-``hankel_rank`` stays dense.  :mod:`wfamin.words` sizes every block and
-factor, holding it to ``words.MAX_BLOCK_ENTRIES`` before anything is built,
-and its ``WordIndex`` alone holds the word order: :func:`build_hankel`
-cuts the block from one table of word values, one column band per word
-length, by the concatenation identity documented there.
+spectral learning).  Spectral recovery and the svd baseline take one
+stacked QR of the N x n factors and the SVD of an r x r core (r <= n), in
+O(N n^2) instead of the O(N^3) of a dense N x N SVD, and never build the
+block; the rows of S follow the reversed words, which permutes the columns
+of H and changes no singular value.  ``hankel_rank`` stays dense.
+
+:mod:`wfamin.words` holds the word order and sizes every block and factor to
+``words.MAX_BLOCK_ENTRIES`` before anything is built.  A block is one frozen
+array, allocated once: :class:`HankelBlock` holds the join :func:`build_hankel` makes.
 """
 
 from __future__ import annotations
@@ -41,22 +38,25 @@ DEFAULT_RANK_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class HankelBlock:
-    """A square block over one word set; ``build_hankel``'s blocks are Hankel."""
+    """A square block over one word set; ``build_hankel``'s blocks are Hankel.
+
+    A read-only float ndarray that owns its memory is held as given; other
+    ``entries`` (writeable, a view, a list, another dtype) are copied and frozen.
+    """
 
     words: WordIndex
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.array(self.entries, dtype=float)
+        entries = self.entries
+        if not (type(entries) is np.ndarray and entries.dtype == float
+                and entries.flags.owndata and not entries.flags.writeable):
+            entries = np.array(entries, dtype=float)
+            entries.setflags(write=False)
         expected = (len(self.words), len(self.words))
         if entries.shape != expected:
             raise ValueError(f"entries have shape {entries.shape}, expected {expected}")
-        entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
 
 
 def build_hankel(wfa: Wfa, length: int) -> HankelBlock:
@@ -65,8 +65,8 @@ def build_hankel(wfa: Wfa, length: int) -> HankelBlock:
     The block is cut from one table of word values, so two cells of one
     concatenated word hold the identical float: the columns of the length-m
     words are one slice of the table, read as N x d**m (:mod:`wfamin.words`).
-    The table is released before :class:`HankelBlock` copies the block, so
-    past the table's own build the peak is two N x N float arrays.
+    Their join is held without a copy: past the table's own build, a build
+    peaks at the table plus one N x N float array.
     """
     d = wfa.alphabet_size
     n = _block_rows(d, length, None, "block")
@@ -74,7 +74,7 @@ def build_hankel(wfa: Wfa, length: int) -> HankelBlock:
     first, table = words.first_index_of_length, evaluation_table(wfa, 2 * length)
     entries = np.concatenate([table[first(m):first(m) + n * d**m].reshape(n, d**m)
                               for m in range(length + 1)], axis=1)
-    del table
+    entries.setflags(write=False)
     return HankelBlock(words, entries)
 
 
@@ -141,7 +141,6 @@ def _factored_recover(wfa: Wfa, k: int, length: int):
     automaton, the block's stacked state factors [P, S] (:func:`_state_factors`)
     and its singular values."""
     k = _integer_k(k)
-    d = wfa.alphabet_size
     size = _factor_rows(wfa, length, wfa.num_states)
     if k < 0:
         raise ValueError(f"k must lie in [0, {size}] for the {size} x {size} block, got {k}")
@@ -150,7 +149,7 @@ def _factored_recover(wfa: Wfa, k: int, length: int):
     factors = _state_factors(wfa, length)
     u, s, v = _factored_svd(factors)
     if k == 0:
-        return Wfa(np.zeros(1), [np.zeros((1, 1))] * d, np.zeros(1)), factors, s
+        return Wfa(np.zeros(1), [np.zeros((1, 1))] * wfa.alphabet_size, np.zeros(1)), factors, s
     rank = _rank(s)
     if k > rank:
         raise RankDeficiencyError(f"requested {k} states but the block has numerical rank {rank}")

@@ -22,6 +22,9 @@ once; every error in a line (a malformed or non-finite number, a wrong
 count of weights in ``alpha``, ``beta`` or a matrix row, an unknown or
 repeated field, an empty or repeating alphabet or one with a label that
 contains ',', a transition block for a label outside it) names that line.
+A :class:`WfaDocument` that could not be read back is refused: an empty
+label, a label with whitespace, or a name or comment that is not one line
+without surrounding whitespace.
 
 Numbers are written with 17 significant digits, so parsing a serialized
 document reproduces the automaton exactly.
@@ -54,6 +57,12 @@ class WfaDocument:
                 f"{len(self.labels)} labels for {self.wfa.alphabet_size} symbols"
             )
         _check_labels(self.labels)
+        # the parser reads a field as one line with its ends stripped
+        for field, text in (("name", self.name), ("comment", self.comment)):
+            if text is not None and (text != text.strip() or len(text.splitlines()) > 1):
+                raise ValueError(
+                    f"{field} must be one line without surrounding whitespace, got {text!r}"
+                )
 
     def symbol_of(self, label: str) -> int:
         try:
@@ -65,10 +74,15 @@ class WfaDocument:
 
 
 def _check_labels(labels, where: str = "") -> None:
-    """Refuse repeated labels, and labels with a comma, where :func:`parse_word`
+    """Refuse repeated or empty labels, labels with whitespace, where the
+    document's lines split, and labels with a comma, where :func:`parse_word`
     splits a word; ``where`` prefixes the message."""
     if len(set(labels)) != len(labels):
         raise ValueError(f"{where}symbol labels must be unique")
+    if not all(labels):
+        raise ValueError(f"{where}symbol labels must not be empty")
+    if any(character.isspace() for label in labels for character in label):
+        raise ValueError(f"{where}symbol labels must not contain whitespace")
     if any("," in label for label in labels):
         raise ValueError(f"{where}symbol labels must not contain ','")
 

@@ -83,8 +83,8 @@ def svd_truncate(block: HankelBlock, k: int) -> tuple[np.ndarray, float]:
     the (k+1)-th singular value (0 when k is at least the rank).  The result
     is optimal among all rank-k matrices but is generally *not* Hankel.
     """
-    if not 0 <= k <= min(block.shape):
-        raise ValueError(f"k must lie in [0, {min(block.shape)}], got {k}")
+    if not 0 <= k <= min(block.entries.shape):
+        raise ValueError(f"k must lie in [0, {min(block.entries.shape)}], got {k}")
     u, s, vt = _svd(block.entries, compute_uv=True)
     truncated = (u[:, :k] * s[:k]) @ vt[:k, :]
     error = float(s[k]) if k < s.size else 0.0

@@ -672,6 +672,14 @@ class TestVerify:
             assert out == ""  # not even the timestamp line
             assert re.fullmatch(r"error: [^\n]*\n", err)
 
+    @pytest.mark.parametrize("suite", ["hankel-eq", "all"])
+    def test_refused_block_prints_nothing(self, capsys, suite):
+        # hankel-eq runs first and refuses the block; the timestamp is not printed
+        code, out, err = run(capsys, "verify", str(FIXTURES / "nilpotent.wfa"), "--suite", suite,
+                             "--degree", "63")
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: refusing to build [^\n]*\n", err)
+
 
 class TestOversizedWordSets:
     """A word set past the entry bound is refused from its closed-form count,

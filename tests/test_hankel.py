@@ -92,19 +92,24 @@ class TestBuildHankel:
         one_letter = random_stable_wfa(1, 50, seed=0, radius_bound=0.9)
         assert evaluation_table(one_letter, 1000).shape == (1001,)
 
-    def test_build_peaks_at_two_blocks(self):
-        # the table is released before HankelBlock copies the joined bands,
-        # so only the two N x N float arrays are alive at once.  d = 2,
-        # because at d = 3 the table's own build already reaches 2 blocks
-        wfa = random_stable_wfa(2, 3, seed=0, radius_bound=0.9)
-        n = len(WordIndex(2, 9))
+    @pytest.mark.parametrize("d,length,bound", [
+        # the table (half a block) and the joined bands, which the block holds
+        (2, 9, 1.6),
+        # a one-letter table is 2L + 1 values beside the block
+        (1, 1000, 1.1),
+        # the table's own build reaches two blocks before any band is cut
+        (3, 6, 2.1),
+    ], ids=["d2-L9", "d1-L1000", "d3-L6"])
+    def test_build_peak_in_blocks(self, d, length, bound):
+        wfa = random_stable_wfa(d, 3, seed=0, radius_bound=0.9)
+        n = len(WordIndex(d, length))
         tracemalloc.start()
         try:
-            build_hankel(wfa, 9)
+            build_hankel(wfa, length)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.1 * n * n * 8
+        assert peak <= bound * n * n * 8
 
     def test_one_letter_guard_keeps_the_exact_count(self, geometric_wfa):
         with pytest.raises(ValueError, match=r"^refusing to build a 40001 x 40001 block "):
@@ -114,6 +119,58 @@ class TestBuildHankel:
         words = WordIndex(2, 1)
         with pytest.raises(ValueError, match=r"^entries have shape \(3, 2\), expected \(3, 3\)$"):
             HankelBlock(words, np.zeros((3, 2)))
+
+    def test_built_entries_are_frozen(self, two_state_wfa):
+        entries = build_hankel(two_state_wfa, 3).entries
+        assert not entries.flags.writeable and entries.flags.owndata
+
+
+class TestHankelBlockOwnership:
+    """A frozen float array that owns its memory is held; anything else is copied."""
+
+    words = WordIndex(2, 1)
+
+    def test_writeable_input_is_copied_and_left_writeable(self):
+        entries = np.arange(9.0).reshape(3, 3)
+        block = HankelBlock(self.words, entries)
+        assert block.entries is not entries and not block.entries.flags.writeable
+        assert entries.flags.writeable
+        np.testing.assert_array_equal(entries, np.arange(9.0).reshape(3, 3))
+        entries[0, 0] = -1.0
+        assert block.entries[0, 0] == 0.0
+
+    def test_frozen_owning_float_array_is_held(self):
+        entries = np.arange(9.0).reshape(3, 3).copy()
+        entries.setflags(write=False)
+        assert HankelBlock(self.words, entries).entries is entries
+
+    def test_frozen_view_is_copied(self):
+        base = np.arange(12.0)
+        view = base[:9].reshape(3, 3)
+        view.setflags(write=False)
+        block = HankelBlock(self.words, view)
+        assert block.entries is not view and block.entries.flags.owndata
+        base[0] = -1.0
+        assert block.entries[0, 0] == 0.0
+
+    @pytest.mark.parametrize("entries", [
+        [[0, 1, 2], [3, 4, 5], [6, 7, 8]],
+        np.arange(9, dtype=np.int64).reshape(3, 3),
+        np.arange(9, dtype=np.float32).reshape(3, 3),
+    ], ids=["list", "int64", "float32"])
+    def test_other_inputs_are_converted(self, entries):
+        block = HankelBlock(self.words, entries)
+        assert block.entries.dtype == np.float64 and not block.entries.flags.writeable
+        np.testing.assert_array_equal(block.entries, np.arange(9.0).reshape(3, 3))
+
+    def test_frozen_array_of_the_wrong_shape_is_refused(self):
+        entries = np.zeros((3, 2))
+        entries.setflags(write=False)
+        with pytest.raises(ValueError, match=r"^entries have shape \(3, 2\), expected \(3, 3\)$"):
+            HankelBlock(self.words, entries)
+
+    def test_block_has_no_shape_alias(self):
+        assert not hasattr(HankelBlock(self.words, np.zeros((3, 3))), "shape")
 
 
 class TestHankelRank:
@@ -148,7 +205,7 @@ class TestSvdTruncate:
     def test_k_zero_gives_zero_matrix_and_norm(self, two_state_wfa):
         block = build_hankel(two_state_wfa, 3)
         approx, error = svd_truncate(block, 0)
-        np.testing.assert_array_equal(approx, np.zeros(block.shape))
+        np.testing.assert_array_equal(approx, np.zeros(block.entries.shape))
         assert error == pytest.approx(np.linalg.norm(block.entries, 2))
 
     def test_rank_one_exact(self):
@@ -171,7 +228,7 @@ class TestSvdTruncate:
         block = build_hankel(two_state_wfa, 5)
         s = np.linalg.svd(block.entries, compute_uv=False)
         rng = np.random.default_rng(0)
-        rows, cols = block.shape
+        rows, cols = block.entries.shape
         for k in (1, 2):
             for _ in range(50):
                 candidate = rng.normal(size=(rows, k)) @ rng.normal(size=(k, cols))
@@ -237,7 +294,7 @@ class TestCheckHankelProperty:
         entries = block.entries.copy()
         rng = np.random.default_rng(seed)
         for _ in range(data.draw(st.integers(0, 3))):
-            cell = rng.integers(block.shape[0]), rng.integers(block.shape[1])
+            cell = rng.integers(block.entries.shape[0]), rng.integers(block.entries.shape[1])
             entries[cell] += data.draw(st.sampled_from([1e-11, 1e-9, 1e-6, 1.0, np.nan]))
         # reference: the cells of each word, listed by prefix length
         cells = {}

@@ -1,12 +1,18 @@
+import re
+import tempfile
+from pathlib import Path
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wfamin.io import (
     WfaDocument,
+    load_document,
     parse_document,
     parse_word,
+    save_document,
     serialize_document,
 )
 from wfamin.wfa import Wfa, random_stable_wfa
@@ -51,6 +57,33 @@ class TestRoundTrip:
         assert parsed.alpha.tobytes() == alpha.tobytes()
         assert parsed.beta.tobytes() == beta.tobytes()
         assert np.stack(parsed.transitions).tobytes() == mats.tobytes()
+
+
+    @given(labels=st.lists(st.text(), min_size=1, max_size=3),
+           name=st.none() | st.text(), comment=st.none() | st.text())
+    # each of these was written, then failed to load or came back changed
+    @example(labels=["a b"], name=None, comment=None)
+    @example(labels=[""], name=None, comment=None)
+    @example(labels=["a\xa0b"], name=None, comment=None)
+    @example(labels=["a\x1cb"], name=None, comment=None)
+    @example(labels=["a"], name="a\nb", comment=None)
+    @example(labels=["a"], name="x\u2028y", comment=None)
+    @example(labels=["a"], name=None, comment=" padded ")
+    @settings(max_examples=200, deadline=None)
+    def test_a_document_is_refused_or_read_back(self, labels, name, comment):
+        wfa = random_stable_wfa(len(labels), 2, seed=0, radius_bound=0.8)
+        try:
+            doc = WfaDocument(tuple(labels), wfa, name=name, comment=comment)
+        except ValueError:
+            return
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "doc.wfa"
+            save_document(doc, path)
+            loaded = load_document(path)
+        assert (loaded.labels, loaded.name, loaded.comment) == (doc.labels, name, comment)
+        assert np.stack(loaded.wfa.transitions).tobytes() == np.stack(wfa.transitions).tobytes()
+        assert loaded.wfa.alpha.tobytes() == wfa.alpha.tobytes()
+        assert loaded.wfa.beta.tobytes() == wfa.beta.tobytes()
 
 
 class TestParsing:
@@ -181,6 +214,21 @@ class TestParsing:
             WfaDocument(("a", "a"), wfa)
         with pytest.raises(ValueError, match="^symbol labels must not contain ','$"):
             WfaDocument(("a,b", "c"), wfa)
+
+    @pytest.mark.parametrize("labels,name,comment,message", [
+        (("", "c"), None, None, "symbol labels must not be empty"),
+        (("a b", "c"), None, None, "symbol labels must not contain whitespace"),
+        (("a\xa0b", "c"), None, None, "symbol labels must not contain whitespace"),
+        (("a", "b"), "a\nb", None,
+         "name must be one line without surrounding whitespace, got 'a\\nb'"),
+        (("a", "b"), None, " padded ",
+         "comment must be one line without surrounding whitespace, got ' padded '"),
+    ], ids=["empty-label", "space-in-label", "nbsp-in-label", "two-line-name", "padded-comment"])
+    def test_documents_that_cannot_be_read_back_are_refused(self, labels, name, comment,
+                                                            message):
+        wfa = Wfa([1.0], [np.eye(1), np.eye(1)], [1.0])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            WfaDocument(labels, wfa, name=name, comment=comment)
 
 
 class TestParseWord:
