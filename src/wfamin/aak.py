@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import NumericalError, RankDeficiencyError, StabilityError
 from .hankel import HankelBlock, build_hankel, is_minimal, spectral_recover
-from .wfa import Wfa, _integer_k, evaluation_table, spectral_radius
+from .wfa import Wfa, _checked_k, evaluation_table, spectral_radius
 
 #: Largest Stein residual ||X - a X b^T - c||_F accepted, relative to
 #: 1 + ||X||_F, for every solution :func:`_solve_stein` returns.
@@ -76,16 +76,6 @@ def _require_one_letter(wfa: Wfa) -> np.ndarray:
             f"operation needs a one-letter alphabet, got {wfa.alphabet_size} symbols"
         )
     return wfa.transitions[0]
-
-
-def _checked_k(wfa: Wfa, k) -> int:
-    """k read by :func:`_integer_k`, once ``wfa`` has one letter and k lies
-    in [0, n); every check runs before any solve."""
-    k = _integer_k(k)
-    _require_one_letter(wfa)
-    if not 0 <= k < wfa.num_states:
-        raise ValueError(f"k must lie in [0, {wfa.num_states}), got {k}")
-    return k
 
 
 @dataclass(frozen=True, eq=False)

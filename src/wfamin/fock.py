@@ -50,7 +50,6 @@ NC_TRIALS = 100
 class HankelEquationReport:
     """Interior comparison of (H S_i) against (R_i^* H) for every symbol."""
 
-    alphabet_size: int
     degree: int
     comparisons: int
     per_symbol: tuple[float, ...]
@@ -88,7 +87,6 @@ def verify_hankel_equation(block: HankelBlock) -> HankelEquationReport:
         per_symbol.append(float(np.abs(lhs - rhs).max()))
         comparisons += lhs.size
     return HankelEquationReport(
-        alphabet_size=basis.alphabet_size,
         degree=basis.max_length,
         comparisons=comparisons,
         per_symbol=tuple(per_symbol),
@@ -372,7 +370,8 @@ def verify_nc_rational(wfa: Wfa, seed=0) -> NcRationalReport:
     bound is infinite (||K||_2 >= 1).  The gap between the closed form and the
     degree-``NC_SERIES_DEGREE`` partial sum must not exceed the tail bound
     plus the rounding bound of :func:`series_bounds`; a bound still infinite
-    after the halving fails the trial (ratio inf).
+    after the halving fails the trial (ratio inf) with neither side
+    evaluated, so no substitution raises :class:`StabilityError`.
     """
     rng = np.random.default_rng(seed)
     d = wfa.alphabet_size
@@ -394,12 +393,12 @@ def verify_nc_rational(wfa: Wfa, seed=0) -> NcRationalReport:
             arguments = [0.5 * z for z in arguments]
             rho, norm_sum, tail, rounding = series_bounds(wfa, arguments, NC_SERIES_DEGREE)
             bound = tail + rounding
-        closed = nc_rational_eval(wfa, arguments)
-        partial = nc_rational_series(wfa, arguments, NC_SERIES_DEGREE)
-        gap = float(np.linalg.norm(closed - partial, 2))
         if bound == math.inf:
-            ratio = math.inf  # nothing was compared: the trial fails
+            ratio = math.inf  # nothing is evaluated: the trial fails
         else:
+            closed = nc_rational_eval(wfa, arguments)
+            partial = nc_rational_series(wfa, arguments, NC_SERIES_DEGREE)
+            gap = float(np.linalg.norm(closed - partial, 2))
             # np.maximum keeps a NaN; a NaN bound gives a NaN ratio
             ratio = gap / bound if not bound <= 0 else float(gap > 0)
         worst_ratio = float(np.maximum(worst_ratio, ratio))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, RankDeficiencyError
-from .wfa import Wfa, _integer_k, _prefix_levels, evaluation_table
+from .wfa import Wfa, _checked_k, _integer_k, _prefix_levels, evaluation_table
 from .words import WordIndex, _block_rows
 
 #: Relative singular-value cutoff of every numerical rank decision.
@@ -142,10 +142,8 @@ def _factored_recover(wfa: Wfa, k: int, length: int):
     and its singular values."""
     k = _integer_k(k)
     size = _factor_rows(wfa, length, wfa.num_states)
-    if k < 0:
+    if not 0 <= k <= size:
         raise ValueError(f"k must lie in [0, {size}] for the {size} x {size} block, got {k}")
-    if k > size:
-        raise ValueError(f"k={k} exceeds block dimensions ({size}, {size})")
     factors = _state_factors(wfa, length)
     u, s, v = _factored_svd(factors)
     if k == 0:
@@ -187,8 +185,10 @@ def _svd_baseline(wfa: Wfa, length: int, k: int):
     is the top singular value of that factored product, whose stack joins
     the stacks of f and g (S_g negated) along the state axis; the
     reversed-word row order of both S permutes its columns only.  The entry
-    guard counts the N x (n + k) factors, which is all that is built.
+    guard counts the N x (n + k) factors, which is all that is built; k is
+    checked before it (:func:`~wfamin.wfa._checked_k`).
     """
+    k = _checked_k(wfa, k)
     size = _factor_rows(wfa, length, wfa.num_states + k)
     recovered, factors, singular = _factored_recover(wfa, k, length)
     recovered_factors = _state_factors(recovered, length)

@@ -23,8 +23,10 @@ count of weights in ``alpha``, ``beta`` or a matrix row, an unknown or
 repeated field, an empty or repeating alphabet or one with a label that
 contains ',', a transition block for a label outside it) names that line.
 A :class:`WfaDocument` that could not be read back is refused: an empty
-label, a label with whitespace, or a name or comment that is not one line
-without surrounding whitespace.
+label, a label with whitespace, a name or comment that is not one line
+without surrounding whitespace, or any of them that is not UTF-8 text (a
+lone surrogate).  Documents are UTF-8; a leading byte-order mark is read
+past.
 
 Numbers are written with 17 significant digits, so parsing a serialized
 document reproduces the automaton exactly.
@@ -63,6 +65,8 @@ class WfaDocument:
                 raise ValueError(
                     f"{field} must be one line without surrounding whitespace, got {text!r}"
                 )
+            if text is not None and not _is_utf8(text):
+                raise ValueError(f"{field} must be UTF-8 text, got {text!r}")
 
     def symbol_of(self, label: str) -> int:
         try:
@@ -73,10 +77,20 @@ class WfaDocument:
             ) from None
 
 
+def _is_utf8(text: str) -> bool:
+    """Whether ``text`` encodes as UTF-8: every code point but a lone surrogate does."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _check_labels(labels, where: str = "") -> None:
     """Refuse repeated or empty labels, labels with whitespace, where the
-    document's lines split, and labels with a comma, where :func:`parse_word`
-    splits a word; ``where`` prefixes the message."""
+    document's lines split, labels with a comma, where :func:`parse_word`
+    splits a word, and labels that are not UTF-8 text; ``where`` prefixes
+    the message."""
     if len(set(labels)) != len(labels):
         raise ValueError(f"{where}symbol labels must be unique")
     if not all(labels):
@@ -85,6 +99,8 @@ def _check_labels(labels, where: str = "") -> None:
         raise ValueError(f"{where}symbol labels must not contain whitespace")
     if any("," in label for label in labels):
         raise ValueError(f"{where}symbol labels must not contain ','")
+    if not all(map(_is_utf8, labels)):
+        raise ValueError(f"{where}symbol labels must be UTF-8 text")
 
 
 def _format_row(values) -> str:
@@ -192,13 +208,15 @@ def parse_document(text: str) -> WfaDocument:
 
 
 def load_document(path) -> WfaDocument:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_document(handle.read())
 
 
 def save_document(doc: WfaDocument, path):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(serialize_document(doc))
+    # encoded before the path is opened, so a failure leaves a file there intact
+    data = serialize_document(doc).encode("utf-8")
+    with open(path, "wb") as handle:
+        handle.write(data)
 
 
 def parse_word(text: str, doc: WfaDocument) -> tuple[int, ...]:

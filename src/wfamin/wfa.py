@@ -100,6 +100,17 @@ def _integer_k(k) -> int:
         raise TypeError(f"k must be an integer, got {k!r}") from None
 
 
+def _checked_k(wfa: Wfa, k) -> int:
+    """k read by :func:`_integer_k`, once it lies in [0, n) for the n states
+    of ``wfa``: the one range of an approximation's size, in every mode."""
+    k = _integer_k(k)
+    if not 0 <= k < wfa.num_states:
+        raise ValueError(
+            f"k must lie in [0, {wfa.num_states}) for a {wfa.num_states}-state input, got {k}"
+        )
+    return k
+
+
 def spectral_radius(matrix) -> float:
     """Largest modulus among the eigenvalues of a square matrix."""
     matrix = np.asarray(matrix, dtype=float)
@@ -153,8 +164,6 @@ def evaluation_table(wfa: Wfa, max_length: int) -> np.ndarray:
     ``words.MAX_BLOCK_ENTRIES`` before any is built; one letter gives one
     state row per level.
     """
-    if max_length < 0:
-        raise ValueError(f"max_length must be >= 0, got {max_length}")
     _block_rows(wfa.alphabet_size, max_length, wfa.num_states, "prefix-state level", level=True)
     levels = [np.array([float(wfa.alpha @ wfa.beta)])]
     states = _prefix_levels(wfa.alpha, wfa.transitions, max_length)

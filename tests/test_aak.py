@@ -23,7 +23,7 @@ from wfamin.aak import (
 )
 from wfamin.cli import main
 from wfamin.errors import NumericalError, RankDeficiencyError, StabilityError
-from wfamin.hankel import _factored_svd, _state_factors, build_hankel, is_minimal
+from wfamin.hankel import _factored_svd, _state_factors, _svd_baseline, build_hankel, is_minimal
 from wfamin.io import load_document
 from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa, spectral_radius
 from wfamin.words import WordIndex
@@ -412,14 +412,16 @@ class TestSchmidtPair:
 
         monkeypatch.setattr("wfamin.aak._singular_data", unreachable)
         for k in (-1, 2):
-            with pytest.raises(ValueError, match=rf"^k must lie in \[0, 2\), got {k}$"):
+            with pytest.raises(ValueError,
+                               match=rf"^k must lie in \[0, 2\) for a 2-state input, got {k}$"):
                 schmidt_pair(wfa, k)
 
     def test_k_is_checked_before_stability(self):
         # an unstable one-state input: k = 1 is out of range, whatever the radius
         unstable = Wfa([1.0], [[[1.5]]], [1.0])
         for call in (schmidt_pair, aak_approximate):
-            with pytest.raises(ValueError, match=r"^k must lie in \[0, 1\), got 1$"):
+            with pytest.raises(ValueError,
+                               match=r"^k must lie in \[0, 1\) for a 1-state input, got 1$"):
                 call(unstable, 1)
             with pytest.raises(StabilityError):
                 call(unstable, 0)
@@ -489,6 +491,26 @@ class TestAakApproximate:
         result = aak_approximate(geometric_wfa, 0)
         with pytest.raises(ValueError, match="^count must be >= 1, got 0$"):
             result.coefficients(0)
+
+    @pytest.mark.parametrize("k", [-1, 2])
+    def test_k_range_is_one_check_for_both_modes(self, two_state_wfa, nilpotent_wfa,
+                                                 monkeypatch, k):
+        # aak and the svd baseline refuse k outside [0, n) with one message,
+        # before any Gramian solve or state factor, and before the factor
+        # guard, which refuses length 40000
+        def unreachable(*args):
+            raise AssertionError("the input was factored")
+
+        monkeypatch.setattr("wfamin.aak._singular_data", unreachable)
+        monkeypatch.setattr("wfamin.hankel._state_factors", unreachable)
+        message = rf"^k must lie in \[0, 2\) for a 2-state input, got {k}$"
+        for call in (
+            lambda: aak_approximate(two_state_wfa, k),
+            lambda: _svd_baseline(two_state_wfa, 5, k),
+            lambda: _svd_baseline(nilpotent_wfa, 40000, k),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
 
     def test_k_is_read_as_an_integer(self, two_state_wfa, monkeypatch):
         # True is k = 1; a float or a numpy bool is refused before any solve

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from wfamin import fock
 from wfamin.errors import StabilityError
 from wfamin.aak import aak_approximate
 from wfamin.hankel import HankelBlock, build_hankel, hankel_rank
+from wfamin.io import load_document
 from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa
 from wfamin.words import WordIndex
 
@@ -497,6 +499,28 @@ class TestNcRational:
         assert len(compared) == 1 + fock.NC_TRIALS  # the zero substitution, then one per trial
         for arguments in compared[1:]:
             assert np.isfinite(sum(fock.series_bounds(wfa, arguments, fock.NC_SERIES_DEGREE)[2:]))
+
+    def test_a_trial_with_an_infinite_bound_is_not_evaluated(self, monkeypatch):
+        # every pencil of this fixture has a spectral radius near 2e198, so no
+        # trial's bound is finite: the report fails with ratio inf, and
+        # neither side is evaluated, so no substitution raises
+        evaluated = []
+        exact = fock.nc_rational_eval
+
+        def recording(wfa, arguments):
+            evaluated.append(arguments)
+            return exact(wfa, arguments)
+
+        def unreachable(*args):
+            raise AssertionError("a partial sum was evaluated")
+
+        monkeypatch.setattr(fock, "nc_rational_eval", recording)
+        monkeypatch.setattr(fock, "nc_rational_series", unreachable)
+        wfa = load_document(Path(__file__).parent / "fixtures" / "nan-discrepancy.wfa").wfa
+        report = fock.verify_nc_rational(wfa)
+        assert report.max_ratio == math.inf and not report.passed
+        assert len(evaluated) == 1  # the zero substitution only
+        assert all(np.array_equal(z, np.zeros((1, 1))) for z in evaluated[0])
 
     def test_empty_arguments_refused(self):
         wfa = random_stable_wfa(2, 3, seed=8, radius_bound=0.9)

@@ -17,6 +17,8 @@ from wfamin.io import (
 )
 from wfamin.wfa import Wfa, random_stable_wfa
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
 
 def documents_equal(a, b):
     if a.labels != b.labels or a.name != b.name or a.comment != b.comment:
@@ -69,6 +71,7 @@ class TestRoundTrip:
     @example(labels=["a"], name="a\nb", comment=None)
     @example(labels=["a"], name="x\u2028y", comment=None)
     @example(labels=["a"], name=None, comment=" padded ")
+    @example(labels=["a"], name="x\ud800y", comment=None)
     @settings(max_examples=200, deadline=None)
     def test_a_document_is_refused_or_read_back(self, labels, name, comment):
         wfa = random_stable_wfa(len(labels), 2, seed=0, radius_bound=0.8)
@@ -84,6 +87,22 @@ class TestRoundTrip:
         assert np.stack(loaded.wfa.transitions).tobytes() == np.stack(wfa.transitions).tobytes()
         assert loaded.wfa.alpha.tobytes() == wfa.alpha.tobytes()
         assert loaded.wfa.beta.tobytes() == wfa.beta.tobytes()
+
+    def test_a_failed_save_leaves_the_file_at_the_path(self, tmp_path):
+        # the text is encoded before the path is opened; a lone surrogate,
+        # which WfaDocument refuses, is put past its check here
+        doc = WfaDocument(("a",), Wfa([1.0], [[[0.5]]], [1.0]))
+        object.__setattr__(doc, "name", "x\ud800y")
+        path = tmp_path / "doc.wfa"
+        path.write_bytes(b"kept")
+        with pytest.raises(UnicodeEncodeError):
+            save_document(doc, path)
+        assert path.read_bytes() == b"kept"
+
+    def test_a_byte_order_mark_is_read_past(self, tmp_path):
+        path = tmp_path / "bom.wfa"
+        path.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "e2.wfa").read_bytes())
+        assert documents_equal(load_document(path), load_document(FIXTURES / "e2.wfa"))
 
 
 class TestParsing:
@@ -223,7 +242,11 @@ class TestParsing:
          "name must be one line without surrounding whitespace, got 'a\\nb'"),
         (("a", "b"), None, " padded ",
          "comment must be one line without surrounding whitespace, got ' padded '"),
-    ], ids=["empty-label", "space-in-label", "nbsp-in-label", "two-line-name", "padded-comment"])
+        (("a\ud800", "b"), None, None, "symbol labels must be UTF-8 text"),
+        (("a", "b"), "x\ud800y", None, "name must be UTF-8 text, got 'x\\ud800y'"),
+        (("a", "b"), None, "\udcff", "comment must be UTF-8 text, got '\\udcff'"),
+    ], ids=["empty-label", "space-in-label", "nbsp-in-label", "two-line-name", "padded-comment",
+            "surrogate-label", "surrogate-name", "surrogate-comment"])
     def test_documents_that_cannot_be_read_back_are_refused(self, labels, name, comment,
                                                             message):
         wfa = Wfa([1.0], [np.eye(1), np.eye(1)], [1.0])
