@@ -98,15 +98,16 @@ def cmd_approximate(args) -> int:
         name=f"{doc.name or Path(args.file).stem}-{args.mode}{args.k}",
         comment=f"rank-{args.k} {args.mode} approximation",
     )
+    report = "\n".join([
+        *_timestamp_lines(args), f"mode: {args.mode}",
+        f"input: {args.file} ({doc.wfa.num_states} states, alphabet {' '.join(doc.labels)})",
+        f"target states: {args.k}", *lines, f"output: {out_path}",
+    ])
+    encoding = getattr(sys.stdout, "encoding", None)
+    if encoding:  # a report stdout cannot encode is refused (exit 2) before the save
+        report.encode(encoding, getattr(sys.stdout, "errors", None) or "strict")
     save_document(out_doc, out_path)
-    for line in _timestamp_lines(args):
-        print(line)
-    print(f"mode: {args.mode}")
-    print(f"input: {args.file} ({doc.wfa.num_states} states, alphabet {' '.join(doc.labels)})")
-    print(f"target states: {args.k}")
-    for line in lines:
-        print(line)
-    print(f"output: {out_path}")
+    print(report)
     return 0
 
 

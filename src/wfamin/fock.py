@@ -22,9 +22,9 @@ shift at all: it reads the operator through slices and reshaped views.
 Truncation discipline: the flipped multiplier drops the coefficients past
 the degree cutoff (the compression of the infinite operator), and the
 verification routines only compare on the *interior* (degrees where no
-truncation loss can occur).  The nc-rational partial sum builds its
-argument products with the prefix recursion of
-:func:`~wfamin.wfa.evaluation_table`.
+truncation loss can occur).  The nc-rational functions take one
+substitution or a stack of them; a stack's partial sums share one
+:func:`~wfamin.wfa.evaluation_table` and its prefix recursion, batched.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import words
 from .errors import StabilityError
 from .hankel import HankelBlock
 from .wfa import Wfa, _prefix_levels, evaluation_table, spectral_radius
@@ -238,30 +239,22 @@ def free_group_counterexample() -> FreeGroupReport:
                            float(degenerate @ degenerate), float(h2 @ h2))
 
 
-def _coerce_arguments(wfa: Wfa, arguments):
-    arguments = [np.atleast_2d(np.asarray(z, dtype=float)) for z in arguments]
-    if len(arguments) != wfa.alphabet_size:
-        raise ValueError(f"expected {wfa.alphabet_size} arguments, got {len(arguments)}")
-    size = arguments[0].shape[0]
-    if size == 0 or any(z.shape != (size, size) for z in arguments):
+def _coerce_arguments(wfa: Wfa, arguments) -> np.ndarray:
+    """``arguments`` as one float array of shape (..., d, m, m): a list of d
+    square matrices is one substitution, a (T, d, m, m) array T of them."""
+    arguments = np.asarray(arguments, dtype=float)
+    if arguments.ndim < 3 or arguments.shape[-1] != arguments.shape[-2] or not arguments.shape[-1]:
         raise ValueError("arguments must be nonempty square matrices of one common size")
-    return arguments, size
+    if arguments.shape[-3] != wfa.alphabet_size:
+        raise ValueError(f"expected {wfa.alphabet_size} arguments, got {arguments.shape[-3]}")
+    return arguments
 
 
 def _pencil(wfa: Wfa, arguments) -> np.ndarray:
-    """The substituted pencil K = sum_j A_j (x) z_j, as one einsum over j.
-
-    ``arguments`` must have passed :func:`_coerce_arguments`.
-    """
-    n, size = wfa.num_states, arguments[0].shape[0]
-    return np.einsum("jab,jcd->acbd", wfa.transitions, arguments).reshape(n * size, n * size)
-
-
-def _norm_sum(arguments) -> float:
-    """sum_j ||z_j z_j^T|| = sum_j ||z_j||^2, the norms from one stacked SVD
-    call; each is squared as a scalar (an array power may round differently)."""
-    norms = np.linalg.norm(np.stack(arguments), 2, axis=(1, 2))
-    return float(sum(norm**2 for norm in norms))
+    """The pencil K = sum_j A_j (x) z_j of each substitution, one einsum over j."""
+    pencil = np.einsum("jab,...jcd->...acbd", wfa.transitions, arguments)
+    *stack, n, size, _, _ = pencil.shape
+    return pencil.reshape(*stack, n * size, n * size)
 
 
 def nc_rational_eval(wfa: Wfa, arguments) -> np.ndarray:
@@ -269,19 +262,19 @@ def nc_rational_eval(wfa: Wfa, arguments) -> np.ndarray:
 
     Computes (alpha^T (x) 1_m)(1_{nm} - sum_j A_j (x) z_j)^{-1}(beta (x) 1_m),
     an m-by-m matrix equal to the sum of the series coefficients weighted by
-    the corresponding argument products.
+    the corresponding argument products; a stack of substitutions gives one
+    per substitution, from one batched eigensolve and one batched solve.
     """
-    arguments, size = _coerce_arguments(wfa, arguments)
+    arguments = _coerce_arguments(wfa, arguments)
     pencil = _pencil(wfa, arguments)
     rho = spectral_radius(pencil)
-    if rho >= 1.0:
-        raise StabilityError(
-            f"substitution is not contractive: spectral radius {rho} >= 1 "
-            f"(sum of ||z_j z_j^T|| is {_norm_sum(arguments)})"
-        )
-    eye = np.eye(pencil.shape[0])
-    solved = np.linalg.solve(eye - pencil, np.kron(wfa.beta[:, None], np.eye(size)))
-    return np.kron(wfa.alpha[None, :], np.eye(size)) @ solved
+    if np.any(rho >= 1.0):
+        raise StabilityError(f"substitution is not contractive: spectral radius {np.max(rho)} >= 1")
+    eye = np.eye(arguments.shape[-1])
+    # b as a full stack: numpy 1.x reads a b of ndim a.ndim - 1 as vectors
+    rhs = np.broadcast_to(np.kron(wfa.beta[:, None], eye), (*pencil.shape[:-1], len(eye)))
+    solved = np.linalg.solve(np.eye(pencil.shape[-1]) - pencil, rhs)
+    return np.kron(wfa.alpha[None, :], eye) @ solved
 
 
 def nc_rational_series(wfa: Wfa, arguments, max_degree: int) -> np.ndarray:
@@ -291,22 +284,33 @@ def nc_rational_series(wfa: Wfa, arguments, max_degree: int) -> np.ndarray:
     alpha^T A_w beta come from :func:`~wfamin.wfa.evaluation_table`, and the
     rows vec(z_w) from its prefix recursion started at vec(1_m) with the
     matrices 1_m (x) z_a; the sum is one product of the two, and no power
-    of the Kronecker sum K is formed.  The tail beyond ``max_degree`` is
-    bounded by ||alpha|| ||beta|| ||K||^(max_degree+1) / (1 - ||K||) when
-    ||K|| < 1 (the third number of :func:`series_bounds`).
+    of the Kronecker sum K is formed.  A stack of substitutions shares one
+    table, and its rows are built for as many substitutions at a time as
+    ``words.MAX_BLOCK_ENTRIES`` holds (one at least).  The tail beyond
+    ``max_degree`` is bounded by ||alpha|| ||beta|| ||K||^(max_degree+1) /
+    (1 - ||K||) when ||K|| < 1 (the third array of :func:`series_bounds`).
     """
-    arguments, size = _coerce_arguments(wfa, arguments)
+    arguments = _coerce_arguments(wfa, arguments)
     table = evaluation_table(wfa, max_degree)  # held to the bound before the products
-    # row-major, vec(z_w) (1 (x) z_a) = vec(z_w z_a)
-    eye = np.eye(size)
-    levels = _prefix_levels(eye.ravel(), [np.kron(eye, z) for z in arguments], max_degree)
-    products = np.concatenate([eye.reshape(1, -1), *levels])
-    return (table @ products).reshape(size, size)
+    *stack, d, size, _ = arguments.shape
+    eye, k = np.eye(size), size * size
+    substitutions = arguments.reshape(-1, d, size, size)
+    # a substitution's rows hold table.size x k entries, its letter blocks d k x k
+    per_part = max(1, words.MAX_BLOCK_ENTRIES // (k * max(table.size, d * k)))
+    sums = []
+    for first in range(0, len(substitutions) or 1, per_part):
+        part = substitutions[first : first + per_part]
+        # row-major, vec(z_w) (1 (x) z_a) = vec(z_w z_a)
+        levels = _prefix_levels(eye.ravel(), np.kron(eye, part.swapaxes(0, 1)), max_degree)
+        heads = np.broadcast_to(eye.ravel(), (len(part), 1, k))
+        sums.append(table @ np.concatenate([heads, *levels], axis=-2))
+    return np.concatenate(sums).reshape(*stack, size, size)
 
 
-def series_bounds(wfa: Wfa, arguments, max_degree: int) -> tuple[float, float, float, float]:
-    """(spectral_radius, norm_sum, tail, rounding) of one substitution, all
-    read from one pencil K = sum_j A_j (x) z_j.
+def series_bounds(wfa: Wfa, arguments, max_degree: int):
+    """(spectral_radius, norm_sum, tail, rounding) of each substitution, four
+    arrays of the stack's shape (shape () for one substitution), all read
+    from its pencil K = sum_j A_j (x) z_j.
 
     The contraction margins come first: the spectral radius of K, which
     evaluation needs below one, and sum_j ||z_j z_j^T||, whose being below
@@ -324,18 +328,22 @@ def series_bounds(wfa: Wfa, arguments, max_degree: int) -> tuple[float, float, f
     ||(1 - K)^{-1}|| <= 1 / (1 - g).  Both bounds are infinite when g >= 1,
     and K's SVD is skipped when the spectral radius, a lower bound on g, is.
     """
-    arguments, _ = _coerce_arguments(wfa, arguments)
+    arguments = _coerce_arguments(wfa, arguments)
     pencil = _pencil(wfa, arguments)
-    rho = spectral_radius(pencil)
-    norm_sum = _norm_sum(arguments)
-    gain = float(np.linalg.norm(pencil, 2)) if rho < 1.0 else math.inf
-    if gain >= 1.0:
-        return rho, norm_sum, math.inf, math.inf
+    rho = np.asarray(spectral_radius(pencil))
+    # ||z_j z_j^T|| = ||z_j||^2; this power and g^(max_degree+1) are taken
+    # on Python floats, as an array power may round differently
+    norms = np.linalg.norm(arguments, 2, axis=(-2, -1)).reshape(-1, wfa.alphabet_size)
+    norm_sum = np.reshape([sum(norm**2 for norm in row) for row in norms.tolist()], rho.shape)
+    gain = np.full(rho.shape, math.inf)
+    gain[rho < 1.0] = np.linalg.norm(pencil[rho < 1.0], 2, axis=(-2, -1))
+    tail, rounding = np.full(rho.shape, math.inf), np.full(rho.shape, math.inf)
+    g = gain[gain < 1.0]
     scale = float(np.linalg.norm(wfa.alpha) * np.linalg.norm(wfa.beta))
-    words = _word_count(wfa.alphabet_size, max_degree)
-    steps = pencil.shape[0] / (1.0 - gain) + words
-    rounding = float(np.finfo(float).eps) * steps * scale / (1.0 - gain)
-    return rho, norm_sum, scale * gain ** (max_degree + 1) / (1.0 - gain), rounding
+    steps = pencil.shape[-1] / (1.0 - g) + _word_count(wfa.alphabet_size, max_degree)
+    rounding[gain < 1.0] = float(np.finfo(float).eps) * steps * scale / (1.0 - g)
+    tail[gain < 1.0] = scale * np.array([x ** (max_degree + 1) for x in g.tolist()]) / (1.0 - g)
+    return rho, norm_sum, tail, rounding
 
 
 @dataclass(frozen=True)
@@ -371,45 +379,34 @@ def verify_nc_rational(wfa: Wfa, seed=0) -> NcRationalReport:
     degree-``NC_SERIES_DEGREE`` partial sum must not exceed the tail bound
     plus the rounding bound of :func:`series_bounds`; a bound still infinite
     after the halving fails the trial (ratio inf) with neither side
-    evaluated, so no substitution raises :class:`StabilityError`.
+    evaluated, so no substitution raises :class:`StabilityError`.  The
+    trials of each matrix size form one stack, taken by each call at once.
     """
     rng = np.random.default_rng(seed)
     d = wfa.alphabet_size
-    head = nc_rational_eval(wfa, [np.zeros((1, 1))] * d)[0, 0]
-    head_exact = bool(head == float(wfa.alpha @ wfa.beta))
-    worst_ratio = 0.0
-    worst_rho = 0.0
-    worst_norm_sum = 0.0
-    for trial in range(NC_TRIALS):
-        size = 1 + trial % 2
-        arguments = [0.3 * rng.standard_normal((size, size)) for _ in range(d)]
-        # one call per substitution gives the margins and the bounds; the
-        # closed form under test builds its own pencil.  The tail bound holds
-        # in exact arithmetic; the computed gap also carries the rounding of
-        # both sides.
-        rho, norm_sum, tail, rounding = series_bounds(wfa, arguments, NC_SERIES_DEGREE)
-        bound = tail + rounding if rho < 0.95 else math.inf
-        if bound == math.inf:
-            arguments = [0.5 * z for z in arguments]
-            rho, norm_sum, tail, rounding = series_bounds(wfa, arguments, NC_SERIES_DEGREE)
-            bound = tail + rounding
-        if bound == math.inf:
-            ratio = math.inf  # nothing is evaluated: the trial fails
-        else:
-            closed = nc_rational_eval(wfa, arguments)
-            partial = nc_rational_series(wfa, arguments, NC_SERIES_DEGREE)
-            gap = float(np.linalg.norm(closed - partial, 2))
-            # np.maximum keeps a NaN; a NaN bound gives a NaN ratio
-            ratio = gap / bound if not bound <= 0 else float(gap > 0)
-        worst_ratio = float(np.maximum(worst_ratio, ratio))
-        worst_rho = float(np.maximum(worst_rho, rho))
-        worst_norm_sum = float(np.maximum(worst_norm_sum, norm_sum))
-    return NcRationalReport(
-        head_exact=head_exact,
-        max_ratio=worst_ratio,
-        max_spectral_radius=worst_rho,
-        max_norm_sum=worst_norm_sum,
-    )
+    head_exact = bool(nc_rational_eval(wfa, np.zeros((d, 1, 1)))[0, 0] == wfa.alpha @ wfa.beta)
+    draws = [0.3 * rng.standard_normal((d, 1 + t % 2, 1 + t % 2)) for t in range(NC_TRIALS)]
+    worst = np.zeros(3)  # ratio, spectral radius, norm sum; np.maximum keeps a NaN
+    for drawn in (np.stack(draws[0::2]), np.stack(draws[1::2])):
+        # the tail bound holds in exact arithmetic, the rounding bound for both sides
+        rho, norm_sum, tail, rounding = series_bounds(wfa, drawn, NC_SERIES_DEGREE)
+        bound = np.where(rho < 0.95, tail + rounding, math.inf)
+        halved = bound == math.inf  # only these trials are bounded again
+        arguments = np.where(halved[:, None, None, None], 0.5 * drawn, drawn)
+        rho[halved], norm_sum[halved], tail, rounding = series_bounds(
+            wfa, arguments[halved], NC_SERIES_DEGREE)
+        bound[halved] = tail + rounding
+        ratio = np.full(len(drawn), math.inf)  # a bound still infinite fails its trial
+        compared = bound != math.inf
+        if compared.any():
+            closed = nc_rational_eval(wfa, arguments[compared])
+            partial = nc_rational_series(wfa, arguments[compared], NC_SERIES_DEGREE)
+            gap = np.linalg.norm(closed - partial, 2, axis=(-2, -1))
+            # a NaN bound gives a NaN ratio, and a zero bound 0 or 1
+            ratio[compared] = np.divide(gap, bound[compared], out=(gap > 0).astype(float),
+                                        where=~(bound[compared] <= 0))
+        worst = np.maximum(worst, [np.max(ratio), np.max(rho), np.max(norm_sum)])
+    return NcRationalReport(head_exact, *worst.tolist())
 
 
 def flipped_multiplier_matrix(wfa: Wfa, basis: WordIndex) -> np.ndarray:

@@ -111,16 +111,17 @@ def _checked_k(wfa: Wfa, k) -> int:
     return k
 
 
-def spectral_radius(matrix) -> float:
-    """Largest modulus among the eigenvalues of a square matrix."""
+def spectral_radius(matrix):
+    """Largest modulus among the eigenvalues of a square matrix, or of each
+    matrix of a (..., N, N) stack, from one batched eigensolve."""
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     try:
         eigenvalues = np.linalg.eigvals(matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
-    return float(np.max(np.abs(eigenvalues)))
+    return np.max(np.abs(eigenvalues), axis=-1)
 
 
 def random_stable_wfa(alphabet_size: int, num_states: int, seed, radius_bound: float) -> Wfa:
@@ -176,11 +177,11 @@ def _prefix_levels(start: np.ndarray, matrices, max_length: int):
 
     With (alpha, transitions) these are the prefix states alpha^T A_w.
     Yields one array per length, its rows in ``WordIndex`` order, from one
-    matrix product per level.
+    matrix product per level; the matrices' leading stack axes carry over.
     """
     states = start[None, :]
-    stacked = np.concatenate(matrices, axis=1)  # [M_0 M_1 ... M_{d-1}]
+    stacked = np.concatenate(matrices, axis=-1)  # [M_0 M_1 ... M_{d-1}]
     for _ in range(max_length):
         # row for word w + (a,) sits at position value(w) * d + a
-        states = (states @ stacked).reshape(-1, start.size)
+        states = (states @ stacked).reshape(*stacked.shape[:-2], -1, start.size)
         yield states

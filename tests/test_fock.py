@@ -23,6 +23,12 @@ from reference import (
 )
 
 
+def substitutions(arguments):
+    """The substitutions of one nc-rational call, one (d, m, m) array each."""
+    arguments = np.asarray(arguments)
+    return list(arguments.reshape(-1, *arguments.shape[-3:]))
+
+
 def basis_vector(basis, word):
     out = np.zeros(len(basis))
     out[basis.index_of(word)] = 1.0
@@ -489,7 +495,7 @@ class TestNcRational:
         exact = fock.nc_rational_eval
 
         def recording(wfa, arguments):
-            compared.append(arguments)
+            compared.extend(substitutions(arguments))
             return exact(wfa, arguments)
 
         monkeypatch.setattr(fock, "nc_rational_eval", recording)
@@ -504,23 +510,94 @@ class TestNcRational:
         # every pencil of this fixture has a spectral radius near 2e198, so no
         # trial's bound is finite: the report fails with ratio inf, and
         # neither side is evaluated, so no substitution raises
-        evaluated = []
-        exact = fock.nc_rational_eval
+        evaluated, summed = [], []
+        exact, exact_series = fock.nc_rational_eval, fock.nc_rational_series
 
         def recording(wfa, arguments):
-            evaluated.append(arguments)
+            evaluated.extend(substitutions(arguments))
             return exact(wfa, arguments)
 
-        def unreachable(*args):
-            raise AssertionError("a partial sum was evaluated")
+        def counting(wfa, arguments, max_degree):
+            summed.extend(substitutions(arguments))
+            return exact_series(wfa, arguments, max_degree)
 
         monkeypatch.setattr(fock, "nc_rational_eval", recording)
-        monkeypatch.setattr(fock, "nc_rational_series", unreachable)
+        monkeypatch.setattr(fock, "nc_rational_series", counting)
         wfa = load_document(Path(__file__).parent / "fixtures" / "nan-discrepancy.wfa").wfa
         report = fock.verify_nc_rational(wfa)
         assert report.max_ratio == math.inf and not report.passed
         assert len(evaluated) == 1  # the zero substitution only
+        assert summed == []  # no partial sum
         assert all(np.array_equal(z, np.zeros((1, 1))) for z in evaluated[0])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_a_stack_equals_its_substitutions_one_by_one(self, d, m):
+        wfa = random_stable_wfa(d, 3, seed=d, radius_bound=0.9)
+        stack = 0.3 * np.random.default_rng(10 * d + m).standard_normal((5, d, m, m))
+        stack[4] *= 20  # ||K||_2 >= 1: infinite bounds, and no SVD of K
+        bounds = fock.series_bounds(wfa, stack, 8)
+        closed = fock.nc_rational_eval(wfa, stack[:4])
+        partial = fock.nc_rational_series(wfa, stack, 8)
+        assert all(b.shape == (5,) for b in bounds) and bounds[2][4] == math.inf
+        for t, arguments in enumerate(list(z) for z in stack):
+            one = fock.series_bounds(wfa, arguments, 8)
+            assert all(b.shape == () for b in one)
+            assert [b.tobytes() for b in one] == [b[t].tobytes() for b in bounds]
+            assert fock.nc_rational_series(wfa, arguments, 8).tobytes() == partial[t].tobytes()
+            if t < 4:
+                assert fock.nc_rational_eval(wfa, arguments).tobytes() == closed[t].tobytes()
+
+    def test_the_suite_builds_one_table_per_stack(self, monkeypatch):
+        tables = []
+        exact = fock.evaluation_table
+
+        def counting(wfa, max_length):
+            tables.append(max_length)
+            return exact(wfa, max_length)
+
+        monkeypatch.setattr(fock, "evaluation_table", counting)
+        fock.verify_nc_rational(random_stable_wfa(3, 3, seed=4, radius_bound=0.9), seed=4)
+        assert tables == [fock.NC_SERIES_DEGREE] * 2  # matrix sizes 1 and 2
+
+    @pytest.mark.parametrize("bound", [1000, 7 * 511 * 4])
+    def test_a_split_stack_gives_the_same_report(self, monkeypatch, bound):
+        # one substitution's argument products hold 511 x m^2 entries at
+        # d = 2: the bound admits 7 at m = 2, or one at a time (1000 < 511 x 4)
+        wfa = random_stable_wfa(2, 3, seed=9, radius_bound=0.9)
+        report = fock.verify_nc_rational(wfa, seed=9)
+        levels = []
+        exact = fock._prefix_levels
+
+        def recording(start, matrices, max_length):
+            for level in exact(start, matrices, max_length):
+                levels.append(level)
+                yield level
+
+        monkeypatch.setattr("wfamin.words.MAX_BLOCK_ENTRIES", bound)
+        monkeypatch.setattr(fock, "_prefix_levels", recording)
+        assert fock.verify_nc_rational(wfa, seed=9) == report
+        assert len(levels) > 2 * fock.NC_SERIES_DEGREE  # more than one part per stack
+        # a level over more than one substitution stays within the bound
+        assert all(level.size <= bound or len(level) == 1 for level in levels)
+
+    def test_a_split_series_holds_its_letter_blocks_to_the_bound(self, monkeypatch):
+        # at degree 1 a 6 x 6 substitution's letter blocks, d m^2 x m^2 = 2592
+        # entries, outgrow its 3 x m^2 rows: the bound admits two at a time
+        wfa = random_stable_wfa(2, 3, seed=5, radius_bound=0.9)
+        stack = 0.1 * np.random.default_rng(5).standard_normal((5, 2, 6, 6))
+        whole = fock.nc_rational_series(wfa, stack, 1)
+        blocks = []
+        exact = fock._prefix_levels
+
+        def recording(start, matrices, max_length):
+            blocks.append(np.size(matrices))
+            return exact(start, matrices, max_length)
+
+        monkeypatch.setattr("wfamin.words.MAX_BLOCK_ENTRIES", 2 * 2592)
+        monkeypatch.setattr(fock, "_prefix_levels", recording)
+        assert fock.nc_rational_series(wfa, stack, 1).tobytes() == whole.tobytes()
+        assert blocks == [2 * 2592, 2 * 2592, 2592]
 
     def test_empty_arguments_refused(self):
         wfa = random_stable_wfa(2, 3, seed=8, radius_bound=0.9)
