@@ -78,21 +78,6 @@ def _require_one_letter(wfa: Wfa) -> np.ndarray:
     return wfa.transitions[0]
 
 
-@dataclass(frozen=True, eq=False)
-class GramianPair:
-    """Controllability and observability Gramians of a one-letter realization.
-
-    They satisfy P = A P A^T + beta beta^T and Q = A^T Q A + alpha alpha^T;
-    the residuals of their solve (:func:`_solve_stein`) are kept for
-    diagnostics.
-    """
-
-    controllability: np.ndarray
-    observability: np.ndarray
-    controllability_residual: float
-    observability_residual: float
-
-
 def _smith_doubling(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """sum_i a^i c (b^T)^i by X <- X + a X b^T, then a <- a^2, b <- b^2.
 
@@ -175,13 +160,13 @@ def _solve_stein(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarra
     return x, residual
 
 
-def gramians(wfa: Wfa) -> GramianPair:
-    """Exact Gramians of a one-letter WFA, from one paired Stein solve.
+def gramians(wfa: Wfa) -> np.ndarray:
+    """Exact Gramians [P, Q] of a one-letter WFA, as one (2, n, n) array.
 
-    Requires the transition matrix to have spectral radius below one, which
-    makes both fixed-point equations uniquely solvable.  The residuals kept
-    are the solve's (:func:`_solve_stein`); they bound those of the
-    symmetrized pair, as the residual map commutes with transposition.
+    P = A P A^T + beta beta^T and Q = A^T Q A + alpha alpha^T come from one
+    paired Stein solve, whose acceptance (:func:`_solve_stein`) bounds their
+    residuals, then are symmetrized.  Requires spectral radius below one,
+    which makes both fixed-point equations uniquely solvable.
     """
     a = _require_one_letter(wfa)
     rho = spectral_radius(a)
@@ -189,22 +174,21 @@ def gramians(wfa: Wfa) -> GramianPair:
         raise StabilityError(f"Gramians diverge: spectral radius {rho} >= 1")
     sides = np.stack([a, a.T])
     weights = np.stack([wfa.beta, wfa.alpha])
-    pair, residuals = _solve_stein(sides, sides, weights[:, :, None] * weights[:, None, :])
-    pair = 0.5 * (pair + pair.swapaxes(-1, -2))
-    return GramianPair(pair[0], pair[1], *residuals.tolist())
+    pair, _ = _solve_stein(sides, sides, weights[:, :, None] * weights[:, None, :])
+    return 0.5 * (pair + pair.swapaxes(-1, -2))
 
 
-def _root_product(pair: GramianPair) -> tuple[np.ndarray, np.ndarray]:
-    """(Q^{1/2}, Q^{1/2} P^{1/2}), whose singular values are the Hankel ones.
+def _root_product(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q^{1/2}, Q^{1/2} P^{1/2}) of [P, Q]; the product's singular values are the Hankel ones.
 
     Both PSD square roots come from one stacked eigendecomposition.  Unlike
     square roots of the eigenvalues of P^{1/2} Q P^{1/2}, which are noise
     below ~1e-8 sigma_0, these keep small values accurate.
     """
-    eigenvalues, vectors = np.linalg.eigh(np.stack([pair.observability, pair.controllability]))
+    eigenvalues, vectors = np.linalg.eigh(pair)
     roots = vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))[:, None, :]
     roots = roots @ vectors.swapaxes(-1, -2)
-    return roots[0], roots[0] @ roots[1]
+    return roots[1], roots[1] @ roots[0]
 
 
 def _singular_data(wfa: Wfa):
@@ -289,7 +273,7 @@ def _schmidt_pair(wfa: Wfa, k: int, singular_data) -> tuple[SchmidtPair, tuple[s
         "approximation may not be unique"
         for i in (k - 1, k) if i in tied and i + 1 in tied
     )
-    return SchmidtPair(float(sigmas[k]), direction, wfa, pair.controllability), warnings
+    return SchmidtPair(float(sigmas[k]), direction, wfa, pair[0]), warnings
 
 
 def schmidt_pair(wfa: Wfa, k: int) -> SchmidtPair:

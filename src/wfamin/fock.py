@@ -24,7 +24,8 @@ the degree cutoff (the compression of the infinite operator), and the
 verification routines only compare on the *interior* (degrees where no
 truncation loss can occur).  The nc-rational functions take one
 substitution or a stack of them; a stack's partial sums share one
-:func:`~wfamin.wfa.evaluation_table` and its prefix recursion, batched.
+:func:`~wfamin.wfa.evaluation_table` and its prefix recursion, batched;
+the suite's pencils, like its partial sums, are held to ``words.MAX_BLOCK_ENTRIES``.
 """
 
 from __future__ import annotations
@@ -380,14 +381,23 @@ def verify_nc_rational(wfa: Wfa, seed=0) -> NcRationalReport:
     plus the rounding bound of :func:`series_bounds`; a bound still infinite
     after the halving fails the trial (ratio inf) with neither side
     evaluated, so no substitution raises :class:`StabilityError`.  The
-    trials of each matrix size form one stack, taken by each call at once.
+    trials of each matrix size form one stack, taken by each call at once;
+    a stack whose pencils would pass ``words.MAX_BLOCK_ENTRIES`` is split
+    into parts that stay within it (one trial at least), as the partial
+    sums' argument products are.
     """
     rng = np.random.default_rng(seed)
     d = wfa.alphabet_size
     head_exact = bool(nc_rational_eval(wfa, np.zeros((d, 1, 1)))[0, 0] == wfa.alpha @ wfa.beta)
     draws = [0.3 * rng.standard_normal((d, 1 + t % 2, 1 + t % 2)) for t in range(NC_TRIALS)]
+    parts = []
+    for size in (1, 2):
+        stack = np.stack(draws[size - 1::2])
+        # a trial's pencil holds (n size)^2 entries; a part holds one at least
+        per_part = max(1, words.MAX_BLOCK_ENTRIES // (wfa.num_states * size) ** 2)
+        parts += np.split(stack, range(per_part, len(stack), per_part))
     worst = np.zeros(3)  # ratio, spectral radius, norm sum; np.maximum keeps a NaN
-    for drawn in (np.stack(draws[0::2]), np.stack(draws[1::2])):
+    for drawn in parts:
         # the tail bound holds in exact arithmetic, the rounding bound for both sides
         rho, norm_sum, tail, rounding = series_bounds(wfa, drawn, NC_SERIES_DEGREE)
         bound = np.where(rho < 0.95, tail + rounding, math.inf)

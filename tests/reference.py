@@ -7,9 +7,10 @@ given, the AAK path realizes the error symbol exactly, and its Stein
 equations are solved on n x n matrices (doubling, or Bartels-Stewart on
 Schur forms).  Each definition here is the plain (dense or pointwise) form
 of an object the package computes another way, so a test can hold the two
-against each other.  The proportional-class lift is the oracle of a step the
-package does not take yet: a d-letter input whose letters act by multiples
-of one matrix, approximated through a one-letter one.
+against each other.  The affine-class pair and lift are the oracle of a
+step the package does not take yet: a d-letter input whose letters act by
+p_a I + u_a B for one matrix B, approximated through a one-letter one, with
+the d-letter Hankel singular values read from dense Kronecker solves.
 """
 
 from __future__ import annotations
@@ -126,46 +127,86 @@ def check_hankel_property(block: HankelBlock, tol: float) -> tuple[bool, tuple |
     return False, (*cells[0], *cells[0])
 
 
-# --- The proportional class: every letter acts by a multiple of one matrix
+# --- The affine class: every letter acts by p_a I + u_a B for one matrix B
 
 
-def proportional_pair(alpha, matrix, beta, coefficients) -> tuple[Wfa, Wfa]:
-    """(f, f'): the d-letter f with A_a = c_a A, and the one-letter
-    f' = (alpha, sqrt(s) A, beta), where s = sum_a c_a^2 (A and c are arrays).
+def affine_pair(alpha, matrix, beta, p, u) -> tuple[Wfa, Wfa]:
+    """(f, f~): the d-letter f with A_a = p_a I + u_a B, for B = ``matrix``,
+    ||u|| = 1 and p orthogonal to u, and the one-letter
+    f~ = (alpha / (1 - ||p||^2), B / s, beta) with s = sqrt(1 - ||p||^2).
 
-    f(uv) = c(u) c(v) h(|u| + |v|), with c(w) the product of the c_{w_i}
-    and h(m) = alpha^T A^m beta.  The vectors (c(u))_{|u| = m} are orthogonal
-    across lengths m, with squared norm s^m, so on their span H_f is
-    unitarily equivalent to H_{f'}, and it is zero on the complement.
+    Why H_f is H_f~ seen through an isometry: take B diagonalizable with
+    eigenvalues mu_i.  Then H_f = sum_i c_i xi_{lambda_i} xi_{lambda_i}^T,
+    where lambda_i = p + mu_i u are the joint eigenvalues, xi_lambda(w) =
+    lambda_{w_1} ... lambda_{w_m}, and <xi_lambda, xi_mu> = 1 / (1 -
+    <lambda, mu>) is the Drury-Arveson kernel (Drury 1978; Arveson 1998).
+    On the line p + zeta u that kernel is (1 - ||p||^2)^{-1} times the Szego
+    kernel in z = zeta / s, so xi_{p + zeta u} -> (1 - ||p||^2)^{-1/2}
+    (z^m)_m is an isometry onto l^2, and under it H_f is the one-letter
+    Hankel operator of f~.  Non-diagonalizable B follows by continuity.  The
+    series is stable exactly when rho(B)^2 + ||p||^2 < 1, that is when
+    rho(B / s) < 1.  At p = 0 this is the proportional class A_a = u_a B,
+    with f~ = (alpha, B, beta).
     """
-    root = np.sqrt(coefficients @ coefficients)
-    return (Wfa(alpha, [c * matrix for c in coefficients], beta),
-            Wfa(alpha, [root * matrix], beta))
+    p, u = np.asarray(p, dtype=float), np.asarray(u, dtype=float)
+    shrink = 1.0 - p @ p
+    eye = np.eye(len(matrix))
+    return (Wfa(alpha, [pa * eye + ua * matrix for pa, ua in zip(p, u)], beta),
+            Wfa(np.asarray(alpha) / shrink, [matrix / np.sqrt(shrink)], beta))
 
 
-def proportional_lift(g_prime: Wfa, coefficients) -> Wfa:
-    """The d-letter g with A_{g,a} = (c_a / sqrt(s)) A_{g'} for a one-letter g'.
+def affine_lift(g_tilde: Wfa, p, u) -> Wfa:
+    """The d-letter g = ((1 - ||p||^2) alpha', {p_a I + u_a s B'}, beta') of a
+    one-letter g~ = (alpha', B', beta'), with s = sqrt(1 - ||p||^2).
 
-    H_g is unitarily equivalent to H_{g'} the way H_f is to H_{f'}
-    (:func:`proportional_pair`), so ||H_f - H_g|| = ||H_{f'} - H_{g'}||, and
-    the lift of the optimal one-letter approximant of f' attains sigma_k(H_f)
-    with Hankel rank at most k.
+    g is in the class of :func:`affine_pair` on the same line p + zeta u:
+    each joint eigenvalue p + s nu_j u of g comes from an eigenvalue nu_j of
+    B', and the factor 1 - ||p||^2 on alpha' undoes the kernel's, so the
+    isometry that carries H_f to H_f~ carries H_g to H_g~.  Hence
+    ||H_f - H_g|| = ||H_f~ - H_g~||, and the lift of the optimal k-state
+    one-letter approximant of f~ is a k-state d-letter automaton that
+    attains sigma_k(H_f), which by Eckart-Young no rank-k operator beats.
     """
-    root = np.sqrt(coefficients @ coefficients)
-    (matrix,) = g_prime.transitions
-    return Wfa(g_prime.alpha, [(c / root) * matrix for c in coefficients], g_prime.beta)
+    p, u = np.asarray(p, dtype=float), np.asarray(u, dtype=float)
+    shrink = 1.0 - p @ p
+    (matrix,) = g_tilde.transitions
+    eye = np.eye(len(matrix))
+    scaled = np.sqrt(shrink) * matrix
+    return Wfa(shrink * g_tilde.alpha, [pa * eye + ua * scaled for pa, ua in zip(p, u)],
+               g_tilde.beta)
 
 
-# --- Stein equations: the Kronecker system
+# --- Stein equations and d-letter Hankel singular values: Kronecker systems
 
 
 def stein_kronecker(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """X = a X b^T + c as one dense solve on the m n unknowns of the m x n X.
+    """X = a X b^T + c as one dense solve on the m n unknowns of the m x n X;
+    for stacks a and b of d matrices, X = sum_j a_j X b_j^T + c.
 
     With row-major vectorization, vec(a X b^T) = (a kron b) vec(X).
     """
     m, n = c.shape
-    return np.linalg.solve(np.eye(m * n) - np.kron(a, b), c.ravel()).reshape(m, n)
+    terms = zip(np.reshape(a, (-1, m, m)), np.reshape(b, (-1, n, n)))
+    system = np.eye(m * n) - sum(np.kron(a_j, b_j) for a_j, b_j in terms)
+    return np.linalg.solve(system, c.ravel()).reshape(m, n)
+
+
+def dense_hankel_singular_values(wfa: Wfa) -> np.ndarray:
+    """Hankel singular values of a stable d-letter WFA, from dense solves.
+
+    H_f = O R, with the rows alpha^T A_u of O and the columns A_v beta of R
+    over all words, so its nonzero singular values are those of
+    Q^{1/2} P^{1/2} for the Gramians P = R R^T and Q = O^T O.  They solve
+    P = sum_a A_a P A_a^T + beta beta^T and Q = sum_a A_a^T Q A_a +
+    alpha alpha^T, here as Kronecker systems on the n^2 unknowns; both
+    square roots come from ``eigh``.
+    """
+    transitions, roots = np.array(wfa.transitions), []
+    for sides, weight in ((transitions, wfa.beta), (transitions.swapaxes(-1, -2), wfa.alpha)):
+        gramian = stein_kronecker(sides, sides, np.outer(weight, weight))
+        values, vectors = np.linalg.eigh(0.5 * (gramian + gramian.T))
+        roots.append((vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.T)
+    return np.linalg.svd(roots[1] @ roots[0], compute_uv=False)
 
 
 # --- AAK: Schmidt functions and the error symbol, pointwise

@@ -29,10 +29,11 @@ from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa, spectral_radius
 from wfamin.words import WordIndex
 
 from reference import (
+    affine_lift,
+    affine_pair,
     check_hankel_property,
+    dense_hankel_singular_values,
     error_circle_samples,
-    proportional_lift,
-    proportional_pair,
     stein_kronecker,
     v_at,
     v_coefficients,
@@ -247,27 +248,26 @@ class TestSolveStein:
 
 class TestGramians:
     def test_scalar_fixed_point(self, geometric_wfa):
-        pair = gramians(geometric_wfa)
-        np.testing.assert_allclose(pair.controllability, [[4.0 / 3.0]], rtol=1e-14)
-        np.testing.assert_allclose(pair.observability, [[4.0 / 3.0]], rtol=1e-14)
+        p, q = gramians(geometric_wfa)
+        np.testing.assert_allclose(p, [[4.0 / 3.0]], rtol=1e-14)
+        np.testing.assert_allclose(q, [[4.0 / 3.0]], rtol=1e-14)
 
     def test_zero_final_vector(self):
         wfa = Wfa([1.0, 1.0], [0.5 * np.eye(2)], [0.0, 0.0])
-        pair = gramians(wfa)
-        np.testing.assert_array_equal(pair.controllability, np.zeros((2, 2)))
+        p, q = gramians(wfa)
+        np.testing.assert_array_equal(p, np.zeros((2, 2)))
 
     def test_diagonal_closed_form(self):
         # A = diag(a_1, a_2), beta = (1, 1): P_ij = sum_k (a_i a_j)**k
         a = np.array([0.6, -0.4])
         wfa = Wfa([1.0, 2.0], [np.diag(a)], [1.0, 1.0])
-        pair = gramians(wfa)
+        p, q = gramians(wfa)
         expected = 1.0 / (1.0 - np.outer(a, a))
-        np.testing.assert_allclose(pair.controllability, expected, rtol=1e-13)
+        np.testing.assert_allclose(p, expected, rtol=1e-13)
 
     def test_fixed_point_residuals(self, two_state_wfa):
-        pair = gramians(two_state_wfa)
+        p, q = gramians(two_state_wfa)
         a = two_state_wfa.transitions[0]
-        p, q = pair.controllability, pair.observability
         assert np.linalg.norm(p - a @ p @ a.T - np.outer(two_state_wfa.beta, two_state_wfa.beta)) < 1e-12
         assert np.linalg.norm(q - a.T @ q @ a - np.outer(two_state_wfa.alpha, two_state_wfa.alpha)) < 1e-12
 
@@ -277,12 +277,10 @@ class TestGramians:
         rng = np.random.default_rng(37)
         a = _non_normal(8, 0.99, rng, 2.0)
         wfa = Wfa(rng.standard_normal(8), [a], rng.standard_normal(8))
-        pair = gramians(wfa)
-        scale = np.linalg.norm(a) ** 2 * max(
-            np.linalg.norm(pair.controllability), np.linalg.norm(pair.observability)
-        )
-        assert pair.controllability_residual <= 1e-14 * scale
-        assert pair.observability_residual <= 1e-14 * scale
+        p, q = gramians(wfa)
+        scale = np.linalg.norm(a) ** 2 * max(np.linalg.norm(p), np.linalg.norm(q))
+        assert np.linalg.norm(p - a @ p @ a.T - np.outer(wfa.beta, wfa.beta)) <= 1e-14 * scale
+        assert np.linalg.norm(q - a.T @ q @ a - np.outer(wfa.alpha, wfa.alpha)) <= 1e-14 * scale
         for k in range(7):
             result = aak_approximate(wfa, k)
             assert abs(result.attained - result.error) <= 1e-6 * result.singular_values[0]
@@ -317,10 +315,9 @@ class TestGramians:
     def test_pair_matches_kronecker_solve(self, n, rho, seed):
         wfa = random_stable_wfa(1, n, seed=seed, radius_bound=rho)
         a = wfa.transitions[0]
-        pair = gramians(wfa)
+        p, q = gramians(wfa)
         tol = 1e-14 / (1 - spectral_radius(a)) ** 2
-        for gramian, side, weight in ((pair.controllability, a, wfa.beta),
-                                      (pair.observability, a.T, wfa.alpha)):
+        for gramian, side, weight in ((p, a, wfa.beta), (q, a.T, wfa.alpha)):
             expected = stein_kronecker(side, side, np.outer(weight, weight))
             np.testing.assert_allclose(
                 gramian, expected, rtol=0, atol=tol * np.linalg.norm(expected)
@@ -913,9 +910,10 @@ class TestHankelNorm:
 
 
 class TestProportionalLift:
-    """A_a = c_a A: the d-letter blocks of f and of f - g, for the lift g of
-    the optimal one-letter approximant g' of f' = (alpha, sqrt(s) A, beta),
-    rise from below to sigma_k(f'), the value both infinite operators take."""
+    """A_a = c_a A, the affine class at p = 0: the d-letter blocks of f and
+    of f - g, for the lift g of the optimal one-letter approximant g' of
+    f' = (alpha, ||c|| A, beta), rise from below to sigma_k(f'), the value
+    both infinite operators take."""
 
     LENGTHS = (4, 6, 8, 9)
 
@@ -924,14 +922,16 @@ class TestProportionalLift:
         rng = np.random.default_rng(seed)
         matrix = rng.standard_normal((4, 4))
         coefficients = rng.standard_normal(2)
-        # sqrt(s) rho(A) = 0.7, so f' is stable
-        matrix *= 0.7 / (np.sqrt(coefficients @ coefficients) * spectral_radius(matrix))
-        f, f_prime = proportional_pair(rng.standard_normal(4), matrix,
-                                       rng.standard_normal(4), coefficients)
+        # ||c|| rho(A) = 0.7, so f' is stable
+        root = np.sqrt(coefficients @ coefficients)
+        matrix *= 0.7 / (root * spectral_radius(matrix))
+        zero, direction = np.zeros(2), coefficients / root
+        f, f_prime = affine_pair(rng.standard_normal(4), root * matrix,
+                                 rng.standard_normal(4), zero, direction)
         sigmas = hankel_singular_values(f_prime)
         slack = 1e-12 * sigmas[0]  # rounding of the factored SVDs
         for k in (1, 2):
-            g = proportional_lift(aak_approximate(f_prime, k).wfa, coefficients)
+            g = affine_lift(aak_approximate(f_prime, k).wfa, zero, direction)
             block_sigma, block_error = [], []
             for length in self.LENGTHS:
                 factors = _state_factors(f, length)
@@ -946,13 +946,60 @@ class TestProportionalLift:
                 assert values[-1] == pytest.approx(sigmas[k], rel=1e-2)
 
 
+def _affine_input(d, n, seed):
+    """A stable f in the affine class A_a = p_a I + u_a B, ||p|| in [0.2,
+    0.6], with rho(B / s) = 0.8, and its p and u."""
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal(d)
+    p *= rng.uniform(0.2, 0.6) / np.linalg.norm(p)
+    u = rng.standard_normal(d)
+    u -= (u @ p) / (p @ p) * p
+    u /= np.linalg.norm(u)
+    matrix = rng.standard_normal((n, n))
+    matrix *= 0.8 * np.sqrt(1.0 - p @ p) / spectral_radius(matrix)
+    f, f_tilde = affine_pair(rng.standard_normal(n), matrix, rng.standard_normal(n), p, u)
+    return f, f_tilde, p, u
+
+
+AFFINE_INPUTS = [(d, n, seed) for d in (2, 3) for n in (2, 4, 6) for seed in range(2)]
+
+
+class TestAffineClass:
+    """A_a = p_a I + u_a B with ||u|| = 1 and p orthogonal to u: H_f is the
+    one-letter Hankel operator of f~ seen through an isometry, so the
+    one-letter AAK value is attained by d letters (``affine_pair``)."""
+
+    @pytest.mark.parametrize("d, n, seed", AFFINE_INPUTS)
+    def test_singular_values_are_the_one_letter_ones(self, d, n, seed):
+        f, f_tilde, _, _ = _affine_input(d, n, seed)
+        sigmas = hankel_singular_values(f_tilde)
+        np.testing.assert_allclose(dense_hankel_singular_values(f), sigmas,
+                                   rtol=0, atol=1e-12 * sigmas[0])
+
+    @pytest.mark.parametrize("d, n, seed", AFFINE_INPUTS)
+    def test_the_lifted_approximant_attains_sigma_k(self, d, n, seed):
+        f, f_tilde, p, u = _affine_input(d, n, seed)
+        sigmas = hankel_singular_values(f_tilde)
+        for k in range(n):
+            g = affine_lift(aak_approximate(f_tilde, k).wfa, p, u)
+            assert g.num_states == max(k, 1) and g.alphabet_size == d
+            difference = Wfa(
+                np.concatenate([f.alpha, g.alpha]),
+                [np.block([[a, np.zeros((n, g.num_states))],
+                           [np.zeros((g.num_states, n)), b]])
+                 for a, b in zip(f.transitions, g.transitions)],
+                np.concatenate([f.beta, -g.beta]),
+            )
+            error = dense_hankel_singular_values(difference)[0]
+            assert abs(error - sigmas[k]) <= 1e-9 * sigmas[0]
+
+
 def test_array_holding_results_compare_by_identity():
     # comparing the arrays field by field would raise "truth value of an
     # array is ambiguous"; a word index compares and hashes by its sizes
     wfa = load_document(FIXTURES / "e2.wfa").wfa
     for make in (
         lambda: build_hankel(wfa, 2),
-        lambda: gramians(wfa),
         lambda: schmidt_pair(wfa, 1),
         lambda: aak_approximate(wfa, 1),
     ):

@@ -563,23 +563,32 @@ class TestNcRational:
     @pytest.mark.parametrize("bound", [1000, 7 * 511 * 4])
     def test_a_split_stack_gives_the_same_report(self, monkeypatch, bound):
         # one substitution's argument products hold 511 x m^2 entries at
-        # d = 2: the bound admits 7 at m = 2, or one at a time (1000 < 511 x 4)
+        # d = 2: the bound admits 7 at m = 2, or one at a time (1000 < 511 x
+        # 4); its pencil holds (3 m)^2, so 1000 takes the m = 2 stack 27 at a time
         wfa = random_stable_wfa(2, 3, seed=9, radius_bound=0.9)
         report = fock.verify_nc_rational(wfa, seed=9)
-        levels = []
-        exact = fock._prefix_levels
+        levels, pencils = [], []
+        exact, exact_pencil = fock._prefix_levels, fock._pencil
 
         def recording(start, matrices, max_length):
             for level in exact(start, matrices, max_length):
                 levels.append(level)
                 yield level
 
+        def recording_pencil(wfa, arguments):
+            pencils.append(exact_pencil(wfa, arguments))
+            return pencils[-1]
+
         monkeypatch.setattr("wfamin.words.MAX_BLOCK_ENTRIES", bound)
         monkeypatch.setattr(fock, "_prefix_levels", recording)
+        monkeypatch.setattr(fock, "_pencil", recording_pencil)
         assert fock.verify_nc_rational(wfa, seed=9) == report
         assert len(levels) > 2 * fock.NC_SERIES_DEGREE  # more than one part per stack
-        # a level over more than one substitution stays within the bound
+        # a level or pencil stack over more than one substitution stays
+        # within the bound
         assert all(level.size <= bound or len(level) == 1 for level in levels)
+        assert all(pencil.size <= max(bound, pencil.shape[-1] ** 2) for pencil in pencils)
+        assert max(pencil.size for pencil in pencils) == (972 if bound == 1000 else 50 * 36)
 
     def test_a_split_series_holds_its_letter_blocks_to_the_bound(self, monkeypatch):
         # at degree 1 a 6 x 6 substitution's letter blocks, d m^2 x m^2 = 2592
