@@ -22,10 +22,11 @@ shift at all: it reads the operator through slices and reshaped views.
 Truncation discipline: the flipped multiplier drops the coefficients past
 the degree cutoff (the compression of the infinite operator), and the
 verification routines only compare on the *interior* (degrees where no
-truncation loss can occur).  The nc-rational functions take one
-substitution or a stack of them; a stack's partial sums share one
+truncation loss can occur).  The nc-rational functions build the one
+substitution or stack they are given, a stack's partial sums from one
 :func:`~wfamin.wfa.evaluation_table` and its prefix recursion, batched;
-the suite's pencils, like its partial sums, are held to ``words.MAX_BLOCK_ENTRIES``.
+only :func:`verify_nc_rational` splits a stack, into parts it sizes to
+``words.MAX_BLOCK_ENTRIES`` by the larger of a trial's pencil and products.
 """
 
 from __future__ import annotations
@@ -285,27 +286,20 @@ def nc_rational_series(wfa: Wfa, arguments, max_degree: int) -> np.ndarray:
     alpha^T A_w beta come from :func:`~wfamin.wfa.evaluation_table`, and the
     rows vec(z_w) from its prefix recursion started at vec(1_m) with the
     matrices 1_m (x) z_a; the sum is one product of the two, and no power
-    of the Kronecker sum K is formed.  A stack of substitutions shares one
-    table, and its rows are built for as many substitutions at a time as
-    ``words.MAX_BLOCK_ENTRIES`` holds (one at least).  The tail beyond
-    ``max_degree`` is bounded by ||alpha|| ||beta|| ||K||^(max_degree+1) /
-    (1 - ||K||) when ||K|| < 1 (the third array of :func:`series_bounds`).
+    of the Kronecker sum K is formed.  A stack shares one table, and its
+    rows, table.size x m^2 entries per substitution, are built whole.  The
+    tail beyond ``max_degree`` is bounded by ||alpha|| ||beta||
+    ||K||^(max_degree+1) / (1 - ||K||) when ||K|| < 1 (the third array of
+    :func:`series_bounds`).
     """
     arguments = _coerce_arguments(wfa, arguments)
     table = evaluation_table(wfa, max_degree)  # held to the bound before the products
     *stack, d, size, _ = arguments.shape
-    eye, k = np.eye(size), size * size
-    substitutions = arguments.reshape(-1, d, size, size)
-    # a substitution's rows hold table.size x k entries, its letter blocks d k x k
-    per_part = max(1, words.MAX_BLOCK_ENTRIES // (k * max(table.size, d * k)))
-    sums = []
-    for first in range(0, len(substitutions) or 1, per_part):
-        part = substitutions[first : first + per_part]
-        # row-major, vec(z_w) (1 (x) z_a) = vec(z_w z_a)
-        levels = _prefix_levels(eye.ravel(), np.kron(eye, part.swapaxes(0, 1)), max_degree)
-        heads = np.broadcast_to(eye.ravel(), (len(part), 1, k))
-        sums.append(table @ np.concatenate([heads, *levels], axis=-2))
-    return np.concatenate(sums).reshape(*stack, size, size)
+    eye, substitutions = np.eye(size), arguments.reshape(-1, d, size, size)
+    # row-major, vec(z_w) (1 (x) z_a) = vec(z_w z_a)
+    levels = _prefix_levels(eye.ravel(), np.kron(eye, substitutions.swapaxes(0, 1)), max_degree)
+    heads = np.broadcast_to(eye.ravel(), (len(substitutions), 1, size * size))
+    return (table @ np.concatenate([heads, *levels], axis=-2)).reshape(*stack, size, size)
 
 
 def series_bounds(wfa: Wfa, arguments, max_degree: int):
@@ -381,20 +375,21 @@ def verify_nc_rational(wfa: Wfa, seed=0) -> NcRationalReport:
     plus the rounding bound of :func:`series_bounds`; a bound still infinite
     after the halving fails the trial (ratio inf) with neither side
     evaluated, so no substitution raises :class:`StabilityError`.  The
-    trials of each matrix size form one stack, taken by each call at once;
-    a stack whose pencils would pass ``words.MAX_BLOCK_ENTRIES`` is split
-    into parts that stay within it (one trial at least), as the partial
-    sums' argument products are.
+    trials of each matrix size m form one stack, taken by each call at once
+    in parts within ``words.MAX_BLOCK_ENTRIES`` (one trial at least), of
+    m^2 max(n^2, W) entries per trial for the W words of the degree-8 table:
+    a trial's pencil holds (n m)^2 and its argument products m^2 per word
+    (its letter blocks, d m^4 <= m^2 W, never decide).
     """
     rng = np.random.default_rng(seed)
     d = wfa.alphabet_size
     head_exact = bool(nc_rational_eval(wfa, np.zeros((d, 1, 1)))[0, 0] == wfa.alpha @ wfa.beta)
     draws = [0.3 * rng.standard_normal((d, 1 + t % 2, 1 + t % 2)) for t in range(NC_TRIALS)]
+    per_trial = max(wfa.num_states**2, _word_count(d, NC_SERIES_DEGREE))
     parts = []
     for size in (1, 2):
         stack = np.stack(draws[size - 1::2])
-        # a trial's pencil holds (n size)^2 entries; a part holds one at least
-        per_part = max(1, words.MAX_BLOCK_ENTRIES // (wfa.num_states * size) ** 2)
+        per_part = max(1, words.MAX_BLOCK_ENTRIES // (size**2 * per_trial))
         parts += np.split(stack, range(per_part, len(stack), per_part))
     worst = np.zeros(3)  # ratio, spectral radius, norm sum; np.maximum keeps a NaN
     for drawn in parts:

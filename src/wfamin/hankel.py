@@ -200,23 +200,27 @@ def _svd_baseline(wfa: Wfa, length: int, k: int):
 def _orthonormal_span(start: np.ndarray, matrices, tol: float) -> np.ndarray:
     """Orthonormal columns spanning {M_w start : words w}.
 
-    Breadth-first Gram-Schmidt, run twice per candidate; a candidate whose
-    residual is at most ``tol`` is dropped.
+    Breadth-first Gram-Schmidt, run twice per candidate; a candidate other
+    than the normalized start whose residual is at most ``tol`` is dropped,
+    and a norm that overflows raises :class:`NumericalError`.
     """
     basis = np.empty((start.size, 0))
-    norm = np.linalg.norm(start)
+    norm = residual = np.linalg.norm(start)
     queue = [start / norm] if norm > 0.0 else []
-    while queue and basis.shape[1] < start.size:
+    while queue and basis.shape[1] < start.size and residual < np.inf:  # not inf or NaN
         vector = queue.pop(0)
         for _ in range(2):
             vector = vector - basis @ (basis.T @ vector)
         residual = np.linalg.norm(vector)
-        if residual > tol:
+        if residual > tol or not basis.size:
             basis = np.column_stack([basis, vector / residual])
             queue.extend(m @ basis[:, -1] for m in matrices)
+    if not residual < np.inf:
+        raise NumericalError(f"orthogonal reduction overflowed: a norm is {float(residual)!r}")
     return basis
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises in _orthonormal_span
 def _reduced_weights(wfa: Wfa):
     """(alpha, transitions, beta) of a minimal realization, of size 0 for the
     zero series: the reachable part span{A_w beta}, then the observable part
@@ -234,8 +238,9 @@ def minimize(wfa: Wfa) -> Wfa:
 
     The forward-backward reduction of Kiefer, Murawski, Ouaknine, Wachter
     and Worrell, in O(d n^3) and without a Hankel block.  A direction counts
-    when its residual exceeds ``DEFAULT_RANK_TOL`` times
-    max(1, max_a ||A_a||_2).  The zero series comes back as one zero state.
+    when its residual exceeds ``DEFAULT_RANK_TOL`` times max(1, max_a
+    ||A_a||_2), the start direction always; an overflow raises
+    :class:`NumericalError`.  The zero series comes back as one zero state.
     """
     alpha, mats, beta = _reduced_weights(wfa)
     if alpha.size == 0:

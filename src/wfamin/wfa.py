@@ -161,11 +161,12 @@ def evaluation_table(wfa: Wfa, max_length: int) -> np.ndarray:
     entries indexed by the same word are the same float.  The table is
     built one length level at a time, one matrix product per level, from
     the prefix states that Hankel factors share (:func:`_prefix_levels`).
-    The widest level, d**max_length x n prefix states, is held to
-    ``words.MAX_BLOCK_ENTRIES`` before any is built; one letter gives one
-    state row per level.
+    The widest level, d**max_length x n prefix states, and then the table
+    itself are held to ``words.MAX_BLOCK_ENTRIES`` before any level is
+    built; one letter gives one state row per level.
     """
     _block_rows(wfa.alphabet_size, max_length, wfa.num_states, "prefix-state level", level=True)
+    _block_rows(wfa.alphabet_size, max_length, 1, "evaluation table")
     levels = [np.array([float(wfa.alpha @ wfa.beta)])]
     states = _prefix_levels(wfa.alpha, wfa.transitions, max_length)
     levels.extend(level @ wfa.beta for level in states)

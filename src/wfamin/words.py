@@ -25,7 +25,7 @@ d) block.  The index does not depend on ``max_length``, so the identities
 hold across indices of one alphabet.
 This module also sizes every word-indexed array: it counts the words in
 closed form and holds the array to ``MAX_BLOCK_ENTRIES`` before anything
-is built, a :class:`WordIndex` and the widest level of an evaluation table
+is built, a :class:`WordIndex`, an evaluation table and its widest level
 included.
 """
 

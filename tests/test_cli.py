@@ -179,6 +179,20 @@ class TestApproximate:
             assert re.search(rf"^certificate: attained sigma_{k} within \S+ relative", out,
                              re.MULTILINE)
 
+    def test_large_norm_input_is_certified(self, capsys, tmp_path):
+        # minimal, though its weight 1e9 puts the reduction's cutoff at the
+        # norm of its start direction, which must count all the same
+        for k in (0, 1):
+            out_file = tmp_path / f"out{k}.wfa"
+            code, out, err = run(
+                capsys, "approximate", str(FIXTURES / "large-norm.wfa"), str(k),
+                "--no-timestamp", "-o", str(out_file),
+            )
+            assert code == 0, err
+            assert re.search(rf"^certificate: attained sigma_{k} within \S+ relative", out,
+                             re.MULTILINE)
+            assert load_document(out_file).wfa.num_states == max(k, 1)
+
     def test_non_minimal_input_exits_2(self, capsys, tmp_path):
         path = tmp_path / "redundant.wfa"
         path.write_text(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wfamin import fock
+from wfamin import fock, words
 from wfamin.errors import StabilityError
 from wfamin.aak import aak_approximate
 from wfamin.hankel import HankelBlock, build_hankel, hankel_rank
@@ -21,6 +21,8 @@ from reference import (
     right_shift_matrix,
     svd_truncate,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def substitutions(arguments):
@@ -523,7 +525,7 @@ class TestNcRational:
 
         monkeypatch.setattr(fock, "nc_rational_eval", recording)
         monkeypatch.setattr(fock, "nc_rational_series", counting)
-        wfa = load_document(Path(__file__).parent / "fixtures" / "nan-discrepancy.wfa").wfa
+        wfa = load_document(FIXTURES / "nan-discrepancy.wfa").wfa
         report = fock.verify_nc_rational(wfa)
         assert report.max_ratio == math.inf and not report.passed
         assert len(evaluated) == 1  # the zero substitution only
@@ -560,53 +562,50 @@ class TestNcRational:
         fock.verify_nc_rational(random_stable_wfa(3, 3, seed=4, radius_bound=0.9), seed=4)
         assert tables == [fock.NC_SERIES_DEGREE] * 2  # matrix sizes 1 and 2
 
-    @pytest.mark.parametrize("bound", [1000, 7 * 511 * 4])
-    def test_a_split_stack_gives_the_same_report(self, monkeypatch, bound):
-        # one substitution's argument products hold 511 x m^2 entries at
-        # d = 2: the bound admits 7 at m = 2, or one at a time (1000 < 511 x
-        # 4); its pencil holds (3 m)^2, so 1000 takes the m = 2 stack 27 at a time
-        wfa = random_stable_wfa(2, 3, seed=9, radius_bound=0.9)
-        report = fock.verify_nc_rational(wfa, seed=9)
-        levels, pencils = [], []
+    @pytest.mark.parametrize(("name", "bound", "largest"), [
+        pytest.param(None, 1000, [(1800, 51200), (36, 1024)], id="1000"),
+        pytest.param(None, 7 * 511 * 4, [(1800, 51200), (252, 7168)], id="14308"),
+        pytest.param("four-letter.wfa", 10**6, [(1008, 7_340_032), (99, 720_896)],
+                     id="four-letter"),
+    ])
+    def test_a_split_stack_gives_the_same_report(self, monkeypatch, name, bound, largest):
+        # a trial holds its pencil, (3 m)^2 entries, and its argument
+        # products, m^2 per word of the degree-8 table: 511 words at d = 2,
+        # where 1000 takes one trial at a time and 14308 = 7 x 511 x 4 seven
+        # at m = 2 (28 at m = 1); 87,381 at d = 4, where the default bound
+        # takes the m = 2 stack 28 at a time and 10^6 takes 11 at m = 1 and
+        # 2 at m = 2
+        wfa = (random_stable_wfa(2, 3, seed=9, radius_bound=0.9) if name is None
+               else load_document(FIXTURES / name).wfa)
+        levels, pencils = [], []  # (entries, trials or the entries of one)
         exact, exact_pencil = fock._prefix_levels, fock._pencil
 
         def recording(start, matrices, max_length):
             for level in exact(start, matrices, max_length):
-                levels.append(level)
+                levels.append((level.size, len(level)))
                 yield level
 
         def recording_pencil(wfa, arguments):
-            pencils.append(exact_pencil(wfa, arguments))
-            return pencils[-1]
+            pencil = exact_pencil(wfa, arguments)
+            pencils.append((pencil.size, pencil.shape[-1] ** 2))
+            return pencil
 
-        monkeypatch.setattr("wfamin.words.MAX_BLOCK_ENTRIES", bound)
         monkeypatch.setattr(fock, "_prefix_levels", recording)
         monkeypatch.setattr(fock, "_pencil", recording_pencil)
-        assert fock.verify_nc_rational(wfa, seed=9) == report
+        reports, maxima = [], []  # the largest pencil stack and level per bound
+        for limit in (words.MAX_BLOCK_ENTRIES, bound):
+            levels.clear()
+            pencils.clear()
+            monkeypatch.setattr("wfamin.words.MAX_BLOCK_ENTRIES", limit)
+            reports.append(fock.verify_nc_rational(wfa, seed=9))
+            # a level or pencil stack over more than one substitution stays
+            # within the bound in force
+            assert all(size <= limit or trials == 1 for size, trials in levels)
+            assert all(size <= max(limit, one) for size, one in pencils)
+            maxima.append((max(pencils)[0], max(levels)[0]))
+        assert reports[0] == reports[1]
         assert len(levels) > 2 * fock.NC_SERIES_DEGREE  # more than one part per stack
-        # a level or pencil stack over more than one substitution stays
-        # within the bound
-        assert all(level.size <= bound or len(level) == 1 for level in levels)
-        assert all(pencil.size <= max(bound, pencil.shape[-1] ** 2) for pencil in pencils)
-        assert max(pencil.size for pencil in pencils) == (972 if bound == 1000 else 50 * 36)
-
-    def test_a_split_series_holds_its_letter_blocks_to_the_bound(self, monkeypatch):
-        # at degree 1 a 6 x 6 substitution's letter blocks, d m^2 x m^2 = 2592
-        # entries, outgrow its 3 x m^2 rows: the bound admits two at a time
-        wfa = random_stable_wfa(2, 3, seed=5, radius_bound=0.9)
-        stack = 0.1 * np.random.default_rng(5).standard_normal((5, 2, 6, 6))
-        whole = fock.nc_rational_series(wfa, stack, 1)
-        blocks = []
-        exact = fock._prefix_levels
-
-        def recording(start, matrices, max_length):
-            blocks.append(np.size(matrices))
-            return exact(start, matrices, max_length)
-
-        monkeypatch.setattr("wfamin.words.MAX_BLOCK_ENTRIES", 2 * 2592)
-        monkeypatch.setattr(fock, "_prefix_levels", recording)
-        assert fock.nc_rational_series(wfa, stack, 1).tobytes() == whole.tobytes()
-        assert blocks == [2 * 2592, 2 * 2592, 2592]
+        assert maxima == largest
 
     def test_empty_arguments_refused(self):
         wfa = random_stable_wfa(2, 3, seed=8, radius_bound=0.9)

@@ -1,10 +1,11 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wfamin.errors import RankDeficiencyError
+from wfamin.errors import NumericalError, RankDeficiencyError
 from wfamin.hankel import (
     DEFAULT_RANK_TOL,
     HankelBlock,
@@ -17,10 +18,21 @@ from wfamin.hankel import (
     minimize,
     spectral_recover,
 )
+from wfamin.io import load_document
 from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa
 from wfamin.words import WordIndex
 
 from reference import check_hankel_property, svd_truncate
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def large_norm(d, weight):
+    """A minimal two-state automaton with a weight of ``weight``: its first
+    letter is [[0.5, weight], [0, 0.5]] (spectral radius 0.5), a second
+    diag(0.25, 0.5), and alpha = beta = (1, 1)."""
+    mats = [[[0.5, weight], [0.0, 0.5]], [[0.25, 0.0], [0.0, 0.5]]][:d]
+    return Wfa([1.0, 1.0], mats, [1.0, 1.0])
 
 
 def one_letter_block(first_column_generator, size):
@@ -393,6 +405,11 @@ class TestFliessBound:
         # duplicated state: same function as geometric_wfa but 2 states
         redundant = Wfa([0.5, 0.5], [np.diag([0.5, 0.5])], [1.0, 1.0])
         assert not is_minimal(redundant)
+        # from a weight of 1e9 on, the tolerance 1e-9 max_a ||A_a||_2
+        # reaches the normalized start's residual, 1, which counts all the same
+        for d in (1, 2):
+            for weight in (1e9, 1e12):
+                assert is_minimal(large_norm(d, weight))
 
 
 def hidden_redundancy(core: Wfa, extra: int, seed: int, unreachable: bool) -> Wfa:
@@ -434,6 +451,26 @@ class TestMinimize:
         assert not reduced.alpha.any() and not reduced.beta.any()
         assert not is_minimal(zero)
         assert not is_minimal(reduced)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("weight", [1e9, 1e12])
+    def test_a_large_norm_keeps_the_start(self, d, weight):
+        # the series is not read as zero.  The weight amplifies the
+        # reduction's rounding on longer words (f(aa) moves by 1e-7 relative
+        # at 1e9), so the words up to length 1 are compared
+        wfa = large_norm(d, weight)
+        reduced = minimize(wfa)
+        assert reduced.num_states == 2
+        original, kept = evaluation_table(wfa, 1), evaluation_table(reduced, 1)
+        assert np.abs(original - kept).max() <= 1e-12 * np.abs(original).max()
+
+    @pytest.mark.parametrize("name", ["overflowing-gramian.wfa", "nan-discrepancy.wfa"])
+    def test_an_overflowing_reduction_is_refused(self, name):
+        # a weight of 1e200 overflows a residual's norm; no NaN column is kept
+        wfa = load_document(FIXTURES / name).wfa
+        for call in (is_minimal, minimize):
+            with pytest.raises(NumericalError, match="^orthogonal reduction overflowed: "):
+                call(wfa)
 
     def test_minimal_beyond_the_block_guard(self):
         # the (16, 16) Hankel block at d = 2 would have 131071 rows

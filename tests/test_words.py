@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from wfamin.fock import flipped_multiplier_matrix
 from wfamin.hankel import build_hankel, spectral_recover
-from wfamin.wfa import evaluation_table, random_stable_wfa
+from wfamin.wfa import Wfa, evaluation_table, random_stable_wfa
 from wfamin.words import WordIndex, _block_rows, _word_count
 
 
@@ -150,12 +150,15 @@ def test_numpy_integer_sizes_give_the_same_index():
 
 def test_one_bound_sizes_every_word_indexed_array(monkeypatch):
     wfa = random_stable_wfa(2, 3, seed=1, radius_bound=0.9)
+    one_state = random_stable_wfa(2, 1, seed=1, radius_bound=0.9)
     calls = {
         "word index": lambda: WordIndex(2, 3),
         "block": lambda: build_hankel(wfa, 2),
         "state factor": lambda: spectral_recover(wfa, 1, 2),
         "flipped multiplier": lambda: flipped_multiplier_matrix(wfa, WordIndex(2, 2)),
         "prefix-state level": lambda: evaluation_table(wfa, 3),
+        # one state: the widest level, 8 entries, passes and the table, 15, does not
+        "evaluation table": lambda: evaluation_table(one_state, 3),
     }
     for call in calls.values():
         call()
@@ -164,6 +167,15 @@ def test_one_bound_sizes_every_word_indexed_array(monkeypatch):
         with pytest.raises(ValueError, match=rf"^refusing to build a \d+ x \d+ {what} "
                                              rf"\(\d+ entries > 14\)$"):
             call()
+
+
+def test_a_one_letter_table_is_refused_before_any_level(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a level built before the guard")
+
+    monkeypatch.setattr("wfamin.wfa._prefix_levels", unreachable)
+    with pytest.raises(ValueError, match=r"^refusing to build a 100000001 x 1 evaluation table "):
+        evaluation_table(Wfa([1.0], [[[0.5]]], [1.0]), 10**8)
 
 
 def test_hankel_cells_are_the_table_values_of_concatenations():
