@@ -6,7 +6,8 @@ entry at (u, v) is f(uv), which only depends on the concatenation.  This
 module builds such blocks from automata, measures their numerical rank, runs
 the truncated-SVD baseline (whose rank-k optimum is generally not Hankel) and
 reconstructs a WFA of a given size from a block via the spectral method.
-Minimality is decided without blocks, by an orthogonal reduction.
+Minimality is decided without blocks, by an orthogonal reduction that
+returns a minimal input itself.
 
 The block of an n-state automaton factors exactly as H = P S^T, with the
 prefix states alpha^T A_p as the rows of P and the suffix states
@@ -221,33 +222,31 @@ def _orthonormal_span(start: np.ndarray, matrices, tol: float) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow raises in _orthonormal_span
-def _reduced_weights(wfa: Wfa):
-    """(alpha, transitions, beta) of a minimal realization, of size 0 for the
-    zero series: the reachable part span{A_w beta}, then the observable part
-    span{A_w^T alpha} of that."""
-    tol = DEFAULT_RANK_TOL * max(1.0, max(np.linalg.norm(m, 2) for m in wfa.transitions))
-    basis = _orthonormal_span(wfa.beta, wfa.transitions, tol)
-    mats = [basis.T @ m @ basis for m in wfa.transitions]
-    alpha, beta = basis.T @ wfa.alpha, basis.T @ wfa.beta
-    basis = _orthonormal_span(alpha, [m.T for m in mats], tol)
-    return basis.T @ alpha, [basis.T @ m @ basis for m in mats], basis.T @ beta
-
-
 def minimize(wfa: Wfa) -> Wfa:
     """A minimal automaton with the same series, by orthogonal reduction.
 
     The forward-backward reduction of Kiefer, Murawski, Ouaknine, Wachter
-    and Worrell, in O(d n^3) and without a Hankel block.  A direction counts
-    when its residual exceeds ``DEFAULT_RANK_TOL`` times max(1, max_a
-    ||A_a||_2), the start direction always; an overflow raises
-    :class:`NumericalError`.  The zero series comes back as one zero state.
+    and Worrell, in O(d n^3) and without a Hankel block: the reachable part
+    span{A_w beta}, then the observable part span{A_w^T alpha} of what is
+    kept.  A direction counts when its residual exceeds ``DEFAULT_RANK_TOL``
+    times max(1, max_a ||A_a||_2), the start direction always; an overflow
+    raises :class:`NumericalError`.  A side that keeps every direction
+    changes no basis, so a minimal input comes back as itself.  The zero
+    series comes back as one zero state.
     """
-    alpha, mats, beta = _reduced_weights(wfa)
+    tol = DEFAULT_RANK_TOL * max(1.0, max(np.linalg.norm(m, 2) for m in wfa.transitions))
+    alpha, mats, beta = wfa.alpha, wfa.transitions, wfa.beta
+    for reachable in (True, False):
+        start, moves = (beta, mats) if reachable else (alpha, [m.T for m in mats])
+        basis = _orthonormal_span(start, moves, tol)
+        if basis.shape[1] < alpha.size:
+            alpha, mats, beta = basis.T @ alpha, [basis.T @ m @ basis for m in mats], basis.T @ beta
     if alpha.size == 0:
         return Wfa(np.zeros(1), [np.zeros((1, 1))] * wfa.alphabet_size, np.zeros(1))
-    return Wfa(alpha, mats, beta)
+    return wfa if alpha.size == wfa.num_states else Wfa(alpha, mats, beta)
 
 
 def is_minimal(wfa: Wfa) -> bool:
-    """Whether :func:`minimize` keeps all n states (never for the zero series)."""
-    return _reduced_weights(wfa)[0].size == wfa.num_states
+    """Whether :func:`minimize` returns its input: no side of the reduction
+    drops a direction (never for the zero series)."""
+    return minimize(wfa) is wfa

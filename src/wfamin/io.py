@@ -22,11 +22,11 @@ once; every error in a line (a malformed or non-finite number, a wrong
 count of weights in ``alpha``, ``beta`` or a matrix row, an unknown or
 repeated field, an empty or repeating alphabet or one with a label that
 contains ',', a transition block for a label outside it) names that line.
-A :class:`WfaDocument` that could not be read back is refused: an empty
-label, a label with whitespace, a name or comment that is not one line
-without surrounding whitespace, or any of them that is not UTF-8 text (a
-lone surrogate).  Documents are UTF-8; a leading byte-order mark is read
-past.
+A :class:`WfaDocument` holds its labels as a tuple and refuses what could
+not be read back: a label that is not a ``str``, an empty label, a label
+with whitespace, a name or comment that is not one line without
+surrounding whitespace, or any of them that is not UTF-8 text (a lone
+surrogate).  Documents are UTF-8; a leading byte-order mark is read past.
 
 Numbers are written with 17 significant digits, so parsing a serialized
 document reproduces the automaton exactly.
@@ -54,6 +54,8 @@ class WfaDocument:
     comment: str | None = None
 
     def __post_init__(self):
+        # a tuple, so that a caller's list cannot grow the alphabet past the transitions
+        object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) != self.wfa.alphabet_size:
             raise ValueError(
                 f"{len(self.labels)} labels for {self.wfa.alphabet_size} symbols"
@@ -87,10 +89,12 @@ def _is_utf8(text: str) -> bool:
 
 
 def _check_labels(labels, where: str = "") -> None:
-    """Refuse repeated or empty labels, labels with whitespace, where the
-    document's lines split, labels with a comma, where :func:`parse_word`
-    splits a word, and labels that are not UTF-8 text; ``where`` prefixes
-    the message."""
+    """Refuse labels that are not ``str``, repeated or empty labels, labels
+    with whitespace, where the document's lines split, labels with a comma,
+    where :func:`parse_word` splits a word, and labels that are not UTF-8
+    text; ``where`` prefixes the message."""
+    if not all(isinstance(label, str) for label in labels):
+        raise ValueError(f"{where}symbol labels must be str")
     if len(set(labels)) != len(labels):
         raise ValueError(f"{where}symbol labels must be unique")
     if not all(labels):

@@ -194,10 +194,7 @@ class TestApproximate:
             assert load_document(out_file).wfa.num_states == max(k, 1)
 
     def test_non_minimal_input_exits_2(self, capsys, tmp_path):
-        path = tmp_path / "redundant.wfa"
-        path.write_text(
-            "alphabet: a\nstates: 2\nalpha: 0.5 0.5\nbeta: 1 1\ntransition a:\n0.5 0\n0 0.5\n"
-        )
+        path = FIXTURES / "duplicated-state.wfa"
         code, out, err = run(capsys, "approximate", str(path), "1", "-o", str(tmp_path / "x.wfa"))
         assert code == 2
         assert out == ""

@@ -234,6 +234,14 @@ class TestParsing:
         with pytest.raises(ValueError, match="^symbol labels must not contain ','$"):
             WfaDocument(("a,b", "c"), wfa)
 
+    def test_a_document_keeps_its_own_labels(self):
+        # the caller's list is copied, so growing it leaves a document that reads back
+        labels = ["a"]
+        doc = WfaDocument(labels, Wfa([1.0], [[[0.5]]], [1.0]))
+        labels.append("b")
+        assert doc.labels == ("a",)
+        assert documents_equal(parse_document(serialize_document(doc)), doc)
+
     @pytest.mark.parametrize("labels,name,comment,message", [
         (("", "c"), None, None, "symbol labels must not be empty"),
         (("a b", "c"), None, None, "symbol labels must not contain whitespace"),
@@ -245,8 +253,9 @@ class TestParsing:
         (("a\ud800", "b"), None, None, "symbol labels must be UTF-8 text"),
         (("a", "b"), "x\ud800y", None, "name must be UTF-8 text, got 'x\\ud800y'"),
         (("a", "b"), None, "\udcff", "comment must be UTF-8 text, got '\\udcff'"),
+        (("a", 1), None, None, "symbol labels must be str"),
     ], ids=["empty-label", "space-in-label", "nbsp-in-label", "two-line-name", "padded-comment",
-            "surrogate-label", "surrogate-name", "surrogate-comment"])
+            "surrogate-label", "surrogate-name", "surrogate-comment", "int-label"])
     def test_documents_that_cannot_be_read_back_are_refused(self, labels, name, comment,
                                                             message):
         wfa = Wfa([1.0], [np.eye(1), np.eye(1)], [1.0])
