@@ -39,6 +39,7 @@ runs, so importing this module, and with it ``wfamin``, costs numpy alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,19 +218,35 @@ def hankel_singular_values(wfa: Wfa) -> np.ndarray:
     return _singular_data(wfa)[0]
 
 
+def _balanced(wfa: Wfa) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha 2^j, beta 2^-j) for the j nearest half of log2(max|beta| /
+    max|alpha|): the same series, its two sides at one scale, and no bit of
+    either lost.  When alpha or beta is zero the series is, and both come
+    back zero, so no side of it enters at a scale of its own."""
+    top = np.abs(wfa.alpha).max(), np.abs(wfa.beta).max()
+    if not min(top) > 0.0:
+        return np.zeros_like(wfa.alpha), np.zeros_like(wfa.beta)
+    j = round((math.log2(top[1]) - math.log2(top[0])) / 2)
+    return np.ldexp(wfa.alpha, j), np.ldexp(wfa.beta, -j)
+
+
 def hankel_norm(f: Wfa, g: Wfa) -> float:
     """Exact ||H_f - H_g|| for one-letter WFAs: the largest Hankel singular
     value of the difference automaton (alpha_f (+) alpha_g, A_f (+) A_g,
-    beta_f (+) -beta_g).  An unstable f or g raises :class:`NumericalError`:
-    for an approximant that is a failed computation, not bad input.
+    beta_f (+) -beta_g).  Each of f and g enters with its alpha and beta
+    rescaled by :func:`_balanced`, so the difference's Gramians do not join
+    blocks of scales ||beta_f||^2 and ||beta_g||^2 that eigh cannot resolve
+    together.  An unstable f or g raises :class:`NumericalError`: for an
+    approximant that is a failed computation, not bad input.
     """
     a_f, a_g = _require_one_letter(f), _require_one_letter(g)
+    (alpha_f, beta_f), (alpha_g, beta_g) = _balanced(f), _balanced(g)
     n = len(a_f)
     block = np.zeros((n + len(a_g),) * 2)
     block[:n, :n], block[n:, n:] = a_f, a_g
     try:
-        pair = gramians(Wfa(np.concatenate([f.alpha, g.alpha]), [block],
-                            np.concatenate([f.beta, -g.beta])))
+        pair = gramians(Wfa(np.concatenate([alpha_f, alpha_g]), [block],
+                            np.concatenate([beta_f, -beta_g])))
     except StabilityError as exc:
         raise NumericalError(f"Hankel norm of the difference is undefined: {exc}") from exc
     return float(np.linalg.norm(_root_product(pair)[1], 2))

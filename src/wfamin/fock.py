@@ -279,8 +279,8 @@ def nc_rational_eval(wfa: Wfa, arguments) -> np.ndarray:
     return np.kron(wfa.alpha[None, :], eye) @ solved
 
 
-def nc_rational_series(wfa: Wfa, arguments, max_degree: int) -> np.ndarray:
-    """Partial sum of the series up to words of length ``max_degree``.
+def nc_rational_series(wfa: Wfa, arguments) -> np.ndarray:
+    """Partial sum of the series up to words of length ``NC_SERIES_DEGREE``.
 
     Independent of :func:`nc_rational_eval`: the word coefficients
     alpha^T A_w beta come from :func:`~wfamin.wfa.evaluation_table`, and the
@@ -288,21 +288,20 @@ def nc_rational_series(wfa: Wfa, arguments, max_degree: int) -> np.ndarray:
     matrices 1_m (x) z_a; the sum is one product of the two, and no power
     of the Kronecker sum K is formed.  A stack shares one table, and its
     rows, table.size x m^2 entries per substitution, are built whole.  The
-    tail beyond ``max_degree`` is bounded by ||alpha|| ||beta||
-    ||K||^(max_degree+1) / (1 - ||K||) when ||K|| < 1 (the third array of
-    :func:`series_bounds`).
+    third array of :func:`series_bounds` bounds the tail beyond the degree.
     """
     arguments = _coerce_arguments(wfa, arguments)
-    table = evaluation_table(wfa, max_degree)  # held to the bound before the products
+    table = evaluation_table(wfa, NC_SERIES_DEGREE)  # held to the bound before the products
     *stack, d, size, _ = arguments.shape
     eye, substitutions = np.eye(size), arguments.reshape(-1, d, size, size)
     # row-major, vec(z_w) (1 (x) z_a) = vec(z_w z_a)
-    levels = _prefix_levels(eye.ravel(), np.kron(eye, substitutions.swapaxes(0, 1)), max_degree)
+    levels = _prefix_levels(eye.ravel(), np.kron(eye, substitutions.swapaxes(0, 1)),
+                            NC_SERIES_DEGREE)
     heads = np.broadcast_to(eye.ravel(), (len(substitutions), 1, size * size))
     return (table @ np.concatenate([heads, *levels], axis=-2)).reshape(*stack, size, size)
 
 
-def series_bounds(wfa: Wfa, arguments, max_degree: int):
+def series_bounds(wfa: Wfa, arguments):
     """(spectral_radius, norm_sum, tail, rounding) of each substitution, four
     arrays of the stack's shape (shape () for one substitution), all read
     from its pencil K = sum_j A_j (x) z_j.
@@ -310,34 +309,34 @@ def series_bounds(wfa: Wfa, arguments, max_degree: int):
     The contraction margins come first: the spectral radius of K, which
     evaluation needs below one, and sum_j ||z_j z_j^T||, whose being below
     one is the classical sufficient condition for convergence of the series
-    under the substitution.  Then how far the closed form and the
-    degree-``max_degree`` partial sum can lie apart, in exact arithmetic and
-    through rounding.  With g = ||K|| < 1, the degree-j part of the series
-    is at most ||alpha|| ||beta|| g^j.  The tail beyond ``max_degree`` is
-    therefore at most ||alpha|| ||beta|| g^(max_degree+1) / (1 - g), and the
-    results of both computations are at most ||alpha|| ||beta|| / (1 - g).
-    The rounding term is a first-order estimate: each rounded step errs by
-    at most eps relative to that magnitude, the partial sum adds one term per
-    word of length <= ``max_degree``, and the linear solve has N = order of
-    K unknowns and amplifies its backward error by
-    ||(1 - K)^{-1}|| <= 1 / (1 - g).  Both bounds are infinite when g >= 1,
-    and K's SVD is skipped when the spectral radius, a lower bound on g, is.
+    under the substitution.  Then how far the closed form and the partial
+    sum of :func:`nc_rational_series`, of degree D = ``NC_SERIES_DEGREE``,
+    can lie apart, in exact arithmetic and through rounding.  With
+    g = ||K||_2 < 1, the degree-j part of the series is at most
+    ||alpha|| ||beta|| g^j.  The tail beyond D is therefore at most
+    ||alpha|| ||beta|| g^(D+1) / (1 - g), and the results of both
+    computations are at most ||alpha|| ||beta|| / (1 - g).  The rounding
+    term is a first-order estimate: each rounded step errs by at most eps
+    relative to that magnitude, the partial sum adds one term per word of
+    length <= D, and the linear solve has N = order of K unknowns and
+    amplifies its backward error by ||(1 - K)^{-1}|| <= 1 / (1 - g).  Both
+    bounds are infinite when g >= 1, and g alone decides: rho(K) <= g.
     """
     arguments = _coerce_arguments(wfa, arguments)
     pencil = _pencil(wfa, arguments)
     rho = np.asarray(spectral_radius(pencil))
-    # ||z_j z_j^T|| = ||z_j||^2; this power and g^(max_degree+1) are taken
-    # on Python floats, as an array power may round differently
+    # ||z_j z_j^T|| = ||z_j||^2; this power and g^(D+1) are taken on Python
+    # floats, as an array power may round differently
     norms = np.linalg.norm(arguments, 2, axis=(-2, -1)).reshape(-1, wfa.alphabet_size)
     norm_sum = np.reshape([sum(norm**2 for norm in row) for row in norms.tolist()], rho.shape)
-    gain = np.full(rho.shape, math.inf)
-    gain[rho < 1.0] = np.linalg.norm(pencil[rho < 1.0], 2, axis=(-2, -1))
+    gain = np.linalg.norm(pencil, 2, axis=(-2, -1))
+    finite = gain < 1.0
+    g = gain[finite]
     tail, rounding = np.full(rho.shape, math.inf), np.full(rho.shape, math.inf)
-    g = gain[gain < 1.0]
     scale = float(np.linalg.norm(wfa.alpha) * np.linalg.norm(wfa.beta))
-    steps = pencil.shape[-1] / (1.0 - g) + _word_count(wfa.alphabet_size, max_degree)
-    rounding[gain < 1.0] = float(np.finfo(float).eps) * steps * scale / (1.0 - g)
-    tail[gain < 1.0] = scale * np.array([x ** (max_degree + 1) for x in g.tolist()]) / (1.0 - g)
+    steps = pencil.shape[-1] / (1.0 - g) + _word_count(wfa.alphabet_size, NC_SERIES_DEGREE)
+    rounding[finite] = float(np.finfo(float).eps) * steps * scale / (1.0 - g)
+    tail[finite] = scale * np.array([x ** (NC_SERIES_DEGREE + 1) for x in g.tolist()]) / (1.0 - g)
     return rho, norm_sum, tail, rounding
 
 
@@ -394,18 +393,17 @@ def verify_nc_rational(wfa: Wfa, seed=0) -> NcRationalReport:
     worst = np.zeros(3)  # ratio, spectral radius, norm sum; np.maximum keeps a NaN
     for drawn in parts:
         # the tail bound holds in exact arithmetic, the rounding bound for both sides
-        rho, norm_sum, tail, rounding = series_bounds(wfa, drawn, NC_SERIES_DEGREE)
+        rho, norm_sum, tail, rounding = series_bounds(wfa, drawn)
         bound = np.where(rho < 0.95, tail + rounding, math.inf)
         halved = bound == math.inf  # only these trials are bounded again
         arguments = np.where(halved[:, None, None, None], 0.5 * drawn, drawn)
-        rho[halved], norm_sum[halved], tail, rounding = series_bounds(
-            wfa, arguments[halved], NC_SERIES_DEGREE)
+        rho[halved], norm_sum[halved], tail, rounding = series_bounds(wfa, arguments[halved])
         bound[halved] = tail + rounding
         ratio = np.full(len(drawn), math.inf)  # a bound still infinite fails its trial
         compared = bound != math.inf
         if compared.any():
             closed = nc_rational_eval(wfa, arguments[compared])
-            partial = nc_rational_series(wfa, arguments[compared], NC_SERIES_DEGREE)
+            partial = nc_rational_series(wfa, arguments[compared])
             gap = np.linalg.norm(closed - partial, 2, axis=(-2, -1))
             # a NaN bound gives a NaN ratio, and a zero bound 0 or 1
             ratio[compared] = np.divide(gap, bound[compared], out=(gap > 0).astype(float),

@@ -203,8 +203,12 @@ def _orthonormal_span(start: np.ndarray, matrices, tol: float) -> np.ndarray:
 
     Breadth-first Gram-Schmidt, run twice per candidate; a candidate other
     than the normalized start whose residual is at most ``tol`` is dropped,
-    and a norm that overflows raises :class:`NumericalError`.
+    and a norm that overflows raises :class:`NumericalError`.  The start is
+    first scaled by the power of two that puts its largest entry in
+    [0.5, 1), so its norm, which squares its entries, neither underflows nor
+    overflows, and the normalized start keeps every bit.
     """
+    start = np.ldexp(start, -np.frexp(np.abs(start).max(initial=0.0))[1])
     basis = np.empty((start.size, 0))
     norm = residual = np.linalg.norm(start)
     queue = [start / norm] if norm > 0.0 else []

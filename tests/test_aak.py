@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from wfamin.aak import (
+    CERTIFY_RTOL,
     _bartels_stewart,
     _optimal_sequence,
     _schmidt_pair,
@@ -761,6 +762,15 @@ class TestAakApproximate:
             g = build_hankel(result.wfa, 199).entries
             assert abs(np.linalg.norm(h - g, 2) - sigmas[k]) <= 1e-6 * sigmas[0]
 
+    def test_small_final_weights_certified(self):
+        # beta at 1e-100 times alpha: unless each side is rescaled, the
+        # certificate's Gramians join blocks near 1 and 1e-200, and eigh
+        # loses the smaller (attained 2.1e-100 against sigma_1 = 5.1e-101)
+        wfa = load_document(FIXTURES / "small-final-weights.wfa").wfa
+        result = aak_approximate(wfa, 1)
+        sigmas = result.singular_values
+        assert abs(result.attained - sigmas[1]) <= CERTIFY_RTOL * sigmas[0]
+
     @given(
         n=st.integers(2, 6), rho=st.floats(0.3, 0.9), data=st.data(),
         seed=st.integers(0, 2**32 - 1),
@@ -903,6 +913,15 @@ class TestHankelNorm:
         assert hankel_norm(two_state_wfa, geometric_wfa) == pytest.approx(
             np.linalg.norm(h - g, 2), rel=1e-12
         )
+
+    def test_a_zero_series_with_one_nonzero_side(self):
+        # g's alpha of 1 would meet f's sides, rescaled to near 1e-50, in one
+        # Gramian; a zero series enters as zeros instead
+        f = load_document(FIXTURES / "small-final-weights.wfa").wfa
+        sigma_0 = hankel_singular_values(f)[0]
+        for g in (Wfa([1.0], [[[0.0]]], [0.0]), Wfa([0.0], [[[0.5]]], [1.0])):
+            assert hankel_norm(f, g) == pytest.approx(sigma_0, rel=1e-12)
+            assert hankel_norm(g, f) == pytest.approx(sigma_0, rel=1e-12)
 
     def test_unstable_approximant_is_a_numerical_failure(self, geometric_wfa):
         with pytest.raises(NumericalError, match="spectral radius"):

@@ -214,12 +214,12 @@ def test_criterion_8_nc_rational_evaluation():
         size = 1 + trial % 2
         wfa = random_stable_wfa(d, 3, seed=9600 + trial, radius_bound=0.8)
         arguments = [0.3 * rng.standard_normal((size, size)) for _ in range(d)]
-        rho = series_bounds(wfa, arguments, 8)[0]
+        rho = series_bounds(wfa, arguments)[0]
         if rho >= 0.9:
             arguments = [0.5 * z for z in arguments]
         closed = nc_rational_eval(wfa, arguments)
-        partial = nc_rational_series(wfa, arguments, 8)
-        bound = series_bounds(wfa, arguments, 8)[2]
+        partial = nc_rational_series(wfa, arguments)
+        bound = series_bounds(wfa, arguments)[2]
         if not np.linalg.norm(closed - partial, 2) <= bound:
             all_within_bound = False
         zeros = [np.zeros((size, size))] * d

@@ -193,6 +193,17 @@ class TestApproximate:
                              re.MULTILINE)
             assert load_document(out_file).wfa.num_states == max(k, 1)
 
+    def test_small_final_weights_are_certified(self, capsys, tmp_path):
+        # beta at 1e-100 times alpha: the certificate holds, so exit 0
+        out_file = tmp_path / "out.wfa"
+        code, out, err = run(
+            capsys, "approximate", str(FIXTURES / "small-final-weights.wfa"), "1",
+            "--no-timestamp", "-o", str(out_file),
+        )
+        assert code == 0, err
+        assert re.search(r"^certificate: attained sigma_1 within \S+ relative", out, re.MULTILINE)
+        assert load_document(out_file).wfa.num_states == 1
+
     def test_non_minimal_input_exits_2(self, capsys, tmp_path):
         path = FIXTURES / "duplicated-state.wfa"
         code, out, err = run(capsys, "approximate", str(path), "1", "-o", str(tmp_path / "x.wfa"))

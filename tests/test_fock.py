@@ -450,8 +450,8 @@ class TestNcRational:
             wfa = random_stable_wfa(d, 3, seed=int(rng.integers(1000)), radius_bound=0.9)
             zs = [rng.standard_normal((m, m)) * 0.25 for _ in range(d)]
             closed = fock.nc_rational_eval(wfa, zs)
-            partial = fock.nc_rational_series(wfa, zs, 8)
-            bound = fock.series_bounds(wfa, zs, 8)[2]
+            partial = fock.nc_rational_series(wfa, zs)
+            bound = fock.series_bounds(wfa, zs)[2]
             assert np.isfinite(bound)
             assert np.linalg.norm(closed - partial, 2) <= bound
 
@@ -461,12 +461,12 @@ class TestNcRational:
             wfa = random_stable_wfa(d, 3, seed=d + 20, radius_bound=0.9)
             zs = [rng.standard_normal((m, m)) * 0.25 for _ in range(d)]
             expected = np.zeros((m, m))
-            for word in WordIndex(d, 4).words():
+            for word in WordIndex(d, fock.NC_SERIES_DEGREE).words():
                 product = np.eye(m)
                 for symbol in word:
                     product = product @ zs[symbol]
                 expected += wfa.evaluate(word) * product
-            np.testing.assert_allclose(fock.nc_rational_series(wfa, zs, 4), expected,
+            np.testing.assert_allclose(fock.nc_rational_series(wfa, zs), expected,
                                        rtol=1e-13, atol=1e-13)
 
     def test_pencil_equals_kronecker_sum(self):
@@ -506,7 +506,7 @@ class TestNcRational:
         assert report.passed
         assert len(compared) == 1 + fock.NC_TRIALS  # the zero substitution, then one per trial
         for arguments in compared[1:]:
-            assert np.isfinite(sum(fock.series_bounds(wfa, arguments, fock.NC_SERIES_DEGREE)[2:]))
+            assert np.isfinite(sum(fock.series_bounds(wfa, arguments)[2:]))
 
     def test_a_trial_with_an_infinite_bound_is_not_evaluated(self, monkeypatch):
         # every pencil of this fixture has a spectral radius near 2e198, so no
@@ -519,9 +519,9 @@ class TestNcRational:
             evaluated.extend(substitutions(arguments))
             return exact(wfa, arguments)
 
-        def counting(wfa, arguments, max_degree):
+        def counting(wfa, arguments):
             summed.extend(substitutions(arguments))
-            return exact_series(wfa, arguments, max_degree)
+            return exact_series(wfa, arguments)
 
         monkeypatch.setattr(fock, "nc_rational_eval", recording)
         monkeypatch.setattr(fock, "nc_rational_series", counting)
@@ -537,16 +537,16 @@ class TestNcRational:
     def test_a_stack_equals_its_substitutions_one_by_one(self, d, m):
         wfa = random_stable_wfa(d, 3, seed=d, radius_bound=0.9)
         stack = 0.3 * np.random.default_rng(10 * d + m).standard_normal((5, d, m, m))
-        stack[4] *= 20  # ||K||_2 >= 1: infinite bounds, and no SVD of K
-        bounds = fock.series_bounds(wfa, stack, 8)
+        stack[4] *= 20  # ||K||_2 >= 1: infinite bounds
+        bounds = fock.series_bounds(wfa, stack)
         closed = fock.nc_rational_eval(wfa, stack[:4])
-        partial = fock.nc_rational_series(wfa, stack, 8)
+        partial = fock.nc_rational_series(wfa, stack)
         assert all(b.shape == (5,) for b in bounds) and bounds[2][4] == math.inf
         for t, arguments in enumerate(list(z) for z in stack):
-            one = fock.series_bounds(wfa, arguments, 8)
+            one = fock.series_bounds(wfa, arguments)
             assert all(b.shape == () for b in one)
             assert [b.tobytes() for b in one] == [b[t].tobytes() for b in bounds]
-            assert fock.nc_rational_series(wfa, arguments, 8).tobytes() == partial[t].tobytes()
+            assert fock.nc_rational_series(wfa, arguments).tobytes() == partial[t].tobytes()
             if t < 4:
                 assert fock.nc_rational_eval(wfa, arguments).tobytes() == closed[t].tobytes()
 
@@ -611,8 +611,8 @@ class TestNcRational:
         wfa = random_stable_wfa(2, 3, seed=8, radius_bound=0.9)
         empty = [np.zeros((0, 0))] * 2
         for call in (lambda: fock.nc_rational_eval(wfa, empty),
-                     lambda: fock.series_bounds(wfa, empty, 8),
-                     lambda: fock.nc_rational_series(wfa, empty, 8)):
+                     lambda: fock.series_bounds(wfa, empty),
+                     lambda: fock.nc_rational_series(wfa, empty)):
             with pytest.raises(ValueError, match="^arguments must be nonempty square matrices"):
                 call()
 
@@ -622,11 +622,13 @@ class TestNcRational:
             fock.nc_rational_eval(wfa, [0.1 * np.eye(2)] * 3)
 
     def test_float_degree_refused(self):
+        # both read NC_SERIES_DEGREE, so no degree, float or int, is taken
         wfa = random_stable_wfa(2, 3, seed=8, radius_bound=0.9)
         arguments = [0.1 * np.eye(2)] * 2
         for call in (fock.series_bounds, fock.nc_rational_series):
-            with pytest.raises(TypeError):
-                call(wfa, arguments, 8.0)
+            for degree in (8.0, fock.NC_SERIES_DEGREE):
+                with pytest.raises(TypeError, match="positional argument"):
+                    call(wfa, arguments, degree)
 
     def test_non_contractive_substitution_rejected(self):
         wfa = Wfa([1.0], [np.eye(1)], [1.0])
@@ -634,7 +636,7 @@ class TestNcRational:
             fock.nc_rational_eval(wfa, [np.array([[1.5]])])
 
     def test_contraction_margins(self, two_state_wfa):
-        rho, norm_sum, _, _ = fock.series_bounds(two_state_wfa, [np.array([[0.5]])], 8)
+        rho, norm_sum, _, _ = fock.series_bounds(two_state_wfa, [np.array([[0.5]])])
         assert rho < 1.0
         assert norm_sum == pytest.approx(0.25)
 
@@ -647,7 +649,7 @@ class TestNcRational:
         monkeypatch.setattr("wfamin.fock._prefix_levels", unreachable)
         wfa = random_stable_wfa(2, 2, seed=8, radius_bound=0.9)
         with pytest.raises(ValueError, match=r"^refusing to build a 256 x 2 prefix-state level "):
-            fock.nc_rational_series(wfa, [0.1 * np.eye(2)] * 2, 8)
+            fock.nc_rational_series(wfa, [0.1 * np.eye(2)] * 2)
 
 
 class TestFlippedSymbol:

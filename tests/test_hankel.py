@@ -469,6 +469,21 @@ class TestMinimize:
             with pytest.raises(NumericalError, match="^orthogonal reduction overflowed: "):
                 call(wfa)
 
+    @pytest.mark.parametrize("j", [-600, -300, 300, 600])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_scaling_alpha_or_beta_keeps_the_verdict(self, d, j):
+        # the start's norm squares its entries: unscaled, it would read a
+        # start at 2^-600 as zero and overflow at 2^600
+        core = random_stable_wfa(d, 4, seed=d, radius_bound=0.9)
+        for extra in (0, 1, 2):
+            for unreachable in (True, False):
+                wfa = hidden_redundancy(core, extra, seed=extra, unreachable=unreachable)
+                for alpha, beta in ((wfa.alpha * 2.0**j, wfa.beta),
+                                    (wfa.alpha, wfa.beta * 2.0**j)):
+                    scaled = Wfa(alpha, wfa.transitions, beta)
+                    assert is_minimal(scaled) == is_minimal(wfa) == (extra == 0)
+                    assert minimize(scaled).num_states == minimize(wfa).num_states == 4
+
     def test_minimal_beyond_the_block_guard(self):
         # the (16, 16) Hankel block at d = 2 would have 131071 rows
         wfa = random_stable_wfa(2, 16, seed=5, radius_bound=0.9)
